@@ -8,7 +8,7 @@ cross-checking on reduced constants.
 
 __version__ = "0.1.0"
 
-from .zones import Zone, BACKEND as ZONE_BACKEND
+from .zones import Zone
 from .world import WorldConstants
 from .kernel import VerificationResult, explore
 from .oracle import explore_discrete
@@ -18,7 +18,6 @@ from .modelio import load_model
 
 __all__ = [
     "Zone",
-    "ZONE_BACKEND",
     "WorldConstants",
     "VerificationResult",
     "explore",

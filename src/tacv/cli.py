@@ -145,7 +145,6 @@ def cmd_verify(args):
         check=check,
         max_states=args.max_states,
         max_seconds=args.max_seconds,
-        workers=args.workers,
     )
     if result.verdict == "VIOLATED":
         name, text = hit[0]
@@ -292,7 +291,6 @@ def main(argv=None):
     pv.add_argument("--engine", choices=("zone", "discrete"), default="zone")
     pv.add_argument("--max-states", type=int)
     pv.add_argument("--max-seconds", type=float)
-    pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--trace-out", metavar="FILE",
                     help="write the counterexample trace document here")
     pv.set_defaults(func=cmd_verify)

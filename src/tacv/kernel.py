@@ -17,16 +17,19 @@ Semantics notes:
   at the nearest pending threshold, and flip transitions (generated
   into a helper template by the model builders) fire exactly at the
   boundary, so a flag always agrees with its clock condition.
-- Exploration is breadth-first by default with zone-inclusion
-  subsumption on a passed list keyed by (locations, data).  Single
-  worker exploration is deterministic; enabled transitions are ordered
-  by (automaton index, edge index, select binding).
+- Exploration is breadth-first with zone-inclusion subsumption on a
+  passed list keyed by (locations, data), and deterministic: enabled
+  transitions are ordered by (automaton index, edge index, select
+  binding).
+- Successors come from one routine: the zone-independent part of a
+  key's successors (its "skeleton") is computed once per (locations,
+  data) key and then applied to zones.  Exploration, random runs and
+  trace replay all use it.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time as _time
 from collections import deque
 from typing import Callable, NamedTuple, Optional
@@ -43,7 +46,7 @@ class ModelInvariantError(Exception):
 
 
 class ReplayError(Exception):
-    """Raised when a stored trace diverges from the model."""
+    """Raised when a stored trace or trace document diverges from the model."""
 
     def __init__(self, step, message):
         super().__init__("step %d: %s" % (step, message))
@@ -166,14 +169,13 @@ class SymbolicState(NamedTuple):
 
 
 class TransitionInstance(NamedTuple):
-    """One firable transition: internal edge or a send/receive pair."""
+    """One data-enabled transition: internal edge or a send/receive pair."""
 
     auto: int
     edge: int
     binds: tuple              # ((var, value), ...)
     partner: Optional[tuple]  # (auto, edge, binds) for the receiving side
     chan: Optional[str]
-    zone: Zone                # source zone intersected with clock guards
     label: str
 
 
@@ -219,7 +221,7 @@ def clock_layout(net, data):
 def _atoms_to_indices(atoms, layout):
     out = []
     for (key, op, k) in atoms:
-        idx = layout.get(key if key == TIME else key)
+        idx = layout.get(key)
         if idx is None:
             raise ModelError("clock atom for inactive clock %r" % (key,))
         out.append((idx, 0, op, k))
@@ -265,18 +267,15 @@ def _binds_key(binds):
     return tuple(sorted(binds.items()))
 
 
-def enabled_transitions(state, net, skip_zone=False):
-    """All firable transition instances, deterministically ordered.
+def enabled_transitions(net, locs, data):
+    """Transition instances whose data guards hold, deterministically ordered.
 
     Internal edges come first by (automaton, edge, binding); send/receive
-    pairs follow, ordered by channel and the two sides' indices.  Each
-    instance carries the source zone intersected with its clock guards;
-    instances whose zone empties out are dropped.  With `skip_zone` the
-    zone is left untouched (guards never read clocks, so enabledness up
-    to clock guards is a pure function of locations and data).
+    pairs follow, ordered by channel and the two sides' indices.  Guards
+    never read clocks, so enabledness up to clock guards is a pure
+    function of locations and data; clock guards are applied to zones by
+    `_apply_skeleton`.
     """
-    locs, data, zone = state
-    layout = None if skip_zone else clock_layout(net, data)
     inst = []
     senders = {}
     receivers = {}
@@ -287,16 +286,9 @@ def enabled_transitions(state, net, skip_zone=False):
                 if guard is not None and not guard(data, binds):
                     continue
                 if e.sync is None:
-                    z = zone
-                    if e.clock_guard and not skip_zone:
-                        z = zone.constrained(
-                            _atoms_to_indices(e.clock_guard, layout)
-                        )
-                        if z.is_empty():
-                            continue
                     inst.append(
                         TransitionInstance(
-                            ai, ei, bkey, None, None, z,
+                            ai, ei, bkey, None, None,
                             "%s.%s" % (a.name, e.label),
                         )
                     )
@@ -309,19 +301,13 @@ def enabled_transitions(state, net, skip_zone=False):
             for (ra, re_, redge, rbinds) in receivers[chan]:
                 if sa == ra:
                     continue
-                z = zone
-                cg = tuple(sedge.clock_guard) + tuple(redge.clock_guard)
-                if cg and not skip_zone:
-                    z = zone.constrained(_atoms_to_indices(cg, layout))
-                    if z.is_empty():
-                        continue
                 label = "%s.%s -> %s.%s [%s]" % (
                     net.automata[sa].name, sedge.label,
                     net.automata[ra].name, redge.label, chan,
                 )
                 inst.append(
                     TransitionInstance(
-                        sa, se, sbinds, (ra, re_, rbinds), chan, z, label,
+                        sa, se, sbinds, (ra, re_, rbinds), chan, label,
                     )
                 )
     return inst
@@ -346,89 +332,6 @@ def urgency_blocks_delay(state, net):
         if any(s != r for s in send_autos for r in recv_autos):
             return True
     return False
-
-
-def delay_successor(state, net, urgency_blocked=None):
-    """Time successor, or None when time is blocked or cannot progress.
-
-    Blocked by enabled urgent pairs; otherwise the zone grows along the
-    delay diagonal, capped by location invariants and by the nearest
-    pending deadline threshold so that flags flip exactly on time.
-    """
-    locs, data, zone = state
-    if urgency_blocked is None:
-        urgency_blocked = urgency_blocks_delay(state, net)
-    if urgency_blocked:
-        return None
-    layout = clock_layout(net, data)
-    atoms = _atoms_to_indices(_invariant_atoms(net, locs, data), layout)
-    pending = [d.threshold for d in net.deadlines if not d.is_set(data)]
-    if pending:
-        atoms.append((1, 0, "<=", min(pending)))
-    delayed = zone.up().constrained(atoms)
-    if delayed == zone:
-        return None
-    if delayed.is_empty():
-        raise ModelInvariantError("delay produced an empty zone")
-    return SymbolicState(locs, data, delayed)
-
-
-def fire(state, inst, net):
-    """Fire a transition instance; returns the successor or None.
-
-    The sending side's update runs before the receiving side's.  Clocks
-    of items that left the pending set are dropped; items that entered
-    it get fresh clocks at zero.  The result is intersected with the
-    target locations' invariants; an empty intersection disables the
-    instance.
-    """
-    locs, data, _zone = state
-    auto = net.automata[inst.auto]
-    edge = auto.edges[inst.edge]
-    binds = dict(inst.binds)
-    data2 = edge.update(data, binds) if edge.update else data
-    locs2 = list(locs)
-    locs2[inst.auto] = edge.target
-    if inst.partner is not None:
-        ra, re_, rbinds = inst.partner
-        redge = net.automata[ra].edges[re_]
-        if redge.update:
-            data2 = redge.update(data2, dict(rbinds))
-        locs2[ra] = redge.target
-    locs2 = tuple(locs2)
-
-    before = net.clock_owners(data)
-    after = net.clock_owners(data2)
-    zone = inst.zone
-    removed = [i for i, o in enumerate(before) if o not in set(after)]
-    if removed:
-        zone = zone.remove_clocks([2 + i for i in removed])
-    kept = [o for o in before if o in set(after)]
-    new = [o for o in after if o not in set(before)]
-    for _ in new:
-        zone = zone.add_clock_zero()
-    if new:
-        # appended clocks must move to their canonical sorted slots
-        interim = list(kept) + list(new)
-        perm = [0, 1] + [2 + interim.index(o) for o in after]
-        zone = _permute(zone, perm)
-
-    layout2 = clock_layout(net, data2)
-    inv = _atoms_to_indices(_invariant_atoms(net, locs2, data2), layout2)
-    z2 = zone.constrained(inv)
-    if z2.is_empty():
-        return None
-    nxt = SymbolicState(locs2, data2, z2)
-    for chk in net.transition_checks:
-        chk(data, data2)
-    return nxt
-
-
-def _permute(zone, perm):
-    n = zone.dim
-    m = zone.m
-    work = [m[perm[i] * n + perm[j]] for i in range(n) for j in range(n)]
-    return Zone(n, tuple(work), _canonical=True)
 
 
 def run_state_checks(state, net):
@@ -461,15 +364,10 @@ def run_state_checks(state, net):
 
 
 class _Passed:
-    """Zone antichains per (locations, data) key.
-
-    insert() is linearizable under the internal lock, so work-sharing
-    explorers can call it concurrently.
-    """
+    """Zone antichains per (locations, data) key."""
 
     def __init__(self, subsumption=True):
         self._store = {}
-        self._lock = threading.Lock()
         self._subsume = subsumption
         self.count = 0
 
@@ -483,44 +381,24 @@ class _Passed:
         Without subsumption only exact duplicates are rejected (used to
         validate that inclusion checking never changes a verdict).
         """
-        with self._lock:
-            row = self._store.get(key)
-            if row is None:
-                self._store[key] = [zone]
-                self.count += 1
-                return True
-            if not self._subsume:
-                if zone in row:
-                    return False
-                row.append(zone)
-                self.count += 1
-                return True
-            for z in row:
-                if z.subsumes(zone):
-                    return False
-            row[:] = [z for z in row if not zone.subsumes(z)]
+        row = self._store.get(key)
+        if row is None:
+            self._store[key] = [zone]
+            self.count += 1
+            return True
+        if not self._subsume:
+            if zone in row:
+                return False
             row.append(zone)
             self.count += 1
             return True
-
-
-def _successors(state, net):
-    # an enabled instance on an urgent channel IS an enabled urgent pair
-    insts = enabled_transitions(state, net)
-    urgent = any(
-        i.chan is not None and net.channels[i.chan].urgent for i in insts
-    )
-    out = []
-    d = delay_successor(state, net, urgency_blocked=urgent)
-    if d is not None:
-        out.append((("delay",), "delay", d))
-    for inst in insts:
-        nxt = fire(state, inst, net)
-        if nxt is not None:
-            desc = ("fire", inst.auto, inst.edge, inst.binds,
-                    inst.partner, inst.chan)
-            out.append((desc, inst.label, nxt))
-    return out
+        for z in row:
+            if z.subsumes(zone):
+                return False
+        row[:] = [z for z in row if not zone.subsumes(z)]
+        row.append(zone)
+        self.count += 1
+        return True
 
 
 class _Skeleton(NamedTuple):
@@ -536,8 +414,17 @@ class _Skeleton(NamedTuple):
 
 
 def _build_skeleton(net, locs, data):
-    state = SymbolicState(locs, data, None)
-    insts = enabled_transitions(state, net, skip_zone=True)
+    """The skeleton of one key: computed once, applied to each of its zones.
+
+    Delay is blocked by enabled urgent pairs and otherwise capped by the
+    location invariants and the nearest pending deadline threshold, so
+    that flags flip exactly on time.  A fire runs the sending side's
+    update before the receiving side's; clocks of items that left the
+    pending set are dropped, and items that entered it get fresh clocks
+    at zero in their sorted slots.
+    """
+    insts = enabled_transitions(net, locs, data)
+    # an enabled instance on an urgent channel IS an enabled urgent pair
     urgent = any(
         i.chan is not None and net.channels[i.chan].urgent for i in insts
     )
@@ -573,6 +460,7 @@ def _build_skeleton(net, locs, data):
         kept = [o for o in before if o in after_set]
         new = [o for o in after if o not in before_set]
         if new:
+            # appended clocks must move to their canonical sorted slots
             interim = kept + new
             perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
         else:
@@ -594,7 +482,12 @@ def _build_skeleton(net, locs, data):
 
 
 def _apply_skeleton(skel, zone):
-    """Successors of (key, zone) from the key's skeleton."""
+    """Successors of (key, zone) from the key's skeleton.
+
+    A fire whose clock guards or target invariants empty the zone is
+    disabled.  Delay successors carry None for locations and data: the
+    configuration is unchanged.
+    """
     out = []
     if not skel.urgent:
         delayed = zone.up().constrained(skel.delay_atoms)
@@ -622,15 +515,37 @@ def _apply_skeleton(skel, zone):
     return out
 
 
+def _permute(zone, perm):
+    n = zone.dim
+    m = zone.m
+    work = [m[perm[i] * n + perm[j]] for i in range(n) for j in range(n)]
+    return Zone(n, tuple(work), _canonical=True)
+
+
+def successors(net, state):
+    """Successors of one symbolic state as (descriptor, label, state) triples.
+
+    The delay successor comes first, then the fires in enabled-transition
+    order.  This is the skeleton routine `explore` uses, without its
+    per-key cache.
+    """
+    locs, data, zone = state
+    out = []
+    skel = _build_skeleton(net, locs, data)
+    for desc, label, locs2, data2, zone2 in _apply_skeleton(skel, zone):
+        if locs2 is None:  # delay successor keeps the configuration
+            locs2, data2 = locs, data
+        out.append((desc, label, SymbolicState(locs2, data2, zone2)))
+    return out
+
+
 def explore(
     net,
     check=None,
     max_states=None,
     max_seconds=None,
-    order="bfs",
     subsumption=True,
     run_checks=True,
-    workers=1,
     collect_reachable=False,
 ):
     """Exhaustive reachability with on-the-fly safety checking.
@@ -666,12 +581,6 @@ def explore(
         if witness is not None:
             return result("VIOLATED", _build_trace(meta, 0, witness, net))
 
-    if workers > 1:
-        return _explore_parallel(
-            net, check, meta, passed, transitions, result,
-            out_of_time, max_states, run_checks, workers,
-        )
-
     frontier = deque([0])
     skeletons = {}
     ticks = 0
@@ -679,7 +588,7 @@ def explore(
         ticks += 1
         if ticks % 512 == 0 and out_of_time():
             return result("LIMIT", reason="wall-clock budget exhausted")
-        sid = frontier.popleft() if order == "bfs" else frontier.pop()
+        sid = frontier.popleft()
         state = meta[sid][0]
         key = (state.locs, state.data)
         skel = skeletons.get(key)
@@ -706,71 +615,6 @@ def explore(
             if max_states is not None and len(meta) > max_states:
                 return result("LIMIT", reason="state budget exhausted")
             frontier.append(nid)
-    return result("SATISFIED")
-
-
-def _explore_parallel(
-    net, check, meta, passed, transitions, result,
-    out_of_time, max_states, run_checks, workers,
-):
-    frontier = deque([0])
-    lock = threading.Lock()
-    in_flight = [0]
-    done = threading.Event()
-    outcome = {}
-
-    def worker():
-        while not done.is_set():
-            with lock:
-                if out_of_time():
-                    outcome.setdefault("limit", "wall-clock budget exhausted")
-                    done.set()
-                    return
-                if not frontier:
-                    if in_flight[0] == 0:
-                        done.set()
-                        return
-                    sid = None
-                else:
-                    sid = frontier.popleft()
-                    in_flight[0] += 1
-            if sid is None:
-                _time.sleep(0.0005)
-                continue
-            state = meta[sid][0]
-            succ = _successors(net=net, state=state)
-            with lock:
-                for desc, label, nxt in succ:
-                    transitions[0] += 1
-                    if not passed.insert((nxt.locs, nxt.data), nxt.zone):
-                        continue
-                    if run_checks:
-                        run_state_checks(nxt, net)
-                    nid = len(meta)
-                    meta.append((nxt, sid, desc, label))
-                    if check is not None:
-                        witness = check(nxt)
-                        if witness is not None:
-                            outcome.setdefault("violation", (nid, witness))
-                            done.set()
-                            break
-                    if max_states is not None and len(meta) > max_states:
-                        outcome.setdefault("limit", "state budget exhausted")
-                        done.set()
-                        break
-                    frontier.append(nid)
-                in_flight[0] -= 1
-
-    threads = [threading.Thread(target=worker) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if "violation" in outcome:
-        nid, witness = outcome["violation"]
-        return result("VIOLATED", _build_trace(meta, nid, witness, net))
-    if "limit" in outcome:
-        return result("LIMIT", reason=outcome["limit"])
     return result("SATISFIED")
 
 
@@ -903,6 +747,27 @@ def _delay_predecessor(zone, keys, nxt_vals):
     return out
 
 
+def replay_steps(net, state, steps, compare):
+    """Re-execute stored steps from `state`; returns the final SymbolicState.
+
+    `steps` yields (descriptor, label) pairs.  Each descriptor is looked
+    up among the current state's successors, and `compare(i, state)`
+    checks each new state against stored step i, raising ReplayError on
+    a divergence.
+    """
+    for i, (desc, label) in enumerate(steps):
+        for d, _label, nxt in successors(net, state):
+            if d == desc:
+                break
+        else:
+            if desc == ("delay",):
+                raise ReplayError(i, "delay not possible here")
+            raise ReplayError(i, "transition %r not enabled here" % (label,))
+        compare(i, nxt)
+        state = nxt
+    return state
+
+
 def replay_trace(net, trace):
     """Re-execute a trace's descriptors; returns the final SymbolicState.
 
@@ -912,29 +777,15 @@ def replay_trace(net, trace):
     state = initial_state(net)
     if trace.initial_data != state.data or trace.initial_locs != state.locs:
         raise ReplayError(0, "initial state mismatch")
-    for i, step in enumerate(trace.steps):
-        if step.kind == "delay":
-            nxt = delay_successor(state, net)
-            if nxt is None:
-                raise ReplayError(i, "delay not possible here")
-        else:
-            _tag, auto, edge, binds, partner, chan = step.descriptor
-            match = None
-            for inst in enabled_transitions(state, net):
-                if (inst.auto, inst.edge, inst.binds, inst.partner, inst.chan) == (
-                    auto, edge, binds, partner, chan,
-                ):
-                    match = inst
-                    break
-            if match is None:
-                raise ReplayError(i, "transition %r not enabled" % (step.label,))
-            nxt = fire(state, match, net)
-            if nxt is None:
-                raise ReplayError(i, "transition %r fires into emptiness" % (step.label,))
+
+    def compare(i, nxt):
+        step = trace.steps[i]
         if nxt.data != step.data or nxt.locs != step.locs:
             raise ReplayError(i, "state diverges from stored trace")
-        state = nxt
-    return state
+
+    return replay_steps(
+        net, state, [(s.descriptor, s.label) for s in trace.steps], compare
+    )
 
 
 def random_run(net, seed, steps):
@@ -946,7 +797,7 @@ def random_run(net, seed, steps):
     meta = [(state, None, None, "initial")]
     sid = 0
     for _ in range(steps):
-        succ = _successors(net=net, state=meta[sid][0])
+        succ = successors(net, meta[sid][0])
         if not succ:
             break
         desc, label, nxt = succ[rng.randrange(len(succ))]

@@ -25,7 +25,14 @@ from typing import NamedTuple
 from . import world as W
 from .adversary import AdversaryConfig, MessageAction
 from .contracts import BUILTIN_MODELS, ContractModel, instantiate
-from .kernel import AutomatonTemplate, Edge, Location
+from .kernel import (
+    AutomatonTemplate,
+    Edge,
+    Location,
+    ReplayError as TraceReplayError,
+    initial_state,
+    replay_steps,
+)
 from .world import NssClause, Output, PartyKnowledge, TxRecord, URG_CHAN, WorldConstants
 
 SCHEMA_VERSION = 1
@@ -911,16 +918,8 @@ def trace_to_document(trace, net, model, adversary, query_text):
             "label": step.label,
             "time": step.valuation.get("time"),
             "descriptor": _descriptor_to_json(step.descriptor),
-            "statuses": {
-                name: W.STATUS_NAMES[step.data.txs[i].status]
-                for name, i in sorted(model.tx_names.items())
-            },
-            "holdings": {
-                pname: W.hold_bitcoins(step.data, pi)
-                for pname, pi in [
-                    (n, i) for i, n in enumerate(model.party_names[:-1])
-                ]
-            },
+            "statuses": _statuses(step.data, model),
+            "holdings": _holdings(step.data, model),
             "locations": {
                 net.automata[ai].name: net.automata[ai].location_name(li)
                 for ai, li in enumerate(step.locs)
@@ -937,6 +936,21 @@ def trace_to_document(trace, net, model, adversary, query_text):
         },
         "query": query_text,
         "steps": steps,
+    }
+
+
+def _statuses(data, model):
+    return {
+        name: W.STATUS_NAMES[data.txs[i].status]
+        for name, i in sorted(model.tx_names.items())
+    }
+
+
+def _holdings(data, model):
+    # every party but the adversary slot, which is always last
+    return {
+        name: W.hold_bitcoins(data, pi)
+        for pi, name in enumerate(model.party_names[:-1])
     }
 
 
@@ -960,12 +974,6 @@ def _descriptor_from_json(data):
     return ("fire", auto, edge, binds, partner, chan)
 
 
-class TraceReplayError(Exception):
-    def __init__(self, step, message):
-        super().__init__("step %s: %s" % (step, message))
-        self.step = step
-
-
 def replay_document(doc, buggy_bob=False):
     """Re-execute a trace document against its embedded scenario.
 
@@ -984,44 +992,22 @@ def replay_document(doc, buggy_bob=False):
         kwargs["buggy_bob"] = True
     model = builder(**kwargs)
     net, _ctx = instantiate(model, adversary=doc["adversary"])
+    entries = doc["steps"]
 
-    from .kernel import (
-        initial_state, delay_successor, enabled_transitions, fire,
-    )
+    def compare(i, nxt):
+        for field, got in (("statuses", _statuses(nxt.data, model)),
+                           ("holdings", _holdings(nxt.data, model))):
+            stored = entries[i][field]
+            if got != stored:
+                diff = {k: (stored.get(k), got.get(k))
+                        for k in sorted(set(got) | set(stored))
+                        if got.get(k) != stored.get(k)}
+                raise TraceReplayError(
+                    i, "%s diverge (stored, recomputed): %s" % (field, diff))
 
-    state = initial_state(net)
-    for i, entry in enumerate(doc["steps"]):
-        desc = _descriptor_from_json(entry["descriptor"])
-        if desc == ("delay",):
-            nxt = delay_successor(state, net)
-            if nxt is None:
-                raise TraceReplayError(i, "delay not possible here")
-        else:
-            _tag, auto, edge, binds, partner, chan = desc
-            match = None
-            for inst in enabled_transitions(state, net):
-                if (inst.auto, inst.edge, inst.binds, inst.partner, inst.chan) \
-                        == (auto, edge, binds, partner, chan):
-                    match = inst
-                    break
-            if match is None:
-                raise TraceReplayError(i, "transition %r not enabled" % entry["label"])
-            nxt = fire(state, match, net)
-            if nxt is None:
-                raise TraceReplayError(i, "transition fires into emptiness")
-        got = {
-            name: W.STATUS_NAMES[nxt.data.txs[ti].status]
-            for name, ti in sorted(model.tx_names.items())
-        }
-        if got != entry["statuses"]:
-            diff = {
-                k: (entry["statuses"][k], got[k])
-                for k in got if got[k] != entry["statuses"][k]
-            }
-            raise TraceReplayError(
-                i, "status divergence (stored, recomputed): %s" % diff)
-        state = nxt
-    return state
+    steps = [(_descriptor_from_json(e["descriptor"]), e["label"])
+             for e in entries]
+    return replay_steps(net, initial_state(net), steps, compare)
 
 
 def result_to_report(result, model, adversary, query_name, query_text, net,

@@ -11,32 +11,93 @@ resolved, which keeps matrices small.  `add_clock_zero` and
 `remove_clock` preserve canonical form, as do `up`, `reset` and
 `constrained`.
 
-The closure kernels come from the compiled extension when available
-(built from _dbm_c.pyx); set TACV_PURE=1 to force the pure-Python
-fallback.
+Matrices are flat row-major sequences of packed bounds.  A bound on the
+difference x_i - x_j is packed into one integer so that comparison and
+addition stay single-int operations in the closure loop:
+
+    packed = 2*value + 1   for x_i - x_j <= value   (weak)
+    packed = 2*value       for x_i - x_j <  value   (strict)
+
+Smaller packed value = tighter bound.  INF is a strict sentinel larger
+than any finite packed bound; additions saturate at INF.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("TACV_PURE") == "1":
-    from . import _dbm_py as _core
-    BACKEND = "pure"
-else:
-    try:
-        from . import _dbm_c as _core  # type: ignore[attr-defined]
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _dbm_py as _core
-        BACKEND = "pure"
-
-INF = _core.INF
+INF = 1 << 60
 ZERO = 1  # packed (0, weak)
 
-pack = _core.pack
-unpack = _core.unpack
-badd = _core.badd
+
+def pack(value, weak):
+    return 2 * value + (1 if weak else 0)
+
+
+def unpack(b):
+    """Return (value, weak) for a finite packed bound."""
+    return (b >> 1), bool(b & 1)
+
+
+def closure(m, n):
+    """Floyd-Warshall closure in place.  Returns False iff the zone is empty.
+
+    On a nonempty zone the result is the canonical (all-pairs tightest)
+    form with a weak-zero diagonal.
+    """
+    for k in range(n):
+        kn = k * n
+        for i in range(n):
+            ik = m[i * n + k]
+            if ik >= INF:
+                continue
+            row = i * n
+            for j in range(n):
+                kj = m[kn + j]
+                if kj >= INF:
+                    continue
+                s = ik + kj - ((ik & 1) | (kj & 1))
+                if s < m[row + j]:
+                    m[row + j] = s
+    for i in range(n):
+        if m[i * n + i] < ZERO:
+            return False
+        m[i * n + i] = ZERO
+    return True
+
+
+def close1(m, n, a, b):
+    """Re-close after entry (a, b) was tightened.  Returns False iff empty.
+
+    O(n^2): every path can now be improved only through the new edge.
+    """
+    ab = m[a * n + b]
+    if ab >= INF:
+        return m[a * n + a] >= ZERO
+    for i in range(n):
+        ia = m[i * n + a]
+        if ia >= INF:
+            continue
+        iab = ia + ab - ((ia & 1) | (ab & 1))
+        row = i * n
+        for j in range(n):
+            bj = m[b * n + j]
+            if bj >= INF:
+                continue
+            s = iab + bj - ((iab & 1) | (bj & 1))
+            if s < m[row + j]:
+                m[row + j] = s
+    for i in range(n):
+        if m[i * n + i] < ZERO:
+            return False
+        m[i * n + i] = ZERO
+    return True
+
+
+def subsumes(a, b, nn):
+    """True iff every entry of `a` is at least the matching entry of `b`."""
+    for i in range(nn):
+        if a[i] < b[i]:
+            return False
+    return True
 
 
 class ZoneError(Exception):
@@ -124,7 +185,7 @@ class Zone:
                 idx = a * dim + b
                 if bound < work[idx]:
                     work[idx] = bound
-        return cls._from_work(dim, work, _core.closure(work, dim))
+        return cls._from_work(dim, work, closure(work, dim))
 
     # -- basic queries ------------------------------------------------
 
@@ -138,7 +199,7 @@ class Zone:
         """True iff this zone contains `other` (both canonical, same dim)."""
         if self.dim != other.dim:
             raise ZoneError("zone dimension mismatch")
-        return _core.subsumes(self.m, other.m, len(self.m))
+        return subsumes(self.m, other.m, len(self.m))
 
     def contains(self, vals):
         """Membership of a concrete valuation (vals[0] must be 0)."""
@@ -177,7 +238,7 @@ class Zone:
         if self.is_empty():
             return self
         work = list(self.m)
-        return Zone._from_work(self.dim, work, _core.closure(work, self.dim))
+        return Zone._from_work(self.dim, work, closure(work, self.dim))
 
     def constrained(self, atoms):
         """Intersection with atomic constraints (i, j, op, k); may be empty.
@@ -197,7 +258,7 @@ class Zone:
                 if bound < work[idx]:
                     work[idx] = bound
                     changed = True
-                    ok = _core.close1(work, n, a, b)
+                    ok = close1(work, n, a, b)
                     if not ok:
                         break
             if not ok:

@@ -90,13 +90,6 @@ class TestVerify:
             )
             assert code == 1, engine
 
-    def test_workers_flag(self, capsys):
-        code, out, _err = run(
-            capsys, "verify", "cs", *REDUCED, "--workers", "2",
-            "--query", "A[] true",
-        )
-        assert code == 0
-
     def test_model_file_contract(self, capsys):
         path = os.path.join(os.path.dirname(cli.__file__), "models", "cs.model")
         code, out, _err = run(capsys, "verify", path, *REDUCED)

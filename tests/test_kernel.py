@@ -107,78 +107,76 @@ def make_net(urgent_ping=False, deadline=5, bound=3):
     )
 
 
+def by_label(net, state, label, i=None):
+    """Successor states whose label contains `label` (and binds i, if given)."""
+    return [
+        nxt for desc, lab, nxt in K.successors(net, state)
+        if label in lab and (i is None or dict(desc[3])["i"] == i)
+    ]
+
+
+def delayed(net, state):
+    """The delay successor of `state`, or None when time cannot pass."""
+    found = by_label(net, state, "delay")
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
 class TestDelay:
     def test_delay_caps_at_pending_deadline(self):
         net = make_net()
         s0 = K.initial_state(net)
-        d = K.delay_successor(s0, net)
+        d = delayed(net, s0)
         assert d is not None
         assert d.zone.max_value(1) == 5
-        assert K.delay_successor(d, net) is None
+        assert delayed(net, d) is None
 
     def test_flip_fires_exactly_at_threshold_then_time_freed(self):
         net = make_net()
         s0 = K.initial_state(net)
-        d = K.delay_successor(s0, net)
-        insts = K.enabled_transitions(d, net)
-        ticks = [i for i in insts if "tick" in i.label]
+        d = delayed(net, s0)
+        ticks = by_label(net, d, "tick")
         assert len(ticks) == 1
-        flipped = K.fire(d, ticks[0], net)
+        flipped = ticks[0]
         assert flipped.data.flag
         assert flipped.zone.min_value(1) == 5 and flipped.zone.max_value(1) == 5
-        after = K.delay_successor(flipped, net)
+        after = delayed(net, flipped)
         assert after.zone.max_value(1) is None
 
     def test_running_job_caps_delay(self):
         net = make_net()
         s0 = K.initial_state(net)
-        start = [
-            i for i in K.enabled_transitions(s0, net) if "start" in i.label
-        ][0]
-        s1 = K.fire(s0, start, net)
+        s1 = by_label(net, s0, "start", i=0)[0]
         assert K.clock_layout(net, s1.data) == {"time": 1, ("tx", 0): 2}
-        d = K.delay_successor(s1, net)
+        d = delayed(net, s1)
         assert d.zone.max_value(2) == 3  # job clock bound
         assert d.zone.max_value(1) == 3  # time tied to the job clock here
 
     def test_urgent_pair_blocks_delay(self):
         net = make_net(urgent_ping=True)
         s0 = K.initial_state(net)
-        assert K.delay_successor(s0, net) is None
-        ping = [i for i in K.enabled_transitions(s0, net) if i.chan == "urg"][0]
-        s1 = K.fire(s0, ping, net)
+        assert delayed(net, s0) is None
+        s1 = by_label(net, s0, "[urg]")[0]
         assert s1.data.ping
-        assert K.delay_successor(s1, net) is not None
+        assert delayed(net, s1) is not None
 
 
 class TestClockLifecycle:
     def test_clock_born_at_zero_and_dropped(self):
         net = make_net()
         s0 = K.initial_state(net)
-        d = K.delay_successor(s0, net)  # time in [0, 5]
-        start = [
-            i for i in K.enabled_transitions(d, net)
-            if "start" in i.label and dict(i.binds)["i"] == 1
-        ][0]
-        s1 = K.fire(d, start, net)
+        d = delayed(net, s0)  # time in [0, 5]
+        s1 = by_label(net, d, "start", i=1)[0]
         assert s1.zone.dim == 3
         assert s1.zone.max_value(2) == 0  # fresh clock pinned to zero
-        fin = [
-            i for i in K.enabled_transitions(s1, net)
-            if "finish" in i.label and dict(i.binds)["i"] == 1
-        ][0]
-        s2 = K.fire(s1, fin, net)
+        s2 = by_label(net, s1, "finish", i=1)[0]
         assert s2.zone.dim == 2
 
     def test_two_jobs_sorted_layout(self):
         net = make_net()
         s0 = K.initial_state(net)
-        insts = {dict(i.binds)["i"]: i for i in K.enabled_transitions(s0, net)
-                 if "start" in i.label}
-        s1 = K.fire(s0, insts[1], net)
-        insts1 = {dict(i.binds)["i"]: i for i in K.enabled_transitions(s1, net)
-                  if "start" in i.label}
-        s2 = K.fire(s1, insts1[0], net)
+        s1 = by_label(net, s0, "start", i=1)[0]
+        s2 = by_label(net, s1, "start", i=0)[0]
         assert K.clock_layout(net, s2.data) == {
             "time": 1, ("tx", 0): 2, ("tx", 1): 3,
         }
@@ -239,13 +237,6 @@ class TestExplore:
         r1 = K.explore(net, check=check, subsumption=True)
         r2 = K.explore(net, check=check, subsumption=False)
         assert r1.verdict == r2.verdict == "VIOLATED"
-
-    def test_workers_agree_on_verdict(self):
-        net = make_net()
-        r1 = K.explore(net, check=lambda s: None)
-        r2 = K.explore(net, check=lambda s: None, workers=2)
-        assert r1.verdict == r2.verdict == "SATISFIED"
-        assert r1.states == r2.states
 
     def test_deterministic_single_worker(self):
         net = make_net()

@@ -8,8 +8,8 @@ import pytest
 
 from tacv import modelio as M
 from tacv import queries as Q
-from tacv.contracts import build_cs_model, instantiate
-from tacv.kernel import explore
+from tacv.contracts import build_cs_model, build_newscs_model, instantiate
+from tacv.kernel import explore, random_run, replay_trace
 from tacv.world import WorldConstants
 
 MODELS_DIR = os.path.join(os.path.dirname(M.__file__), "models")
@@ -182,6 +182,17 @@ class TestReports:
         with pytest.raises(M.TraceReplayError):
             M.replay_document(doc)
 
+    def test_tampered_holding_detected(self):
+        model, net, q, res = self.make_violation()
+        doc = M.trace_to_document(res.trace, net, model, "ALICE",
+                                  model.queries["bob_knows_secret"])
+        doc = json.loads(json.dumps(doc))
+        last = len(doc["steps"]) - 1
+        doc["steps"][last]["holdings"]["ALICE"] += 1
+        with pytest.raises(M.TraceReplayError, match="holdings") as err:
+            M.replay_document(doc)
+        assert err.value.step == last
+
     def test_limit_report_distinct(self):
         model = build_cs_model(WorldConstants(2, 5))
         net, ctx = instantiate(model, adversary="ALICE")
@@ -191,3 +202,29 @@ class TestReports:
                                     model.queries["bob_security"], net)
         assert report["verdict"] == "LIMIT"
         assert report["limit_reason"]
+
+
+class TestTraceRoundTrip:
+    """Random runs replay step for step through both replays."""
+
+    def replay_both(self, model, adversary, seed):
+        net, _ctx = instantiate(model, adversary=adversary)
+        trace = random_run(net, seed=seed, steps=50)
+        final = replay_trace(net, trace)
+        doc = M.trace_to_document(trace, net, model, adversary, query_text=None)
+        final_doc = M.replay_document(json.loads(json.dumps(doc)))
+        assert (final_doc.locs, final_doc.data) == (final.locs, final.data)
+        if trace.steps:
+            last = trace.steps[-1]
+            assert (final.locs, final.data) == (last.locs, last.data)
+
+    @pytest.mark.parametrize("adversary", [None, "ALICE", "BOB"])
+    def test_cs_random_runs(self, adversary):
+        model = build_cs_model(WorldConstants(2, 5))
+        for seed in range(20):
+            self.replay_both(model, adversary, seed)
+
+    def test_newscs_random_runs_adversary_alice(self):
+        model = build_newscs_model(WorldConstants(1, 5))
+        for seed in range(4):
+            self.replay_both(model, "ALICE", seed)

@@ -281,25 +281,3 @@ class TestSubsumption:
             p2 = zone_points(z2, 12)
             if z1.subsumes(z2):
                 assert p2 <= p1
-
-
-class TestBackends:
-    def test_pure_backend_agrees(self):
-        from tacv import _dbm_py
-        rng = random.Random(77)
-        for _ in range(200):
-            dim = rng.randint(2, 5)
-            raw = [zones.INF] * (dim * dim)
-            for i in range(dim):
-                raw[i * dim + i] = zones.ZERO
-                raw[i] = zones.ZERO
-            for _ in range(6):
-                i, j = rng.randrange(dim), rng.randrange(dim)
-                raw[i * dim + j] = zones.pack(rng.randint(-6, 10), rng.random() < 0.8)
-            m1 = list(raw)
-            m2 = list(raw)
-            ok1 = _dbm_py.closure(m1, dim)
-            ok2 = zones._core.closure(m2, dim)
-            assert ok1 == ok2
-            if ok1:
-                assert m1 == m2
