@@ -3,7 +3,7 @@
 Commands:
   verify    check safety properties of a contract scenario
   simulate  print one random maximal run (reproducible per seed)
-  trace     replay a saved counterexample document
+  trace     replay a saved trace document and re-check its query
   list      show built-in contracts and their named queries
 
 Exit codes: 0 all queries satisfied, 1 a query violated (first violation
@@ -19,13 +19,13 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import modelio
 from . import oracle as oracle_mod
 from . import queries as Q
-from .contracts import BUILTIN_MODELS, build_cs_model, build_newscs_model, instantiate
-from .kernel import ModelError, explore, random_run
-from .world import WorldConstants
+from .contracts import BUILTIN_MODELS, instantiate
+from .kernel import ModelError, VerificationResult, explore, random_run
 
 EXIT_SATISFIED = 0
 EXIT_VIOLATED = 1
@@ -47,64 +47,37 @@ def _fail(message):
     return EXIT_ERROR
 
 
-def _build_model(args):
-    overrides = {}
-    if args.max_latency is not None:
-        overrides["MAX_LATENCY"] = args.max_latency
-    if args.prot_timelock is not None:
-        overrides["PROT_TIMELOCK"] = args.prot_timelock
-
-    if args.contract in BUILTIN_MODELS:
-        constants = None
-        if overrides:
-            base = BUILTIN_MODELS[args.contract]().constants
-            constants = WorldConstants(
-                overrides.get("MAX_LATENCY", base.max_latency),
-                overrides.get("PROT_TIMELOCK", base.prot_timelock),
-            )
-        if args.contract == "cs":
-            return build_cs_model(
-                constants=constants,
-                weakened_alice=args.weakened_alice,
-            )
-        return build_newscs_model(
-            constants=constants,
-            buggy_bob=args.buggy_bob,
-            abort_margin=args.abort_margin,
-        )
-    if args.weakened_alice or args.buggy_bob:
-        raise ModelError("protocol variants exist for built-in contracts only")
-    return modelio.load_model(args.contract, overrides=overrides or None)
+def _given(**options):
+    return {name: value for name, value in options.items() if value is not None}
 
 
-def _scenario(args, model):
+def _scenario(args):
+    """(model, net, query context, adversary) named by the options."""
     advs = args.adversary or []
     if len(advs) > 1:
         raise ModelError("at most one party can be the adversary")
+    model = modelio.contract_model(
+        args.contract,
+        _given(MAX_LATENCY=args.max_latency, PROT_TIMELOCK=args.prot_timelock),
+        _given(weakened_alice=args.weakened_alice, buggy_bob=args.buggy_bob,
+               abort_margin=args.abort_margin),
+    )
     adversary = advs[0].upper() if advs else None
     net, ctx = instantiate(
         model, adversary=adversary, prune_idle_sweeps=not args.no_prune,
     )
-    return net, ctx, adversary
+    return model, net, ctx, adversary
 
 
 def _gather_queries(args, model, ctx):
     """(name, text, ast) triples; unresolvable defaults are skipped."""
-    triples = []
-    explicit = []
-    for text in args.query or []:
-        explicit.append((None, text))
+    explicit = [Q.parse_query(text, ctx) for text in args.query or []]
     if args.query_file:
         with open(args.query_file) as fh:
-            content = fh.read()
-        for line in content.splitlines():
-            stripped = line.split("//", 1)[0].strip()
-            if stripped:
-                explicit.append((None, stripped))
+            explicit.extend(Q.parse_query_file(fh.read(), ctx))
     if explicit:
-        for i, (_n, text) in enumerate(explicit):
-            triples.append(("q%d" % i, text, Q.parse_query(text, ctx)))
-        return triples
+        return [("q%d" % i, ast.source, ast) for i, ast in enumerate(explicit)]
+    triples = []
     for name, text in sorted(model.queries.items()):
         try:
             triples.append((name, text, Q.parse_query(text, ctx)))
@@ -117,8 +90,7 @@ def _gather_queries(args, model, ctx):
 
 def cmd_verify(args):
     try:
-        model = _build_model(args)
-        net, ctx, adversary = _scenario(args, model)
+        model, net, ctx, adversary = _scenario(args)
         triples = _gather_queries(args, model, ctx)
     except (ModelError, modelio.ModelIOError, Q.QueryError, OSError) as exc:
         return _fail(str(exc))
@@ -140,48 +112,33 @@ def cmd_verify(args):
                 return witness
         return None
 
-    result = explore(
-        net,
-        check=check,
-        max_states=args.max_states,
-        max_seconds=args.max_seconds,
-    )
-    if result.verdict == "VIOLATED":
-        name, text = hit[0]
-        report = modelio.result_to_report(
-            result, model, adversary, name, text, net)
-        _emit(report, args, color)
+    result = explore(net, check=check, max_states=args.max_states,
+                     max_seconds=args.max_seconds)
+    # one exploration covers every query; a violation reports the one it hit
+    violated = result.verdict == "VIOLATED"
+    for name, text in hit[:1] if violated else [t[:2] for t in triples]:
+        _emit(modelio.result_to_report(
+            result, model, adversary, name, text, net), args, color)
+    if violated:
         return EXIT_VIOLATED
-    # one exploration covers every query
-    for (name, text, _ast) in triples:
-        report = modelio.result_to_report(
-            result, model, adversary, name, text, net)
-        _emit(report, args, color)
     return EXIT_SATISFIED if result.verdict == "SATISFIED" else EXIT_LIMIT
 
 
 def _verify_discrete(args, model, net, adversary, triples, color):
     worst = EXIT_SATISFIED
     for (name, text, ast) in triples:
+        t0 = time.perf_counter()
         try:
             res = oracle_mod.explore_discrete(
                 net, query=ast, max_states=args.max_states)
         except ModelError as exc:
             return _fail(str(exc))
-        report = {
-            "schema_version": modelio.SCHEMA_VERSION,
-            "contract": model.name,
-            "adversary": adversary,
-            "engine": "discrete",
-            "query": {"name": name, "text": text},
-            "verdict": res.verdict,
-            "states": res.states,
-            "transitions": 0,
-            "wall_time_s": 0.0,
-        }
-        if res.limit_reason:
-            report["limit_reason"] = res.limit_reason
-        _emit(report, args, color)
+        result = VerificationResult(
+            res.verdict, res.states, 0, time.perf_counter() - t0, None,
+            res.limit_reason)
+        _emit(modelio.result_to_report(
+            result, model, adversary, name, text, net, engine="discrete"),
+            args, color)
         if res.verdict == "VIOLATED":
             return EXIT_VIOLATED
         if res.verdict == "LIMIT":
@@ -202,8 +159,7 @@ def _emit(report, args, color):
 
 def cmd_simulate(args):
     try:
-        model = _build_model(args)
-        net, _ctx, adversary = _scenario(args, model)
+        model, net, _ctx, adversary = _scenario(args)
     except (ModelError, modelio.ModelIOError, OSError) as exc:
         return _fail(str(exc))
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
@@ -216,11 +172,10 @@ def cmd_simulate(args):
     else:
         print("simulation of %s (adversary=%s), %d steps:"
               % (model.name, adversary or "none", len(doc["steps"])))
-        snap = None
         for step in doc["steps"]:
             print("  t=%-6s %s" % (step["time"], step["label"]))
-            snap = step
-        if snap:
+        if doc["steps"]:
+            snap = doc["steps"][-1]
             print("final holdings: %s" % json.dumps(snap["holdings"], sort_keys=True))
             live = {k: v for k, v in snap["statuses"].items() if v != "UNSENT"}
             print("final statuses: %s" % json.dumps(live, sort_keys=True))
@@ -233,25 +188,27 @@ def cmd_trace(args):
     try:
         with open(args.file) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
-    if "trace" in doc:
-        doc = doc["trace"]
-    try:
-        final = modelio.replay_document(doc, buggy_bob=args.buggy_bob)
+        if isinstance(doc, dict) and "trace" in doc:
+            doc = doc["trace"]
+        modelio.replay_document(doc)
     except modelio.TraceReplayError as exc:
         return _fail("replay diverged: %s" % exc)
+    except (ModelError, modelio.ModelIOError, Q.QueryError, OSError,
+            json.JSONDecodeError) as exc:
+        return _fail(str(exc))
     print("replayed %d steps successfully" % len(doc["steps"]))
     for step in doc["steps"]:
-        print("  t=%-6s %-10s %s" % (step["time"], step["kind"], step["label"]))
+        print("  t=%-6s %-10s %s" % (step.get("time"), step.get("kind"), step["label"]))
     holdings = doc["steps"][-1]["holdings"] if doc["steps"] else {}
     print("final holdings: %s" % json.dumps(holdings, sort_keys=True))
+    if doc.get("query") is not None:
+        print("final state violates: %s" % doc["query"])
     return EXIT_SATISFIED
 
 
 def cmd_list(args):
-    for name, builder in sorted(BUILTIN_MODELS.items()):
-        model = builder()
+    for name in sorted(BUILTIN_MODELS):
+        model = modelio.contract_model(name)
         print("%s  (%d transactions, parties: %s)" % (
             name, len(model.protocol_txs), ", ".join(model.party_names[:-1])))
         for qname, text in sorted(model.queries.items()):
@@ -263,12 +220,13 @@ def _add_scenario_args(p):
     p.add_argument("contract", help="built-in contract name or path to a .model file")
     p.add_argument("--adversary", action="append", metavar="PARTY",
                    help="corrupted party (alice or bob); at most one")
-    p.add_argument("--buggy-bob", action="store_true",
-                   help="newscs: single-shot recovery (the historical bug)")
-    p.add_argument("--weakened-alice", action="store_true",
-                   help="cs: Alice signs the fuse before broadcasting the commit")
-    p.add_argument("--abort-margin", type=int, default=3,
-                   help="newscs: abort deadline PROT_TIMELOCK - N*MAX_LATENCY")
+    p.add_argument("--buggy-bob", action="store_true", default=None,
+                   help="newscs only: single-shot recovery (the historical bug)")
+    p.add_argument("--weakened-alice", action="store_true", default=None,
+                   help="cs only: Alice signs the fuse before broadcasting the commit")
+    p.add_argument("--abort-margin", type=int,
+                   help="newscs only: abort deadline PROT_TIMELOCK - N*MAX_LATENCY"
+                   " (default 3)")
     p.add_argument("--max-latency", type=int, help="override MAX_LATENCY")
     p.add_argument("--prot-timelock", type=int, help="override PROT_TIMELOCK")
     p.add_argument("--no-prune", action="store_true",
@@ -303,7 +261,6 @@ def main(argv=None):
 
     pt = sub.add_parser("trace", help="replay a saved trace document")
     pt.add_argument("file")
-    pt.add_argument("--buggy-bob", action="store_true")
     pt.set_defaults(func=cmd_trace)
 
     pl = sub.add_parser("list", help="list built-in contracts and queries")

@@ -72,21 +72,16 @@ class ContractModel(NamedTuple):
     total_value: int
     signed_txs: tuple           # txs that exchanged signatures cover
     mark_count: int = 0         # protocol progress marks in the data
+    variant: tuple = ()         # non-default builder options, sorted (name, value)
+    source: tuple = None        # (absolute path, text) of a loaded .model file
 
 
-class ScenarioSelection(NamedTuple):
-    adversary: object           # party name or None
-
-    def resolve(self, model):
-        if self.adversary is None:
-            return None
-        names = model.party_names[:-1]
-        if self.adversary not in names:
-            raise ModelError(
-                "unknown party %r (parties: %s)"
-                % (self.adversary, ", ".join(names))
-            )
-        return names.index(self.adversary)
+def _non_default(contract, **options):
+    """The `options` that differ from the built-in's defaults, as sorted pairs."""
+    defaults = BUILTIN_MODELS[contract].__kwdefaults__
+    return tuple(sorted(
+        (name, value) for name, value in options.items() if value != defaults[name]
+    ))
 
 
 # -- guard/update helpers -------------------------------------------------
@@ -107,11 +102,6 @@ def _unsent(txid):
 
 def _g(fn):
     """Adapt a world predicate to the edge-guard signature."""
-    return lambda w, binds: fn(w)
-
-
-def _u(fn):
-    """Adapt a world function to the edge-update signature."""
     return lambda w, binds: fn(w)
 
 
@@ -281,14 +271,14 @@ def build_cs_bob(constants, nss, capacity):
     )
 
 
-def build_cs_model(constants=None, weakened_alice=False):
+def build_cs_model(constants=None, *, weakened_alice=False):
     """The Bitcoin-based timed commitment scheme.
 
     Alice locks 1 BTC in a commitment spendable either by revealing her
     secret or, after the timelock, by the fuse transaction carrying both
     signatures, which pays Bob.
     """
-    c = (constants or WorldConstants(10, 100)).validate()
+    c = (constants or WorldConstants()).validate()
     C_KEY, R_KEY = CS_KEYS["C_KEY"], CS_KEYS["R_KEY"]
     INPUT, COMMIT, OPEN, FUSE = (CS_TXS[k] for k in
                                  ("INPUT", "COMMIT", "OPEN", "FUSE"))
@@ -369,6 +359,7 @@ def build_cs_model(constants=None, weakened_alice=False):
         queries=queries,
         total_value=1,
         signed_txs=(FUSE,),
+        variant=_non_default("cs", weakened_alice=weakened_alice),
     )
 
 
@@ -520,7 +511,7 @@ def _newscs_joint_bob(t, nss, capacity, buggy=False):
     return AutomatonTemplate("BobJointTA", locations, edges)
 
 
-def build_newscs_model(constants=None, buggy_bob=False, abort_margin=3):
+def build_newscs_model(constants=None, *, buggy_bob=False, abort_margin=3):
     """The simultaneous commitment scheme (18 transactions in the paper's
     count; here 16 semantically distinct records, see the test inventory).
 
@@ -530,7 +521,7 @@ def build_newscs_model(constants=None, buggy_bob=False, abort_margin=3):
     (PROT_TIMELOCK - margin*MAX_LATENCY); 3 is the protocol's value and
     anything smaller is exploitable.
     """
-    c = (constants or WorldConstants(10, 100)).validate()
+    c = (constants or WorldConstants()).validate()
     if c.prot_timelock <= abort_margin * c.max_latency:
         raise ModelError("PROT_TIMELOCK too small for the abort margin")
     t = NEWSCS_TXS
@@ -709,6 +700,8 @@ def build_newscs_model(constants=None, buggy_bob=False, abort_margin=3):
         total_value=4,
         signed_txs=(t["CSA_FUSE"], t["CSB_FUSE"], t["COMMIT"]),
         mark_count=2,
+        variant=_non_default("newscs", buggy_bob=buggy_bob,
+                             abort_margin=abort_margin),
     )
 
 
@@ -753,9 +746,17 @@ def instantiate(model, adversary=None, run_world_checks=True,
     `adversary` names the corrupted party (or None for all-honest); its
     knowledge is cloned from that party's initial record and its
     automaton replaces the party's honest suite.  Returns the Network
-    plus the name-resolution context for queries.
+    plus the name-resolution context for queries; `net.meta` keeps the
+    model, the adversary and `prune_idle_sweeps`, which rebuild it.
     """
-    adv_idx = ScenarioSelection(adversary).resolve(model)
+    adv_idx = None
+    if adversary is not None:
+        names = model.party_names[:-1]
+        if adversary not in names:
+            raise ModelError(
+                "unknown party %r (parties: %s)" % (adversary, ", ".join(names))
+            )
+        adv_idx = names.index(adversary)
     adv_slot = len(model.party_names) - 1
 
     if adv_idx is not None:
@@ -846,7 +847,8 @@ def instantiate(model, adversary=None, run_world_checks=True,
         W.pending_clock_owners,
         state_checks=state_checks,
         transition_checks=transition_checks,
-        meta={"model": model, "adversary": adversary},
+        meta={"model": model, "adversary": adversary,
+              "prune_idle_sweeps": prune_idle_sweeps},
     )
     ctx = QueryContext(
         constants={

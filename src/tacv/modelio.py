@@ -11,17 +11,22 @@ docs/model_grammar.ebnf; the shipped cs.model and newscs.model are the
 golden examples and are kept verdict-equivalent to the built-ins by
 tests.
 
-Reports and diagnostic traces serialize to JSON with a versioned
-schema; a trace document embeds the scenario, so it can be replayed and
-checked on its own.
+`contract_model` builds every scenario's model, for the CLI and for
+trace replay alike.  Reports and diagnostic traces serialize to JSON
+with a versioned schema.  A trace document records the whole scenario
+that produced it (variant options, `.model` file hash and sweep pruning
+included) and the query it witnesses, so it replays on its own and the
+replay re-checks the query.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from typing import NamedTuple
 
+from . import queries as Q
 from . import world as W
 from .adversary import AdversaryConfig, MessageAction
 from .contracts import BUILTIN_MODELS, ContractModel, instantiate
@@ -29,6 +34,7 @@ from .kernel import (
     AutomatonTemplate,
     Edge,
     Location,
+    ModelError,
     ReplayError as TraceReplayError,
     initial_state,
     replay_steps,
@@ -745,9 +751,7 @@ def build_model(doc, overrides=None):
     constants = dict(doc.constants)
     if overrides:
         constants.update(overrides)
-    wc = WorldConstants(
-        constants.get("MAX_LATENCY", 10), constants.get("PROT_TIMELOCK", 100)
-    ).validate()
+    wc = _world_constants(constants)
 
     keys = {k: i for i, k in enumerate(doc.keys)}
     secrets = {s: i for i, s in enumerate(doc.secrets)}
@@ -898,26 +902,58 @@ def _lookup(table, name, what, code):
 
 
 def load_model(path, overrides=None):
-    """Parse and build a contract model from a .model file."""
+    """Parse and build a contract model from a .model file; the model
+    records the file's absolute path and its text."""
     with open(path) as fh:
         text = fh.read()
     name = re.sub(r"\.model$", "", path.rsplit("/", 1)[-1])
     doc = parse_model_text(text, name=name)
-    return build_model(doc, overrides=overrides)
+    return build_model(doc, overrides=overrides)._replace(
+        source=(os.path.abspath(path), text))
+
+
+def _world_constants(values):
+    """WorldConstants from MAX_LATENCY / PROT_TIMELOCK; absent names keep the defaults."""
+    base = WorldConstants()
+    return WorldConstants(
+        values.get("MAX_LATENCY", base.max_latency),
+        values.get("PROT_TIMELOCK", base.prot_timelock),
+    ).validate()
+
+
+def contract_model(contract, overrides=None, variant=None):
+    """The ContractModel of a built-in contract name or a `.model` path.
+
+    `overrides` maps MAX_LATENCY / PROT_TIMELOCK to values.  `variant`
+    maps keyword-only options of the built-in's builder to values; an
+    option the contract does not take raises ModelError, and `.model`
+    files take none.
+    """
+    variant = dict(variant or {})
+    builder = BUILTIN_MODELS.get(contract)
+    takes = set(builder.__kwdefaults__) if builder is not None else set()
+    unknown = sorted(set(variant) - takes)
+    if unknown:
+        raise ModelError("contract %s takes no option %s (it takes: %s)" % (
+            contract, ", ".join(unknown), ", ".join(sorted(takes)) or "none"))
+    if builder is None:
+        return load_model(contract, overrides=overrides)
+    return builder(constants=_world_constants(overrides or {}), **variant)
 
 
 # -- reports and trace documents --------------------------------------------
 
 
 def trace_to_document(trace, net, model, adversary, query_text):
-    """Replayable JSON-ready rendering of a kernel trace."""
+    """JSON-ready rendering of a kernel trace and of the scenario of `net`
+    (from `instantiate`); `query_text` is the violated property or None."""
     steps = []
     for step in trace.steps:
         entry = {
             "kind": step.kind,
             "label": step.label,
             "time": step.valuation.get("time"),
-            "descriptor": _descriptor_to_json(step.descriptor),
+            "descriptor": step.descriptor,
             "statuses": _statuses(step.data, model),
             "holdings": _holdings(step.data, model),
             "locations": {
@@ -929,7 +965,11 @@ def trace_to_document(trace, net, model, adversary, query_text):
     return {
         "schema_version": SCHEMA_VERSION,
         "contract": model.name,
+        "model_file": {"path": model.source[0], "sha256": _sha256(model.source[1])}
+        if model.source else None,
+        "variant": dict(model.variant),
         "adversary": adversary,
+        "prune_idle_sweeps": net.meta["prune_idle_sweeps"],
         "constants": {
             "MAX_LATENCY": model.constants.max_latency,
             "PROT_TIMELOCK": model.constants.prot_timelock,
@@ -937,6 +977,13 @@ def trace_to_document(trace, net, model, adversary, query_text):
         "query": query_text,
         "steps": steps,
     }
+
+
+def _sha256(text):
+    # hashlib loads OpenSSL (3.5 MB resident on CPython 3.11, Linux x86-64),
+    # so only the runs that write or replay a trace document pay for it
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _statuses(data, model):
@@ -954,50 +1001,46 @@ def _holdings(data, model):
     }
 
 
-def _descriptor_to_json(desc):
-    if desc == ("delay",):
-        return ["delay"]
-    _tag, auto, edge, binds, partner, chan = desc
-    return ["fire", auto, edge, list(map(list, binds)),
-            list(partner[:2]) + [list(map(list, partner[2]))] if partner else None,
-            chan]
+def _tuples(data):
+    """JSON arrays back as the nested tuples of a kernel descriptor."""
+    return tuple(map(_tuples, data)) if isinstance(data, list) else data
 
 
-def _descriptor_from_json(data):
-    if data == ["delay"]:
-        return ("delay",)
-    _tag, auto, edge, binds, partner, chan = data
-    binds = tuple((k, v) for k, v in binds)
-    if partner is not None:
-        partner = (partner[0], partner[1],
-                   tuple((k, v) for k, v in partner[2]))
-    return ("fire", auto, edge, binds, partner, chan)
+def replay_document(doc):
+    """Re-execute a trace document against the scenario it records.
 
-
-def replay_document(doc, buggy_bob=False):
-    """Re-execute a trace document against its embedded scenario.
-
-    Returns the final symbolic state; raises TraceReplayError with the
-    diverging step index when recomputed statuses or holdings disagree
-    with the stored snapshots.
+    The scenario is rebuilt from the document alone; absent `model_file`,
+    `variant` or `prune_idle_sweeps` keys mean the defaults.  Returns the
+    final symbolic state.  Raises TraceReplayError for a malformed
+    document, an edited `.model` file, a status or holding that differs
+    from its stored snapshot, or a final state that satisfies the
+    document's query.
     """
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise TraceReplayError(0, "unsupported schema version")
-    builder = BUILTIN_MODELS.get(doc["contract"])
-    if builder is None:
-        raise TraceReplayError(0, "unknown contract %r" % doc["contract"])
-    kwargs = {"constants": WorldConstants(
-        doc["constants"]["MAX_LATENCY"], doc["constants"]["PROT_TIMELOCK"])}
-    if doc["contract"] == "newscs" and buggy_bob:
-        kwargs["buggy_bob"] = True
-    model = builder(**kwargs)
-    net, _ctx = instantiate(model, adversary=doc["adversary"])
-    entries = doc["steps"]
+    try:
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise TraceReplayError(0, "unsupported schema version")
+        source = doc.get("model_file")
+        model = contract_model(source["path"] if source else doc["contract"],
+                               doc["constants"], doc.get("variant"))
+        if source and _sha256(model.source[1]) != source["sha256"]:
+            raise TraceReplayError(
+                0, "%s changed since the trace was written" % source["path"])
+        net, ctx = instantiate(model, adversary=doc["adversary"],
+                               prune_idle_sweeps=doc.get("prune_idle_sweeps", True))
+        query = doc.get("query")
+        ast = Q.parse_query(query, ctx) if query is not None else None
+        entries = doc["steps"]
+        steps = [(_tuples(e["descriptor"]), e["label"]) for e in entries]
+        snapshots = [{field: dict(e[field]) for field in ("statuses", "holdings")}
+                     for e in entries]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TraceReplayError(0, "malformed trace document (%s: %s)"
+                               % (type(exc).__name__, exc)) from exc
 
     def compare(i, nxt):
         for field, got in (("statuses", _statuses(nxt.data, model)),
                            ("holdings", _holdings(nxt.data, model))):
-            stored = entries[i][field]
+            stored = snapshots[i][field]
             if got != stored:
                 diff = {k: (stored.get(k), got.get(k))
                         for k in sorted(set(got) | set(stored))
@@ -1005,9 +1048,11 @@ def replay_document(doc, buggy_bob=False):
                 raise TraceReplayError(
                     i, "%s diverge (stored, recomputed): %s" % (field, diff))
 
-    steps = [(_descriptor_from_json(e["descriptor"]), e["label"])
-             for e in entries]
-    return replay_steps(net, initial_state(net), steps, compare)
+    final = replay_steps(net, initial_state(net), steps, compare)
+    if ast is not None and Q.evaluate(final, ast) is None:
+        raise TraceReplayError(max(len(steps) - 1, 0),
+                               "the final state satisfies the query %r" % query)
+    return final
 
 
 def result_to_report(result, model, adversary, query_name, query_text, net,

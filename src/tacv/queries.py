@@ -113,10 +113,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"imply", "and", "or", "not", "true", "false", "time",
-             "hold_bitcoins", "parties", "know_secret"}
-
-
 def _lex(text):
     tokens = []
     pos = 0

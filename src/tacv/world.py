@@ -37,8 +37,8 @@ URG_CHAN = "urg_chan"
 
 
 class WorldConstants(NamedTuple):
-    max_latency: int
-    prot_timelock: int
+    max_latency: int = 10
+    prot_timelock: int = 100
 
     def validate(self):
         if self.max_latency < 1:

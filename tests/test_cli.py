@@ -8,6 +8,10 @@ import pytest
 from tacv import cli
 
 REDUCED = ["--max-latency", "2", "--prot-timelock", "5"]
+MODELS_DIR = os.path.join(os.path.dirname(cli.__file__), "models")
+NEWSCS_MODEL = os.path.join(MODELS_DIR, "newscs.model")
+CS_BOB_Q = os.path.join(MODELS_DIR, "cs_bob.q")
+VIOLATED_QUERY = "A[] (time >= PROT_TIMELOCK) imply (parties[BOB].know_secret[0])"
 
 
 def run(capsys, *argv):
@@ -108,6 +112,27 @@ class TestVerify:
         assert code == 1
 
 
+    @pytest.mark.parametrize("contract,flags", [
+        ("cs", ["--buggy-bob"]),
+        ("cs", ["--abort-margin", "1"]),
+        ("newscs", ["--weakened-alice"]),
+        (NEWSCS_MODEL, ["--abort-margin", "2"]),
+    ])
+    def test_inapplicable_variant_exit_three(self, capsys, contract, flags):
+        code, out, err = run(
+            capsys, "verify", contract, *flags,
+            "--max-latency", "1", "--prot-timelock", "5", "--query", "A[] true")
+        assert code == 3
+        assert "takes no option" in err and out == ""
+
+    def test_query_file(self, capsys):
+        code, out, _err = run(
+            capsys, "verify", "cs", "--query-file", CS_BOB_Q, *REDUCED,
+            "--adversary", "alice")
+        assert code == 0
+        assert out.count("SATISFIED") == 1
+
+
 class TestTraceCommand:
     def test_roundtrip_replay(self, capsys, tmp_path):
         out_file = str(tmp_path / "trace.json")
@@ -136,6 +161,62 @@ class TestTraceCommand:
         code, _out, err = run(capsys, "trace", out_file)
         assert code == 3
         assert "diverged" in err
+
+
+    def write_violation(self, capsys, tmp_path):
+        out_file = str(tmp_path / "trace.json")
+        code, _out, _err = run(
+            capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+            "--query", VIOLATED_QUERY, "--trace-out", out_file,
+        )
+        assert code == 1
+        return out_file
+
+    def test_weakened_alice_roundtrip(self, capsys, tmp_path):
+        out_file = str(tmp_path / "trace.json")
+        code, _out, _err = run(
+            capsys, "verify", "cs", "--weakened-alice", *REDUCED,
+            "--query", "A[] not BobTA.failure", "--trace-out", out_file,
+        )
+        assert code == 1
+        assert json.load(open(out_file))["variant"] == {"weakened_alice": True}
+        code, out, err = run(capsys, "trace", out_file)
+        assert code == 0, err
+        assert "final state violates: A[] not BobTA.failure" in out
+
+    def test_buggy_bob_trace_replays_without_flag(self, capsys, tmp_path):
+        # the fixed Bob cannot follow this counterexample past the recovery
+        out_file = str(tmp_path / "trace.json")
+        code, _out, _err = run(
+            capsys, "verify", "newscs", "--buggy-bob", "--adversary", "alice",
+            "--max-latency", "1", "--prot-timelock", "5",
+            "--query", "A[] ((time >= PROT_TIMELOCK+2*MAX_LATENCY) imply "
+            "((parties[ALICE].know_secret[SB_SEC] and "
+            "!parties[BOB].know_secret[SA_SEC]) imply "
+            "hold_bitcoins(parties[BOB]) >= 3))",
+            "--trace-out", out_file,
+        )
+        assert code == 1
+        code, _out, err = run(capsys, "trace", out_file)
+        assert code == 0, err
+
+    def test_malformed_descriptor_exit_three(self, capsys, tmp_path):
+        out_file = self.write_violation(capsys, tmp_path)
+        doc = json.load(open(out_file))
+        doc["steps"][0]["descriptor"] = ["fire", 99]
+        json.dump(doc, open(out_file, "w"))
+        code, out, err = run(capsys, "trace", out_file)
+        assert code == 3
+        assert err.startswith("error: replay diverged: step 0:") and out == ""
+
+    def test_unknown_adversary_exit_three(self, capsys, tmp_path):
+        out_file = self.write_violation(capsys, tmp_path)
+        doc = json.load(open(out_file))
+        doc["adversary"] = "CAROL"
+        json.dump(doc, open(out_file, "w"))
+        code, out, err = run(capsys, "trace", out_file)
+        assert code == 3
+        assert err.startswith("error: unknown party 'CAROL'") and out == ""
 
 
 class TestSimulate:

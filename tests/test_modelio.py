@@ -207,8 +207,9 @@ class TestReports:
 class TestTraceRoundTrip:
     """Random runs replay step for step through both replays."""
 
-    def replay_both(self, model, adversary, seed):
-        net, _ctx = instantiate(model, adversary=adversary)
+    def replay_both(self, model, adversary, seed, prune_idle_sweeps=True):
+        net, _ctx = instantiate(model, adversary=adversary,
+                                prune_idle_sweeps=prune_idle_sweeps)
         trace = random_run(net, seed=seed, steps=50)
         final = replay_trace(net, trace)
         doc = M.trace_to_document(trace, net, model, adversary, query_text=None)
@@ -228,3 +229,75 @@ class TestTraceRoundTrip:
         model = build_newscs_model(WorldConstants(1, 5))
         for seed in range(4):
             self.replay_both(model, "ALICE", seed)
+
+    @pytest.mark.parametrize("adversary", [None, "ALICE"])
+    def test_cs_weakened_alice_random_runs(self, adversary):
+        model = build_cs_model(WorldConstants(2, 5), weakened_alice=True)
+        for seed in range(20):
+            self.replay_both(model, adversary, seed)
+
+    @pytest.mark.parametrize("variant", [{"buggy_bob": True},
+                                         {"abort_margin": 2}])
+    def test_newscs_variant_random_runs(self, variant):
+        model = build_newscs_model(WorldConstants(1, 5), **variant)
+        for seed in range(4):
+            self.replay_both(model, "ALICE", seed)
+
+    def test_cs_unpruned_random_runs(self):
+        model = build_cs_model(WorldConstants(2, 5))
+        for seed in range(20):
+            self.replay_both(model, "ALICE", seed, prune_idle_sweeps=False)
+
+    @pytest.mark.parametrize("adversary", [None, "ALICE"])
+    def test_model_file_random_runs(self, adversary):
+        model = M.load_model(CS_PATH, overrides={"MAX_LATENCY": 2,
+                                                 "PROT_TIMELOCK": 5})
+        for seed in range(20):
+            self.replay_both(model, adversary, seed)
+
+
+class TestTraceScenario:
+    """A trace document carries its scenario and the query it witnesses."""
+
+    def violation_document(self, model, query="bob_knows_secret"):
+        net, ctx = instantiate(model, adversary="ALICE")
+        q = Q.parse_query(model.queries[query], ctx)
+        res = explore(net, check=Q.make_checker(q))
+        assert res.verdict == "VIOLATED"
+        doc = M.trace_to_document(res.trace, net, model, "ALICE",
+                                  model.queries[query])
+        return json.loads(json.dumps(doc))
+
+    def test_records_variant_and_pruning(self):
+        model = build_newscs_model(WorldConstants(1, 5), buggy_bob=True,
+                                   abort_margin=2)
+        net, _ctx = instantiate(model, adversary="BOB", prune_idle_sweeps=False)
+        doc = M.trace_to_document(random_run(net, seed=0, steps=5), net, model,
+                                  "BOB", query_text=None)
+        assert doc["variant"] == {"abort_margin": 2, "buggy_bob": True}
+        assert doc["prune_idle_sweeps"] is False
+        assert doc["model_file"] is None
+
+    def test_document_without_scenario_keys_means_defaults(self):
+        doc = self.violation_document(build_cs_model(WorldConstants(2, 5)))
+        for key in ("variant", "model_file", "prune_idle_sweeps"):
+            del doc[key]
+        M.replay_document(doc)
+
+    def test_satisfied_query_rejected(self):
+        doc = self.violation_document(build_cs_model(WorldConstants(2, 5)))
+        doc["query"] = "A[] true"
+        with pytest.raises(M.TraceReplayError, match="satisfies the query"):
+            M.replay_document(doc)
+
+    def test_edited_model_file_rejected(self, tmp_path):
+        path = tmp_path / "cs.model"
+        path.write_text(open(CS_PATH).read())
+        model = M.load_model(str(path), overrides={"MAX_LATENCY": 2,
+                                                   "PROT_TIMELOCK": 5})
+        doc = self.violation_document(model)
+        assert doc["model_file"]["path"] == str(path)
+        M.replay_document(doc)
+        path.write_text(path.read_text().replace("C_SEC", "CS_SEC"))
+        with pytest.raises(M.TraceReplayError, match="changed since"):
+            M.replay_document(doc)
