@@ -6,11 +6,13 @@ Commands:
   trace     replay a saved trace document and re-check its query
   list      show built-in contracts and their named queries
 
-Exit codes: 0 all queries satisfied, 1 a query violated (first violation
-reported with its trace), 2 exploration limits exhausted, 3 usage or
-model errors.  Reports go to stdout, diagnostics to stderr.  ANSI color
-is controlled by TACV_COLOR (1 forces on, 0 forces off, otherwise only
-when stdout is a terminal).
+`verify` explores once and reports every query with its own verdict,
+a violated one with its counterexample trace; `--trace-out` writes the
+trace of the first violated query in report order.  Exit codes: 0 all
+queries satisfied, 1 some query violated, else 2 exploration limits
+exhausted, 3 usage or model errors.  Reports go to stdout, diagnostics
+to stderr.  ANSI color is controlled by TACV_COLOR (1 forces on, 0
+forces off, otherwise only when stdout is a terminal).
 """
 
 from __future__ import annotations
@@ -97,64 +99,42 @@ def cmd_verify(args):
     if not triples:
         return _fail("no checkable queries for this scenario")
 
-    color = _color_enabled()
+    asts = [ast for _name, _text, ast in triples]
     if args.engine == "discrete":
-        return _verify_discrete(args, model, net, adversary, triples, color)
-
-    checkers = [(t, Q.make_checker(t[2])) for t in triples]
-    hit = []
-
-    def check(state):
-        for (name, text, _ast), chk in checkers:
-            witness = chk(state)
-            if witness is not None:
-                hit.append((name, text))
-                return witness
-        return None
-
-    result = explore(net, check=check, max_states=args.max_states,
-                     max_seconds=args.max_seconds)
-    # one exploration covers every query; a violation reports the one it hit
-    violated = result.verdict == "VIOLATED"
-    for name, text in hit[:1] if violated else [t[:2] for t in triples]:
-        _emit(modelio.result_to_report(
-            result, model, adversary, name, text, net), args, color)
-    if violated:
-        return EXIT_VIOLATED
-    return EXIT_SATISFIED if result.verdict == "SATISFIED" else EXIT_LIMIT
-
-
-def _verify_discrete(args, model, net, adversary, triples, color):
-    worst = EXIT_SATISFIED
-    for (name, text, ast) in triples:
         t0 = time.perf_counter()
         try:
-            res = oracle_mod.explore_discrete(
-                net, query=ast, max_states=args.max_states)
+            res, verdicts = oracle_mod.explore_discrete(
+                net, queries=asts, max_states=args.max_states)
         except ModelError as exc:
             return _fail(str(exc))
         result = VerificationResult(
-            res.verdict, res.states, 0, time.perf_counter() - t0, None,
-            res.limit_reason)
-        _emit(modelio.result_to_report(
-            result, model, adversary, name, text, net, engine="discrete"),
-            args, color)
-        if res.verdict == "VIOLATED":
-            return EXIT_VIOLATED
-        if res.verdict == "LIMIT":
-            worst = EXIT_LIMIT
-    return worst
-
-
-def _emit(report, args, color):
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
+            res.verdict, res.states, res.transitions,
+            time.perf_counter() - t0, None, res.limit_reason)
+        traces = (None,) * len(asts)
     else:
-        print(modelio.render_report_text(report, color=color))
-    if getattr(args, "trace_out", None) and report.get("trace"):
+        result = explore(net, check=[Q.make_checker(ast) for ast in asts],
+                         max_states=args.max_states,
+                         max_seconds=args.max_seconds)
+        verdicts, traces = result.verdicts, result.traces
+
+    color = _color_enabled()
+    first_trace = None
+    for (name, text, _ast), verdict, trace in zip(triples, verdicts, traces):
+        report = modelio.result_to_report(
+            result._replace(verdict=verdict, trace=trace), model, adversary,
+            name, text, net, engine=args.engine)
+        if args.format == "json":
+            print(json.dumps(report, sort_keys=True))
+        else:
+            print(modelio.render_report_text(report, color=color))
+        if first_trace is None:
+            first_trace = report.get("trace")
+    if args.trace_out and first_trace:
         with open(args.trace_out, "w") as fh:
-            json.dump(report["trace"], fh, sort_keys=True, indent=2)
+            json.dump(first_trace, fh, sort_keys=True, indent=2)
         print("trace document written to %s" % args.trace_out, file=sys.stderr)
+    return {"VIOLATED": EXIT_VIOLATED, "LIMIT": EXIT_LIMIT}.get(
+        result.verdict, EXIT_SATISFIED)
 
 
 def cmd_simulate(args):
@@ -250,7 +230,8 @@ def main(argv=None):
     pv.add_argument("--max-states", type=int)
     pv.add_argument("--max-seconds", type=float)
     pv.add_argument("--trace-out", metavar="FILE",
-                    help="write the counterexample trace document here")
+                    help="write the trace document of the first violated"
+                    " query, in report order, here")
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("simulate", help="one random maximal run")

@@ -203,6 +203,8 @@ class VerificationResult(NamedTuple):
     trace: Optional[Trace]
     limit_reason: Optional[str] = None
     reachable: Optional[frozenset] = None  # (locs, data) keys when requested
+    verdicts: tuple = ()      # one verdict per checker
+    traces: tuple = ()        # one trace per checker, None unless violated
 
 
 # -- clock layout ------------------------------------------------------
@@ -539,6 +541,18 @@ def successors(net, state):
     return out
 
 
+def overall_verdicts(violated, limit_reason):
+    """(overall verdict, one verdict per check) of a multi-check run.
+
+    A violated check is VIOLATED; every other check is LIMIT when the
+    run hit a limit and SATISFIED otherwise.  The run is VIOLATED when
+    any check is.
+    """
+    rest = "LIMIT" if limit_reason else "SATISFIED"
+    per_check = tuple("VIOLATED" if v else rest for v in violated)
+    return ("VIOLATED" if any(violated) else rest), per_check
+
+
 def explore(
     net,
     check=None,
@@ -550,12 +564,19 @@ def explore(
 ):
     """Exhaustive reachability with on-the-fly safety checking.
 
-    `check(state)` returns None when the state is fine, or a witness
-    zone (the violating sub-zone) to report a violation.  Returns a
-    VerificationResult; limit exhaustion is reported distinctly from
-    both verdicts.
+    `check` is one checker or a sequence of checkers.  A checker maps a
+    state to None when it is fine, or to a witness zone (the violating
+    sub-zone) to report a violation; it then gets a trace and is not
+    called again, and exploration stops once no checker is left.  The
+    VerificationResult carries one verdict and one trace per checker
+    (`verdicts`, `traces`); its `verdict` is VIOLATED if any checker
+    was violated, else LIMIT or SATISFIED (see `overall_verdicts`), and
+    its `trace` is the trace of the first violation found.
     """
     started = _time.monotonic()
+    checks = () if check is None else (check,) if callable(check) else tuple(check)
+    live = list(range(len(checks)))
+    traces = {}  # check index -> trace, in the order violations were found
     init = initial_state(net)
     passed = _Passed(subsumption=subsumption)
     meta = []  # sid -> (state, parent sid, descriptor, label)
@@ -563,23 +584,34 @@ def explore(
     def out_of_time():
         return max_seconds is not None and _time.monotonic() - started > max_seconds
 
-    def result(verdict, trace=None, reason=None):
+    def checked(sid):
+        """Run the live checks on state `sid`; True once none is left."""
+        state = meta[sid][0]
+        for i in tuple(live):
+            witness = checks[i](state)
+            if witness is not None:
+                traces[i] = _build_trace(meta, sid, witness, net)
+                live.remove(i)
+        return not live
+
+    def result(reason=None):
         # states counts distinct (locations, data) configurations
         reach = frozenset(passed._store) if collect_reachable else None
+        every = range(len(checks))
+        verdict, verdicts = overall_verdicts([i in traces for i in every], reason)
         return VerificationResult(
-            verdict, passed.key_count, transitions[0],
-            _time.monotonic() - started, trace, reason, reach,
+            verdict, passed.key_count, transitions,
+            _time.monotonic() - started, next(iter(traces.values()), None),
+            reason, reach, verdicts, tuple(map(traces.get, every)),
         )
 
-    transitions = [0]
+    transitions = 0
     if run_checks:
         run_state_checks(init, net)
     meta.append((init, None, None, "initial"))
     passed.insert((init.locs, init.data), init.zone)
-    if check is not None:
-        witness = check(init)
-        if witness is not None:
-            return result("VIOLATED", _build_trace(meta, 0, witness, net))
+    if live and checked(0):
+        return result()
 
     frontier = deque([0])
     skeletons = {}
@@ -587,7 +619,7 @@ def explore(
     while frontier:
         ticks += 1
         if ticks % 512 == 0 and out_of_time():
-            return result("LIMIT", reason="wall-clock budget exhausted")
+            return result("wall-clock budget exhausted")
         sid = frontier.popleft()
         state = meta[sid][0]
         key = (state.locs, state.data)
@@ -595,7 +627,7 @@ def explore(
         if skel is None:
             skel = skeletons[key] = _build_skeleton(net, state.locs, state.data)
         for desc, label, locs2, data2, zone2 in _apply_skeleton(skel, state.zone):
-            transitions[0] += 1
+            transitions += 1
             if locs2 is None:  # delay successor keeps the configuration
                 nxt = SymbolicState(state.locs, state.data, zone2)
             else:
@@ -606,16 +638,12 @@ def explore(
                 run_state_checks(nxt, net)
             nid = len(meta)
             meta.append((nxt, sid, desc, label))
-            if check is not None:
-                witness = check(nxt)
-                if witness is not None:
-                    return result(
-                        "VIOLATED", _build_trace(meta, nid, witness, net)
-                    )
+            if live and checked(nid):
+                return result()
             if max_states is not None and len(meta) > max_states:
-                return result("LIMIT", reason="state budget exhausted")
+                return result("state budget exhausted")
             frontier.append(nid)
-    return result("SATISFIED")
+    return result()
 
 
 # -- trace reconstruction and replay ------------------------------------

@@ -11,6 +11,10 @@ A horizon bounds the time dimension.  It must exceed every query
 constant and every deadline threshold: past the last threshold all
 guards are time-independent, so no new discrete configuration needs a
 later clock.
+
+`explore_discrete` checks any number of queries in one pass and gives
+each its own verdict, with the same rule as the zone engine: a query
+not violated when a limit is hit is LIMIT, not SATISFIED.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .kernel import (
     ModelError,
     TIME,
     _expand_binds,
+    overall_verdicts,
     urgency_blocks_delay,
 )
 
@@ -30,6 +35,7 @@ from .kernel import (
 class OracleResult(NamedTuple):
     verdict: str                # 'SATISFIED' | 'VIOLATED' | 'LIMIT'
     states: int                 # distinct (locations, data) configurations
+    transitions: int            # successors generated
     reachable: frozenset        # (locations, data) set
     limit_reason: Optional[str] = None
 
@@ -172,22 +178,21 @@ def _apply(net, state, owners, sender, receiver):
     return nxt
 
 
-def explore_discrete(net, query=None, horizon=None, max_states=None,
-                     queries=None):
+def explore_discrete(net, queries=(), horizon=None, max_states=None):
     """BFS over unit-delay and discrete steps up to the horizon.
 
-    `query` is a parsed property; it is evaluated pointwise at every
-    reachable concrete state and the first violation stops the run.
-    `queries` instead evaluates several properties in one full pass:
-    the result carries a per-property verdict list and exploration only
-    stops early once every property is violated.  Returns the verdict
-    and the projected reachable (locations, data) set.
+    Each of the parsed `queries` is evaluated pointwise at every
+    reachable concrete state; a violated query is not evaluated again,
+    and exploration stops once every query is violated.  Returns
+    (OracleResult, verdicts): the result carries the projected reachable
+    (locations, data) set and the number of successors generated, and
+    the verdicts, one per query, follow the zone engine's rule
+    (`kernel.overall_verdicts`).
     """
-    multi = list(queries) if queries is not None else None
-    all_queries = multi if multi is not None else ([query] if query else [])
+    queries = tuple(queries)
     if horizon is None:
-        horizon = default_horizon(net, all_queries)
-    for q in all_queries:
+        horizon = default_horizon(net, queries)
+    for q in queries:
         for c in _clock_constants(q.root):
             if c >= horizon:
                 raise ModelError(
@@ -208,38 +213,40 @@ def explore_discrete(net, query=None, horizon=None, max_states=None,
                 return True
         return False
 
-    live = dict(enumerate(all_queries))
+    live = list(range(len(queries)))
+    violated = [False] * len(queries)
 
-    def check(state):
-        for idx in [i for i, q in live.items() if violates(q, state)]:
-            verdicts[idx] = "VIOLATED"
-            del live[idx]
-        return not live and all_queries
+    def checked(state):
+        """Evaluate the live queries at `state`; True once none is left."""
+        for i in tuple(live):
+            if violates(queries[i], state):
+                violated[i] = True
+                live.remove(i)
+        return not live
 
-    verdicts = ["SATISFIED"] * len(all_queries)
     seen = {init}
     keys = {(init.locs, init.data)}
     frontier = deque([init])
+    transitions = 0
 
-    def result(verdict, reason=None):
-        res = OracleResult(verdict, len(keys), frozenset(keys), reason)
-        if multi is not None:
-            return res, tuple(verdicts)
-        return res
+    def result(reason=None):
+        verdict, verdicts = overall_verdicts(violated, reason)
+        return OracleResult(verdict, len(keys), transitions, frozenset(keys),
+                            reason), verdicts
 
-    if all_queries and check(init):
-        return result("VIOLATED")
+    if live and checked(init):
+        return result()
     while frontier:
-        cur = frontier.popleft()
-        for nxt in _discrete_successors(net, cur):
+        succ = _discrete_successors(net, frontier.popleft())
+        transitions += len(succ)
+        for nxt in succ:
             if nxt.time > horizon or nxt in seen:
                 continue
             seen.add(nxt)
             keys.add((nxt.locs, nxt.data))
-            if all_queries and check(nxt):
-                return result("VIOLATED")
+            if live and checked(nxt):
+                return result()
             if max_states is not None and len(seen) > max_states:
-                return result("LIMIT", "state budget exhausted")
+                return result("state budget exhausted")
             frontier.append(nxt)
-    overall = "VIOLATED" if "VIOLATED" in verdicts else "SATISFIED"
-    return result(overall if all_queries else "SATISFIED")
+    return result()

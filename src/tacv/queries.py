@@ -485,16 +485,6 @@ def data_atoms(node, acc=None):
     return acc
 
 
-def evaluate(state, query):
-    """None when the state satisfies the property, else a witness sub-zone."""
-    for conj in violation_region(query, state):
-        atoms = [(1, 0, a.op, a.const) for a in conj]
-        sub = state.zone.constrained(atoms)
-        if not sub.is_empty():
-            return sub
-    return None
-
-
 def make_checker(query):
     """Per-state checker with the DNF region memoized on data-atom values.
 
@@ -518,3 +508,8 @@ def make_checker(query):
         return None
 
     return checker
+
+
+def evaluate(state, query):
+    """None when the state satisfies the property, else a witness sub-zone."""
+    return make_checker(query)(state)

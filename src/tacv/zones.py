@@ -8,8 +8,7 @@ are integers, so bounds are integer-valued throughout.
 Clock sets are dynamic: the explorer adds a clock when a transaction
 starts waiting for confirmation and drops it once the transaction is
 resolved, which keeps matrices small.  `add_clock_zero` and
-`remove_clock` preserve canonical form, as do `up`, `reset` and
-`constrained`.
+`remove_clocks` preserve canonical form, as do `up` and `constrained`.
 
 Matrices are flat row-major sequences of packed bounds.  A bound on the
 difference x_i - x_j is packed into one integer so that comparison and
@@ -266,20 +265,6 @@ class Zone:
         if ok and not changed:
             return self
         return Zone._from_work(n, work, ok)
-
-    def reset(self, clk):
-        """Set clock `clk` to zero; other clocks keep their constraints."""
-        n = self.dim
-        if clk == 0:
-            raise ZoneError("the reference clock cannot be reset")
-        if self.is_empty():
-            raise ZoneError("reset on an empty zone")
-        work = list(self.m)
-        for j in range(n):
-            work[clk * n + j] = work[0 * n + j]
-            work[j * n + clk] = work[j * n + 0]
-        work[clk * n + clk] = ZERO
-        return Zone(n, tuple(work), _canonical=True)
 
     def add_clock_zero(self):
         """Extend with a fresh clock (new last index) whose value is zero."""

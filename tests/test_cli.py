@@ -94,6 +94,68 @@ class TestVerify:
             )
             assert code == 1, engine
 
+    def test_discrete_report_counts_transitions(self, capsys):
+        code, out, _err = run(
+            capsys, "verify", "cs", *REDUCED, "--engine", "discrete",
+            "--format", "json", "--query", "A[] true",
+        )
+        assert code == 0
+        report = json.loads(out.strip())
+        assert report["engine"] == "discrete"
+        assert report["transitions"] > 0
+
+    @pytest.mark.parametrize("engine", ["zone", "discrete"])
+    def test_every_default_query_gets_a_verdict(self, capsys, engine):
+        code, out, _err = run(
+            capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+            "--engine", engine, "--format", "json",
+        )
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()]
+        verdicts = {r["query"]["name"]: r["verdict"] for r in reports}
+        assert verdicts == {
+            "alice_holds_deposit": "VIOLATED",
+            "alice_security": "VIOLATED",
+            "bob_accepts": "VIOLATED",
+            "bob_knows_secret": "VIOLATED",
+            "bob_security": "SATISFIED",
+        }
+
+    def test_every_violation_trace_replays(self, capsys, tmp_path):
+        code, out, _err = run(
+            capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+            "--format", "json",
+        )
+        assert code == 1
+        violated = [r for r in map(json.loads, out.splitlines())
+                    if r["verdict"] == "VIOLATED"]
+        assert len(violated) == 4
+        for report in violated:
+            # the trace is the one the query finds when checked alone
+            code, alone, _err = run(
+                capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+                "--format", "json", "--query", report["query"]["text"],
+            )
+            assert code == 1
+            assert json.loads(alone)["trace"] == report["trace"]
+            out_file = str(tmp_path / ("%s.json" % report["query"]["name"]))
+            with open(out_file, "w") as fh:
+                json.dump(report["trace"], fh)
+            code, replayed, err = run(capsys, "trace", out_file)
+            assert code == 0, err
+            assert "final state violates: %s" % report["query"]["text"] in replayed
+
+    def test_trace_out_is_first_violation_in_report_order(self, capsys, tmp_path):
+        out_file = str(tmp_path / "trace.json")
+        code, out, _err = run(
+            capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+            "--format", "json", "--trace-out", out_file,
+        )
+        assert code == 1
+        first = json.loads(out.splitlines()[0])
+        assert first["query"]["name"] == "alice_holds_deposit"
+        assert json.load(open(out_file)) == first["trace"]
+
     def test_model_file_contract(self, capsys):
         path = os.path.join(os.path.dirname(cli.__file__), "models", "cs.model")
         code, out, _err = run(capsys, "verify", path, *REDUCED)

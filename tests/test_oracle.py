@@ -28,20 +28,20 @@ class TestReachability:
     def test_cs_sets_equal(self, adversary):
         net, _ctx = scenario(CS, adversary)
         zr = explore(net, collect_reachable=True)
-        orr = explore_discrete(net)
+        orr, _verdicts = explore_discrete(net)
         assert zr.reachable == orr.reachable
 
     def test_newscs_honest_sets_equal(self):
         model = build_newscs_model(WorldConstants(1, 5))
         net, _ctx = scenario(model, None)
         zr = explore(net, collect_reachable=True)
-        orr = explore_discrete(net)
+        orr, _verdicts = explore_discrete(net)
         assert zr.reachable == orr.reachable
 
     def test_empty_network_single_state(self):
         from tacv.kernel import Network
         net = Network("empty", [], [], [], (), lambda d: ())
-        res = explore_discrete(net)
+        res, _verdicts = explore_discrete(net)
         assert res.states == 1
 
 
@@ -57,8 +57,31 @@ class TestVerdicts:
         net, ctx = scenario(CS, adversary)
         q = Q.parse_query(CS.queries[name], ctx)
         zv = explore(net, check=Q.make_checker(q)).verdict
-        ov = explore_discrete(net, query=q).verdict
+        ov = explore_discrete(net, queries=[q])[0].verdict
         assert zv == ov == expected
+
+
+class TestMultiQuery:
+    @pytest.mark.parametrize("adversary", [None, "ALICE", "BOB"])
+    def test_one_pass_matches_oracle_and_single_runs(self, adversary):
+        net, ctx = scenario(CS, adversary)
+        asts = []
+        for name in sorted(CS.queries):
+            try:
+                asts.append(Q.parse_query(CS.queries[name], ctx))
+            except Q.QueryError:
+                continue  # names BobTA, absent when Bob is the adversary
+        res = explore(net, check=[Q.make_checker(a) for a in asts])
+        assert res.verdicts == explore_discrete(net, queries=asts)[1]
+        assert len(res.traces) == len(asts)
+        for ast, verdict, trace in zip(asts, res.verdicts, res.traces):
+            alone = explore(net, check=Q.make_checker(ast))
+            assert alone.verdict == verdict
+            assert trace == alone.trace
+        violated = [t for t in res.traces if t is not None]
+        assert (res.verdict == "VIOLATED") == bool(violated)
+        if violated:
+            assert res.trace in violated
 
 
 class TestHorizon:
@@ -72,13 +95,22 @@ class TestHorizon:
         net, ctx = scenario(CS, None)
         q = Q.parse_query(CS.queries["bob_security"], ctx)
         with pytest.raises(ModelError):
-            explore_discrete(net, query=q, horizon=5)
+            explore_discrete(net, queries=[q], horizon=5)
 
     def test_limit_reported(self):
         net, _ctx = scenario(CS, "ALICE")
-        res = explore_discrete(net, max_states=10)
+        res, _verdicts = explore_discrete(net, max_states=10)
         assert res.verdict == "LIMIT"
         assert res.limit_reason == "state budget exhausted"
+
+    def test_limit_reported_per_query(self):
+        # a query the run did not violate before the limit is undecided
+        net, ctx = scenario(CS, "ALICE")
+        asts = [Q.parse_query(CS.queries[n], ctx) for n in sorted(CS.queries)]
+        assert len(asts) == 5
+        res, verdicts = explore_discrete(net, queries=asts, max_states=10)
+        assert res.verdict == "LIMIT"
+        assert verdicts == ("LIMIT",) * 5
 
 
 class TestClosedModelGuard:

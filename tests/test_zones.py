@@ -104,26 +104,6 @@ class TestDelayAndReset:
         assert z.contains((0, 10, 8))
         assert not z.contains((0, 10, 9))
 
-    def test_reset_point_zone(self):
-        z = Zone.from_constraints(3, [(1, 0, "==", 7), (2, 0, "==", 7)])
-        r = z.reset(2)
-        assert r.contains((0, 7, 0))
-        assert zone_points(r, 8) == {(0, 7, 0)}
-
-    def test_reset_then_zero_constraint_nonempty(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            atoms = random_atoms(rng, 3, 3, maxc=5)
-            z = Zone.from_constraints(3, atoms)
-            if z.is_empty():
-                continue
-            r = z.reset(2).constrained([(2, 0, "==", 0)])
-            assert not r.is_empty()
-
-    def test_reset_reference_rejected(self):
-        with pytest.raises(ZoneError):
-            Zone.origin(2).reset(0)
-
 
 class TestConstrain:
     def test_vacuous(self):
@@ -249,9 +229,10 @@ class TestGridOracleRandomized:
             assert zone_points(z.up(), 16) == {
                 v for v in delayed if max(v) <= 16
             }
-            # reset of the last clock: image computed on a wider grid so
-            # completions of the dropped clock are not cut off
-            r = z.reset(dim - 1)
+            # the last clock replaced by a fresh one at zero: image
+            # computed on a wider grid so completions of the dropped
+            # clock are not cut off
+            r = z.remove_clocks((dim - 1,)).add_clock_zero()
             wide = oracle_points(dim, atoms, 40)
             reset_img = {
                 v[:-1] + (0,) for v in wide if max(v[:-1]) <= 16
