@@ -26,7 +26,7 @@ import time
 from . import modelio
 from . import oracle as oracle_mod
 from . import queries as Q
-from .contracts import BUILTIN_MODELS, instantiate
+from .contracts import instantiate
 from .kernel import ModelError, VerificationResult, explore, random_run
 
 EXIT_SATISFIED = 0
@@ -94,7 +94,7 @@ def cmd_verify(args):
     try:
         model, net, ctx, adversary = _scenario(args)
         triples = _gather_queries(args, model, ctx)
-    except (ModelError, modelio.ModelIOError, Q.QueryError, OSError) as exc:
+    except (ModelError, Q.QueryError, OSError) as exc:
         return _fail(str(exc))
     if not triples:
         return _fail("no checkable queries for this scenario")
@@ -104,7 +104,8 @@ def cmd_verify(args):
         t0 = time.perf_counter()
         try:
             res, verdicts = oracle_mod.explore_discrete(
-                net, queries=asts, max_states=args.max_states)
+                net, queries=asts, max_states=args.max_states,
+                max_seconds=args.max_seconds)
         except ModelError as exc:
             return _fail(str(exc))
         result = VerificationResult(
@@ -140,7 +141,7 @@ def cmd_verify(args):
 def cmd_simulate(args):
     try:
         model, net, _ctx, adversary = _scenario(args)
-    except (ModelError, modelio.ModelIOError, OSError) as exc:
+    except (ModelError, OSError) as exc:
         return _fail(str(exc))
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
     print("seed: %d" % seed, file=sys.stderr)
@@ -173,8 +174,7 @@ def cmd_trace(args):
         modelio.replay_document(doc)
     except modelio.TraceReplayError as exc:
         return _fail("replay diverged: %s" % exc)
-    except (ModelError, modelio.ModelIOError, Q.QueryError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ModelError, Q.QueryError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     print("replayed %d steps successfully" % len(doc["steps"]))
     for step in doc["steps"]:
@@ -187,7 +187,7 @@ def cmd_trace(args):
 
 
 def cmd_list(args):
-    for name in sorted(BUILTIN_MODELS):
+    for name in modelio.BUILTIN_CONTRACTS:
         model = modelio.contract_model(name)
         print("%s  (%d transactions, parties: %s)" % (
             name, len(model.protocol_txs), ", ".join(model.party_names[:-1])))
@@ -201,12 +201,14 @@ def _add_scenario_args(p):
     p.add_argument("--adversary", action="append", metavar="PARTY",
                    help="corrupted party (alice or bob); at most one")
     p.add_argument("--buggy-bob", action="store_true", default=None,
-                   help="newscs only: single-shot recovery (the historical bug)")
+                   help="set BUGGY_BOB = 1 (newscs: single-shot recovery,"
+                   " the historical bug)")
     p.add_argument("--weakened-alice", action="store_true", default=None,
-                   help="cs only: Alice signs the fuse before broadcasting the commit")
+                   help="set WEAKENED_ALICE = 1 (cs: Alice signs the fuse before"
+                   " broadcasting the commit)")
     p.add_argument("--abort-margin", type=int,
-                   help="newscs only: abort deadline PROT_TIMELOCK - N*MAX_LATENCY"
-                   " (default 3)")
+                   help="set ABORT_MARGIN (newscs: abort deadline"
+                   " PROT_TIMELOCK - N*MAX_LATENCY, default 3)")
     p.add_argument("--max-latency", type=int, help="override MAX_LATENCY")
     p.add_argument("--prot-timelock", type=int, help="override PROT_TIMELOCK")
     p.add_argument("--no-prune", action="store_true",

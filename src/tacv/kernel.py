@@ -15,7 +15,7 @@ Semantics notes:
 - Deadline flags are a kernel primitive: each carries an integer
   threshold and a boolean view of the data valuation.  Delay is capped
   at the nearest pending threshold, and flip transitions (generated
-  into a helper template by the model builders) fire exactly at the
+  into a helper template by `contracts.instantiate`) fire exactly at the
   boundary, so a flag always agrees with its clock condition.
 - Exploration is breadth-first with zone-inclusion subsumption on a
   passed list keyed by (locations, data), and deterministic: enabled

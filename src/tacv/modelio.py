@@ -7,20 +7,26 @@ queries.  Guards and updates on edges use a small expression language
 mirroring the block-chain helper operations by name (status checks,
 try_to_send, broadcast_signature, ...); expressions are interpreted
 against the loaded model, never compiled.  The grammar is documented in
-docs/model_grammar.ebnf; the shipped cs.model and newscs.model are the
-golden examples and are kept verdict-equivalent to the built-ins by
-tests.
+docs/model_grammar.ebnf.
 
-`contract_model` builds every scenario's model, for the CLI and for
-trace replay alike.  Reports and diagnostic traces serialize to JSON
-with a versioned schema.  A trace document records the whole scenario
-that produced it (variant options, `.model` file hash and sweep pruning
-included) and the query it witnesses, so it replays on its own and the
-replay re-checks the query.
+The built-in contracts `cs` and `newscs` are the shipped
+models/cs.model and models/newscs.model; nothing else defines them.
+Their variants are constants of the files (WEAKENED_ALICE, BUGGY_BOB,
+ABORT_MARGIN): a variant option `x` sets the constant `X` of any model
+that declares it.  `contract_model` builds every scenario's model, for
+the CLI and for trace replay alike, and memoizes the build per file
+text and constants; the shared model is never mutated.
+
+Reports and diagnostic traces serialize to JSON with a versioned
+schema.  A trace document records the whole scenario that produced it
+(variant options, `.model` file hash and sweep pruning included) and
+the query it witnesses, so it replays on its own and the replay
+re-checks the query.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -29,7 +35,7 @@ from typing import NamedTuple
 from . import queries as Q
 from . import world as W
 from .adversary import AdversaryConfig, MessageAction
-from .contracts import BUILTIN_MODELS, ContractModel, instantiate
+from .contracts import ContractModel, instantiate
 from .kernel import (
     AutomatonTemplate,
     Edge,
@@ -43,10 +49,13 @@ from .world import NssClause, Output, PartyKnowledge, TxRecord, URG_CHAN, WorldC
 
 SCHEMA_VERSION = 1
 
+BUILTIN_CONTRACTS = ("cs", "newscs")
+MODELS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "models")
+
 STATUS_BY_NAME = {name: i for i, name in enumerate(W.STATUS_NAMES)}
 
 
-class ModelIOError(Exception):
+class ModelIOError(ModelError):
     """Loader failure with a stable error code."""
 
     def __init__(self, code, message, line=None):
@@ -171,11 +180,15 @@ def _parse_assignments(body):
         if "=" not in line:
             raise ModelIOError(E_PARSE, "expected NAME = INTEGER", ln)
         k, v = line.split("=", 1)
-        try:
-            out.append((k.strip(), int(v.strip())))
-        except ValueError:
-            raise ModelIOError(E_PARSE, "expected an integer value", ln)
+        out.append((k.strip(), _int(v, "an integer value", ln)))
     return out
+
+
+def _int(text, what, ln):
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ModelIOError(E_PARSE, "expected %s" % what, ln) from None
 
 
 def _parse_assign_exprs(body):
@@ -191,8 +204,7 @@ def _parse_assign_exprs(body):
 def _parse_parties(body, parties, capacity):
     for ln, line in body:
         if line.startswith("capacity"):
-            _k, v = line.split("=", 1)
-            capacity[0] = int(v.strip())
+            capacity[0] = _int(line.partition("=")[2], "capacity = INTEGER", ln)
             continue
         name, _sep, rest = line.partition(":")
         fields = _parse_fields(rest, ln)
@@ -204,14 +216,16 @@ def _parse_parties(body, parties, capacity):
         _no_extra(fields, ln)
 
 
-def _parse_fields(rest, ln):
+def _parse_fields(rest, ln, flags=()):
     fields = {}
     for part in filter(None, (p.strip() for p in rest.split(";"))):
         if "=" in part:
             k, v = part.split("=", 1)
             fields[k.strip()] = v.strip()
-        else:
+        elif part in flags:
             fields[part] = True
+        else:
+            raise ModelIOError(E_PARSE, "expected %s = VALUE" % part, ln)
     return fields
 
 
@@ -226,11 +240,13 @@ def _parse_txs(body):
         name, sep, rest = line.partition(":")
         if not sep:
             raise ModelIOError(E_PARSE, "expected NAME: fields", ln)
-        fields = _parse_fields(rest, ln)
-        inputs = tuple(
-            (ref.split(":")[0], int(ref.split(":")[1]))
-            for ref in fields.pop("inputs", "").split()
-        )
+        fields = _parse_fields(rest, ln, flags=("confirmed",))
+        inputs = []
+        for ref in fields.pop("inputs", "").split():
+            m = re.match(r"(\w+):(\d+)$", ref)
+            if not m:
+                raise ModelIOError(E_PARSE, "input must be NAME:INDEX", ln)
+            inputs.append((m.group(1), int(m.group(2))))
         outputs = []
         for ref in fields.pop("outputs", "").split():
             m = re.match(r"(key|nss)\((\w+)\):(\d+)$", ref)
@@ -240,7 +256,7 @@ def _parse_txs(body):
             outputs.append((m.group(1), m.group(2), int(m.group(3))))
         out.append((
             name.strip(),
-            inputs,
+            tuple(inputs),
             tuple(outputs),
             fields.pop("timelock", "0"),
             tuple(fields.pop("reveals", "").split()),
@@ -296,6 +312,8 @@ def _parse_automaton(arg, body):
                 inv = im.group(1).strip()
                 line = line[:im.start()] + line[im.end():]
             parts = line.split()
+            if len(parts) < 2:
+                raise ModelIOError(E_PARSE, "expected location NAME [flags]", ln)
             flags = set(parts[2:])
             locations.append((
                 parts[1],
@@ -326,7 +344,7 @@ def _parse_adversary(arg, body):
     actions = []
     for ln, line in body:
         if line.startswith("key"):
-            key = line.split("=", 1)[1].strip()
+            key = line.partition("=")[2].strip()
         elif line.startswith("message"):
             m = re.match(
                 r"^message\s+(\w+)"
@@ -352,96 +370,6 @@ def _parse_queries(body):
             raise ModelIOError(E_PARSE, "expected NAME: A[] ...", ln)
         out.append((name.strip(), rest.strip()))
     return out
-
-
-# -- serialization -------------------------------------------------------
-
-
-def serialize_model(doc):
-    """Canonical text for a document; parse(serialize(doc)) == doc."""
-    out = []
-
-    def sec(header, lines):
-        out.append("[%s]" % header)
-        out.extend(lines)
-        out.append("")
-
-    sec("constants", ["%s = %d" % kv for kv in doc.constants])
-    sec("keys", list(doc.keys))
-    sec("secrets", list(doc.secrets))
-    plines = []
-    for (name, keys, secrets) in doc.parties:
-        fields = []
-        if keys:
-            fields.append("keys = %s" % " ".join(keys))
-        if secrets:
-            fields.append("secrets = %s" % " ".join(secrets))
-        plines.append("%s: %s" % (name, "; ".join(fields)))
-    plines.append("capacity = %d" % doc.capacity)
-    sec("parties", plines)
-    tlines = []
-    for (name, inputs, outputs, timelock, reveals, confirmed) in doc.txs:
-        fields = []
-        if inputs:
-            fields.append("inputs = %s" % " ".join("%s:%d" % i for i in inputs))
-        fields.append("outputs = %s" % " ".join(
-            "%s(%s):%d" % o for o in outputs))
-        if timelock != "0":
-            fields.append("timelock = %s" % timelock)
-        if reveals:
-            fields.append("reveals = %s" % " ".join(reveals))
-        if confirmed:
-            fields.append("confirmed")
-        tlines.append("%s: %s" % (name, "; ".join(fields)))
-    sec("transactions", tlines)
-    nlines = []
-    for (name, clauses) in doc.nss:
-        rendered = []
-        for (keys, secrets) in clauses:
-            items = list(keys) + ["reveal %s" % s for s in secrets]
-            rendered.append("{%s}" % ", ".join(items))
-        nlines.append("%s: %s" % (name, " | ".join(rendered)))
-    sec("nss", nlines)
-    if doc.timers:
-        sec("timers", ["%s = %s" % kv for kv in doc.timers])
-    if doc.marks:
-        sec("marks", list(doc.marks))
-    if doc.signed:
-        sec("signed", list(doc.signed))
-    for (auto, party, locations, edges) in doc.automata:
-        lines = []
-        for (lname, initial, named, inv) in locations:
-            bits = ["location", lname]
-            if initial:
-                bits.append("initial")
-            if named:
-                bits.append("named")
-            if inv is not None:
-                bits.append('invariant="time <= %s"' % inv)
-            lines.append(" ".join(bits))
-        for (src, dst, urgent, clock, guard, update, label) in edges:
-            bits = ["edge", src, "->", dst]
-            if urgent:
-                bits.append("urgent")
-            if clock:
-                bits.append('clock "%s"' % clock)
-            if guard:
-                bits.append('guard "%s"' % guard)
-            if update:
-                bits.append('update "%s"' % update)
-            bits.append("label %s" % label)
-            lines.append(" ".join(bits))
-        sec("automaton %s party=%s" % (auto, party), lines)
-    for (party, key, actions) in doc.adversaries:
-        lines = ["key = %s" % key]
-        for (name, guard, update) in actions:
-            if guard and guard != "true":
-                lines.append('message %s guard "%s" update "%s"' % (name, guard, update))
-            else:
-                lines.append('message %s update "%s"' % (name, update))
-        sec("adversary %s" % party, lines)
-    sec("queries", ["%s: %s" % kv for kv in doc.queries])
-    return "\n".join(out)
 
 
 # -- expression language ---------------------------------------------------
@@ -596,6 +524,9 @@ class _ExprParser:
                                "party", "transaction")
             return lambda w, pi=p, t=tx, nss=self.names.nss_table: (
                 W.can_send(w, pi, t, nss))
+        if tok in self.names.constants:
+            # a declared constant, true when nonzero, fixed at build time
+            return (lambda w: True) if self.names.constants[tok] else (lambda w: False)
         self.error("unknown guard atom %r" % tok)
 
     def _ref1(self, table, what):
@@ -867,6 +798,14 @@ def build_model(doc, overrides=None):
             message_actions=tuple(msg),
         )
 
+    timers = []
+    for (n, e) in doc.timers:
+        threshold = _const_expr(e, constants)
+        if threshold < 1:
+            raise ModelIOError(E_RANGE, "timer %s: threshold %s is %d, must be at least 1"
+                               % (n, e, threshold))
+        timers.append((n, threshold))
+
     total = sum(
         o.value for t in txs if t.status == W.CONFIRMED for o in t.outputs
     )
@@ -880,9 +819,7 @@ def build_model(doc, overrides=None):
         protocol_txs=tuple(txs),
         nss_table=nss_table,
         sig_capacity=doc.capacity,
-        timers=tuple(
-            (n, _const_expr(e, constants)) for (n, e) in doc.timers
-        ),
+        timers=tuple(timers),
         initial_parties=parties,
         honest_automata={p: tuple(a) for p, a in honest.items()},
         adversary_configs=adv_configs,
@@ -901,15 +838,44 @@ def _lookup(table, name, what, code):
     return table[name]
 
 
-def load_model(path, overrides=None):
-    """Parse and build a contract model from a .model file; the model
-    records the file's absolute path and its text."""
+def load_model(path, overrides=None, variant=None):
+    """Parse and build a contract model from a .model file.
+
+    `overrides` maps MAX_LATENCY / PROT_TIMELOCK to values.  `variant`
+    maps options to values: option `x` sets the constant `X` the file
+    declares, and an option without its constant raises ModelError.
+    The model records the options that differ from the declared values,
+    as given, in `variant`, and the file's absolute path and text in
+    `source`.  The file is read on every call; the build is shared by
+    the calls with the same text and constants.
+    """
     with open(path) as fh:
         text = fh.read()
-    name = re.sub(r"\.model$", "", path.rsplit("/", 1)[-1])
-    doc = parse_model_text(text, name=name)
-    return build_model(doc, overrides=overrides)._replace(
+    name = re.sub(r"\.model$", "", os.path.basename(path))
+    declared = dict(_parsed(text, name).constants)
+    takes = sorted(c.lower() for c in declared if c not in ("MAX_LATENCY", "PROT_TIMELOCK"))
+    variant = dict(variant or {})
+    unknown = sorted(set(variant) - set(takes))
+    if unknown:
+        raise ModelError("contract %s takes no option %s (it takes: %s)" % (
+            name, ", ".join(unknown), ", ".join(takes) or "none"))
+    values = dict(declared)
+    values.update((option.upper(), int(value)) for option, value in variant.items())
+    values.update(overrides or {})
+    return _built(text, name, tuple(sorted(values.items())))._replace(
+        variant=tuple(sorted((option, value) for option, value in variant.items()
+                             if values[option.upper()] != declared[option.upper()])),
         source=(os.path.abspath(path), text))
+
+
+@functools.lru_cache(maxsize=32)
+def _parsed(text, name):
+    return parse_model_text(text, name=name)
+
+
+@functools.lru_cache(maxsize=32)
+def _built(text, name, values):
+    return build_model(_parsed(text, name), dict(values))
 
 
 def _world_constants(values):
@@ -924,21 +890,13 @@ def _world_constants(values):
 def contract_model(contract, overrides=None, variant=None):
     """The ContractModel of a built-in contract name or a `.model` path.
 
-    `overrides` maps MAX_LATENCY / PROT_TIMELOCK to values.  `variant`
-    maps keyword-only options of the built-in's builder to values; an
-    option the contract does not take raises ModelError, and `.model`
-    files take none.
+    A built-in name stands for the shipped `models/<name>.model`, whose
+    model records no `source`.  See `load_model` for the rest.
     """
-    variant = dict(variant or {})
-    builder = BUILTIN_MODELS.get(contract)
-    takes = set(builder.__kwdefaults__) if builder is not None else set()
-    unknown = sorted(set(variant) - takes)
-    if unknown:
-        raise ModelError("contract %s takes no option %s (it takes: %s)" % (
-            contract, ", ".join(unknown), ", ".join(sorted(takes)) or "none"))
-    if builder is None:
-        return load_model(contract, overrides=overrides)
-    return builder(constants=_world_constants(overrides or {}), **variant)
+    if contract not in BUILTIN_CONTRACTS:
+        return load_model(contract, overrides, variant)
+    path = os.path.join(MODELS_DIR, contract + ".model")
+    return load_model(path, overrides, variant)._replace(source=None)
 
 
 # -- reports and trace documents --------------------------------------------

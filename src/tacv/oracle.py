@@ -19,6 +19,7 @@ not violated when a limit is hit is LIMIT, not SATISFIED.
 
 from __future__ import annotations
 
+import time as _time
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -178,7 +179,8 @@ def _apply(net, state, owners, sender, receiver):
     return nxt
 
 
-def explore_discrete(net, queries=(), horizon=None, max_states=None):
+def explore_discrete(net, queries=(), horizon=None, max_states=None,
+                     max_seconds=None):
     """BFS over unit-delay and discrete steps up to the horizon.
 
     Each of the parsed `queries` is evaluated pointwise at every
@@ -187,8 +189,10 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None):
     (OracleResult, verdicts): the result carries the projected reachable
     (locations, data) set and the number of successors generated, and
     the verdicts, one per query, follow the zone engine's rule
-    (`kernel.overall_verdicts`).
+    (`kernel.overall_verdicts`).  `max_states` and `max_seconds` are
+    budgets as in `kernel.explore`.
     """
+    started = _time.monotonic()
     queries = tuple(queries)
     if horizon is None:
         horizon = default_horizon(net, queries)
@@ -236,7 +240,12 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None):
 
     if live and checked(init):
         return result()
+    ticks = 0
     while frontier:
+        ticks += 1
+        if (ticks % 512 == 0 and max_seconds is not None
+                and _time.monotonic() - started > max_seconds):
+            return result("wall-clock budget exhausted")
         succ = _discrete_successors(net, frontier.popleft())
         transitions += len(succ)
         for nxt in succ:

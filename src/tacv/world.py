@@ -434,7 +434,7 @@ def timelock_flag(txid, threshold):
 # -- shared automata -------------------------------------------------------
 
 
-def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant=None):
+def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
     """The agent that maintains the chain: confirmation with nonce choice.
 
     A waiting transaction resolves (confirms or cancels) strictly within
@@ -452,13 +452,10 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant=None
     the nonce is a dead field and choosing it would just double
     bisimilar states.  `nonce_relevant` lists the transactions whose
     confirmation keeps the full nonce choice; the rest confirm with
-    nonce zero.  None keeps the choice everywhere.
+    nonce zero.
     """
     bound = constants.max_latency - 1
-    if nonce_relevant is None:
-        relevant = tuple(range(tx_count))
-    else:
-        relevant = tuple(sorted(nonce_relevant))
+    relevant = tuple(sorted(nonce_relevant))
     plain = tuple(i for i in range(tx_count) if i not in set(relevant))
 
     def invariant(w, bound=bound):

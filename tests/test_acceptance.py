@@ -14,12 +14,7 @@ import pytest
 
 from tacv import queries as Q
 from tacv import world as w
-from tacv.contracts import (
-    NEWSCS_TXS,
-    build_cs_model,
-    build_newscs_model,
-    instantiate,
-)
+from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.kernel import explore, replay_trace
 from tacv.oracle import explore_discrete
 from tacv.world import WorldConstants
@@ -120,7 +115,7 @@ def test_criterion_5_bug_regression(capsys, newscs_fixed):
     assert res.verdict == "VIOLATED"
     final = replay_trace(net, res.trace)
     assert Q.evaluate(final, q) is not None
-    t = NEWSCS_TXS
+    t = buggy.tx_names
     assert final.data.txs[t["FUSE_A"]].status != w.CONFIRMED
     assert final.data.txs[t["CSA_FUSE"]].status != w.CONFIRMED
 

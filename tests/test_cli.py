@@ -9,6 +9,7 @@ from tacv import cli
 
 REDUCED = ["--max-latency", "2", "--prot-timelock", "5"]
 MODELS_DIR = os.path.join(os.path.dirname(cli.__file__), "models")
+CS_MODEL = os.path.join(MODELS_DIR, "cs.model")
 NEWSCS_MODEL = os.path.join(MODELS_DIR, "newscs.model")
 CS_BOB_Q = os.path.join(MODELS_DIR, "cs_bob.q")
 VIOLATED_QUERY = "A[] (time >= PROT_TIMELOCK) imply (parties[BOB].know_secret[0])"
@@ -157,8 +158,7 @@ class TestVerify:
         assert json.load(open(out_file)) == first["trace"]
 
     def test_model_file_contract(self, capsys):
-        path = os.path.join(os.path.dirname(cli.__file__), "models", "cs.model")
-        code, out, _err = run(capsys, "verify", path, *REDUCED)
+        code, out, _err = run(capsys, "verify", CS_MODEL, *REDUCED)
         assert code == 0
 
     def test_buggy_bob_violated(self, capsys):
@@ -178,7 +178,7 @@ class TestVerify:
         ("cs", ["--buggy-bob"]),
         ("cs", ["--abort-margin", "1"]),
         ("newscs", ["--weakened-alice"]),
-        (NEWSCS_MODEL, ["--abort-margin", "2"]),
+        (CS_MODEL, ["--abort-margin", "2"]),
     ])
     def test_inapplicable_variant_exit_three(self, capsys, contract, flags):
         code, out, err = run(
@@ -186,6 +186,41 @@ class TestVerify:
             "--max-latency", "1", "--prot-timelock", "5", "--query", "A[] true")
         assert code == 3
         assert "takes no option" in err and out == ""
+
+    def test_variant_applies_to_model_file(self, capsys):
+        # the single-shot recovery reaches 300 keys, the fixed one 308
+        argv = ["--buggy-bob", "--max-latency", "1", "--prot-timelock", "5",
+                "--format", "json", "--query", "A[] true"]
+        reports = []
+        for contract in ("newscs", NEWSCS_MODEL):
+            code, out, _err = run(capsys, "verify", contract, *argv)
+            assert code == 0
+            report = json.loads(out)
+            del report["wall_time_s"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["states"] == 300
+
+    @pytest.mark.parametrize("line,malformed", [
+        ("capacity = 1", "capacity = one"),
+        ("OPEN: inputs = COMMIT:0", "OPEN: inputs = COMMIT"),
+        ("location init initial", "location"),
+        ("ALICE: keys = C_KEY;", "ALICE: keys;"),
+    ])
+    def test_malformed_model_line_exit_three(self, capsys, tmp_path, line, malformed):
+        path = tmp_path / "cs.model"
+        path.write_text(open(CS_MODEL).read().replace(line, malformed))
+        code, out, err = run(capsys, "verify", str(path), "--query", "A[] true")
+        assert code == 3
+        assert err.startswith("error: E_PARSE: line ") and out == ""
+
+    def test_discrete_engine_wall_clock_budget(self, capsys):
+        code, out, _err = run(
+            capsys, "verify", "newscs", "--engine", "discrete", "--adversary",
+            "alice", "--max-latency", "1", "--prot-timelock", "5",
+            "--max-seconds", "0.1", "--query", "A[] true")
+        assert code == 2
+        assert "LIMIT" in out and "wall-clock budget exhausted" in out
 
     def test_query_file(self, capsys):
         code, out, _err = run(

@@ -11,7 +11,7 @@ import pytest
 
 from tacv import queries as Q
 from tacv import world as w
-from tacv.contracts import NEWSCS_TXS, build_newscs_model, instantiate
+from tacv.contracts import build_newscs_model, instantiate
 from tacv.kernel import ModelError, explore, replay_trace
 from tacv.world import WorldConstants
 
@@ -34,7 +34,7 @@ class TestStructure:
         """Sixteen semantically distinct records: four deposits, two
         three-transaction commitment instances, the joint commit with
         its two opens and two fuses, and the abort redeem."""
-        t = NEWSCS_TXS
+        t = fixed_model.tx_names
         txs = fixed_model.protocol_txs
         assert len(txs) == 16
         deposits = [txs[t[k]] for k in ("TA1", "TA2", "TB1", "TB2")]
@@ -51,7 +51,7 @@ class TestStructure:
     def test_joint_outputs_interlock_secrets(self, fixed_model):
         sn = fixed_model.secret_names
         kn = fixed_model.key_names
-        out1, out2 = fixed_model.protocol_txs[NEWSCS_TXS["COMMIT"]].outputs
+        out1, out2 = fixed_model.protocol_txs[fixed_model.tx_names["COMMIT"]].outputs
         c1 = fixed_model.nss_table[out1.script_ref]
         c2 = fixed_model.nss_table[out2.script_ref]
         assert c1 == (
@@ -107,7 +107,7 @@ class TestBugRegression:
         assert Q.evaluate(final, q) is not None
         # the losing run confirms neither the joint fuse nor the
         # sub-commitment fuse for Bob
-        t = NEWSCS_TXS
+        t = buggy.tx_names
         assert final.data.txs[t["FUSE_A"]].status != w.CONFIRMED
         assert final.data.txs[t["CSA_FUSE"]].status != w.CONFIRMED
 
@@ -139,6 +139,6 @@ class TestAbortMargin:
         assert Q.evaluate(final, q) is not None
         # the attack waits with the commit broadcast until her abort
         # instant, then races her sequenced sub-commitment open
-        t = NEWSCS_TXS
+        t = model.tx_names
         assert final.data.txs[t["CSA_OPEN"]].status == w.CANCELED
         assert final.data.txs[t["CSA_FUSE"]].status == w.CONFIRMED

@@ -1,5 +1,5 @@
-"""Model files: parsing, serialization round trips, loader validation,
-verdict equivalence with built-ins, trace documents and reports."""
+"""Model files: parsing, loader validation, the shipped models'
+exploration counters, trace documents and reports."""
 
 import json
 import os
@@ -15,19 +15,6 @@ from tacv.world import WorldConstants
 MODELS_DIR = os.path.join(os.path.dirname(M.__file__), "models")
 CS_PATH = os.path.join(MODELS_DIR, "cs.model")
 NEWSCS_PATH = os.path.join(MODELS_DIR, "newscs.model")
-
-
-def parse_file(path, name):
-    with open(path) as fh:
-        return M.parse_model_text(fh.read(), name=name)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("path,name", [(CS_PATH, "cs"), (NEWSCS_PATH, "newscs")])
-    def test_serialize_reparses_identically(self, path, name):
-        doc = parse_file(path, name)
-        again = M.parse_model_text(M.serialize_model(doc), name=name)
-        assert doc == again
 
 
 class TestLoader:
@@ -99,48 +86,28 @@ class TestLoader:
             M.parse_model_text("[transactions]\nBOGUS LINE\n")
 
 
-class TestVerdictEquivalence:
-    """The shipped cs.model behaves exactly like the built-in."""
+class TestShippedModels:
+    """The shipped files explore exactly as the Python builders they
+    replaced: whole-exploration counters (no query, default checks)."""
 
-    @pytest.mark.parametrize("adversary", [None, "ALICE", "BOB"])
-    def test_cs_file_matches_builtin(self, adversary):
-        overrides = {"MAX_LATENCY": 2, "PROT_TIMELOCK": 5}
-        loaded = M.load_model(CS_PATH, overrides=overrides)
-        builtin = build_cs_model(WorldConstants(2, 5))
-        for qname in sorted(builtin.queries):
-            verdicts = []
-            for model in (builtin, loaded):
-                net, ctx = instantiate(model, adversary=adversary)
-                try:
-                    q = Q.parse_query(model.queries[qname], ctx)
-                except Q.QueryError:
-                    verdicts.append("UNRESOLVED")
-                    continue
-                verdicts.append(explore(net, check=Q.make_checker(q)).verdict)
-            assert verdicts[0] == verdicts[1], qname
-
-    def test_newscs_file_matches_builtin_honest(self):
-        from tacv.contracts import build_newscs_model
-        overrides = {"MAX_LATENCY": 1, "PROT_TIMELOCK": 5}
-        loaded = M.load_model(NEWSCS_PATH, overrides=overrides)
-        builtin = build_newscs_model(WorldConstants(1, 5))
-        for qname in sorted(builtin.queries):
-            verdicts = []
-            for model in (builtin, loaded):
-                net, ctx = instantiate(model, adversary=None)
-                q = Q.parse_query(model.queries[qname], ctx)
-                verdicts.append(explore(net, check=Q.make_checker(q)).verdict)
-            assert verdicts[0] == verdicts[1], qname
-
-    def test_newscs_file_matches_builtin_adversarial(self):
-        from tacv.contracts import build_newscs_model
-        overrides = {"MAX_LATENCY": 1, "PROT_TIMELOCK": 5}
-        loaded = M.load_model(NEWSCS_PATH, overrides=overrides)
-        builtin = build_newscs_model(WorldConstants(1, 5))
-        for model in (builtin, loaded):
-            net, ctx = instantiate(model, adversary="ALICE")
-            q = Q.parse_query(model.queries["bob_no_loss"], ctx)
-            assert explore(net, check=Q.make_checker(q)).verdict == "SATISFIED"
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts", [
+        ("cs", (10, 100), {}, None, (32, 120)),
+        ("cs", (10, 100), {}, "ALICE", (249, 2189)),
+        ("cs", (10, 100), {}, "BOB", (18, 74)),
+        ("cs", (2, 5), {"weakened_alice": True}, None, (33, 136)),
+        ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 2190)),
+        ("newscs", (1, 5), {}, None, (308, 588)),
+        ("newscs", (1, 5), {"buggy_bob": True}, None, (300, 576)),
+    ], ids=["cs-10-100-honest", "cs-10-100-ALICE", "cs-10-100-BOB",
+            "cs-2-5-weakened_alice-honest", "cs-2-5-weakened_alice-ALICE",
+            "newscs-1-5-honest", "newscs-1-5-buggy_bob-honest"])
+    def test_exploration_counters(self, contract, constants, variant,
+                                  adversary, counts):
+        overrides = {"MAX_LATENCY": constants[0], "PROT_TIMELOCK": constants[1]}
+        model = M.contract_model(contract, overrides, variant)
+        net, _ctx = instantiate(model, adversary=adversary)
+        res = explore(net)
+        assert (res.states, res.transitions) == counts
 
 
 class TestReports:
