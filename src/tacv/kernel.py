@@ -17,10 +17,12 @@ Semantics notes:
   at the nearest pending threshold, and flip transitions (generated
   into a helper template by `contracts.instantiate`) fire exactly at the
   boundary, so a flag always agrees with its clock condition.
-- Exploration is breadth-first with zone-inclusion subsumption on a
-  passed list keyed by (locations, data), and deterministic: enabled
-  transitions are ordered by (automaton index, edge index, select
-  binding).
+- Exploration is breadth-first over one passed/waiting list keyed by
+  (locations, data): a new zone is dropped when a stored zone of its
+  key covers it, and stored zones it covers die, so a dead state still
+  waiting in the queue is skipped rather than expanded.  It is
+  deterministic: enabled transitions are ordered by (automaton index,
+  edge index, select binding).
 - Successors come from one routine: the zone-independent part of a
   key's successors (its "skeleton") is computed once per (locations,
   data) key and then applied to zones.  Exploration, random runs and
@@ -366,40 +368,56 @@ def run_state_checks(state, net):
 
 
 class _Passed:
-    """Zone antichains per (locations, data) key."""
+    """Unified passed/waiting list: zone antichains per (locations, data) key.
 
-    def __init__(self, subsumption=True):
+    Rows hold state ids, indices into the explorer's `meta`, and a
+    stored state's zone is read from there.  A new zone that covers
+    stored ones evicts them and marks them dead.  A dead state keeps its
+    `meta` entry, so parent chains still run through it, but it is not
+    expanded when popped from the waiting queue: its checks ran when it
+    was inserted, and the successors of the zone that evicted it cover
+    its own.  This is the passed/waiting list of Behrmann et al., "UPPAAL
+    Implementation Secrets" (FTRTFT 2002).
+    """
+
+    def __init__(self, meta, subsumption=True):
+        self._meta = meta
         self._store = {}
         self._subsume = subsumption
-        self.count = 0
+        self.dead = set()
 
     @property
     def key_count(self):
         return len(self._store)
 
-    def insert(self, key, zone):
-        """Insert unless subsumed; drops stored zones the new one covers.
+    def insert(self, key, zone, sid):
+        """Store state `sid` with `zone` unless a stored zone covers it.
 
-        Without subsumption only exact duplicates are rejected (used to
-        validate that inclusion checking never changes a verdict).
+        Without subsumption only exact duplicates are rejected and
+        nothing dies (used to validate that inclusion checking never
+        changes a verdict or a reachable set).
         """
         row = self._store.get(key)
         if row is None:
-            self._store[key] = [zone]
-            self.count += 1
+            self._store[key] = [sid]
             return True
+        zones = [self._meta[s][0].zone for s in row]
         if not self._subsume:
-            if zone in row:
+            if zone in zones:
                 return False
-            row.append(zone)
-            self.count += 1
+            row.append(sid)
             return True
-        for z in row:
+        for z in zones:
             if z.subsumes(zone):
                 return False
-        row[:] = [z for z in row if not zone.subsumes(z)]
-        row.append(zone)
-        self.count += 1
+        kept = []
+        for s, z in zip(row, zones):
+            if zone.subsumes(z):
+                self.dead.add(s)
+            else:
+                kept.append(s)
+        kept.append(sid)
+        self._store[key] = kept
         return True
 
 
@@ -578,8 +596,9 @@ def explore(
     live = list(range(len(checks)))
     traces = {}  # check index -> trace, in the order violations were found
     init = initial_state(net)
-    passed = _Passed(subsumption=subsumption)
     meta = []  # sid -> (state, parent sid, descriptor, label)
+    passed = _Passed(meta, subsumption=subsumption)
+    dead = passed.dead
 
     def out_of_time():
         return max_seconds is not None and _time.monotonic() - started > max_seconds
@@ -609,7 +628,7 @@ def explore(
     if run_checks:
         run_state_checks(init, net)
     meta.append((init, None, None, "initial"))
-    passed.insert((init.locs, init.data), init.zone)
+    passed.insert((init.locs, init.data), init.zone, 0)
     if live and checked(0):
         return result()
 
@@ -621,6 +640,8 @@ def explore(
         if ticks % 512 == 0 and out_of_time():
             return result("wall-clock budget exhausted")
         sid = frontier.popleft()
+        if sid in dead:
+            continue
         state = meta[sid][0]
         key = (state.locs, state.data)
         skel = skeletons.get(key)
@@ -632,11 +653,11 @@ def explore(
                 nxt = SymbolicState(state.locs, state.data, zone2)
             else:
                 nxt = SymbolicState(locs2, data2, zone2)
-            if not passed.insert((nxt.locs, nxt.data), nxt.zone):
+            nid = len(meta)
+            if not passed.insert((nxt.locs, nxt.data), nxt.zone, nid):
                 continue
             if run_checks:
                 run_state_checks(nxt, net)
-            nid = len(meta)
             meta.append((nxt, sid, desc, label))
             if live and checked(nid):
                 return result()

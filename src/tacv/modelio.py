@@ -129,25 +129,26 @@ def parse_model_text(text, name="model"):
     automata, adversaries, queries = [], [], []
     capacity = [1]
 
+    # a handler gets the section's argument, header line and body lines
     handlers = {
-        "constants": lambda arg, body: constants.extend(_parse_assignments(body)),
-        "keys": lambda arg, body: keys.extend(_parse_names(body)),
-        "secrets": lambda arg, body: secrets.extend(_parse_names(body)),
-        "parties": lambda arg, body: _parse_parties(body, parties, capacity),
-        "transactions": lambda arg, body: txs.extend(_parse_txs(body)),
-        "nss": lambda arg, body: nss.extend(_parse_nss(body)),
-        "timers": lambda arg, body: timers.extend(_parse_assign_exprs(body)),
-        "marks": lambda arg, body: marks.extend(_parse_names(body)),
-        "signed": lambda arg, body: signed.extend(_parse_names(body)),
-        "automaton": lambda arg, body: automata.append(_parse_automaton(arg, body)),
-        "adversary": lambda arg, body: adversaries.append(_parse_adversary(arg, body)),
-        "queries": lambda arg, body: queries.extend(_parse_queries(body)),
+        "constants": lambda arg, ln, body: constants.extend(_parse_assignments(body)),
+        "keys": lambda arg, ln, body: keys.extend(_parse_names(body)),
+        "secrets": lambda arg, ln, body: secrets.extend(_parse_names(body)),
+        "parties": lambda arg, ln, body: _parse_parties(body, parties, capacity),
+        "transactions": lambda arg, ln, body: txs.extend(_parse_txs(body)),
+        "nss": lambda arg, ln, body: nss.extend(_parse_nss(body)),
+        "timers": lambda arg, ln, body: timers.extend(_parse_assign_exprs(body)),
+        "marks": lambda arg, ln, body: marks.extend(_parse_names(body)),
+        "signed": lambda arg, ln, body: signed.extend(_parse_names(body)),
+        "automaton": lambda arg, ln, body: automata.append(_parse_automaton(arg, ln, body)),
+        "adversary": lambda arg, ln, body: adversaries.append(_parse_adversary(arg, ln, body)),
+        "queries": lambda arg, ln, body: queries.extend(_parse_queries(body)),
     }
     for sec, arg, ln, body in sections:
         handler = handlers.get(sec)
         if handler is None:
             raise ModelIOError(E_SECTION, "unknown section [%s]" % sec, ln)
-        handler(arg, body)
+        handler(arg, ln, body)
 
     return ModelDocument(
         name=name,
@@ -298,10 +299,11 @@ _EDGE_RE = re.compile(
 )
 
 
-def _parse_automaton(arg, body):
+def _parse_automaton(arg, header_ln, body):
     m = re.match(r"^(\w+)\s+party\s*=\s*(\w+)$", arg.strip())
     if not m:
-        raise ModelIOError(E_PARSE, "expected [automaton NAME party=PARTY]")
+        raise ModelIOError(E_PARSE, "expected [automaton NAME party=PARTY]",
+                           header_ln)
     auto_name, party = m.group(1), m.group(2)
     locations, edges = [], []
     for ln, line in body:
@@ -338,7 +340,7 @@ def _parse_automaton(arg, body):
     return (auto_name, party, tuple(locations), tuple(edges))
 
 
-def _parse_adversary(arg, body):
+def _parse_adversary(arg, header_ln, body):
     party = arg.strip()
     key = None
     actions = []
@@ -358,7 +360,7 @@ def _parse_adversary(arg, body):
         else:
             raise ModelIOError(E_PARSE, "expected key or message line", ln)
     if key is None:
-        raise ModelIOError(E_PARSE, "adversary section needs a key")
+        raise ModelIOError(E_PARSE, "adversary section needs a key", header_ln)
     return (party, key, tuple(actions))
 
 
@@ -657,11 +659,12 @@ def _const_expr(text, constants):
 
 
 _CLOCK_RE = re.compile(r"^time\s*(==|<=|>=|<|>)\s*(.+)$")
+_AND_RE = re.compile(r"\band\b")  # the word only: `expand_at` is one name
 
 
 def _clock_atoms(text, constants):
     atoms = []
-    for part in text.split("and"):
+    for part in _AND_RE.split(text):
         m = _CLOCK_RE.match(part.strip())
         if not m:
             raise ModelIOError(E_EXPR, "clock guard must compare time: %r" % text)

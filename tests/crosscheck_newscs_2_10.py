@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Zone/discrete reachable-set cross-check at newscs(2,10), adversary Alice.
+
+Explores the scenario with the zone engine (`kernel.explore`) and with
+the discrete-time oracle (`oracle.explore_discrete`), both without
+queries and with the debug checks off, and compares the reachable
+(locations, data) sets.  Too slow for the default test run, so the name
+keeps pytest from collecting it.  Usage, from the root of a checkout:
+
+    python3 tests/crosscheck_newscs_2_10.py
+
+Prints keys, transitions and seconds for both engines and exits 1 when
+the reachable sets differ.
+"""
+
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from tacv.contracts import instantiate  # noqa: E402
+from tacv.kernel import explore  # noqa: E402
+from tacv.modelio import contract_model  # noqa: E402
+from tacv.oracle import explore_discrete  # noqa: E402
+
+
+def main():
+    model = contract_model("newscs", {"MAX_LATENCY": 2, "PROT_TIMELOCK": 10})
+    net, _ctx = instantiate(model, adversary="ALICE", run_world_checks=False)
+
+    t0 = time.monotonic()
+    zres = explore(net, run_checks=False, collect_reachable=True)
+    zone_s = time.monotonic() - t0
+    print("zone:   %d keys, %d transitions, %.1f s"
+          % (len(zres.reachable), zres.transitions, zone_s))
+
+    t0 = time.monotonic()
+    ores, _verdicts = explore_discrete(net)
+    oracle_s = time.monotonic() - t0
+    print("oracle: %d keys, %d transitions, %.1f s"
+          % (len(ores.reachable), ores.transitions, oracle_s))
+
+    if zres.reachable != ores.reachable:
+        print("reachable sets differ: %d keys only in the zone engine, "
+              "%d only in the oracle"
+              % (len(zres.reachable - ores.reachable),
+                 len(ores.reachable - zres.reachable)))
+        return 1
+    print("reachable sets equal")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

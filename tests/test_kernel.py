@@ -12,6 +12,7 @@ from typing import NamedTuple
 import pytest
 
 from tacv import kernel as K
+from tacv.zones import Zone
 
 
 IDLE, RUNNING, DONE = 0, 1, 2
@@ -250,6 +251,64 @@ class TestExplore:
         t2 = K.explore(net, check=check).trace
         assert [s.descriptor for s in t1.steps] == [s.descriptor for s in t2.steps]
         assert [s.valuation for s in t1.steps] == [s.valuation for s in t2.steps]
+
+
+class TestPassedList:
+    """The unified passed/waiting list on hand-made zones of one key."""
+
+    KEY = ((0,), Jobs((), True))
+
+    def zone(self, upper, lower=0):
+        # time in [lower, upper]
+        return Zone.origin(2).up().constrained(
+            [(1, 0, "<=", upper), (1, 0, ">=", lower)])
+
+    def insert(self, passed, meta, zone):
+        sid = len(meta)
+        added = passed.insert(self.KEY, zone, sid)
+        if added:
+            meta.append((K.SymbolicState(self.KEY[0], self.KEY[1], zone),
+                         None, None, "made"))
+        return added
+
+    def test_covering_zone_marks_stored_one_dead(self):
+        meta = []
+        passed = K._Passed(meta)
+        assert self.insert(passed, meta, self.zone(2))
+        assert self.insert(passed, meta, self.zone(5))
+        assert passed.dead == {0}
+        assert passed._store[self.KEY] == [1]
+
+    def test_incomparable_zones_stay_alive_until_covered(self):
+        meta = []
+        passed = K._Passed(meta)
+        assert self.insert(passed, meta, self.zone(2))
+        assert self.insert(passed, meta, self.zone(5, lower=4))
+        assert passed.dead == set()
+        assert passed._store[self.KEY] == [0, 1]
+        assert self.insert(passed, meta, self.zone(5))
+        assert passed.dead == {0, 1}
+        assert passed._store[self.KEY] == [2]
+
+    def test_equal_or_smaller_zone_rejected(self):
+        meta = []
+        passed = K._Passed(meta)
+        assert self.insert(passed, meta, self.zone(5))
+        assert not self.insert(passed, meta, self.zone(5))
+        assert not self.insert(passed, meta, self.zone(2))
+        assert not self.insert(passed, meta, Zone.origin(2))
+        assert passed.dead == set()
+        assert passed._store[self.KEY] == [0]
+
+    def test_without_subsumption_nothing_dies(self):
+        meta = []
+        passed = K._Passed(meta, subsumption=False)
+        assert self.insert(passed, meta, self.zone(2))
+        assert self.insert(passed, meta, self.zone(5))
+        assert not self.insert(passed, meta, self.zone(5))
+        assert self.insert(passed, meta, Zone.origin(2))
+        assert passed.dead == set()
+        assert passed._store[self.KEY] == [0, 1, 2]
 
 
 class TestValidation:

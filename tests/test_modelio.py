@@ -85,17 +85,50 @@ class TestLoader:
         with pytest.raises(M.ModelIOError, match="line 2"):
             M.parse_model_text("[transactions]\nBOGUS LINE\n")
 
+    def test_clock_guard_constant_containing_and(self):
+        # `expand_at` holds the letters "and" but is one name
+        text = open(CS_PATH).read().replace(
+            "WEAKENED_ALICE = 0", "WEAKENED_ALICE = 0\nexpand_at = 7",
+        ).replace(
+            'clock "time == MAX_LATENCY" guard "not on_chain(COMMIT)"',
+            'clock "time >= expand_at" guard "not on_chain(COMMIT)"',
+        ).replace(
+            'clock "time == MAX_LATENCY" guard "not can_create_input_script',
+            'clock "time >= expand_at and time <= MAX_LATENCY" guard "not can_create_input_script',
+        )
+        model = M.build_model(M.parse_model_text(text, name="expand"))
+        guards = {e.label: e.clock_guard
+                  for autos in model.honest_automata.values()
+                  for a in autos for e in a.edges}
+        assert guards["commit_missing"] == (("time", ">=", 7),)
+        assert guards["signature_missing"] == (("time", ">=", 7),
+                                               ("time", "<=", 10))
+
+    def test_automaton_without_party_carries_header_line(self):
+        text = "[keys]\nK\n\n[automaton A]\nlocation s initial\n"
+        with pytest.raises(M.ModelIOError) as err:
+            M.parse_model_text(text)
+        assert (err.value.code, err.value.line) == (M.E_PARSE, 4)
+
+    def test_adversary_without_key_carries_header_line(self):
+        text = '[keys]\nK\n[adversary ALICE]\nmessage m update "x"\n'
+        with pytest.raises(M.ModelIOError) as err:
+            M.parse_model_text(text)
+        assert (err.value.code, err.value.line) == (M.E_PARSE, 3)
+
 
 class TestShippedModels:
-    """The shipped files explore exactly as the Python builders they
-    replaced: whole-exploration counters (no query, default checks)."""
+    """Pinned whole-exploration counters of the shipped files (no query,
+    default checks): distinct keys and transitions.  Keys match the
+    Python builders the files replaced; transitions come only from
+    states that no larger zone evicted before they were popped."""
 
     @pytest.mark.parametrize("contract,constants,variant,adversary,counts", [
-        ("cs", (10, 100), {}, None, (32, 120)),
-        ("cs", (10, 100), {}, "ALICE", (249, 2189)),
-        ("cs", (10, 100), {}, "BOB", (18, 74)),
-        ("cs", (2, 5), {"weakened_alice": True}, None, (33, 136)),
-        ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 2190)),
+        ("cs", (10, 100), {}, None, (32, 82)),
+        ("cs", (10, 100), {}, "ALICE", (249, 1220)),
+        ("cs", (10, 100), {}, "BOB", (18, 50)),
+        ("cs", (2, 5), {"weakened_alice": True}, None, (33, 96)),
+        ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 1260)),
         ("newscs", (1, 5), {}, None, (308, 588)),
         ("newscs", (1, 5), {"buggy_bob": True}, None, (300, 576)),
     ], ids=["cs-10-100-honest", "cs-10-100-ALICE", "cs-10-100-BOB",
@@ -108,6 +141,24 @@ class TestShippedModels:
         net, _ctx = instantiate(model, adversary=adversary)
         res = explore(net)
         assert (res.states, res.transitions) == counts
+
+
+    @pytest.mark.parametrize("contract,constants,adversary", [
+        ("cs", (2, 5), None),
+        ("cs", (2, 5), "ALICE"),
+        ("cs", (2, 5), "BOB"),
+        ("newscs", (1, 5), None),
+    ], ids=["cs-2-5-honest", "cs-2-5-ALICE", "cs-2-5-BOB", "newscs-1-5-honest"])
+    def test_subsumption_keeps_reachable_set(self, contract, constants,
+                                             adversary):
+        overrides = {"MAX_LATENCY": constants[0], "PROT_TIMELOCK": constants[1]}
+        net, _ctx = instantiate(M.contract_model(contract, overrides),
+                                adversary=adversary)
+        with_sub = explore(net, collect_reachable=True, subsumption=True)
+        without = explore(net, collect_reachable=True, subsumption=False)
+        assert with_sub.reachable == without.reachable
+        assert with_sub.verdict == without.verdict
+        assert with_sub.transitions <= without.transitions
 
 
 class TestReports:
