@@ -101,6 +101,12 @@ def instantiate(model, adversary=None, run_world_checks=True,
     automaton replaces the party's honest suite.  Returns the Network
     plus the name-resolution context for queries; `net.meta` keeps the
     model, the adversary and `prune_idle_sweeps`, which rebuild it.
+
+    With `run_world_checks` the network carries the world's checks: one
+    state check on the data valuation (value conservation, nonce
+    consistency, eavesdropping and the confirmed unspent total), which
+    `explore` runs once per (locations, data) key, and the status
+    machine as a transition check on every fire.
     """
     adv_idx = None
     if adversary is not None:
@@ -174,13 +180,13 @@ def instantiate(model, adversary=None, run_world_checks=True,
     state_checks = []
     transition_checks = []
     if run_world_checks:
-        def value_check(state, total=model.total_value):
-            W.check_value_conservation(state.data)
-            W.check_nonce_consistency(state.data)
-            W.check_eavesdropping(state.data)
+        def value_check(data, total=model.total_value):
+            W.check_value_conservation(data)
+            W.check_nonce_consistency(data)
+            W.check_eavesdropping(data)
             live = sum(
                 o.value
-                for tx in state.data.txs if tx.status == CONFIRMED
+                for tx in data.txs if tx.status == CONFIRMED
                 for o in tx.outputs if not o.spent
             )
             if live != total:

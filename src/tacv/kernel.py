@@ -27,6 +27,14 @@ Semantics notes:
   key's successors (its "skeleton") is computed once per (locations,
   data) key and then applied to zones.  Exploration, random runs and
   trace replay all use it.
+- Checks run at three levels during exploration (`run_checks`).  A
+  network's transition checks see the data before and after each
+  data-enabled fire, once per fire of each skeleton built.  Its state
+  checks see only the data valuation and run once per (locations,
+  data) key, when the key's first zone is stored.  The kernel's own
+  zone checks (`run_state_checks`: deadline flags agree with their
+  clock condition, the zone lies inside its location invariants) run
+  on every stored zone state.
 """
 
 from __future__ import annotations
@@ -110,6 +118,16 @@ class AutomatonTemplate:
 
 
 class Network:
+    """Automata over a shared data valuation, plus the model's checks.
+
+    `state_checks` are callables `chk(data)` on a data valuation alone;
+    `transition_checks` are `chk(before, after)` on the data around one
+    fire.  Both raise ModelInvariantError on a broken model invariant.
+    `explore` runs a state check once per (locations, data) key and a
+    transition check once per fire of each skeleton; the kernel's zone
+    checks run on every stored zone state (see `run_state_checks`).
+    """
+
     def __init__(
         self,
         name,
@@ -241,14 +259,18 @@ def _invariant_atoms(net, locs, data):
     return atoms
 
 
+def invariant_indices(net, locs, data):
+    """The location invariants of (locs, data) as zone atoms (i, 0, op, k)."""
+    layout = clock_layout(net, data)
+    return tuple(_atoms_to_indices(_invariant_atoms(net, locs, data), layout))
+
+
 def initial_state(net):
     data = net.initial_data
     owners = net.clock_owners(data)
     zone = Zone.origin(2 + len(owners))
     locs = tuple(a.initial for a in net.automata)
-    layout = clock_layout(net, data)
-    inv = _atoms_to_indices(_invariant_atoms(net, locs, data), layout)
-    z = zone.constrained(inv)
+    z = zone.constrained(invariant_indices(net, locs, data))
     if z.is_empty():
         raise ModelError("initial state violates a location invariant")
     return SymbolicState(locs, data, z)
@@ -338,9 +360,15 @@ def urgency_blocks_delay(state, net):
     return False
 
 
-def run_state_checks(state, net):
-    for chk in net.state_checks:
-        chk(state)
+def run_state_checks(state, net, inv_atoms):
+    """The kernel's zone checks on one stored state.
+
+    Deadline flags must agree with their clock condition, and the zone
+    must lie inside its location invariants, given as `inv_atoms` (see
+    `invariant_indices`).  The network's data checks are not run here:
+    they see only the data valuation, and `explore` runs them once per
+    (locations, data) key.
+    """
     # deadline flags must agree with their clock condition
     for d in net.deadlines:
         if d.is_set(state.data):
@@ -356,11 +384,7 @@ def run_state_checks(state, net):
                     "flag %s clear but zone passes %d" % (d.name, d.threshold)
                 )
     # every state satisfies its location invariants
-    layout = clock_layout(net, state.data)
-    atoms = _atoms_to_indices(
-        _invariant_atoms(net, state.locs, state.data), layout
-    )
-    if atoms and state.zone.constrained(atoms) != state.zone:
+    if inv_atoms and state.zone.constrained(inv_atoms) != state.zone:
         raise ModelInvariantError("state escapes a location invariant")
 
 
@@ -429,7 +453,8 @@ class _Skeleton(NamedTuple):
     """
 
     urgent: bool
-    delay_atoms: tuple
+    inv_atoms: tuple    # the key's own location invariants
+    delay_atoms: tuple  # inv_atoms plus the nearest pending deadline cap
     fires: tuple   # (desc, label, cg_idx_atoms, locs2, data2, drop, nnew, perm, inv2)
 
 
@@ -449,10 +474,13 @@ def _build_skeleton(net, locs, data):
         i.chan is not None and net.channels[i.chan].urgent for i in insts
     )
     layout = clock_layout(net, data)
-    delay_atoms = _atoms_to_indices(_invariant_atoms(net, locs, data), layout)
+    inv_atoms = tuple(
+        _atoms_to_indices(_invariant_atoms(net, locs, data), layout)
+    )
+    delay_atoms = inv_atoms
     pending = [d.threshold for d in net.deadlines if not d.is_set(data)]
     if pending:
-        delay_atoms.append((1, 0, "<=", min(pending)))
+        delay_atoms += ((1, 0, "<=", min(pending)),)
 
     before = net.clock_owners(data)
     before_set = set(before)
@@ -485,10 +513,7 @@ def _build_skeleton(net, locs, data):
             perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
         else:
             perm = None
-        layout2 = clock_layout(net, data2)
-        inv2 = tuple(
-            _atoms_to_indices(_invariant_atoms(net, locs2, data2), layout2)
-        )
+        inv2 = invariant_indices(net, locs2, data2)
         desc = ("fire", inst.auto, inst.edge, inst.binds,
                 inst.partner, inst.chan)
         fires.append((
@@ -498,15 +523,16 @@ def _build_skeleton(net, locs, data):
         ))
         for chk in net.transition_checks:
             chk(data, data2)
-    return _Skeleton(urgent, tuple(delay_atoms), tuple(fires))
+    return _Skeleton(urgent, inv_atoms, delay_atoms, tuple(fires))
 
 
 def _apply_skeleton(skel, zone):
     """Successors of (key, zone) from the key's skeleton.
 
-    A fire whose clock guards or target invariants empty the zone is
-    disabled.  Delay successors carry None for locations and data: the
-    configuration is unchanged.
+    Each successor is (descriptor, label, locs, data, zone, invariant
+    atoms of its configuration).  A fire whose clock guards or target
+    invariants empty the zone is disabled.  Delay successors carry None
+    for locations and data: the configuration is unchanged.
     """
     out = []
     if not skel.urgent:
@@ -514,7 +540,7 @@ def _apply_skeleton(skel, zone):
         if delayed != zone:
             if delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
-            out.append((("delay",), "delay", None, None, delayed))
+            out.append((("delay",), "delay", None, None, delayed, skel.inv_atoms))
     for (desc, label, cg, locs2, data2, drop, nnew, perm, inv2) in skel.fires:
         z = zone
         if cg:
@@ -531,7 +557,7 @@ def _apply_skeleton(skel, zone):
             z = z.constrained(inv2)
             if z.is_empty():
                 continue
-        out.append((desc, label, locs2, data2, z))
+        out.append((desc, label, locs2, data2, z, inv2))
     return out
 
 
@@ -552,7 +578,7 @@ def successors(net, state):
     locs, data, zone = state
     out = []
     skel = _build_skeleton(net, locs, data)
-    for desc, label, locs2, data2, zone2 in _apply_skeleton(skel, zone):
+    for desc, label, locs2, data2, zone2, _inv in _apply_skeleton(skel, zone):
         if locs2 is None:  # delay successor keeps the configuration
             locs2, data2 = locs, data
         out.append((desc, label, SymbolicState(locs2, data2, zone2)))
@@ -626,7 +652,9 @@ def explore(
 
     transitions = 0
     if run_checks:
-        run_state_checks(init, net)
+        for chk in net.state_checks:
+            chk(init.data)
+        run_state_checks(init, net, invariant_indices(net, init.locs, init.data))
     meta.append((init, None, None, "initial"))
     passed.insert((init.locs, init.data), init.zone, 0)
     if live and checked(0):
@@ -647,17 +675,21 @@ def explore(
         skel = skeletons.get(key)
         if skel is None:
             skel = skeletons[key] = _build_skeleton(net, state.locs, state.data)
-        for desc, label, locs2, data2, zone2 in _apply_skeleton(skel, state.zone):
+        for desc, label, locs2, data2, zone2, inv2 in _apply_skeleton(skel, state.zone):
             transitions += 1
             if locs2 is None:  # delay successor keeps the configuration
                 nxt = SymbolicState(state.locs, state.data, zone2)
             else:
                 nxt = SymbolicState(locs2, data2, zone2)
             nid = len(meta)
+            known = passed.key_count
             if not passed.insert((nxt.locs, nxt.data), nxt.zone, nid):
                 continue
             if run_checks:
-                run_state_checks(nxt, net)
+                if passed.key_count != known:  # the first zone of its key
+                    for chk in net.state_checks:
+                        chk(nxt.data)
+                run_state_checks(nxt, net, inv2)
             meta.append((nxt, sid, desc, label))
             if live and checked(nid):
                 return result()

@@ -27,7 +27,6 @@ from . import queries as Q
 from .kernel import (
     ModelError,
     TIME,
-    _expand_binds,
     overall_verdicts,
     urgency_blocks_delay,
 )
@@ -132,8 +131,8 @@ def _discrete_successors(net, state):
 
     senders, receivers = {}, {}
     for ai, a in enumerate(net.automata):
-        for _ei, e in a.edges_from(state.locs[ai]):
-            for binds in _expand_binds(e.select):
+        for ei, e in a.edges_from(state.locs[ai]):
+            for binds, _bkey in a.bindings[ei]:
                 if e.guard is not None and not e.guard(state.data, binds):
                     continue
                 if e.clock_guard and not _atoms_hold(
@@ -210,9 +209,11 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
         (0,) * len(net.clock_owners(net.initial_data)),
     )
 
-    def violates(q, state):
+    regions = [Q.region_memo(q) for q in queries]
+
+    def violates(i, state):
         # negated query atoms may be strict; pointwise evaluation is exact
-        for conj in Q.violation_region(q, state):
+        for conj in regions[i](state):
             if all(Q._cmp(state.time, a.op, a.const) for a in conj):
                 return True
         return False
@@ -223,7 +224,7 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     def checked(state):
         """Evaluate the live queries at `state`; True once none is left."""
         for i in tuple(live):
-            if violates(queries[i], state):
+            if violates(i, state):
                 violated[i] = True
                 live.remove(i)
         return not live

@@ -485,22 +485,34 @@ def data_atoms(node, acc=None):
     return acc
 
 
-def make_checker(query):
-    """Per-state checker with the DNF region memoized on data-atom values.
+def region_memo(query):
+    """`violation_region(query, state)` memoized on the data-atom values.
 
     The violation region depends only on the truth values of the data
-    atoms, which range over a handful of combinations per run; the zone
-    intersection still happens per state.
+    atoms, which range over a handful of combinations per run.  The
+    returned function reads a state's `locs` and `data` only, so it
+    serves symbolic and concrete states alike.
     """
     atoms = tuple(data_atoms(query.root))
     regions = {}
 
-    def checker(state):
+    def region(state):
         key = tuple(_substitute(a, state) for a in atoms)
-        region = regions.get(key)
-        if region is None:
-            region = regions[key] = violation_region(query, state)
-        for conj in region:
+        found = regions.get(key)
+        if found is None:
+            found = regions[key] = violation_region(query, state)
+        return found
+
+    return region
+
+
+def make_checker(query):
+    """Per-state checker with the DNF region memoized on data-atom values
+    (`region_memo`); the zone intersection still happens per state."""
+    region_of = region_memo(query)
+
+    def checker(state):
+        for conj in region_of(state):
             catoms = [(1, 0, a.op, a.const) for a in conj]
             sub = state.zone.constrained(catoms)
             if not sub.is_empty():

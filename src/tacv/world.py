@@ -245,7 +245,10 @@ def try_to_send(world, party, txid, nss_table):
     if not can_send(world, party, txid, nss_table):
         return world
     tx = world.txs[txid]
-    world = world.replace_tx(txid, tx._replace(status=SENT))
+    world = world.replace_tx(txid, TxRecord(
+        tx.num, tx.inputs, tx.outputs, SENT, tx.timelock,
+        tx.timelock_passed, tx.nonce, tx.reveals,
+    ))
     for sec in tx.reveals:
         world = _disclose_secret(world, sec)
     return world
@@ -269,36 +272,30 @@ def try_to_confirm(world, txid, nonce):
     tx = world.txs[txid]
     if tx.status != SENT:
         raise ModelError("try_to_confirm on a transaction that is not SENT")
+    # records are built directly: namedtuple _replace is slow on this path
     if tx.timelock_passed and _inputs_spendable(world, tx):
-        world = world.replace_tx(txid, tx._replace(status=CONFIRMED, nonce=nonce))
+        world = world.replace_tx(txid, TxRecord(
+            tx.num, tx.inputs, tx.outputs, CONFIRMED, tx.timelock,
+            tx.timelock_passed, nonce, tx.reveals,
+        ))
         for (in_tx, out_idx) in tx.inputs:
             src = world.txs[in_tx]
             outs = list(src.outputs)
-            outs[out_idx] = outs[out_idx]._replace(spent=True)
+            out = outs[out_idx]
+            outs[out_idx] = Output(out.script_kind, out.script_ref, out.value, True)
             status = SPENT if all(o.spent for o in outs) else src.status
-            world = world.replace_tx(
-                in_tx, src._replace(outputs=tuple(outs), status=status)
-            )
+            world = world.replace_tx(in_tx, TxRecord(
+                src.num, src.inputs, tuple(outs), status, src.timelock,
+                src.timelock_passed, src.nonce, src.reveals,
+            ))
         return world
-    return world.replace_tx(txid, tx._replace(status=CANCELED))
+    return world.replace_tx(txid, TxRecord(
+        tx.num, tx.inputs, tx.outputs, CANCELED, tx.timelock,
+        tx.timelock_passed, tx.nonce, tx.reveals,
+    ))
 
 
 # -- holdings ------------------------------------------------------------
-
-
-def _owns_output(world, party, out):
-    return (
-        out.script_kind == "key"
-        and not out.spent
-        and world.parties[party].know_key[out.script_ref]
-    )
-
-
-def count_owners(world, txid, out_idx):
-    out = world.txs[txid].outputs[out_idx]
-    return sum(
-        1 for p in range(len(world.parties)) if _owns_output(world, p, out)
-    )
 
 
 def hold_bitcoins(world, party):
@@ -308,12 +305,17 @@ def hold_bitcoins(world, party):
     the party knows and which have exactly one owner; outputs whose key
     leaked to another party protect nobody and count for no one.
     """
+    parties = world.parties
+    mine = parties[party].know_key
     total = 0
     for tx in world.txs:
         if tx.status != CONFIRMED:
             continue
-        for oi, out in enumerate(tx.outputs):
-            if _owns_output(world, party, out) and count_owners(world, tx.num, oi) == 1:
+        for out in tx.outputs:
+            if out.script_kind != "key" or out.spent:
+                continue
+            key = out.script_ref
+            if mine[key] and sum(p.know_key[key] for p in parties) == 1:
                 total += out.value
     return total
 
@@ -393,7 +395,13 @@ _STATUS_STEPS = {
 
 
 def check_status_machine(before, after):
+    # updates share every TxRecord they leave unchanged, so identical
+    # objects need no comparison
+    if before.txs is after.txs:
+        return
     for old, new in zip(before.txs, after.txs):
+        if old is new:
+            continue
         if old.status != new.status and (old.status, new.status) not in _STATUS_STEPS:
             raise ModelInvariantError(
                 "illegal status transition %s -> %s on tx %d"
@@ -421,7 +429,10 @@ def timer_flag(name, index, threshold):
 def timelock_flag(txid, threshold):
     def _set(w, t=txid):
         tx = w.txs[t]
-        return w.replace_tx(t, tx._replace(timelock_passed=True))
+        return w.replace_tx(t, TxRecord(
+            tx.num, tx.inputs, tx.outputs, tx.status, tx.timelock,
+            True, tx.nonce, tx.reveals,
+        ))
 
     return DeadlineFlag(
         "timelock[%d]" % txid,

@@ -12,6 +12,8 @@ from typing import NamedTuple
 import pytest
 
 from tacv import kernel as K
+from tacv.contracts import build_cs_model, build_newscs_model, instantiate
+from tacv.world import WorldConstants
 from tacv.zones import Zone
 
 
@@ -344,3 +346,81 @@ class TestRandomRun:
         net = make_net()
         t = K.random_run(net, seed=1, steps=0)
         assert len(t.steps) == 0
+
+
+# shipped scenarios small enough to explore in full with every check on
+SHIPPED = {
+    "newscs-1-5-honest": (build_newscs_model, (1, 5), None),
+    "cs-2-5-ALICE": (build_cs_model, (2, 5), "ALICE"),
+}
+
+
+def shipped_net(name):
+    build, constants, adversary = SHIPPED[name]
+    net, _ctx = instantiate(build(WorldConstants(*constants)), adversary=adversary)
+    return net
+
+
+class TestCheckCounts:
+    """Every check runs wherever it must on the shipped scenarios.
+
+    Transition checks run on each data-enabled fire of every skeleton
+    built, the network's data checks on each reachable (locations, data)
+    key, and the kernel's zone checks on each stored zone state.
+    """
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_checks_run_per_fire_key_and_zone_state(self, name, monkeypatch):
+        net = shipped_net(name)
+        assert net.state_checks and net.transition_checks
+        calls = {"transition": 0, "data": 0, "zone": 0, "fires": 0}
+
+        def counted(kind, chk):
+            def wrapped(*args):
+                calls[kind] += 1
+                return chk(*args)
+            return wrapped
+
+        net.transition_checks = tuple(
+            counted("transition", c) for c in net.transition_checks)
+        net.state_checks = tuple(counted("data", c) for c in net.state_checks)
+
+        build_skeleton = K._build_skeleton
+        run_state_checks = K.run_state_checks
+
+        def counted_skeleton(net_, locs, data):
+            skel = build_skeleton(net_, locs, data)
+            calls["fires"] += len(skel.fires)
+            return skel
+
+        def zone_checks(state, net_, inv_atoms):
+            calls["zone"] += 1
+            # the atoms handed over are the state's own invariants
+            assert inv_atoms == K.invariant_indices(net_, state.locs, state.data)
+            return run_state_checks(state, net_, inv_atoms)
+
+        monkeypatch.setattr(K, "_build_skeleton", counted_skeleton)
+        monkeypatch.setattr(K, "run_state_checks", zone_checks)
+        stored = []
+        res = K.explore(net, check=stored.append, collect_reachable=True)
+        assert res.verdict == "SATISFIED"
+        assert calls["fires"] > 0
+        assert calls["transition"] == len(net.transition_checks) * calls["fires"]
+        assert calls["data"] == len(net.state_checks) * len(res.reachable)
+        assert calls["zone"] == len(stored) > len(res.reachable)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_failing_data_check_stops_exploration(self, name):
+        net = shipped_net(name)
+        seen = []
+        K.explore(net, check=lambda s: seen.append(s.data))
+        target = seen[-1]  # the data of the last zone state stored
+        assert target != net.initial_data
+
+        def refuse(data):
+            if data == target:
+                raise K.ModelInvariantError("refused valuation")
+
+        net.state_checks += (refuse,)
+        with pytest.raises(K.ModelInvariantError, match="refused valuation"):
+            K.explore(net)

@@ -84,6 +84,19 @@ class TestMultiQuery:
             assert res.trace in violated
 
 
+class TestRegionMemo:
+    def test_memoized_region_equals_violation_region(self):
+        net, ctx = scenario(CS, "ALICE")
+        asts = [Q.parse_query(CS.queries[n], ctx) for n in sorted(CS.queries)]
+        states = []
+        explore(net, check=states.append)
+        assert len(states) > 100
+        for ast in asts:
+            region_of = Q.region_memo(ast)
+            for state in states:
+                assert region_of(state) == Q.violation_region(ast, state)
+
+
 class TestHorizon:
     def test_default_covers_thresholds_and_queries(self):
         net, ctx = scenario(CS, None)

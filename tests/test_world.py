@@ -3,7 +3,8 @@
 import pytest
 
 from tacv import world as w
-from tacv.kernel import ModelError, ModelInvariantError
+from tacv.contracts import build_cs_model, build_newscs_model, instantiate
+from tacv.kernel import ModelError, ModelInvariantError, explore
 
 
 C_KEY, R_KEY = 0, 1
@@ -170,6 +171,47 @@ class TestHoldings:
         ww = ww.replace_tx(INPUT, ww.txs[INPUT]._replace(status=w.UNSENT))
         assert w.hold_bitcoins(ww, ALICE) == 0
 
+    def test_spent_output_of_confirmed_tx_counts_for_nobody(self):
+        ww = cs_world()
+        split = ww.txs[INPUT]._replace(outputs=(
+            w.Output("key", C_KEY, 1, spent=True), w.Output("key", C_KEY, 2)))
+        ww = ww.replace_tx(INPUT, split)
+        assert w.hold_bitcoins(ww, ALICE) == 2 == reference_holdings(ww, ALICE)
+
+    @pytest.mark.parametrize("build, constants, adversary", [
+        (build_cs_model, (2, 5), "ALICE"),
+        (build_newscs_model, (1, 5), None),
+    ])
+    def test_matches_reference_on_every_reachable_world(
+            self, build, constants, adversary):
+        net, _ctx = instantiate(build(w.WorldConstants(*constants)),
+                                adversary=adversary)
+        reachable = explore(net, collect_reachable=True).reachable
+        worlds = {data for _locs, data in reachable}
+        assert len(worlds) > 50
+        for ww in worlds:
+            for party in range(len(ww.parties)):
+                assert w.hold_bitcoins(ww, party) == reference_holdings(ww, party)
+
+
+def reference_holdings(world, party):
+    """Holdings by their definition: an unspent standard output of a
+    CONFIRMED transaction counts for a party that knows its key when no
+    other party does."""
+    def owns(p, out):
+        return (out.script_kind == "key" and not out.spent
+                and world.parties[p].know_key[out.script_ref])
+
+    total = 0
+    for tx in world.txs:
+        if tx.status != w.CONFIRMED:
+            continue
+        for out in tx.outputs:
+            owners = sum(1 for p in range(len(world.parties)) if owns(p, out))
+            if owns(party, out) and owners == 1:
+                total += out.value
+    return total
+
 
 class TestCheckers:
     def test_value_conservation_violation_detected(self):
@@ -190,6 +232,30 @@ class TestCheckers:
             COMMIT, sent.txs[COMMIT]._replace(status=w.CONFIRMED))
         with pytest.raises(ModelInvariantError):
             w.check_status_machine(confirmed, base)  # CONFIRMED -> UNSENT
+
+    def test_status_machine_checks_the_one_changed_record(self):
+        base = cs_world()
+        jumped = base.replace_tx(
+            OPEN, base.txs[OPEN]._replace(status=w.CONFIRMED))
+        shared = [i for i, (a, b) in enumerate(zip(base.txs, jumped.txs))
+                  if a is b]
+        assert shared == [INPUT, COMMIT, FUSE]
+        with pytest.raises(ModelInvariantError, match="UNSENT -> CONFIRMED"):
+            w.check_status_machine(base, jumped)
+        spent = base.txs[INPUT].outputs[0]._replace(spent=True)
+        before = base.replace_tx(
+            INPUT, base.txs[INPUT]._replace(outputs=(spent,)))
+        with pytest.raises(ModelInvariantError, match="became unspent"):
+            w.check_status_machine(before, base)
+
+    def test_status_machine_skips_a_shared_table(self):
+        base = cs_world()
+        learned = base.replace_party(BOB, base.parties[ALICE])
+        assert learned.txs is base.txs
+        w.check_status_machine(base, learned)
+        # records that are never read: a shared table needs no comparison
+        opaque = w.World((object(),), base.parties)
+        w.check_status_machine(opaque, w.World(opaque.txs, ()))
 
     def test_eavesdropping_checker(self):
         ww = cs_world()
