@@ -72,21 +72,25 @@ def _scenario(args):
 
 
 def _gather_queries(args, model, ctx):
-    """(name, text, ast) triples; unresolvable defaults are skipped."""
+    """(name, text, ast) triples.  A named query of the model that names
+    an automaton the scenario replaced by the adversary is skipped; any
+    other error in it raises QueryError naming the query."""
     explicit = [Q.parse_query(text, ctx) for text in args.query or []]
     if args.query_file:
         with open(args.query_file) as fh:
             explicit.extend(Q.parse_query_file(fh.read(), ctx))
     if explicit:
         return [("q%d" % i, ast.source, ast) for i, ast in enumerate(explicit)]
+    automata = {("automaton", a.name)
+                for autos in model.honest_automata.values() for a in autos}
     triples = []
     for name, text in sorted(model.queries.items()):
         try:
             triples.append((name, text, Q.parse_query(text, ctx)))
         except Q.QueryError as exc:
-            print(
-                "note: skipping query %s (%s)" % (name, exc), file=sys.stderr
-            )
+            if exc.unknown not in automata:
+                raise Q.QueryError("query %s: %s" % (name, exc)) from None
+            print("note: skipping query %s (%s)" % (name, exc), file=sys.stderr)
     return triples
 
 

@@ -3,10 +3,13 @@
 A `.model` file is a sectioned plain-text document declaring constants,
 keys, secrets, parties, transactions, non-standard script clauses,
 timers, progress marks, party automata, adversary actions and named
-queries.  Guards and updates on edges use a small expression language
-mirroring the block-chain helper operations by name (status checks,
-try_to_send, broadcast_signature, ...); expressions are interpreted
-against the loaded model, never compiled.  The grammar is documented in
+queries.  Clock guards, guards and updates on edges are parsed by the
+query language's `ExprParser` (one lexer, precedence parser and
+constant evaluator), with atoms of their own: `time OP const-expr` for
+clock guards, and for guards and updates the block-chain helper
+operations by name (status checks, try_to_send, broadcast_signature,
+...).  Guards and updates become closures over the loaded model's
+tables, never compiled code.  The grammar is documented in
 docs/model_grammar.ebnf.
 
 The built-in contracts `cs` and `newscs` are the shipped
@@ -377,22 +380,6 @@ def _parse_queries(body):
 # -- expression language ---------------------------------------------------
 
 
-_TOK = re.compile(r"\s*(\w+|==|!=|<=|>=|[(),;<>!]|\S)")
-
-
-def _tokens(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOK.match(text, pos)
-        if not m:
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    out.append(None)
-    return out
-
-
 class _Names(NamedTuple):
     constants: dict
     keys: dict
@@ -405,162 +392,143 @@ class _Names(NamedTuple):
     capacity: int
 
 
-class _ExprParser:
-    """Recursive-descent interpreter for guard and update expressions.
+class _Expr(Q.ExprParser):
+    """A model expression over the shared query grammar: E_EXPR for a
+    syntax error, E_NAME for an unknown name.  On its own it evaluates
+    constant expressions (`parse_const`)."""
 
-    Produces closures over the resolved model tables; evaluation happens
-    per call against the current world.
-    """
+    def error(self, message, pos=None):
+        raise ModelIOError(E_EXPR, "%s in %r" % (message, self.text))
+
+    def fail_name(self, name, table, what):
+        raise ModelIOError(E_NAME, "unknown %s %r in %r (known: %s)"
+                           % (what, name, self.text, ", ".join(sorted(table))))
+
+
+class _ClockGuard(_Expr):
+    """`time OP const-expr` atoms joined by `and`, as the kernel's
+    (("time", op, c), ...) tuple; strict comparisons are E_STRICT."""
+
+    def and_(self, a, b):
+        return a + b
+
+    def _only_and(self, *_nodes):
+        self.error("clock guards join time comparisons with 'and' only")
+
+    not_ = or_ = imply = _only_and
+
+    def atom(self, tok):
+        if tok != "time":
+            self.error("clock guard must compare time")
+        self.next()
+        op = self.next()
+        if op in ("<", ">"):
+            raise ModelIOError(
+                E_STRICT, "strict clock comparison %r in %r: models must stay closed"
+                % (op, self.text))
+        if op not in ("==", "<=", ">="):
+            self.error("expected ==, <= or >= after time")
+        return (("time", op, self.const_expr()),)
+
+
+class _Guard(_Expr):
+    """Guards and updates as closures over the resolved model tables;
+    evaluation happens per call against the current world."""
+
+    not_ = staticmethod(lambda f: lambda w: not f(w))
+    and_ = staticmethod(lambda a, b: lambda w: a(w) and b(w))
+    or_ = staticmethod(lambda a, b: lambda w: a(w) or b(w))
+    imply = staticmethod(lambda a, b: lambda w: not a(w) or b(w))
 
     def __init__(self, text, names):
-        self.text = text
+        super().__init__(text, names.constants)
         self.names = names
-        self.toks = _tokens(text)
-        self.i = 0
 
-    def error(self, msg):
-        raise ModelIOError(E_EXPR, "%s in %r" % (msg, self.text))
+    def args(self, *params, nonce=False):
+        """`(NAME, ...)`, each name looked up in its (table, what); with
+        `nonce`, an optional `, INT` follows and comes last (None if absent)."""
+        self.expect("(")
+        values = []
+        for table, what in params:
+            if values:
+                self.expect(",")
+            name = self.next()
+            if name not in table:
+                self.fail_name(name, table, what)
+            values.append(table[name])
+        if nonce:
+            pinned = None
+            if self.peek() == ",":
+                self.next()
+                tok = self.next()
+                if not tok.isdigit():
+                    self.error("expected a nonce, found %r" % (tok or "end of input"))
+                pinned = int(tok)
+            values.append(pinned)
+        self.expect(")")
+        return values
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, tok):
-        t = self.next()
-        if t != tok:
-            self.error("expected %r, found %r" % (tok, t))
-
-    def done(self):
-        if self.peek() is not None:
-            self.error("trailing input")
-
-    # guards
-
-    def guard(self):
-        fn = self._or()
-        self.done()
-        return fn
-
-    def _or(self):
-        fn = self._and()
-        while self.peek() == "or":
-            self.next()
-            rhs = self._and()
-            fn = (lambda a, b: lambda w: a(w) or b(w))(fn, rhs)
-        return fn
-
-    def _and(self):
-        fn = self._not()
-        while self.peek() == "and":
-            self.next()
-            rhs = self._not()
-            fn = (lambda a, b: lambda w: a(w) and b(w))(fn, rhs)
-        return fn
-
-    def _not(self):
-        if self.peek() in ("not", "!"):
-            self.next()
-            fn = self._not()
-            return lambda w, f=fn: not f(w)
-        return self._atom()
-
-    def _atom(self):
-        tok = self.next()
-        if tok == "(":
-            fn = self._or()
-            self.expect(")")
-            return fn
+    def atom(self, tok):
+        self.next()
+        n = self.names
         if tok == "true":
             return lambda w: True
         if tok == "false":
             return lambda w: False
         if tok == "status":
-            tx = self._ref1(self.names.txs, "transaction")
+            (tx,) = self.args((n.txs, "transaction"))
             op = self.next()
+            if op not in ("==", "!="):
+                self.error("status comparison must use == or !=")
             st = self.next()
             if st not in STATUS_BY_NAME:
                 self.error("unknown status %r" % st)
             sv = STATUS_BY_NAME[st]
             if op == "==":
                 return lambda w, t=tx, s=sv: w.txs[t].status == s
-            if op == "!=":
-                return lambda w, t=tx, s=sv: w.txs[t].status != s
-            self.error("status comparison must use == or !=")
+            return lambda w, t=tx, s=sv: w.txs[t].status != s
         if tok == "on_chain":
-            tx = self._ref1(self.names.txs, "transaction")
+            (tx,) = self.args((n.txs, "transaction"))
             return lambda w, t=tx: W.ever_confirmed(w, t)
         if tok == "timelock_passed":
-            tx = self._ref1(self.names.txs, "transaction")
+            (tx,) = self.args((n.txs, "transaction"))
             return lambda w, t=tx: w.txs[t].timelock_passed
         if tok == "timer":
-            ti = self._ref1(self.names.timers, "timer")
+            (ti,) = self.args((n.timers, "timer"))
             return lambda w, i=ti: w.timers[i]
         if tok == "mark":
-            mi = self._ref1(self.names.marks, "mark")
+            (mi,) = self.args((n.marks, "mark"))
             return lambda w, i=mi: w.marks[i]
         if tok == "know_secret":
-            p, s = self._ref2(self.names.parties, self.names.secrets,
-                              "party", "secret")
+            p, s = self.args((n.parties, "party"), (n.secrets, "secret"))
             return lambda w, pi=p, si=s: w.parties[pi].know_secret[si]
         if tok == "know_signature":
-            self.expect("(")
-            p = self._name(self.names.parties, "party")
-            self.expect(",")
-            tx = self._name(self.names.txs, "transaction")
-            self.expect(",")
-            k = self._name(self.names.keys, "key")
-            self.expect(")")
+            p, tx, k = self.args((n.parties, "party"), (n.txs, "transaction"),
+                                 (n.keys, "key"))
             return lambda w, pi=p, t=tx, ki=k: W.know_signature(
                 w, pi, w.txs[t], 0, ki)
         if tok == "can_create_input_script":
-            p, tx = self._ref2(self.names.parties, self.names.txs,
-                               "party", "transaction")
-            return lambda w, pi=p, t=tx, nss=self.names.nss_table: (
+            p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
+            return lambda w, pi=p, t=tx, nss=n.nss_table: (
                 W.can_create_input_script(w, pi, w.txs[t], nss))
         if tok == "can_send":
-            p, tx = self._ref2(self.names.parties, self.names.txs,
-                               "party", "transaction")
-            return lambda w, pi=p, t=tx, nss=self.names.nss_table: (
-                W.can_send(w, pi, t, nss))
-        if tok in self.names.constants:
+            p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
+            return lambda w, pi=p, t=tx, nss=n.nss_table: W.can_send(w, pi, t, nss)
+        if tok in self.constants:
             # a declared constant, true when nonzero, fixed at build time
-            return (lambda w: True) if self.names.constants[tok] else (lambda w: False)
+            return (lambda w: True) if self.constants[tok] else (lambda w: False)
         self.error("unknown guard atom %r" % tok)
-
-    def _ref1(self, table, what):
-        self.expect("(")
-        v = self._name(table, what)
-        self.expect(")")
-        return v
-
-    def _ref2(self, t1, t2, w1, w2):
-        self.expect("(")
-        a = self._name(t1, w1)
-        self.expect(",")
-        b = self._name(t2, w2)
-        self.expect(")")
-        return a, b
-
-    def _name(self, table, what):
-        tok = self.next()
-        if tok not in table:
-            raise ModelIOError(
-                E_NAME, "unknown %s %r in %r (known: %s)"
-                % (what, tok, self.text, ", ".join(sorted(table))))
-        return table[tok]
 
     # updates: statement (';' statement)*
 
-    def update(self):
-        stmts = [self._statement()]
+    def parse_update(self):
+        return self.whole(self.statements)
+
+    def statements(self):
+        stmts = [self.statement()]
         while self.peek() == ";":
             self.next()
-            stmts.append(self._statement())
-        self.done()
+            stmts.append(self.statement())
 
         def run(w, fns=tuple(stmts)):
             for f in fns:
@@ -569,30 +537,22 @@ class _ExprParser:
 
         return run
 
-    def _statement(self):
+    def statement(self):
         tok = self.next()
+        n = self.names
         if tok == "if":
             self.expect("(")
-            cond = self._or()
+            cond = self.expr()
             self.expect(")")
-            body = self._statement()
+            body = self.statement()
             return lambda w, c=cond, b=body: b(w) if c(w) else w
         if tok == "try_to_send":
-            p, tx = self._ref2(self.names.parties, self.names.txs,
-                               "party", "transaction")
-            return lambda w, pi=p, t=tx, nss=self.names.nss_table: (
-                W.try_to_send(w, pi, t, nss))
+            p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
+            return lambda w, pi=p, t=tx, nss=n.nss_table: W.try_to_send(w, pi, t, nss)
         if tok == "broadcast_signature":
-            self.expect("(")
-            k = self._name(self.names.keys, "key")
-            self.expect(",")
-            tx = self._name(self.names.txs, "transaction")
-            pinned = None
-            if self.peek() == ",":
-                self.next()
-                pinned = int(self.next())
-            self.expect(")")
-            cap = self.names.capacity
+            k, tx, pinned = self.args((n.keys, "key"), (n.txs, "transaction"),
+                                      nonce=True)
+            cap = n.capacity
 
             def send_sig(w, ki=k, t=tx, pn=pinned, cap=cap):
                 if pn is None:
@@ -603,79 +563,9 @@ class _ExprParser:
 
             return send_sig
         if tok == "set_mark":
-            mi = self._ref1(self.names.marks, "mark")
+            (mi,) = self.args((n.marks, "mark"))
             return lambda w, i=mi: w.set_mark(i)
         self.error("unknown update statement %r" % tok)
-
-
-def _const_expr(text, constants):
-    """Evaluate an integer expression over named constants."""
-    toks = _tokens(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def nxt():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def add():
-        v = mul()
-        while peek() in ("+", "-"):
-            if nxt() == "+":
-                v += mul()
-            else:
-                v -= mul()
-        return v
-
-    def mul():
-        v = unary()
-        while peek() == "*":
-            nxt()
-            v *= unary()
-        return v
-
-    def unary():
-        t = nxt()
-        if t == "-":
-            return -unary()
-        if t == "(":
-            v = add()
-            if nxt() != ")":
-                raise ModelIOError(E_EXPR, "unbalanced parens in %r" % text)
-            return v
-        if t is not None and t.isdigit():
-            return int(t)
-        if t in constants:
-            return constants[t]
-        raise ModelIOError(E_NAME, "unknown constant %r in %r" % (t, text))
-
-    v = add()
-    if peek() is not None:
-        raise ModelIOError(E_EXPR, "trailing input in %r" % text)
-    return v
-
-
-_CLOCK_RE = re.compile(r"^time\s*(==|<=|>=|<|>)\s*(.+)$")
-_AND_RE = re.compile(r"\band\b")  # the word only: `expand_at` is one name
-
-
-def _clock_atoms(text, constants):
-    atoms = []
-    for part in _AND_RE.split(text):
-        m = _CLOCK_RE.match(part.strip())
-        if not m:
-            raise ModelIOError(E_EXPR, "clock guard must compare time: %r" % text)
-        op = m.group(1)
-        if op in ("<", ">"):
-            raise ModelIOError(
-                E_STRICT,
-                "strict clock comparison %r: models must stay closed" % part.strip(),
-            )
-        atoms.append(("time", op, _const_expr(m.group(2), constants)))
-    return tuple(atoms)
 
 
 # -- document -> ContractModel ---------------------------------------------
@@ -718,7 +608,7 @@ def build_model(doc, overrides=None):
         for (kind, ref, value) in outputs:
             table = keys if kind == "key" else nss_ids
             outs.append(Output(kind, _lookup(table, ref, kind, E_RANGE), value))
-        tl = _const_expr(timelock, constants)
+        tl = _Expr(timelock, constants).parse_const()
         txs.append(TxRecord(
             tx_ids[name],
             tuple(in_refs),
@@ -758,22 +648,22 @@ def build_model(doc, overrides=None):
                 initial = i
             inv_fn = None
             if inv is not None:
-                bound = _const_expr(inv, constants)
+                bound = _Expr(inv, constants).parse_const()
                 inv_fn = (lambda b: lambda _w: (("time", "<=", b),))(bound)
             locs.append(Location(lname, inv_fn, named=named))
         built_edges = []
         for (src, dst, urgent, clock, guard, update, label) in edges:
             if src not in loc_ids or dst not in loc_ids:
                 raise ModelIOError(E_NAME, "unknown location in edge %s->%s" % (src, dst))
-            cg = _clock_atoms(clock, constants) if clock else ()
+            cg = _ClockGuard(clock, constants).parse_expr() if clock else ()
             if urgent and cg:
                 raise ModelIOError(
                     E_URGENT_CLOCK,
                     "edge %s.%s synchronizes on the urgent channel but guards clocks"
                     % (auto_name, label),
                 )
-            gfn = _ExprParser(guard, names).guard() if guard else None
-            ufn = _ExprParser(update, names).update() if update else None
+            gfn = _Guard(guard, names).parse_expr() if guard else None
+            ufn = _Guard(update, names).parse_update() if update else None
             built_edges.append(Edge(
                 loc_ids[src], loc_ids[dst], label,
                 guard=(lambda w, b, f=gfn: f(w)) if gfn else None,
@@ -792,8 +682,8 @@ def build_model(doc, overrides=None):
                                "duplicate adversary section for %s" % party)
         msg = []
         for (name, guard, update) in actions:
-            gfn = _ExprParser(guard, names).guard()
-            ufn = _ExprParser(update, names).update()
+            gfn = _Guard(guard, names).parse_expr()
+            ufn = _Guard(update, names).parse_update()
             msg.append(MessageAction(name, gfn, ufn))
         adv_configs[p] = AdversaryConfig(
             controlled_party=p,
@@ -803,7 +693,7 @@ def build_model(doc, overrides=None):
 
     timers = []
     for (n, e) in doc.timers:
-        threshold = _const_expr(e, constants)
+        threshold = _Expr(e, constants).parse_const()
         if threshold < 1:
             raise ModelIOError(E_RANGE, "timer %s: threshold %s is %d, must be at least 1"
                                % (n, e, threshold))

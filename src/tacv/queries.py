@@ -1,10 +1,15 @@
-"""Safety-property language: `A[] <boolean expression>`.
+"""Safety-property language: `A[] <boolean expression>`, and the
+expression parser that `.model` guards, updates and clock guards share.
 
-Atoms are comparisons on the global clock, holdings comparisons,
-secret-knowledge flags and location predicates; connectives are
-imply/and/or/not with `imply` right-associative at lowest precedence.
-Integer constant arithmetic (PROT_TIMELOCK + 2*MAX_LATENCY) is folded
-at parse time against the model's constants.
+`ExprParser` is the one lexer, precedence parser and integer constant
+evaluator of the package: connectives imply/or/and/not, with `imply`
+right-associative at lowest precedence, parentheses, and constant
+arithmetic (PROT_TIMELOCK + 2*MAX_LATENCY) folded at parse time against
+the model's constants.  Each use supplies its atoms and node
+constructors; here the atoms are comparisons on the global clock,
+holdings comparisons, secret-knowledge flags and location predicates,
+and the nodes are the AST below.  The grammar is in
+docs/model_grammar.ebnf.
 
 Evaluation over a symbolic state fixes the data atoms to constants,
 reduces the negated property to a boolean combination of clock atoms,
@@ -24,12 +29,16 @@ from . import world as W
 
 
 class QueryError(Exception):
-    def __init__(self, message, pos=None, text=None):
+    """A query that does not parse; `unknown` is (what, name) when the
+    query names something the scenario lacks, else None."""
+
+    def __init__(self, message, pos=None, text=None, unknown=None):
         if pos is not None and text is not None:
             line = text.count("\n", 0, pos) + 1
             col = pos - (text.rfind("\n", 0, pos) + 1) + 1
             message = "line %d, column %d: %s" % (line, col, message)
         super().__init__(message)
+        self.unknown = unknown
 
 
 class QueryContext(NamedTuple):
@@ -100,243 +109,237 @@ class QueryAst(NamedTuple):
     source: str
 
 
-# -- lexer ---------------------------------------------------------------
+# -- expression language ---------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<abox>A\[\])
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|==|[()<>\[\].+\-*!,])
-    """,
-    re.VERBOSE,
-)
-
-def _lex(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QueryError("unexpected character %r" % text[pos], pos, text)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", pos))
-    return tokens
+# split() on the one capturing group alternates the gaps between tokens
+# (whitespace, unless the text has a stray character) with the tokens
+_TOKEN_RE = re.compile(r"(A\[\]|\d+|[A-Za-z_][A-Za-z0-9_]*|<=|>=|==|!=|[()<>\[\].+\-*!,;])")
 
 
-class _Parser:
-    def __init__(self, text, ctx):
+class ExprParser:
+    """Precedence parser, lowest first: `imply` (right-associative),
+    `or`, `and`, then `not`/`!` and parenthesised grouping, over atoms.
+    `const_expr` folds `+ - *` integer arithmetic over `constants`.
+
+    Tokens are strings; "" ends the input.  A subclass supplies the
+    leaves (`atom`, called with the token that starts one), the node
+    constructors `not_`, `and_`, `or_` and `imply`, and the errors:
+    `error` for syntax and `fail_name` for an unknown name, both placed
+    at the last token read unless given a text offset.
+    """
+
+    def __init__(self, text, constants):
         self.text = text
-        self.ctx = ctx
-        self.toks = _lex(text)
+        self.constants = constants
+        self.parts = parts = _TOKEN_RE.split(text)
+        self.toks = parts[1::2]
+        self.toks.append("")
         self.i = 0
+        if "".join(parts[::2]).strip():
+            for k, gap in enumerate(parts[::2]):
+                stray = gap.lstrip()
+                if stray:
+                    self.error("unexpected character %r" % stray[0],
+                               self.offset(k) - len(stray))
+
+    def offset(self, k):
+        """Text offset of token `k`."""
+        return sum(map(len, self.parts[:2 * k + 1]))
 
     def peek(self):
         return self.toks[self.i]
 
     def next(self):
-        t = self.toks[self.i]
+        tok = self.toks[self.i]
         self.i += 1
-        return t
+        return tok
 
     def expect(self, value):
-        kind, val, pos = self.next()
-        if val != value:
-            raise QueryError(
-                "expected %r, found %r" % (value, val or "end of input"),
-                pos, self.text,
-            )
+        tok = self.next()
+        if tok != value:
+            self.error("expected %r, found %r" % (value, tok or "end of input"))
 
-    def fail_name(self, name, pos, candidates, what):
+    def whole(self, rule):
+        """`rule()`, which must consume the whole text."""
+        node = rule()
+        if self.peek():
+            self.error("trailing input %r" % self.peek(), self.offset(self.i))
+        return node
+
+    def parse_expr(self):
+        return self.whole(self.expr)
+
+    def parse_const(self):
+        return self.whole(self.const_expr)
+
+    def expr(self):
+        left = self.disjunction()
+        if self.peek() == "imply":
+            self.next()
+            return self.imply(left, self.expr())
+        return left
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self.peek() == "or":
+            self.next()
+            node = self.or_(node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.negation()
+        while self.peek() == "and":
+            self.next()
+            node = self.and_(node, self.negation())
+        return node
+
+    def negation(self):
+        tok = self.peek()
+        if tok == "not" or tok == "!":
+            self.next()
+            return self.not_(self.negation())
+        if tok == "(":
+            self.next()
+            node = self.expr()
+            self.expect(")")
+            return node
+        return self.atom(tok)
+
+    def const_expr(self):
+        value = self._term()
+        while self.peek() in ("+", "-"):
+            op = self.next()
+            rhs = self._term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def _term(self):
+        value = self._factor()
+        while self.peek() == "*":
+            self.next()
+            value *= self._factor()
+        return value
+
+    def _factor(self):
+        tok = self.next()
+        if tok == "-":
+            return -self._factor()
+        if tok == "(":
+            value = self.const_expr()
+            self.expect(")")
+            return value
+        if tok.isdigit():
+            return int(tok)
+        if tok.isidentifier():
+            if tok not in self.constants:
+                self.fail_name(tok, self.constants, "constant")
+            return self.constants[tok]
+        self.error("expected an integer expression")
+
+
+class _QueryParser(ExprParser):
+    not_, and_, or_, imply = Not, And, Or, Imply
+
+    def __init__(self, text, ctx):
+        super().__init__(text, ctx.constants)
+        self.ctx = ctx
+
+    def error(self, message, pos=None, unknown=None):
+        if pos is None:
+            pos = self.offset(self.i - 1)
+        raise QueryError(message, pos, self.text, unknown)
+
+    def fail_name(self, name, candidates, what):
         hint = ""
         close = difflib.get_close_matches(name, candidates, n=3)
         shown = close or sorted(candidates)[:6]
         if shown:
             hint = " (candidates: %s)" % ", ".join(shown)
-        raise QueryError(
-            "unknown %s %r%s" % (what, name, hint), pos, self.text
-        )
+        self.error("unknown %s %r%s" % (what, name, hint), unknown=(what, name))
 
-    # expression grammar, lowest precedence first
+    def query(self):
+        if self.next() != "A[]":
+            self.error("a property must start with A[]")
+        return QueryAst(self.parse_expr(), self.text.strip())
 
-    def parse_query(self):
-        kind, val, pos = self.next()
-        if kind != "abox":
-            raise QueryError("a property must start with A[]", pos, self.text)
-        root = self.parse_imply()
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise QueryError("trailing input %r" % val, pos, self.text)
-        return QueryAst(root, self.text.strip())
-
-    def parse_imply(self):
-        left = self.parse_or()
-        if self.peek()[1] == "imply":
-            self.next()
-            return Imply(left, self.parse_imply())  # right-associative
-        return left
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek()[1] == "or":
-            self.next()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_not()
-        while self.peek()[1] == "and":
-            self.next()
-            node = And(node, self.parse_not())
-        return node
-
-    def parse_not(self):
-        if self.peek()[1] in ("not", "!"):
-            self.next()
-            return Not(self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        kind, val, pos = self.peek()
-        if val == "(":
-            self.next()
-            node = self.parse_imply()
-            self.expect(")")
-            return node
-        if val == "true":
-            self.next()
+    def atom(self, tok):
+        self.next()
+        if tok == "true":
             return BoolLit(True)
-        if val == "false":
-            self.next()
+        if tok == "false":
             return BoolLit(False)
-        if val == "time":
-            self.next()
-            op = self._comparison()
-            const, text = self.parse_const_expr()
-            return ClockAtom(op, const, text)
-        if val == "hold_bitcoins":
-            self.next()
+        if tok == "time":
+            return ClockAtom(self._comparison(), *self._const_with_text())
+        if tok == "hold_bitcoins":
             self.expect("(")
             p, pname = self._party_ref()
             self.expect(")")
-            op = self._comparison()
-            const, text = self.parse_const_expr()
-            return HoldAtom(p, pname, op, const, text)
-        if val == "parties":
+            return HoldAtom(p, pname, self._comparison(), *self._const_with_text())
+        if tok == "parties":
             p, pname = self._party_ref()
             self.expect(".")
-            kind2, val2, pos2 = self.next()
-            if val2 != "know_secret":
-                raise QueryError(
-                    "expected know_secret after party reference", pos2, self.text
-                )
+            if self.next() != "know_secret":
+                self.error("expected know_secret after party reference")
             self.expect("[")
             s, sname = self._secret_ref()
             self.expect("]")
             return KnowAtom(p, pname, s, sname)
-        if kind == "name":
-            return self._location_atom()
-        raise QueryError("expected an atom, found %r" % (val or "end of input"),
-                         pos, self.text)
+        if tok.isidentifier():
+            return self._location_atom(tok)
+        self.error("expected an atom, found %r" % (tok or "end of input"))
 
     def _comparison(self):
-        kind, val, pos = self.next()
-        if val not in ("<", "<=", "==", ">=", ">"):
-            raise QueryError("expected a comparison operator", pos, self.text)
-        return val
+        op = self.next()
+        if op not in ("<", "<=", "==", ">=", ">"):
+            self.error("expected a comparison operator")
+        return op
+
+    def _const_with_text(self):
+        start = self.i
+        value = self.const_expr()
+        return value, "".join(self.parts[2 * start + 1:2 * self.i])
 
     def _party_ref(self):
-        if self.peek()[1] == "parties":
+        if self.peek() == "parties":
             self.next()
         self.expect("[")
-        kind, val, pos = self.next()
-        if kind != "name":
-            raise QueryError("expected a party name", pos, self.text)
-        if val not in self.ctx.parties:
-            self.fail_name(val, pos, self.ctx.parties, "party")
+        name = self.next()
+        if not name.isidentifier():
+            self.error("expected a party name")
+        if name not in self.ctx.parties:
+            self.fail_name(name, self.ctx.parties, "party")
         self.expect("]")
-        return self.ctx.parties[val], val
+        return self.ctx.parties[name], name
 
     def _secret_ref(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            idx = int(val)
+        tok = self.next()
+        if tok.isdigit():
+            idx = int(tok)
             if idx not in self.ctx.secrets.values():
-                raise QueryError("secret index %d out of range" % idx,
-                                 pos, self.text)
-            return idx, val
-        if kind == "name":
-            if val not in self.ctx.secrets:
-                self.fail_name(val, pos, self.ctx.secrets, "secret")
-            return self.ctx.secrets[val], val
-        raise QueryError("expected a secret name or index", pos, self.text)
+                self.error("secret index %d out of range" % idx)
+            return idx, tok
+        if tok.isidentifier():
+            if tok not in self.ctx.secrets:
+                self.fail_name(tok, self.ctx.secrets, "secret")
+            return self.ctx.secrets[tok], tok
+        self.error("expected a secret name or index")
 
-    def _location_atom(self):
-        kind, val, pos = self.next()
-        if val not in self.ctx.automata:
-            if self.peek()[1] == "[":
-                raise QueryError(
-                    "only the global clock 'time' may appear in queries",
-                    pos, self.text,
-                )
-            self.fail_name(val, pos, self.ctx.automata, "automaton")
-        auto_idx, locs = self.ctx.automata[val]
+    def _location_atom(self, name):
+        if name not in self.ctx.automata:
+            if self.peek() == "[":
+                self.error("only the global clock 'time' may appear in queries")
+            self.fail_name(name, self.ctx.automata, "automaton")
+        auto_idx, locs = self.ctx.automata[name]
         self.expect(".")
-        kind2, val2, pos2 = self.next()
-        if kind2 != "name" or val2 not in locs:
-            self.fail_name(val2, pos2, locs, "location of %s" % val)
-        return LocAtom(auto_idx, val, locs[val2], val2)
-
-    # integer constant expressions
-
-    def parse_const_expr(self):
-        start = self.peek()[2]
-        value = self._const_add()
-        end = self.peek()[2]
-        return value, self.text[start:end].strip()
-
-    def _const_add(self):
-        v = self._const_mul()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            r = self._const_mul()
-            v = v + r if op == "+" else v - r
-        return v
-
-    def _const_mul(self):
-        v = self._const_unary()
-        while self.peek()[1] == "*":
-            self.next()
-            v *= self._const_unary()
-        return v
-
-    def _const_unary(self):
-        kind, val, pos = self.peek()
-        if val == "-":
-            self.next()
-            return -self._const_unary()
-        if val == "(":
-            self.next()
-            v = self._const_add()
-            self.expect(")")
-            return v
-        if kind == "num":
-            self.next()
-            return int(val)
-        if kind == "name":
-            self.next()
-            if val not in self.ctx.constants:
-                self.fail_name(val, pos, self.ctx.constants, "constant")
-            return self.ctx.constants[val]
-        raise QueryError("expected an integer expression", pos, self.text)
+        loc = self.next()
+        if loc not in locs:
+            self.fail_name(loc, locs, "location of %s" % name)
+        return LocAtom(auto_idx, name, locs[loc], loc)
 
 
 def parse_query(text, ctx):
     """Parse one `A[] <expr>` property against a resolution context."""
-    return _Parser(text, ctx).parse_query()
+    return _QueryParser(text, ctx).query()
 
 
 def parse_query_file(text, ctx):

@@ -229,6 +229,29 @@ class TestVerify:
         assert code == 0
         assert out.count("SATISFIED") == 1
 
+    def test_query_of_the_adversary_automaton_skipped(self, capsys):
+        # bob_accepts and bob_security name BobTA, which Bob as the
+        # adversary does not run
+        code, out, err = run(capsys, "verify", "cs", "--adversary", "bob", *REDUCED)
+        assert code == 0
+        assert out.count("SATISFIED") == 3
+        assert "note: skipping query bob_accepts" in err
+        assert "note: skipping query bob_security" in err
+
+    @pytest.mark.parametrize("malformed", [
+        "bob_security: A[] (((",
+        "bob_security: A[] not GhostTA.failure",
+    ])
+    def test_malformed_named_query_exit_three(self, capsys, tmp_path, malformed):
+        path = tmp_path / "cs.model"
+        text = open(CS_MODEL).read()
+        line = [l for l in text.splitlines() if l.startswith("bob_security:")][0]
+        path.write_text(text.replace(line, malformed))
+        code, out, err = run(capsys, "verify", str(path), *REDUCED)
+        assert code == 3
+        assert err.startswith("error: query bob_security: line 1, column ")
+        assert out == ""
+
 
 class TestTraceCommand:
     def test_roundtrip_replay(self, capsys, tmp_path):

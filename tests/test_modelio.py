@@ -1,8 +1,10 @@
 """Model files: parsing, loader validation, the shipped models'
 exploration counters, trace documents and reports."""
 
+import itertools
 import json
 import os
+import re
 
 import pytest
 
@@ -115,6 +117,125 @@ class TestLoader:
         with pytest.raises(M.ModelIOError) as err:
             M.parse_model_text(text)
         assert (err.value.code, err.value.line) == (M.E_PARSE, 3)
+
+
+# Where each kind of expression sits in cs.model: the line with `{}` in
+# place of the expression, and the expression the file has there.
+EXPRESSION_SPOTS = {
+    "guard": ('guard "{}" label commit_confirmed', "on_chain(COMMIT)"),
+    "update": ('message send_fuse_sig update "{}"', "broadcast_signature(C_KEY, FUSE)"),
+    "clock": ('clock "{}" guard "not on_chain(COMMIT)"', "time == MAX_LATENCY"),
+    "timer": ("open_deadline = {}", "PROT_TIMELOCK - MAX_LATENCY"),
+    "timelock": ("timelock = {}", "PROT_TIMELOCK"),
+    "invariant": ('location start initial invariant="time <= {}"', "MAX_LATENCY"),
+}
+
+
+def cs_with(spot, expression, text=None):
+    """cs.model with the expression at `spot` replaced."""
+    line, original = EXPRESSION_SPOTS[spot]
+    text = text or open(CS_PATH).read()
+    assert line.format(original) in text
+    return text.replace(line.format(original), line.format(expression), 1)
+
+
+def build_text(text):
+    return M.build_model(M.parse_model_text(text, name="edited"))
+
+
+class TestExpressionErrors:
+    """One row per expression form and the code it reports; None means
+    the model builds."""
+
+    @pytest.mark.parametrize("spot,expression,code", [
+        ("guard", "bogus(COMMIT)", M.E_EXPR),
+        ("guard", "on_chain(GHOST)", M.E_NAME),
+        ("guard", "on_chain(COMMIT) and", M.E_EXPR),
+        ("guard", "(on_chain(COMMIT)", M.E_EXPR),
+        ("guard", "on_chain(COMMIT))", M.E_EXPR),
+        ("guard", "on_chain(COMMIT) @", M.E_EXPR),
+        ("guard", "status(COMMIT)", M.E_EXPR),
+        ("guard", "status(COMMIT) == BOGUS", M.E_EXPR),
+        ("guard", "status(COMMIT) < UNSENT", M.E_EXPR),
+        ("guard", "on_chain(COMMIT) imply not on_chain(OPEN)", None),
+        ("update", "frobnicate(C_KEY)", M.E_EXPR),
+        ("update", "broadcast_signature(C_KEY, FUSE);", M.E_EXPR),
+        ("update", "broadcast_signature(GHOST, FUSE)", M.E_NAME),
+        ("update", "broadcast_signature(C_KEY, FUSE, x)", M.E_EXPR),
+        ("update", "broadcast_signature(C_KEY, FUSE,)", M.E_EXPR),
+        ("update", "broadcast_signature(C_KEY, FUSE, 0)", None),
+        ("clock", "time == MAX_LATENCY or time == 0", M.E_EXPR),
+        ("clock", "not time == MAX_LATENCY", M.E_EXPR),
+        ("clock", "true", M.E_EXPR),
+        ("clock", "time < MAX_LATENCY", M.E_STRICT),
+        ("clock", "time ==", M.E_EXPR),
+        ("clock", "time == MAX_LATENCY +", M.E_EXPR),
+        ("timer", "PROT_TIMELOCK - GHOST", M.E_NAME),
+        ("timer", "PROT_TIMELOCK - MAX_LATENCY)", M.E_EXPR),
+        ("timelock", "GHOST", M.E_NAME),
+        ("timelock", "PROT_TIMELOCK)", M.E_EXPR),
+        ("invariant", "GHOST", M.E_NAME),
+    ])
+    def test_error_code(self, spot, expression, code):
+        text = cs_with(spot, expression)
+        if code is None:
+            build_text(text)
+            return
+        with pytest.raises(M.ModelIOError) as err:
+            build_text(text)
+        assert err.value.code == code
+
+    def test_guard_imply(self):
+        for p, r in itertools.product((0, 1), repeat=2):
+            text = open(CS_PATH).read().replace(
+                "WEAKENED_ALICE = 0", "WEAKENED_ALICE = 0\nP = %d\nR = %d" % (p, r))
+            model = build_text(cs_with("guard", "P imply R", text))
+            (edge,) = [e for autos in model.honest_automata.values()
+                       for a in autos for e in a.edges
+                       if e.label == "commit_confirmed"]
+            # constant atoms never read the world
+            assert edge.guard(None, None) == (not p or r)
+
+    @pytest.mark.parametrize("text,where", [
+        ("A[] time >= ", "line 1, column 13"),
+        ("A[] time >=\n  GHOST", "line 2, column 3"),
+        ("A[] (time >= 1", "line 1, column 15"),
+        ("A[] time >= 1 @", "line 1, column 15"),
+        ("A[] hold_bitcoins(parties[ALICA]) == 1", "line 1, column 27"),
+        ("A[] time >= 1 imply", "line 1, column 20"),
+    ])
+    def test_query_error_position(self, text, where):
+        _net, ctx = instantiate(M.contract_model("cs"))
+        with pytest.raises(Q.QueryError, match=re.escape(where)):
+            Q.parse_query(text, ctx)
+
+
+def expression_mutants(text):
+    """`text` with one quoted expression cut short at a token, or with
+    that token replaced by one of a few stray tokens."""
+    for quoted in re.finditer(r'"([^"]*)"', text):
+        start, close = quoted.start(1), quoted.end(1)
+        for tok in re.finditer(r"\w+|==|!=|<=|>=|\S", quoted.group(1)):
+            a, b = start + tok.start(), start + tok.end()
+            yield text[:a] + text[close:]
+            for stray in ("@", "x", "9", ")", ","):
+                yield text[:a] + stray + text[b:]
+
+
+@pytest.mark.parametrize("path", [CS_PATH, NEWSCS_PATH], ids=["cs", "newscs"])
+def test_expression_mutants_build_or_raise_model_error(path):
+    crashes = []
+    count = 0
+    for text in expression_mutants(open(path).read()):
+        count += 1
+        try:
+            build_text(text)
+        except M.ModelError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other type is the defect
+            crashes.append("%s: %s" % (type(exc).__name__, exc))
+    assert count > 500
+    assert crashes == []
 
 
 class TestShippedModels:
