@@ -9,10 +9,10 @@ that output to a key the adversary controls.  Sweeps reveal nothing;
 their output scripts are irrelevant to the honest parties, and carrying
 a secret would only shrink the adversary's options.
 
-Message deliveries synchronize on the urgent channel, so an enabled
-delivery happens before time passes; the per-action flag makes each
-fire at most once.  Nondeterministic interleaving at a single time
-point still covers delivery before or after any same-instant event.
+Message deliveries are urgent edges, so an enabled delivery happens
+before time passes; the per-action flag makes each fire at most once.
+Nondeterministic interleaving at a single time point still covers
+delivery before or after any same-instant event.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .kernel import AutomatonTemplate, Edge, Location
-from .world import URG_CHAN, Output, TxRecord, can_send, try_to_send
+from .world import Output, TxRecord, can_send, try_to_send
 
 
 class MessageAction(NamedTuple):
@@ -93,7 +93,7 @@ def build_adversary_automaton(cfg, adv_slot, tx_count, nss_table, capacity,
             Edge(
                 0, 0, action.name,
                 guard=mguard,
-                sync=("?", URG_CHAN),
+                urgent=True,
                 update=mupdate,
             )
         )

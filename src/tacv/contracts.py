@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 from . import world as W
 from .adversary import build_adversary_automaton, derive_adversary_txset
-from .kernel import Channel, ModelError, Network
+from .kernel import ModelError, Network
 from .queries import QueryContext
-from .world import CONFIRMED, URG_CHAN, World, WorldConstants
+from .world import CONFIRMED, World, WorldConstants
 
 
 class ContractModel(NamedTuple):
@@ -200,7 +200,6 @@ def instantiate(model, adversary=None, run_world_checks=True,
     net = Network(
         "%s[adversary=%s]" % (model.name, adversary or "none"),
         automata,
-        [Channel(URG_CHAN, urgent=True)],
         deadlines,
         initial,
         W.pending_clock_owners,

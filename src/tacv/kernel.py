@@ -9,9 +9,8 @@ waiting for confirmation).
 
 Semantics notes:
 
-- Urgent channels block delay whenever some send/receive pair on an
-  urgent channel is enabled across two distinct automata.  Edges that
-  synchronize on an urgent channel must not constrain clocks.
+- An urgent edge blocks delay while its data guard holds.  Urgent
+  edges must not constrain clocks.
 - Deadline flags are a kernel primitive: each carries an integer
   threshold and a boolean view of the data valuation.  Delay is capped
   at the nearest pending threshold, and flip transitions (generated
@@ -21,8 +20,8 @@ Semantics notes:
   (locations, data): a new zone is dropped when a stored zone of its
   key covers it, and stored zones it covers die, so a dead state still
   waiting in the queue is skipped rather than expanded.  It is
-  deterministic: enabled transitions are ordered by (automaton index,
-  edge index, select binding).
+  deterministic: non-urgent enabled transitions come before urgent
+  ones, each ordered by (automaton index, edge index, select binding).
 - Successors come from one routine: the zone-independent part of a
   key's successors (its "skeleton") is computed once per (locations,
   data) key and then applied to zones.  Exploration, random runs and
@@ -40,6 +39,7 @@ Semantics notes:
 from __future__ import annotations
 
 import itertools
+import math
 import time as _time
 from collections import deque
 from typing import Callable, NamedTuple, Optional
@@ -77,13 +77,8 @@ class Edge(NamedTuple):
     select: tuple = ()        # ((var, (values...)), ...)
     guard: Optional[Callable] = None       # (data, binds) -> bool
     clock_guard: tuple = ()   # ((key, op, const), ...), key 'time' or ('tx', id)
-    sync: Optional[tuple] = None           # ('!', chan) | ('?', chan)
+    urgent: bool = False      # blocks delay while its guard holds
     update: Optional[Callable] = None      # (data, binds) -> data
-
-
-class Channel(NamedTuple):
-    name: str
-    urgent: bool = False
 
 
 class DeadlineFlag(NamedTuple):
@@ -132,7 +127,6 @@ class Network:
         self,
         name,
         automata,
-        channels,
         deadlines,
         initial_data,
         clock_owners,
@@ -142,7 +136,6 @@ class Network:
     ):
         self.name = name
         self.automata = tuple(automata)
-        self.channels = {c.name: c for c in channels}
         self.deadlines = tuple(deadlines)
         self.initial_data = initial_data
         self.clock_owners = clock_owners
@@ -157,18 +150,10 @@ class Network:
             raise ModelError("duplicate automaton names: %r" % (names,))
         for a in self.automata:
             for e in a.edges:
-                if e.sync is not None:
-                    kind, chan = e.sync
-                    if chan not in self.channels:
-                        raise ModelError(
-                            "%s: edge %s uses undeclared channel %r"
-                            % (a.name, e.label, chan)
-                        )
-                    if self.channels[chan].urgent and e.clock_guard:
-                        raise ModelError(
-                            "%s: edge %s puts a clock guard on urgent channel %r"
-                            % (a.name, e.label, chan)
-                        )
+                if e.urgent and e.clock_guard:
+                    raise ModelError(
+                        "%s: urgent edge %s has a clock guard" % (a.name, e.label)
+                    )
         seen = set()
         for d in self.deadlines:
             if d.name in seen:
@@ -189,13 +174,12 @@ class SymbolicState(NamedTuple):
 
 
 class TransitionInstance(NamedTuple):
-    """One data-enabled transition: internal edge or a send/receive pair."""
+    """One data-enabled edge under one select binding."""
 
     auto: int
     edge: int
     binds: tuple              # ((var, value), ...)
-    partner: Optional[tuple]  # (auto, edge, binds) for the receiving side
-    chan: Optional[str]
+    urgent: bool
     label: str
 
 
@@ -296,68 +280,25 @@ def _binds_key(binds):
 def enabled_transitions(net, locs, data):
     """Transition instances whose data guards hold, deterministically ordered.
 
-    Internal edges come first by (automaton, edge, binding); send/receive
-    pairs follow, ordered by channel and the two sides' indices.  Guards
-    never read clocks, so enabledness up to clock guards is a pure
-    function of locations and data; clock guards are applied to zones by
-    `_apply_skeleton`.
+    Non-urgent instances come first, then urgent ones, each ordered by
+    (automaton, edge, binding).  Guards never read clocks, so
+    enabledness up to clock guards is a pure function of locations and
+    data; clock guards are applied to zones by `_apply_skeleton`.
     """
-    inst = []
-    senders = {}
-    receivers = {}
+    plain = []
+    urgent = []
     for ai, a in enumerate(net.automata):
         for ei, e in a.edges_from(locs[ai]):
             guard = e.guard
             for binds, bkey in a.bindings[ei]:
                 if guard is not None and not guard(data, binds):
                     continue
-                if e.sync is None:
-                    inst.append(
-                        TransitionInstance(
-                            ai, ei, bkey, None, None,
-                            "%s.%s" % (a.name, e.label),
-                        )
-                    )
-                else:
-                    kind, chan = e.sync
-                    side = senders if kind == "!" else receivers
-                    side.setdefault(chan, []).append((ai, ei, e, bkey))
-    for chan in sorted(set(senders) & set(receivers)):
-        for (sa, se, sedge, sbinds) in senders[chan]:
-            for (ra, re_, redge, rbinds) in receivers[chan]:
-                if sa == ra:
-                    continue
-                label = "%s.%s -> %s.%s [%s]" % (
-                    net.automata[sa].name, sedge.label,
-                    net.automata[ra].name, redge.label, chan,
-                )
-                inst.append(
+                (urgent if e.urgent else plain).append(
                     TransitionInstance(
-                        sa, se, sbinds, (ra, re_, rbinds), chan, label,
+                        ai, ei, bkey, e.urgent, "%s.%s" % (a.name, e.label),
                     )
                 )
-    return inst
-
-
-def urgency_blocks_delay(state, net):
-    """True iff an enabled urgent send/receive pair forbids letting time pass."""
-    locs, data, _zone = state
-    for chan_name, chan in net.channels.items():
-        if not chan.urgent:
-            continue
-        send_autos = set()
-        recv_autos = set()
-        for ai, a in enumerate(net.automata):
-            for ei, e in a.edges_from(locs[ai]):
-                if e.sync is None or e.sync[1] != chan_name:
-                    continue
-                for binds, _bkey in a.bindings[ei]:
-                    if e.guard is None or e.guard(data, binds):
-                        (send_autos if e.sync[0] == "!" else recv_autos).add(ai)
-                        break
-        if any(s != r for s in send_autos for r in recv_autos):
-            return True
-    return False
+    return plain + urgent
 
 
 def run_state_checks(state, net, inv_atoms):
@@ -461,18 +402,14 @@ class _Skeleton(NamedTuple):
 def _build_skeleton(net, locs, data):
     """The skeleton of one key: computed once, applied to each of its zones.
 
-    Delay is blocked by enabled urgent pairs and otherwise capped by the
+    Delay is blocked by enabled urgent edges and otherwise capped by the
     location invariants and the nearest pending deadline threshold, so
-    that flags flip exactly on time.  A fire runs the sending side's
-    update before the receiving side's; clocks of items that left the
-    pending set are dropped, and items that entered it get fresh clocks
-    at zero in their sorted slots.
+    that flags flip exactly on time.  On a fire, clocks of items that
+    left the pending set are dropped, and items that entered it get
+    fresh clocks at zero in their sorted slots.
     """
     insts = enabled_transitions(net, locs, data)
-    # an enabled instance on an urgent channel IS an enabled urgent pair
-    urgent = any(
-        i.chan is not None and net.channels[i.chan].urgent for i in insts
-    )
+    urgent = any(i.urgent for i in insts)
     layout = clock_layout(net, data)
     inv_atoms = tuple(
         _atoms_to_indices(_invariant_atoms(net, locs, data), layout)
@@ -489,17 +426,8 @@ def _build_skeleton(net, locs, data):
         auto = net.automata[inst.auto]
         edge = auto.edges[inst.edge]
         data2 = edge.update(data, dict(inst.binds)) if edge.update else data
-        locs2 = list(locs)
-        locs2[inst.auto] = edge.target
-        cg = tuple(edge.clock_guard)
-        if inst.partner is not None:
-            ra, re_, rbinds = inst.partner
-            redge = net.automata[ra].edges[re_]
-            if redge.update:
-                data2 = redge.update(data2, dict(rbinds))
-            locs2[ra] = redge.target
-            cg = cg + tuple(redge.clock_guard)
-        locs2 = tuple(locs2)
+        locs2 = locs[:inst.auto] + (edge.target,) + locs[inst.auto + 1:]
+        cg = edge.clock_guard
         after = net.clock_owners(data2)
         after_set = set(after)
         drop = tuple(
@@ -514,10 +442,8 @@ def _build_skeleton(net, locs, data):
         else:
             perm = None
         inv2 = invariant_indices(net, locs2, data2)
-        desc = ("fire", inst.auto, inst.edge, inst.binds,
-                inst.partner, inst.chan)
         fires.append((
-            desc, inst.label,
+            ("fire", inst.auto, inst.edge, inst.binds), inst.label,
             tuple(_atoms_to_indices(cg, layout)) if cg else (),
             locs2, data2, drop, len(new), perm, inv2,
         ))
@@ -740,8 +666,7 @@ def _build_trace(meta, goal_sid, witness_zone, net):
             shared = [k for k in keys_i if k in nxt_vals]
             scale = 1
             for k in shared:
-                scale = scale * nxt_vals[k].denominator // _gcd(
-                    scale, nxt_vals[k].denominator)
+                scale = math.lcm(scale, nxt_vals[k].denominator)
             z = zones_[i].scaled(scale) if scale > 1 else zones_[i]
             layout = {k: idx + 1 for idx, k in enumerate(keys_i)}
             atoms = [
@@ -766,12 +691,6 @@ def _build_trace(meta, goal_sid, witness_zone, net):
         )
     first = chain[0][0]
     return Trace(tuple(steps), first.data, first.locs, _display_vals(vals[-1]))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _display_vals(vals):

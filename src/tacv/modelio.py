@@ -29,6 +29,7 @@ re-checks the query.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -48,9 +49,9 @@ from .kernel import (
     initial_state,
     replay_steps,
 )
-from .world import NssClause, Output, PartyKnowledge, TxRecord, URG_CHAN, WorldConstants
+from .world import NssClause, Output, PartyKnowledge, TxRecord, WorldConstants
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 BUILTIN_CONTRACTS = ("cs", "newscs")
 MODELS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "models")
@@ -59,15 +60,30 @@ STATUS_BY_NAME = {name: i for i, name in enumerate(W.STATUS_NAMES)}
 
 
 class ModelIOError(ModelError):
-    """Loader failure with a stable error code."""
+    """Loader failure with a stable error code and, when known, the
+    line of the `.model` file it concerns."""
 
     def __init__(self, code, message, line=None):
-        prefix = "%s: " % code
-        if line is not None:
-            prefix += "line %d: " % line
-        super().__init__(prefix + message)
+        super().__init__(message)
         self.code = code
+        self.message = message
         self.line = line
+
+    def __str__(self):
+        if self.line is None:
+            return "%s: %s" % (self.code, self.message)
+        return "%s: line %d: %s" % (self.code, self.line, self.message)
+
+
+@contextlib.contextmanager
+def _at(line):
+    """Give a ModelIOError raised inside without a line number `line`."""
+    try:
+        yield
+    except ModelIOError as exc:
+        if exc.line is None:
+            exc.line = line
+        raise
 
 
 # codes for distinct semantic failures
@@ -83,7 +99,11 @@ E_STRICT = "E_STRICT"
 
 
 class ModelDocument(NamedTuple):
-    """Canonical parsed form of a .model file (pure data, order-stable)."""
+    """Canonical parsed form of a .model file (pure data, order-stable).
+
+    Every entry that `build_model` resolves ends with its line number,
+    so that an error found while building it names the line.
+    """
 
     name: str
     constants: tuple      # ((name, value), ...)
@@ -91,13 +111,13 @@ class ModelDocument(NamedTuple):
     secrets: tuple
     parties: tuple        # ((name, keys, secrets), ...)
     capacity: int
-    txs: tuple            # ((name, inputs, outputs, timelock_expr, reveals, confirmed), ...)
-    nss: tuple            # ((name, clauses), ...) clause = (keys, secrets)
-    timers: tuple         # ((name, expr), ...)
+    txs: tuple            # ((name, inputs, outputs, timelock_expr, reveals, confirmed, line), ...)
+    nss: tuple            # ((name, clauses, line), ...) clause = (keys, secrets)
+    timers: tuple         # ((name, expr, line), ...)
     marks: tuple
     signed: tuple
-    automata: tuple       # ((auto name, party, locations, edges), ...)
-    adversaries: tuple    # ((party, key, actions), ...) action = (name, guard, update)
+    automata: tuple       # ((auto name, party, locations, edges, line), ...)
+    adversaries: tuple    # ((party, key, actions, line), ...) action = (name, guard, update, line)
     queries: tuple        # ((name, text), ...)
 
 
@@ -201,7 +221,7 @@ def _parse_assign_exprs(body):
         if "=" not in line:
             raise ModelIOError(E_PARSE, "expected NAME = EXPRESSION", ln)
         k, v = line.split("=", 1)
-        out.append((k.strip(), v.strip()))
+        out.append((k.strip(), v.strip(), ln))
     return out
 
 
@@ -265,6 +285,7 @@ def _parse_txs(body):
             fields.pop("timelock", "0"),
             tuple(fields.pop("reveals", "").split()),
             bool(fields.pop("confirmed", False)),
+            ln,
         ))
         _no_extra(fields, ln)
     return out
@@ -288,7 +309,7 @@ def _parse_nss(body):
                 else:
                     keys.append(item)
             clauses.append((tuple(keys), tuple(secrets)))
-        out.append((name.strip(), tuple(clauses)))
+        out.append((name.strip(), tuple(clauses), ln))
     return out
 
 
@@ -325,6 +346,7 @@ def _parse_automaton(arg, header_ln, body):
                 "initial" in flags,
                 "named" in flags,
                 inv,
+                ln,
             ))
             flags -= {"initial", "named"}
             if flags:
@@ -337,10 +359,11 @@ def _parse_automaton(arg, header_ln, body):
                 em.group(1), em.group(2), bool(em.group("urgent")),
                 em.group("clock"), em.group("guard"), em.group("update"),
                 em.group("label") or "step%d" % len(edges),
+                ln,
             ))
         else:
             raise ModelIOError(E_PARSE, "expected a location or edge line", ln)
-    return (auto_name, party, tuple(locations), tuple(edges))
+    return (auto_name, party, tuple(locations), tuple(edges), header_ln)
 
 
 def _parse_adversary(arg, header_ln, body):
@@ -359,12 +382,12 @@ def _parse_adversary(arg, header_ln, body):
             )
             if not m:
                 raise ModelIOError(E_PARSE, "malformed message line", ln)
-            actions.append((m.group(1), m.group(2) or "true", m.group(3)))
+            actions.append((m.group(1), m.group(2) or "true", m.group(3), ln))
         else:
             raise ModelIOError(E_PARSE, "expected key or message line", ln)
     if key is None:
         raise ModelIOError(E_PARSE, "adversary section needs a key", header_ln)
-    return (party, key, tuple(actions))
+    return (party, key, tuple(actions), header_ln)
 
 
 def _parse_queries(body):
@@ -586,44 +609,47 @@ def build_model(doc, overrides=None):
     party_names = tuple(p[0] for p in doc.parties) + ("ADVERSARY",)
     party_ids = {n: i for i, n in enumerate(party_names)}
 
-    nss_table = tuple(
-        tuple(
-            NssClause(
-                tuple(_lookup(keys, k, "key", E_RANGE) for k in ckeys),
-                tuple(_lookup(secrets, s, "secret", E_RANGE) for s in csecs),
-            )
-            for (ckeys, csecs) in clauses
-        )
-        for (_n, clauses) in doc.nss
-    )
+    nss_table = []
+    for (_n, clauses, ln) in doc.nss:
+        with _at(ln):
+            nss_table.append(tuple(
+                NssClause(
+                    tuple(_lookup(keys, k, "key", E_RANGE) for k in ckeys),
+                    tuple(_lookup(secrets, s, "secret", E_RANGE) for s in csecs),
+                )
+                for (ckeys, csecs) in clauses
+            ))
+    nss_table = tuple(nss_table)
 
     txs = []
-    for (name, inputs, outputs, timelock, reveals, confirmed) in doc.txs:
-        in_refs = []
-        for (ref, oi) in inputs:
-            if ref not in tx_ids:
-                raise ModelIOError(E_DANGLING_TX, "input %r of %s" % (ref, name))
-            in_refs.append((tx_ids[ref], oi))
-        outs = []
-        for (kind, ref, value) in outputs:
-            table = keys if kind == "key" else nss_ids
-            outs.append(Output(kind, _lookup(table, ref, kind, E_RANGE), value))
-        tl = _Expr(timelock, constants).parse_const()
-        txs.append(TxRecord(
-            tx_ids[name],
-            tuple(in_refs),
-            tuple(outs),
-            status=W.CONFIRMED if confirmed else W.UNSENT,
-            timelock=tl,
-            timelock_passed=(tl == 0),
-            reveals=tuple(_lookup(secrets, s, "secret", E_RANGE) for s in reveals),
-        ))
-    for tx in txs:
+    for (name, inputs, outputs, timelock, reveals, confirmed, ln) in doc.txs:
+        with _at(ln):
+            in_refs = []
+            for (ref, oi) in inputs:
+                if ref not in tx_ids:
+                    raise ModelIOError(E_DANGLING_TX, "input %r of %s" % (ref, name))
+                in_refs.append((tx_ids[ref], oi))
+            outs = []
+            for (kind, ref, value) in outputs:
+                table = keys if kind == "key" else nss_ids
+                outs.append(Output(kind, _lookup(table, ref, kind, E_RANGE), value))
+            tl = _Expr(timelock, constants).parse_const()
+            txs.append(TxRecord(
+                tx_ids[name],
+                tuple(in_refs),
+                tuple(outs),
+                status=W.CONFIRMED if confirmed else W.UNSENT,
+                timelock=tl,
+                timelock_passed=(tl == 0),
+                reveals=tuple(_lookup(secrets, s, "secret", E_RANGE) for s in reveals),
+            ))
+    for tx, entry in zip(txs, doc.txs):
         for (src, oi) in tx.inputs:
             if oi >= len(txs[src].outputs):
                 raise ModelIOError(
                     E_DANGLING_TX,
                     "transaction %d spends missing output %d:%d" % (tx.num, src, oi),
+                    entry[-1],
                 )
 
     parties = tuple(
@@ -638,65 +664,71 @@ def build_model(doc, overrides=None):
                    timer_ids, mark_ids, nss_table, doc.capacity)
 
     honest = {}
-    for (auto_name, party, locations, edges) in doc.automata:
-        p = _lookup(party_ids, party, "party", E_NAME)
+    for (auto_name, party, locations, edges, header_ln) in doc.automata:
+        with _at(header_ln):
+            p = _lookup(party_ids, party, "party", E_NAME)
         loc_ids = {l[0]: i for i, l in enumerate(locations)}
         locs = []
         initial = 0
-        for i, (lname, is_init, named, inv) in enumerate(locations):
+        for i, (lname, is_init, named, inv, ln) in enumerate(locations):
             if is_init:
                 initial = i
             inv_fn = None
             if inv is not None:
-                bound = _Expr(inv, constants).parse_const()
+                with _at(ln):
+                    bound = _Expr(inv, constants).parse_const()
                 inv_fn = (lambda b: lambda _w: (("time", "<=", b),))(bound)
             locs.append(Location(lname, inv_fn, named=named))
         built_edges = []
-        for (src, dst, urgent, clock, guard, update, label) in edges:
-            if src not in loc_ids or dst not in loc_ids:
-                raise ModelIOError(E_NAME, "unknown location in edge %s->%s" % (src, dst))
-            cg = _ClockGuard(clock, constants).parse_expr() if clock else ()
-            if urgent and cg:
-                raise ModelIOError(
-                    E_URGENT_CLOCK,
-                    "edge %s.%s synchronizes on the urgent channel but guards clocks"
-                    % (auto_name, label),
-                )
-            gfn = _Guard(guard, names).parse_expr() if guard else None
-            ufn = _Guard(update, names).parse_update() if update else None
+        for (src, dst, urgent, clock, guard, update, label, ln) in edges:
+            with _at(ln):
+                if src not in loc_ids or dst not in loc_ids:
+                    raise ModelIOError(E_NAME, "unknown location in edge %s->%s" % (src, dst))
+                cg = _ClockGuard(clock, constants).parse_expr() if clock else ()
+                if urgent and cg:
+                    raise ModelIOError(
+                        E_URGENT_CLOCK,
+                        "urgent edge %s.%s guards clocks" % (auto_name, label),
+                    )
+                gfn = _Guard(guard, names).parse_expr() if guard else None
+                ufn = _Guard(update, names).parse_update() if update else None
             built_edges.append(Edge(
                 loc_ids[src], loc_ids[dst], label,
                 guard=(lambda w, b, f=gfn: f(w)) if gfn else None,
                 clock_guard=cg,
-                sync=("?", URG_CHAN) if urgent else None,
+                urgent=urgent,
                 update=(lambda w, b, f=ufn: f(w)) if ufn else None,
             ))
         honest.setdefault(p, []).append(
             AutomatonTemplate(auto_name, locs, built_edges, initial=initial))
 
     adv_configs = {}
-    for (party, key, actions) in doc.adversaries:
-        p = _lookup(party_ids, party, "party", E_NAME)
-        if p in adv_configs:
-            raise ModelIOError(E_TWO_ADVERSARIES,
-                               "duplicate adversary section for %s" % party)
+    for (party, key, actions, header_ln) in doc.adversaries:
+        with _at(header_ln):
+            p = _lookup(party_ids, party, "party", E_NAME)
+            if p in adv_configs:
+                raise ModelIOError(E_TWO_ADVERSARIES,
+                                   "duplicate adversary section for %s" % party)
+            adv_key = _lookup(keys, key, "key", E_RANGE)
         msg = []
-        for (name, guard, update) in actions:
-            gfn = _Guard(guard, names).parse_expr()
-            ufn = _Guard(update, names).parse_update()
+        for (name, guard, update, ln) in actions:
+            with _at(ln):
+                gfn = _Guard(guard, names).parse_expr()
+                ufn = _Guard(update, names).parse_update()
             msg.append(MessageAction(name, gfn, ufn))
         adv_configs[p] = AdversaryConfig(
             controlled_party=p,
-            adv_key=_lookup(keys, key, "key", E_RANGE),
+            adv_key=adv_key,
             message_actions=tuple(msg),
         )
 
     timers = []
-    for (n, e) in doc.timers:
-        threshold = _Expr(e, constants).parse_const()
-        if threshold < 1:
-            raise ModelIOError(E_RANGE, "timer %s: threshold %s is %d, must be at least 1"
-                               % (n, e, threshold))
+    for (n, e, ln) in doc.timers:
+        with _at(ln):
+            threshold = _Expr(e, constants).parse_const()
+            if threshold < 1:
+                raise ModelIOError(E_RANGE, "timer %s: threshold %s is %d, must be at least 1"
+                                   % (n, e, threshold))
         timers.append((n, threshold))
 
     total = sum(

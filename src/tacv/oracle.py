@@ -24,12 +24,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from . import queries as Q
-from .kernel import (
-    ModelError,
-    TIME,
-    overall_verdicts,
-    urgency_blocks_delay,
-)
+from .kernel import ModelError, TIME, overall_verdicts
 
 
 class OracleResult(NamedTuple):
@@ -110,12 +105,27 @@ def _invariants_hold(net, state, owners, offset=0):
 
 
 def _discrete_successors(net, state):
-    """Enabled transitions at this concrete valuation, plus unit delay."""
+    """Unit delay, then enabled non-urgent edges, then enabled urgent ones."""
     owners = tuple(net.clock_owners(state.data))
-    out = []
+    fires, urgent_fires = [], []
+    blocked = False  # some urgent edge's data guard holds
+    for ai, a in enumerate(net.automata):
+        for ei, e in a.edges_from(state.locs[ai]):
+            for binds, _bkey in a.bindings[ei]:
+                if e.guard is not None and not e.guard(state.data, binds):
+                    continue
+                blocked = blocked or e.urgent
+                if e.clock_guard and not _atoms_hold(
+                    e.clock_guard, state, owners
+                ):
+                    continue
+                nxt = _apply(net, state, owners, ai, e, binds)
+                if nxt is not None:
+                    (urgent_fires if e.urgent else fires).append(nxt)
 
     # unit delay: blocked by urgency, pending thresholds, invariants
-    if not urgency_blocks_delay((state.locs, state.data, None), net):
+    out = []
+    if not blocked:
         pending_ok = all(
             state.time + 1 <= d.threshold
             for d in net.deadlines
@@ -128,47 +138,12 @@ def _discrete_successors(net, state):
                     tuple(c + 1 for c in state.clocks),
                 )
             )
-
-    senders, receivers = {}, {}
-    for ai, a in enumerate(net.automata):
-        for ei, e in a.edges_from(state.locs[ai]):
-            for binds, _bkey in a.bindings[ei]:
-                if e.guard is not None and not e.guard(state.data, binds):
-                    continue
-                if e.clock_guard and not _atoms_hold(
-                    e.clock_guard, state, owners
-                ):
-                    continue
-                if e.sync is None:
-                    nxt = _apply(net, state, owners, (ai, e, binds), None)
-                    if nxt is not None:
-                        out.append(nxt)
-                else:
-                    kind, chan = e.sync
-                    side = senders if kind == "!" else receivers
-                    side.setdefault(chan, []).append((ai, e, binds))
-    for chan in sorted(set(senders) & set(receivers)):
-        for s in senders[chan]:
-            for r in receivers[chan]:
-                if s[0] == r[0]:
-                    continue
-                nxt = _apply(net, state, owners, s, r)
-                if nxt is not None:
-                    out.append(nxt)
-    return out
+    return out + fires + urgent_fires
 
 
-def _apply(net, state, owners, sender, receiver):
-    ai, edge, binds = sender
+def _apply(net, state, owners, ai, edge, binds):
     data = edge.update(state.data, dict(binds)) if edge.update else state.data
-    locs = list(state.locs)
-    locs[ai] = edge.target
-    if receiver is not None:
-        ra, redge, rbinds = receiver
-        if redge.update:
-            data = redge.update(data, dict(rbinds))
-        locs[ra] = redge.target
-    locs = tuple(locs)
+    locs = state.locs[:ai] + (edge.target,) + state.locs[ai + 1:]
     new_owners = tuple(net.clock_owners(data))
     old = dict(zip(owners, state.clocks))
     clocks = tuple(old.get(o, 0) for o in new_owners)

@@ -22,6 +22,7 @@ operation the models use.
 from __future__ import annotations
 
 import difflib
+import operator
 import re
 from typing import NamedTuple
 
@@ -423,11 +424,12 @@ def _substitute(node, state):
     raise TypeError(node)
 
 
+_CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+        ">=": operator.ge, ">": operator.gt}
+
+
 def _cmp(lhs, op, rhs):
-    return {
-        "<": lhs < rhs, "<=": lhs <= rhs, "==": lhs == rhs,
-        ">=": lhs >= rhs, ">": lhs > rhs,
-    }[op]
+    return _CMP[op](lhs, rhs)
 
 
 def _nnf(node, neg):

@@ -33,8 +33,6 @@ from .kernel import (
 UNSENT, SENT, CONFIRMED, SPENT, CANCELED = range(5)
 STATUS_NAMES = ("UNSENT", "SENT", "CONFIRMED", "SPENT", "CANCELED")
 
-URG_CHAN = "urg_chan"
-
 
 class WorldConstants(NamedTuple):
     max_latency: int = 10
@@ -497,8 +495,8 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
 
 
 def build_helper(deadlines):
-    """One-state helper: the perpetual urgent-channel source plus the
-    deadline-flip edges, one per distinct threshold.
+    """One-state helper with the deadline-flip edges, one per distinct
+    threshold.
 
     Thresholds must be strictly increasing per flag list; several flags
     sharing a threshold flip together.
@@ -506,7 +504,7 @@ def build_helper(deadlines):
     by_threshold = {}
     for d in deadlines:
         by_threshold.setdefault(d.threshold, []).append(d)
-    edges = [Edge(0, 0, "urg", sync=("!", URG_CHAN))]
+    edges = []
     for theta in sorted(by_threshold):
         group = by_threshold[theta]
 

@@ -81,7 +81,7 @@ class TestVerify:
         )
         assert code == 0
         report = json.loads(out.strip())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["verdict"] == "SATISFIED"
         assert report["engine"] == "zone"
 
@@ -328,6 +328,21 @@ class TestTraceCommand:
         code, out, err = run(capsys, "trace", out_file)
         assert code == 3
         assert err.startswith("error: replay diverged: step 0:") and out == ""
+
+    def test_schema_one_document_refused(self, capsys, tmp_path):
+        # schema 1 wrote six-field fire descriptors; an urgent fire named
+        # HelperTA's sender edge (automaton 1, edge 0) and its partner
+        out_file = self.write_violation(capsys, tmp_path)
+        doc = json.load(open(out_file))
+        doc["schema_version"] = 1
+        for step in doc["steps"]:
+            if step["kind"] == "fire":
+                step["descriptor"] = ["fire", 1, 0, [], step["descriptor"][1:],
+                                      "urg_chan"]
+        json.dump(doc, open(out_file, "w"))
+        code, out, err = run(capsys, "trace", out_file)
+        assert code == 3
+        assert "unsupported schema version" in err and out == ""
 
     def test_unknown_adversary_exit_three(self, capsys, tmp_path):
         out_file = self.write_violation(capsys, tmp_path)

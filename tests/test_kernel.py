@@ -2,7 +2,7 @@
 
 A two-job system: jobs are started (their clock is born at zero) and
 must finish within 3 time units of starting; a deadline flag flips at
-time 5.  This exercises delay capping, urgent channels, dynamic clock
+time 5.  This exercises delay capping, urgent edges, dynamic clock
 sets, deadline flips, exploration and trace replay without any of the
 block-chain machinery.
 """
@@ -64,7 +64,6 @@ def make_net(urgent_ping=False, deadline=5, bound=3):
         ],
     )
     automata = [starter, finisher]
-    channels = [K.Channel("urg", urgent=True)]
     if urgent_ping:
         pinger = K.AutomatonTemplate(
             "Pinger",
@@ -73,15 +72,12 @@ def make_net(urgent_ping=False, deadline=5, bound=3):
                 K.Edge(
                     0, 0, "ping",
                     guard=lambda d, b: not d.ping,
-                    sync=("?", "urg"),
+                    urgent=True,
                     update=lambda d, b: d._replace(ping=True),
                 )
             ],
         )
-        helper = K.AutomatonTemplate(
-            "Urg", [K.Location("h", None)], [K.Edge(0, 0, "u", sync=("!", "urg"))]
-        )
-        automata += [pinger, helper]
+        automata.append(pinger)
     flag = K.DeadlineFlag(
         "flag", deadline,
         lambda d: d.flag,
@@ -103,7 +99,6 @@ def make_net(urgent_ping=False, deadline=5, bound=3):
     return K.Network(
         "jobs",
         automata,
-        channels,
         [flag],
         Jobs((IDLE, IDLE), False),
         clock_owners,
@@ -159,9 +154,24 @@ class TestDelay:
         net = make_net(urgent_ping=True)
         s0 = K.initial_state(net)
         assert delayed(net, s0) is None
-        s1 = by_label(net, s0, "[urg]")[0]
+        s1 = by_label(net, s0, "Pinger.ping")[0]
         assert s1.data.ping
         assert delayed(net, s1) is not None
+
+
+class TestOrder:
+    def test_non_urgent_instances_before_urgent(self):
+        # Pinger (automaton 2) sits between Starter and Ticker (3), so an
+        # order by automaton alone would put ping before tick
+        net = make_net(urgent_ping=True)
+        s0 = K.initial_state(net)
+        insts = K.enabled_transitions(net, s0.locs, s0.data)
+        assert [(i.label, i.binds, i.urgent) for i in insts] == [
+            ("Starter.start", (("i", 0),), False),
+            ("Starter.start", (("i", 1),), False),
+            ("Ticker.tick", (), False),
+            ("Pinger.ping", (), True),
+        ]
 
 
 class TestClockLifecycle:
@@ -187,7 +197,7 @@ class TestClockLifecycle:
 
 class TestExplore:
     def test_empty_network_single_configuration(self):
-        net = K.Network("empty", [], [], [], Jobs((), True), clock_owners)
+        net = K.Network("empty", [], [], Jobs((), True), clock_owners)
         res = K.explore(net, check=lambda s: None)
         assert res.verdict == "SATISFIED"
         assert res.states == 1
@@ -318,21 +328,11 @@ class TestValidation:
         bad = K.AutomatonTemplate(
             "Bad",
             [K.Location("x", None)],
-            [K.Edge(0, 0, "e", sync=("?", "urg"),
+            [K.Edge(0, 0, "e", urgent=True,
                     clock_guard=(("time", "<=", 1),))],
         )
         with pytest.raises(K.ModelError):
-            K.Network(
-                "bad", [bad], [K.Channel("urg", urgent=True)], [],
-                Jobs((), False), clock_owners,
-            )
-
-    def test_undeclared_channel_rejected(self):
-        bad = K.AutomatonTemplate(
-            "Bad", [K.Location("x", None)], [K.Edge(0, 0, "e", sync=("!", "nope"))]
-        )
-        with pytest.raises(K.ModelError):
-            K.Network("bad", [bad], [], [], Jobs((), False), clock_owners)
+            K.Network("bad", [bad], [], Jobs((), False), clock_owners)
 
 
 class TestRandomRun:

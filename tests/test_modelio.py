@@ -183,7 +183,10 @@ class TestExpressionErrors:
             return
         with pytest.raises(M.ModelIOError) as err:
             build_text(text)
-        assert err.value.code == code
+        edited = EXPRESSION_SPOTS[spot][0].format(expression)
+        line = text[:text.index(edited)].count("\n") + 1
+        assert (err.value.code, err.value.line) == (code, line)
+        assert str(err.value).startswith("%s: line %d: " % (code, line))
 
     def test_guard_imply(self):
         for p, r in itertools.product((0, 1), repeat=2):

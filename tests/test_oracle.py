@@ -40,7 +40,7 @@ class TestReachability:
 
     def test_empty_network_single_state(self):
         from tacv.kernel import Network
-        net = Network("empty", [], [], [], (), lambda d: ())
+        net = Network("empty", [], [], (), lambda d: ())
         res, _verdicts = explore_discrete(net)
         assert res.states == 1
 
@@ -135,6 +135,6 @@ class TestClosedModelGuard:
             "Bad", [Location("x", None)],
             [Edge(0, 0, "late", clock_guard=(("time", ">", 3),))],
         )
-        net = Network("bad", [bad], [], [], (), lambda d: ())
+        net = Network("bad", [bad], [], (), lambda d: ())
         with pytest.raises(ModelError):
             explore_discrete(net, horizon=10)
