@@ -34,17 +34,34 @@ Semantics notes:
   zone checks (`run_state_checks`: deadline flags agree with their
   clock condition, the zone lies inside its location invariants) run
   on every stored zone state.
+- `explore` extrapolates transaction clocks (Extra+_LU of Behrmann,
+  Bouyer, Larsen and Pelánek, "Lower and upper bounds in zone-based
+  abstractions of timed automata", STTT 2006).  A clock is extrapolated
+  when no clock guard of the network bounds its key from below (`>`,
+  `>=`, `==`) and its invariant bounds it by some B; `time` never is.
+  With no lower bound, L(x) = -inf, so Extra+_LU forgets every upper
+  bound on x and its invariant puts back x <= B: the row of x becomes
+  B + (row of the reference clock), an O(n) rewrite of a closed DBM.
+  Zones that differ only in how long ago a pending transaction started
+  then merge.  The abstraction is a simulation that matches edge for
+  edge and leaves the projection on `time` alone, so (locations, data)
+  reachability and every query over `time` and data are unchanged.
+  Stored zones are abstract, so a trace first recomputes the exact
+  zones forward along its descriptors and meets the checker's witness
+  with the exact final zone before it concretizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time as _time
 from collections import deque
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .zones import Zone
+from .zones import INF, ZERO, Zone, unpack
 
 
 class ModelError(Exception):
@@ -65,7 +82,8 @@ class ReplayError(Exception):
 
 class Location(NamedTuple):
     name: str
-    # (data) -> iterable of clock atoms (key, op, const); None for no invariant
+    # (data) -> iterable of clock atoms (key, '<' or '<=', const); None for
+    # no invariant
     invariant: Optional[Callable]
     named: bool = False
 
@@ -121,6 +139,12 @@ class Network:
     `explore` runs a state check once per (locations, data) key and a
     transition check once per fire of each skeleton; the kernel's zone
     checks run on every stored zone state (see `run_state_checks`).
+
+    A location invariant maps the data to clock atoms (key, op, const)
+    that bound clocks only from above (`<`, `<=`); building a key's
+    invariant atoms raises ModelError on any other operator.  `explore`
+    relies on this: its extrapolation treats an invariant as an upper
+    bound that it may re-impose on an abstracted zone.
     """
 
     def __init__(
@@ -215,6 +239,10 @@ class VerificationResult(NamedTuple):
 
 TIME = "time"
 
+# comparison operators of clock atoms, as functions
+CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+       ">=": operator.ge, ">": operator.gt}
+
 
 def clock_layout(net, data):
     """Zone index of every live clock: reference 0, time 1, owners after."""
@@ -235,6 +263,7 @@ def _atoms_to_indices(atoms, layout):
 
 
 def _invariant_atoms(net, locs, data):
+    """The clock atoms (key, op, k) of the location invariants of (locs, data)."""
     atoms = []
     for ai, a in enumerate(net.automata):
         inv = a.locations[locs[ai]].invariant
@@ -243,10 +272,42 @@ def _invariant_atoms(net, locs, data):
     return atoms
 
 
+def _invariants(net, locs, data, layout):
+    """(zone atoms (i, 0, op, k), extrapolation bounds) of (locs, data).
+
+    `layout` is the clock layout of `data`.  Raises ModelError on an
+    atom that bounds a clock from below.  The bounds are (index, packed
+    bound, key) triples, one per transaction clock, with the clock's
+    tightest invariant bound.  A clock pinned to zero (`<= 0`) is left
+    out: it has the reference clock's row already, so extrapolating it
+    changes nothing.
+    """
+    atoms = _invariant_atoms(net, locs, data)
+    indexed = tuple(_atoms_to_indices(atoms, layout))
+    loose = False
+    for key, op, k in atoms:
+        if op != "<=" and op != "<":
+            raise ModelError("invariant atom %r bounds a clock from below"
+                             % ((key, op, k),))
+        if k > 0 and key != TIME:
+            loose = True
+    if not loose:
+        return indexed, ()
+    tightest = {}
+    for idx, _zero, op, k in indexed:
+        b = 2 * k + (op == "<=")  # packed
+        if idx > 1 and b < tightest.get(idx, INF):
+            tightest[idx] = b
+    bounds = tuple(
+        (idx, tightest[idx], key) for key, idx in layout.items()
+        if tightest.get(idx, ZERO) > ZERO
+    )
+    return indexed, bounds
+
+
 def invariant_indices(net, locs, data):
     """The location invariants of (locs, data) as zone atoms (i, 0, op, k)."""
-    layout = clock_layout(net, data)
-    return tuple(_atoms_to_indices(_invariant_atoms(net, locs, data), layout))
+    return _invariants(net, locs, data, clock_layout(net, data))[0]
 
 
 def initial_state(net):
@@ -396,7 +457,9 @@ class _Skeleton(NamedTuple):
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
     delay_atoms: tuple  # inv_atoms plus the nearest pending deadline cap
-    fires: tuple   # (desc, label, cg_idx_atoms, locs2, data2, drop, nnew, perm, inv2)
+    bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
+    fires: tuple   # (desc, label, cg_idx_atoms, locs2, data2, drop, nnew, perm,
+                   #  inv2, bounds2)
 
 
 def _build_skeleton(net, locs, data):
@@ -411,9 +474,7 @@ def _build_skeleton(net, locs, data):
     insts = enabled_transitions(net, locs, data)
     urgent = any(i.urgent for i in insts)
     layout = clock_layout(net, data)
-    inv_atoms = tuple(
-        _atoms_to_indices(_invariant_atoms(net, locs, data), layout)
-    )
+    inv_atoms, bounds = _invariants(net, locs, data, layout)
     delay_atoms = inv_atoms
     pending = [d.threshold for d in net.deadlines if not d.is_set(data)]
     if pending:
@@ -441,24 +502,25 @@ def _build_skeleton(net, locs, data):
             perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
         else:
             perm = None
-        inv2 = invariant_indices(net, locs2, data2)
+        inv2, bounds2 = _invariants(net, locs2, data2, clock_layout(net, data2))
         fires.append((
             ("fire", inst.auto, inst.edge, inst.binds), inst.label,
             tuple(_atoms_to_indices(cg, layout)) if cg else (),
-            locs2, data2, drop, len(new), perm, inv2,
+            locs2, data2, drop, len(new), perm, inv2, bounds2,
         ))
         for chk in net.transition_checks:
             chk(data, data2)
-    return _Skeleton(urgent, inv_atoms, delay_atoms, tuple(fires))
+    return _Skeleton(urgent, inv_atoms, delay_atoms, bounds, tuple(fires))
 
 
 def _apply_skeleton(skel, zone):
     """Successors of (key, zone) from the key's skeleton.
 
     Each successor is (descriptor, label, locs, data, zone, invariant
-    atoms of its configuration).  A fire whose clock guards or target
-    invariants empty the zone is disabled.  Delay successors carry None
-    for locations and data: the configuration is unchanged.
+    atoms and extrapolation bounds of its configuration).  A fire whose
+    clock guards or target invariants empty the zone is disabled.  Delay
+    successors carry None for locations and data: the configuration is
+    unchanged.  Zones are exact; `explore` extrapolates them.
     """
     out = []
     if not skel.urgent:
@@ -466,8 +528,10 @@ def _apply_skeleton(skel, zone):
         if delayed != zone:
             if delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
-            out.append((("delay",), "delay", None, None, delayed, skel.inv_atoms))
-    for (desc, label, cg, locs2, data2, drop, nnew, perm, inv2) in skel.fires:
+            out.append((("delay",), "delay", None, None, delayed,
+                        skel.inv_atoms, skel.bounds))
+    for (desc, label, cg, locs2, data2, drop, nnew, perm, inv2,
+         bounds2) in skel.fires:
         z = zone
         if cg:
             z = z.constrained(cg)
@@ -483,7 +547,7 @@ def _apply_skeleton(skel, zone):
             z = z.constrained(inv2)
             if z.is_empty():
                 continue
-        out.append((desc, label, locs2, data2, z, inv2))
+        out.append((desc, label, locs2, data2, z, inv2, bounds2))
     return out
 
 
@@ -504,11 +568,50 @@ def successors(net, state):
     locs, data, zone = state
     out = []
     skel = _build_skeleton(net, locs, data)
-    for desc, label, locs2, data2, zone2, _inv in _apply_skeleton(skel, zone):
+    for desc, label, locs2, data2, zone2, _inv, _b in _apply_skeleton(skel, zone):
         if locs2 is None:  # delay successor keeps the configuration
             locs2, data2 = locs, data
         out.append((desc, label, SymbolicState(locs2, data2, zone2)))
     return out
+
+
+def _lower_bounded_keys(net):
+    """Clock keys that some clock guard bounds from below (`>`, `>=`, `==`)."""
+    return frozenset(
+        key
+        for a in net.automata
+        for e in a.edges
+        for key, op, _k in e.clock_guard
+        if op in (">", ">=", "==")
+    )
+
+
+def _extrapolate(zone, bounds, lower):
+    """Extra+_LU of the transaction clocks in `bounds`, re-bounded by B.
+
+    Each (x, B, key) whose key is not in `lower` has L(x) = -inf, so
+    its row is forgotten and its invariant x <= B put back:
+    c(x, 0) = B, c(x, x) = 0 and c(x, j) = B + c(0, j).  On a closed
+    zone inside its invariants this is Extra+_LU followed by the
+    invariant, and every other entry stays, so the result is closed.
+    Row 0 never changes, so the rows can be rewritten in any order.
+    Returns `zone` itself when no row changes.
+    """
+    n = zone.dim
+    m = zone.m
+    row0 = m[:n]
+    work = None
+    for x, b, key in bounds:
+        if key in lower:
+            continue
+        base = x * n
+        row = [b + c - ((b | c) & 1) for c in row0]
+        row[x] = ZERO
+        if row != list(m[base:base + n]):
+            if work is None:
+                work = list(m)
+            work[base:base + n] = row
+    return zone if work is None else Zone(n, tuple(work), _canonical=True)
 
 
 def overall_verdicts(violated, limit_reason):
@@ -531,6 +634,7 @@ def explore(
     subsumption=True,
     run_checks=True,
     collect_reachable=False,
+    extrapolate=True,
 ):
     """Exhaustive reachability with on-the-fly safety checking.
 
@@ -542,8 +646,13 @@ def explore(
     (`verdicts`, `traces`); its `verdict` is VIOLATED if any checker
     was violated, else LIMIT or SATISFIED (see `overall_verdicts`), and
     its `trace` is the trace of the first violation found.
+
+    Stored zones are extrapolated (see the module notes); with
+    `extrapolate=False` they are exact, which is used to validate that
+    extrapolation never changes a verdict or a reachable set.
     """
     started = _time.monotonic()
+    lower = _lower_bounded_keys(net) if extrapolate else None
     checks = () if check is None else (check,) if callable(check) else tuple(check)
     live = list(range(len(checks)))
     traces = {}  # check index -> trace, in the order violations were found
@@ -601,8 +710,11 @@ def explore(
         skel = skeletons.get(key)
         if skel is None:
             skel = skeletons[key] = _build_skeleton(net, state.locs, state.data)
-        for desc, label, locs2, data2, zone2, inv2 in _apply_skeleton(skel, state.zone):
+        for desc, label, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(
+                skel, state.zone):
             transitions += 1
+            if bounds2 and lower is not None:
+                zone2 = _extrapolate(zone2, bounds2, lower)
             if locs2 is None:  # delay successor keeps the configuration
                 nxt = SymbolicState(state.locs, state.data, zone2)
             else:
@@ -632,17 +744,53 @@ def _layout_keys(net, data):
     return (TIME,) + tuple(("tx", o) for o in net.clock_owners(data))
 
 
+def _exact_chain(net, chain):
+    """The states of `chain` with exact zones, recomputed forward.
+
+    `chain` is the (state, descriptor, label) path from the initial
+    state, whose zones `explore` may have extrapolated.  Extrapolation
+    is a simulation that matches edge for edge, so every descriptor is
+    enabled from the exact zone too; ModelInvariantError otherwise.
+    """
+    out = [chain[0][0]]
+
+    def keep(i, nxt):
+        stored = chain[i + 1][0]
+        if (nxt.locs, nxt.data) != (stored.locs, stored.data):
+            raise ReplayError(i, "exact successor leaves the stored path")
+        out.append(nxt)
+
+    try:
+        replay_steps(net, out[0], [(d, l) for _s, d, l in chain[1:]], keep)
+    except ReplayError as exc:
+        raise ModelInvariantError("exact trace zones: %s" % exc) from exc
+    return out
+
+
+def _meet(zone, other):
+    """The intersection of two zones over the same clocks."""
+    n = zone.dim
+    atoms = []
+    for idx, b in enumerate(other.m):
+        i, j = divmod(idx, n)
+        if i != j and b < INF:
+            v, weak = unpack(b)
+            atoms.append((i, j, "<=" if weak else "<", v))
+    return zone.constrained(atoms)
+
+
 def _build_trace(meta, goal_sid, witness_zone, net):
     """Concretize the path to `goal_sid` with exact clock witnesses.
 
-    The final state is pinned to the earliest point of the violating
-    sub-zone; earlier states are chosen backward, keeping shared clocks
-    consistent across fires and maximizing delay lengths so the run is
-    the earliest one reaching the violation.  Closed zones concretize on
-    integers; strict latency windows can force half-integral instants.
+    The path's zones are recomputed exactly (`_exact_chain`) and the
+    final one is met with the witness, the violating sub-zone; an empty
+    meet raises ModelInvariantError.  The final state is pinned to the
+    earliest point of that meet; earlier states are chosen backward,
+    keeping shared clocks consistent across fires and maximizing delay
+    lengths so the run is the earliest one reaching the violation.
+    Closed zones concretize on integers; strict latency windows can
+    force half-integral instants.
     """
-    from fractions import Fraction
-
     chain = []
     sid = goal_sid
     while sid is not None:
@@ -651,8 +799,10 @@ def _build_trace(meta, goal_sid, witness_zone, net):
         sid = parent
     chain.reverse()
 
-    zones_ = [witness_zone if i == len(chain) - 1 else st.zone
-              for i, (st, _d, _l) in enumerate(chain)]
+    zones_ = [st.zone for st in _exact_chain(net, chain)]
+    zones_[-1] = _meet(zones_[-1], witness_zone)
+    if zones_[-1].is_empty():
+        raise ModelInvariantError("witness lies outside the exact final zone")
     vals = [None] * len(chain)
     vals[-1] = _zone_witness_map(zones_[-1], _layout_keys(net, chain[-1][0].data))
     for i in range(len(chain) - 2, -1, -1):
@@ -701,8 +851,6 @@ def _display_vals(vals):
 
 
 def _zone_witness_map(zone, keys):
-    from fractions import Fraction
-
     w = zone.witness()
     return {k: Fraction(w[i + 1]) for i, k in enumerate(keys)}
 
@@ -715,9 +863,6 @@ def _delay_predecessor(zone, keys, nxt_vals):
     set is one interval and we take its upper end (strict ends step back
     inside by half the remaining room).
     """
-    from fractions import Fraction
-    from .zones import INF, unpack
-
     lo, lo_strict = Fraction(0), False
     hi, hi_strict = Fraction(nxt_vals[TIME]), False
     for pos, k in enumerate(keys):
@@ -783,9 +928,71 @@ def replay_trace(net, trace):
         if nxt.data != step.data or nxt.locs != step.locs:
             raise ReplayError(i, "state diverges from stored trace")
 
-    return replay_steps(
+    final = replay_steps(
         net, state, [(s.descriptor, s.label) for s in trace.steps], compare
     )
+    check_valuations(net, trace)
+    return final
+
+
+
+
+def check_valuations(net, trace):
+    """Check a trace's clock valuations against the timed semantics.
+
+    Valuations are read exactly (as Fractions: they may be
+    half-integral).  The run starts with every clock at zero.  A delay
+    moves every clock by the same d >= 0 and is refused while an urgent
+    edge is data-enabled.  A fire meets its clock guard before it,
+    keeps `time` and every clock that survives it, and starts the
+    clocks it creates at zero.  After every step each clock of the
+    state is valued, the location invariants hold, and every deadline
+    flag agrees with `time` (set: at or past its threshold; clear: not
+    past it).  The trace's locations and data are taken as stored;
+    `replay_trace` checks those first.  Raises ReplayError.
+    """
+    def after(i, locs, data, val):
+        keys = _layout_keys(net, data)
+        if set(val) != set(keys):
+            raise ReplayError(i, "valuation names %s, the state has clocks %s"
+                              % (sorted(map(str, val)), sorted(map(str, keys))))
+        for key, op, k in _invariant_atoms(net, locs, data):
+            if not CMP[op](val[key], k):
+                raise ReplayError(i, "invariant %s %s %d broken at %s"
+                                  % (key, op, k, val[key]))
+        for d in net.deadlines:
+            t = val[TIME]
+            if (t < d.threshold) if d.is_set(data) else (t > d.threshold):
+                raise ReplayError(i, "flag %s disagrees with time %s"
+                                  % (d.name, t))
+
+    locs, data = trace.initial_locs, trace.initial_data
+    val = {k: Fraction(0) for k in _layout_keys(net, data)}
+    after(0, locs, data, val)
+    for i, step in enumerate(trace.steps):
+        nxt = {k: Fraction(v) for k, v in step.valuation.items()}
+        if step.kind == "delay":
+            if any(t.urgent for t in enabled_transitions(net, locs, data)):
+                raise ReplayError(i, "delay while an urgent edge is enabled")
+            d = nxt.get(TIME, 0) - val[TIME]
+            if d < 0 or any(nxt.get(k) != v + d for k, v in val.items()):
+                raise ReplayError(i, "delay does not move every clock by "
+                                     "one d >= 0")
+        else:
+            _fire, ai, ei, _binds = step.descriptor
+            for key, op, k in net.automata[ai].edges[ei].clock_guard:
+                if not CMP[op](val[key], k):
+                    raise ReplayError(i, "clock guard %s %s %d fails at %s"
+                                      % (key, op, k, val[key]))
+            for key, v in nxt.items():
+                if v != val.get(key, 0):
+                    raise ReplayError(i, "fire moves clock %s from %s to %s"
+                                      % (key, val.get(key, 0), v))
+        after(i, step.locs, step.data, nxt)
+        locs, data, val = step.locs, step.data, nxt
+    if {k: Fraction(v) for k, v in trace.final_valuation.items()} != val:
+        raise ReplayError(max(len(trace.steps) - 1, 0),
+                          "final valuation differs from the last step's")
 
 
 def random_run(net, seed, steps):

@@ -109,7 +109,7 @@ class ModelDocument(NamedTuple):
     constants: tuple      # ((name, value), ...)
     keys: tuple
     secrets: tuple
-    parties: tuple        # ((name, keys, secrets), ...)
+    parties: tuple        # ((name, keys, secrets, line), ...)
     capacity: int
     txs: tuple            # ((name, inputs, outputs, timelock_expr, reveals, confirmed, line), ...)
     nss: tuple            # ((name, clauses, line), ...) clause = (keys, secrets)
@@ -236,6 +236,7 @@ def _parse_parties(body, parties, capacity):
             name.strip(),
             tuple(fields.pop("keys", "").split()),
             tuple(fields.pop("secrets", "").split()),
+            ln,
         ))
         _no_extra(fields, ln)
 
@@ -652,12 +653,18 @@ def build_model(doc, overrides=None):
                     entry[-1],
                 )
 
+    for (_n, pkeys, psecs, ln) in doc.parties:
+        with _at(ln):
+            for k in pkeys:
+                _lookup(keys, k, "key", E_NAME)
+            for sec in psecs:
+                _lookup(secrets, sec, "secret", E_NAME)
     parties = tuple(
         PartyKnowledge(
             tuple(k in pkeys for k in doc.keys),
             tuple(s in psecs for s in doc.secrets),
         )
-        for (_n, pkeys, psecs) in doc.parties
+        for (_n, pkeys, psecs, _ln) in doc.parties
     ) + (PartyKnowledge((False,) * len(doc.keys), (False,) * len(doc.secrets)),)
 
     names = _Names(constants, keys, secrets, party_ids, tx_ids,

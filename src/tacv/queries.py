@@ -22,11 +22,11 @@ operation the models use.
 from __future__ import annotations
 
 import difflib
-import operator
 import re
 from typing import NamedTuple
 
 from . import world as W
+from .kernel import CMP
 
 
 class QueryError(Exception):
@@ -424,12 +424,8 @@ def _substitute(node, state):
     raise TypeError(node)
 
 
-_CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
-        ">=": operator.ge, ">": operator.gt}
-
-
 def _cmp(lhs, op, rhs):
-    return _CMP[op](lhs, rhs)
+    return CMP[op](lhs, rhs)
 
 
 def _nnf(node, neg):

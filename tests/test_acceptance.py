@@ -143,14 +143,19 @@ def test_criterion_6_abort_margin_strict(capsys):
 
 def test_criterion_7_oracle_equivalence(capsys, newscs_fixed):
     """Zone engine and discrete oracle agree on verdicts and reachable
-    (locations, data) sets over the full scenario matrix."""
+    (locations, data) sets over the full scenario matrix, plus newscs
+    points whose transaction clocks reach 1 (MAX_LATENCY 2), where the
+    zone engine extrapolates them."""
+    every = (None, "ALICE", "BOB")
     matrix = [
-        (build_cs_model(CS_REDUCED), "cs(2,5)"),
-        (newscs_fixed, "newscs(1,5)"),
+        (build_cs_model(CS_REDUCED), "cs(2,5)", every),
+        (newscs_fixed, "newscs(1,5)", every),
+        (build_newscs_model(WorldConstants(2, 8)), "newscs(2,8)", (None, "BOB")),
+        (build_newscs_model(WorldConstants(2, 7)), "newscs(2,7)", (None,)),
     ]
     checked = 0
-    for model, label in matrix:
-        for adversary in (None, "ALICE", "BOB"):
+    for model, label, adversaries in matrix:
+        for adversary in adversaries:
             net, ctx = instantiate(model, adversary=adversary)
             asts, names = [], []
             for qname in sorted(model.queries):
@@ -181,7 +186,8 @@ def test_criterion_7_oracle_equivalence(capsys, newscs_fixed):
             assert zone_verdicts == oracle_verdicts, (label, adversary, names)
             checked += len(asts)
     report(7, True, "verdicts (%d) and reachable sets equal across "
-                    "{cs,newscs} x {honest,advA,advB}" % checked)
+                    "{cs(2,5),newscs(1,5)} x {honest,advA,advB}, newscs(2,8) "
+                    "x {honest,advB} and newscs(2,7) honest" % checked)
 
 
 def test_criterion_8_property_suites(capsys):

@@ -214,6 +214,20 @@ class TestVerify:
         assert code == 3
         assert err.startswith("error: E_PARSE: line ") and out == ""
 
+    @pytest.mark.parametrize("party_line", [
+        "ALICE: keys = C_KEYY; secrets = C_SEC",
+        "ALICE: keys = C_KEY; secrets = C_SECC",
+    ], ids=["key", "secret"])
+    def test_undeclared_party_name_exit_three(self, capsys, tmp_path, party_line):
+        text = open(CS_MODEL).read()
+        shipped = "ALICE: keys = C_KEY; secrets = C_SEC"
+        line = text[:text.index(shipped)].count("\n") + 1
+        path = tmp_path / "cs.model"
+        path.write_text(text.replace(shipped, party_line))
+        code, out, err = run(capsys, "verify", str(path), *REDUCED)
+        assert code == 3 and out == ""
+        assert err.startswith("error: E_NAME: line %d: unknown " % line)
+
     def test_discrete_engine_wall_clock_budget(self, capsys):
         code, out, _err = run(
             capsys, "verify", "newscs", "--engine", "discrete", "--adversary",

@@ -7,14 +7,16 @@ sets, deadline flips, exploration and trace replay without any of the
 block-chain machinery.
 """
 
+import random
 from typing import NamedTuple
 
 import pytest
 
 from tacv import kernel as K
+from tacv import queries as Q
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.world import WorldConstants
-from tacv.zones import Zone
+from tacv.zones import INF, Zone, pack
 
 
 IDLE, RUNNING, DONE = 0, 1, 2
@@ -35,9 +37,9 @@ def set_status(data, i, s):
     return data._replace(statuses=st)
 
 
-def make_net(urgent_ping=False, deadline=5, bound=3):
+def make_net(urgent_ping=False, deadline=5, bound=3, inv_op="<="):
     def finish_inv(data):
-        return [(("tx", i), "<=", bound) for i in clock_owners(data)]
+        return [(("tx", i), inv_op, bound) for i in clock_owners(data)]
 
     starter = K.AutomatonTemplate(
         "Starter",
@@ -334,6 +336,85 @@ class TestValidation:
         with pytest.raises(K.ModelError):
             K.Network("bad", [bad], [], Jobs((), False), clock_owners)
 
+    @pytest.mark.parametrize("op", [">=", ">", "=="])
+    def test_invariant_lower_bound_rejected(self, op):
+        # the invariant ("tx", i) >= 1 is a callable of the data: it is
+        # rejected once a job runs and its atoms are built
+        net = make_net(inv_op=op, bound=1)
+        with pytest.raises(K.ModelError, match="from below"):
+            K.explore(net)
+
+
+def random_zone(rng, dim, bound):
+    """A nonempty closed zone whose clocks 2.. satisfy x <= bound."""
+    while True:
+        atoms = [(i, 0, "<=", bound) for i in range(2, dim)]
+        for _ in range(rng.randint(0, 2 * dim)):
+            i, j = rng.sample(range(dim), 2)
+            atoms.append((i, j, rng.choice(["<=", "<", ">=", ">"]),
+                          rng.randint(-bound - 2, bound + 2)))
+        z = Zone.from_constraints(dim, atoms)
+        if not z.is_empty():
+            return z
+
+
+class TestExtrapolation:
+    """The O(n) row rewrite of `explore` on transaction clocks."""
+
+    def reference(self, zone, x, bound):
+        # Extra+_LU with L(x) = -inf forgets x's row; then x <= bound
+        n = zone.dim
+        work = list(zone.m)
+        for j in range(n):
+            if j != x:
+                work[x * n + j] = INF
+        forgot = Zone(n, tuple(work), _canonical=True).canonicalize()
+        return forgot.constrained([(x, 0, "<=", bound)])
+
+    def test_row_rewrite_is_extra_lu_then_invariant(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            dim = rng.randint(3, 6)
+            bound = rng.randint(1, 4)
+            z = random_zone(rng, dim, bound)
+            x = rng.randrange(2, dim)
+            got = K._extrapolate(z, ((x, pack(bound, True), ("tx", x)),),
+                                 frozenset())
+            assert got == self.reference(z, x, bound)
+            assert got.subsumes(z)
+            assert got.canonicalize() == got
+            # every row at once, in either order, is one abstraction
+            bounds = tuple((i, pack(bound, True), ("tx", i)) for i in range(2, dim))
+            once = K._extrapolate(z, bounds, frozenset())
+            assert once == K._extrapolate(z, bounds[::-1], frozenset())
+            assert K._extrapolate(once, bounds, frozenset()) is once
+
+    def test_lower_bounded_or_pinned_clock_kept(self):
+        z = random_zone(random.Random(3), 4, 2)
+        bounds = ((2, pack(2, True), ("tx", 0)), (3, pack(2, True), ("tx", 1)))
+        assert K._extrapolate(z, bounds, frozenset({("tx", 0), ("tx", 1)})) is z
+        pinned = Zone.from_constraints(3, [(2, 0, "<=", 0)])
+        assert K._extrapolate(pinned, ((2, pack(0, True), ("tx", 0)),),
+                              frozenset()) is pinned
+
+    def test_lower_bounded_keys_come_from_clock_guards(self):
+        net = make_net()
+        assert K._lower_bounded_keys(net) == {"time"}
+        never = K.AutomatonTemplate("Never", [K.Location("n", None)], [
+            K.Edge(0, 0, "late", guard=lambda d, b: False,
+                   clock_guard=((("tx", 0), ">", 1), (("tx", 1), "<", 2))),
+        ])
+        net = K.Network("jobs+", net.automata + (never,), net.deadlines,
+                        net.initial_data, clock_owners)
+        assert K._lower_bounded_keys(net) == {"time", ("tx", 0)}
+
+    def test_same_reachable_set_fewer_transitions(self):
+        net = make_net()
+        on = K.explore(net, collect_reachable=True)
+        off = K.explore(net, collect_reachable=True, extrapolate=False)
+        assert on.reachable == off.reachable
+        assert on.transitions < off.transitions
+
 
 class TestRandomRun:
     def test_same_seed_same_run(self):
@@ -424,3 +505,82 @@ class TestCheckCounts:
         net.state_checks += (refuse,)
         with pytest.raises(K.ModelInvariantError, match="refused valuation"):
             K.explore(net)
+
+
+def counterexamples(build, constants, adversary):
+    """Traces of every violated default query, from one extrapolating run."""
+    model = build(WorldConstants(*constants))
+    net, ctx = instantiate(model, adversary=adversary)
+    checks = []
+    for name in sorted(model.queries):
+        try:
+            checks.append(Q.make_checker(Q.parse_query(model.queries[name], ctx)))
+        except Q.QueryError:
+            continue  # names the adversary's own automaton
+    res = K.explore(net, check=checks)
+    return net, [t for t in res.traces if t is not None]
+
+
+def shifted(trace, i, by):
+    """`trace` with every clock of step i moved by `by`."""
+    steps = list(trace.steps)
+    val = {k: v + by for k, v in steps[i].valuation.items()}
+    steps[i] = steps[i]._replace(valuation=val)
+    final = val if i == len(steps) - 1 else trace.final_valuation
+    return trace._replace(steps=tuple(steps), final_valuation=final)
+
+
+class TestValuations:
+    """`replay_trace` checks clock valuations, not only locations and data."""
+
+    @pytest.mark.parametrize("build,constants,adversary", [
+        (build_cs_model, (2, 5), "ALICE"),
+        (build_newscs_model, (2, 7), "BOB"),
+        (build_newscs_model, (2, 10), "BOB"),
+    ], ids=["cs-2-5-ALICE", "newscs-2-7-BOB", "newscs-2-10-BOB"])
+    def test_default_query_counterexamples_replay(self, build, constants,
+                                                  adversary):
+        net, traces = counterexamples(build, constants, adversary)
+        assert traces
+        for trace in traces:
+            K.replay_trace(net, trace)
+
+    def test_delay_shifted_by_one_rejected(self):
+        net, traces = counterexamples(build_cs_model, (2, 5), "ALICE")
+        mutants = 0
+        for trace in traces:
+            for i, step in enumerate(trace.steps):
+                if step.kind == "delay":
+                    with pytest.raises(K.ReplayError) as err:
+                        K.replay_trace(net, shifted(trace, i, 1))
+                    # caught at the delay or at the step that follows it
+                    assert err.value.step in (i, i + 1)
+                    mutants += 1
+                    break
+        assert mutants == len(traces) > 0
+
+    def test_fire_that_moves_a_clock_rejected(self):
+        net = make_net()
+        trace = K.explore(net, check=lambda s: s.zone if s.data.flag else None).trace
+        i = [s.kind for s in trace.steps].index("fire")
+        with pytest.raises(K.ReplayError, match="fire moves clock time"):
+            K.check_valuations(net, shifted(trace, i, 1))
+
+    def test_delay_while_urgent_edge_enabled_rejected(self):
+        net = make_net(urgent_ping=True)
+        s0 = K.initial_state(net)
+        step = K.TraceStep("delay", ("delay",), "delay", {"time": 1},
+                           s0.data, s0.locs)
+        trace = K.Trace((step,), s0.data, s0.locs, {"time": 1})
+        with pytest.raises(K.ReplayError, match="urgent edge"):
+            K.check_valuations(net, trace)
+
+    def test_clock_guard_checked(self):
+        net = make_net()
+        trace = K.explore(net, check=lambda s: s.zone if s.data.flag else None).trace
+        # the flip fires at time 5; fire it at 4 instead
+        steps = [s._replace(valuation={k: v - 1 for k, v in s.valuation.items()})
+                 for s in trace.steps]
+        bad = trace._replace(steps=tuple(steps), final_valuation=steps[-1].valuation)
+        with pytest.raises(K.ReplayError, match="clock guard time == 5"):
+            K.check_valuations(net, bad)

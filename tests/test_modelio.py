@@ -241,30 +241,62 @@ def test_expression_mutants_build_or_raise_model_error(path):
     assert crashes == []
 
 
+SHIPPED_ROWS = [
+    ("cs", (10, 100), {}, None, (32, 68)),
+    ("cs", (10, 100), {}, "ALICE", (249, 746)),
+    ("cs", (10, 100), {}, "BOB", (18, 38)),
+    ("cs", (2, 5), {"weakened_alice": True}, None, (33, 75)),
+    ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 754)),
+    ("newscs", (1, 5), {}, None, (308, 588)),
+    ("newscs", (1, 5), {"buggy_bob": True}, None, (300, 576)),
+]
+SHIPPED_IDS = ["cs-10-100-honest", "cs-10-100-ALICE", "cs-10-100-BOB",
+               "cs-2-5-weakened_alice-honest", "cs-2-5-weakened_alice-ALICE",
+               "newscs-1-5-honest", "newscs-1-5-buggy_bob-honest"]
+
+
+def shipped_net(contract, constants, variant, adversary):
+    overrides = {"MAX_LATENCY": constants[0], "PROT_TIMELOCK": constants[1]}
+    model = M.contract_model(contract, overrides, variant)
+    net, ctx = instantiate(model, adversary=adversary)
+    return model, net, ctx
+
+
 class TestShippedModels:
     """Pinned whole-exploration counters of the shipped files (no query,
     default checks): distinct keys and transitions.  Keys match the
     Python builders the files replaced; transitions come only from
-    states that no larger zone evicted before they were popped."""
+    states that no larger zone evicted before they were popped, over
+    zones whose transaction clocks are extrapolated."""
 
-    @pytest.mark.parametrize("contract,constants,variant,adversary,counts", [
-        ("cs", (10, 100), {}, None, (32, 82)),
-        ("cs", (10, 100), {}, "ALICE", (249, 1220)),
-        ("cs", (10, 100), {}, "BOB", (18, 50)),
-        ("cs", (2, 5), {"weakened_alice": True}, None, (33, 96)),
-        ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 1260)),
-        ("newscs", (1, 5), {}, None, (308, 588)),
-        ("newscs", (1, 5), {"buggy_bob": True}, None, (300, 576)),
-    ], ids=["cs-10-100-honest", "cs-10-100-ALICE", "cs-10-100-BOB",
-            "cs-2-5-weakened_alice-honest", "cs-2-5-weakened_alice-ALICE",
-            "newscs-1-5-honest", "newscs-1-5-buggy_bob-honest"])
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
     def test_exploration_counters(self, contract, constants, variant,
                                   adversary, counts):
-        overrides = {"MAX_LATENCY": constants[0], "PROT_TIMELOCK": constants[1]}
-        model = M.contract_model(contract, overrides, variant)
-        net, _ctx = instantiate(model, adversary=adversary)
+        _model, net, _ctx = shipped_net(contract, constants, variant, adversary)
         res = explore(net)
         assert (res.states, res.transitions) == counts
+
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
+    def test_extrapolation_keeps_reachable_set_and_verdicts(
+            self, contract, constants, variant, adversary, counts):
+        model, net, ctx = shipped_net(contract, constants, variant, adversary)
+        checks = []
+        for name in sorted(model.queries):
+            try:
+                checks.append(Q.make_checker(Q.parse_query(model.queries[name], ctx)))
+            except Q.QueryError:
+                continue  # names an automaton absent in this scenario
+        runs = [explore(net, collect_reachable=True, extrapolate=lu)
+                for lu in (True, False)]
+        assert runs[0].reachable == runs[1].reachable
+        assert runs[0].transitions <= runs[1].transitions
+        lu_on, lu_off = [explore(net, check=checks, extrapolate=lu)
+                         for lu in (True, False)]
+        assert lu_on.verdicts == lu_off.verdicts
+        for trace in filter(None, lu_on.traces):
+            replay_trace(net, trace)  # clock valuations included
 
 
     @pytest.mark.parametrize("contract,constants,adversary", [
