@@ -158,7 +158,7 @@ def cmd_simulate(args):
         print("simulation of %s (adversary=%s), %d steps:"
               % (model.name, adversary or "none", len(doc["steps"])))
         for step in doc["steps"]:
-            print("  t=%-6s %s" % (step["time"], step["label"]))
+            print("  t=%-6s %s" % (step["clocks"]["time"], step["label"]))
         if doc["steps"]:
             snap = doc["steps"][-1]
             print("final holdings: %s" % json.dumps(snap["holdings"], sort_keys=True))
@@ -182,7 +182,7 @@ def cmd_trace(args):
         return _fail(str(exc))
     print("replayed %d steps successfully" % len(doc["steps"]))
     for step in doc["steps"]:
-        print("  t=%-6s %-10s %s" % (step.get("time"), step.get("kind"), step["label"]))
+        print("  t=%-6s %-10s %s" % (step["clocks"]["time"], step["kind"], step["label"]))
     holdings = doc["steps"][-1]["holdings"] if doc["steps"] else {}
     print("final holdings: %s" % json.dumps(holdings, sort_keys=True))
     if doc.get("query") is not None:

@@ -49,6 +49,10 @@ Semantics notes:
   Stored zones are abstract, so a trace first recomputes the exact
   zones forward along its descriptors and meets the checker's witness
   with the exact final zone before it concretizes.
+- `replay` is the one replay loop: it follows stored descriptors with
+  the lookup that rebuilds exact trace zones and checks each step's
+  concrete clock valuation.  `replay_trace` and
+  `modelio.replay_document` wrap it.
 """
 
 from __future__ import annotations
@@ -220,7 +224,6 @@ class Trace(NamedTuple):
     steps: tuple              # TraceStep sequence, initial state excluded
     initial_data: object
     initial_locs: tuple
-    final_valuation: dict
 
 
 class VerificationResult(NamedTuple):
@@ -238,6 +241,7 @@ class VerificationResult(NamedTuple):
 # -- clock layout ------------------------------------------------------
 
 TIME = "time"
+DELAY = ("delay",)  # the descriptor of every delay step
 
 # comparison operators of clock atoms, as functions
 CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
@@ -246,8 +250,13 @@ CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
 
 def clock_layout(net, data):
     """Zone index of every live clock: reference 0, time 1, owners after."""
+    return _layout(net.clock_owners(data))
+
+
+def _layout(owners):
+    """The clock layout of a state whose clock owners are `owners`, in order."""
     layout = {TIME: 1}
-    for pos, owner in enumerate(net.clock_owners(data)):
+    for pos, owner in enumerate(owners):
         layout[("tx", owner)] = 2 + pos
     return layout
 
@@ -473,14 +482,14 @@ def _build_skeleton(net, locs, data):
     """
     insts = enabled_transitions(net, locs, data)
     urgent = any(i.urgent for i in insts)
-    layout = clock_layout(net, data)
+    before = net.clock_owners(data)
+    layout = _layout(before)
     inv_atoms, bounds = _invariants(net, locs, data, layout)
     delay_atoms = inv_atoms
     pending = [d.threshold for d in net.deadlines if not d.is_set(data)]
     if pending:
         delay_atoms += ((1, 0, "<=", min(pending)),)
 
-    before = net.clock_owners(data)
     before_set = set(before)
     fires = []
     for inst in insts:
@@ -502,7 +511,7 @@ def _build_skeleton(net, locs, data):
             perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
         else:
             perm = None
-        inv2, bounds2 = _invariants(net, locs2, data2, clock_layout(net, data2))
+        inv2, bounds2 = _invariants(net, locs2, data2, _layout(after))
         fires.append((
             ("fire", inst.auto, inst.edge, inst.binds), inst.label,
             tuple(_atoms_to_indices(cg, layout)) if cg else (),
@@ -528,7 +537,7 @@ def _apply_skeleton(skel, zone):
         if delayed != zone:
             if delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
-            out.append((("delay",), "delay", None, None, delayed,
+            out.append((DELAY, "delay", None, None, delayed,
                         skel.inv_atoms, skel.bounds))
     for (desc, label, cg, locs2, data2, drop, nnew, perm, inv2,
          bounds2) in skel.fires:
@@ -740,8 +749,21 @@ def explore(
 # -- trace reconstruction and replay ------------------------------------
 
 
-def _layout_keys(net, data):
-    return (TIME,) + tuple(("tx", o) for o in net.clock_owners(data))
+def _follow(net, state, desc, label, i):
+    """(successor, its invariant atoms) of `state` along the descriptor
+    of step `i`, from the state's skeleton.  Raises ReplayError when the
+    step is not enabled; a delay is refused while an urgent edge is."""
+    skel = _build_skeleton(net, state.locs, state.data)
+    if desc == DELAY and skel.urgent:
+        raise ReplayError(i, "delay while an urgent edge is enabled")
+    for d, _label, locs2, data2, zone2, inv2, _b in _apply_skeleton(skel, state.zone):
+        if d == desc:
+            if locs2 is None:  # delay successor keeps the configuration
+                locs2, data2 = state.locs, state.data
+            return SymbolicState(locs2, data2, zone2), inv2
+    if desc == DELAY:
+        raise ReplayError(i, "delay not possible here")
+    raise ReplayError(i, "transition %r not enabled here" % (label,))
 
 
 def _exact_chain(net, chain):
@@ -752,19 +774,15 @@ def _exact_chain(net, chain):
     is a simulation that matches edge for edge, so every descriptor is
     enabled from the exact zone too; ModelInvariantError otherwise.
     """
-    out = [chain[0][0]]
-
-    def keep(i, nxt):
-        stored = chain[i + 1][0]
-        if (nxt.locs, nxt.data) != (stored.locs, stored.data):
-            raise ReplayError(i, "exact successor leaves the stored path")
-        out.append(nxt)
+    def follow(state, step):
+        i, (_stored, desc, label) = step
+        return _follow(net, state, desc, label, i)[0]
 
     try:
-        replay_steps(net, out[0], [(d, l) for _s, d, l in chain[1:]], keep)
+        return list(itertools.accumulate(enumerate(chain[1:]), follow,
+                                         initial=chain[0][0]))
     except ReplayError as exc:
         raise ModelInvariantError("exact trace zones: %s" % exc) from exc
-    return out
 
 
 def _meet(zone, other):
@@ -804,13 +822,13 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     if zones_[-1].is_empty():
         raise ModelInvariantError("witness lies outside the exact final zone")
     vals = [None] * len(chain)
-    vals[-1] = _zone_witness_map(zones_[-1], _layout_keys(net, chain[-1][0].data))
+    vals[-1] = _zone_witness_map(zones_[-1], tuple(clock_layout(net, chain[-1][0].data)))
     for i in range(len(chain) - 2, -1, -1):
         state_i = chain[i][0]
-        keys_i = _layout_keys(net, state_i.data)
+        keys_i = tuple(clock_layout(net, state_i.data))
         desc = chain[i + 1][1]
         nxt_vals = vals[i + 1]
-        if desc == ("delay",):
+        if desc == DELAY:
             vals[i] = _delay_predecessor(zones_[i], keys_i, nxt_vals)
         else:
             shared = [k for k in keys_i if k in nxt_vals]
@@ -835,12 +853,12 @@ def _build_trace(meta, goal_sid, witness_zone, net):
         state, desc, label = chain[i]
         steps.append(
             TraceStep(
-                "delay" if desc == ("delay",) else "fire",
+                "delay" if desc == DELAY else "fire",
                 desc, label, _display_vals(vals[i]), state.data, state.locs,
             )
         )
     first = chain[0][0]
-    return Trace(tuple(steps), first.data, first.locs, _display_vals(vals[-1]))
+    return Trace(tuple(steps), first.data, first.locs)
 
 
 def _display_vals(vals):
@@ -892,33 +910,64 @@ def _delay_predecessor(zone, keys, nxt_vals):
     return out
 
 
-def replay_steps(net, state, steps, compare):
-    """Re-execute stored steps from `state`; returns the final SymbolicState.
+def replay(net, state, steps, compare):
+    """Re-execute stored steps from the initial `state`, where every
+    clock is zero; returns the final SymbolicState and valuation.
 
-    `steps` yields (descriptor, label) pairs.  Each descriptor is looked
-    up among the current state's successors, and `compare(i, state)`
-    checks each new state against stored step i, raising ReplayError on
-    a divergence.
+    `steps` yields (descriptor, label, valuation) triples; a valuation
+    maps every clock key after the step to its value, read exactly (as
+    a Fraction: values may be half-integral).  Each descriptor is
+    followed (`_follow`), and then: a delay moves every clock by one
+    d >= 0; a fire meets its clock guard, keeps `time` and every clock
+    that survives it, and starts new clocks at zero; every clock of the
+    new state is valued, its invariants hold and every deadline flag
+    agrees with `time` (set: at or past its threshold; clear: not past
+    it).  Last, `compare(i, state)` checks the caller's snapshot of
+    step i.  Raises ReplayError with the diverging step.
     """
-    for i, (desc, label) in enumerate(steps):
-        for d, _label, nxt in successors(net, state):
-            if d == desc:
-                break
+    keys = tuple(clock_layout(net, state.data))
+    val = dict.fromkeys(keys, Fraction(0))
+    for i, (desc, label, stored) in enumerate(steps):
+        state, inv = _follow(net, state, desc, label, i)
+        nxt = {k: Fraction(v) for k, v in stored.items()}
+        if desc != DELAY:
+            keys = tuple(clock_layout(net, state.data))
+        if set(nxt) != set(keys):
+            raise ReplayError(i, "valuation names %s, the state has clocks %s"
+                              % (sorted(map(str, nxt)), sorted(map(str, keys))))
+        if desc == DELAY:
+            moved = nxt[TIME] - val[TIME]
+            if moved < 0 or any(nxt[k] != v + moved for k, v in val.items()):
+                raise ReplayError(i, "delay does not move every clock by "
+                                     "one d >= 0")
         else:
-            if desc == ("delay",):
-                raise ReplayError(i, "delay not possible here")
-            raise ReplayError(i, "transition %r not enabled here" % (label,))
-        compare(i, nxt)
-        state = nxt
-    return state
+            _fire, ai, ei, _binds = desc
+            for key, op, k in net.automata[ai].edges[ei].clock_guard:
+                if not CMP[op](val[key], k):
+                    raise ReplayError(i, "clock guard %s %s %d fails at %s"
+                                      % (key, op, k, val[key]))
+            for key in keys:
+                if nxt[key] != val.get(key, 0):
+                    raise ReplayError(i, "fire moves clock %s from %s to %s"
+                                      % (key, val.get(key, 0), nxt[key]))
+        point = (0,) + tuple(nxt[k] for k in keys)
+        for idx, _zero, op, k in inv:
+            if not CMP[op](point[idx], k):
+                raise ReplayError(i, "invariant %s %s %d broken at %s"
+                                  % (keys[idx - 1], op, k, point[idx]))
+        t = nxt[TIME]
+        for d in net.deadlines:
+            if (t < d.threshold) if d.is_set(state.data) else (t > d.threshold):
+                raise ReplayError(i, "flag %s disagrees with time %s"
+                                  % (d.name, t))
+        compare(i, state)
+        val = nxt
+    return state, val
 
 
 def replay_trace(net, trace):
-    """Re-execute a trace's descriptors; returns the final SymbolicState.
-
-    Raises ReplayError with the diverging step index when the stored
-    data does not match the recomputed one.
-    """
+    """Replay an in-memory trace (`replay`) whose stored locations and
+    data must match; returns the final SymbolicState."""
     state = initial_state(net)
     if trace.initial_data != state.data or trace.initial_locs != state.locs:
         raise ReplayError(0, "initial state mismatch")
@@ -928,71 +977,8 @@ def replay_trace(net, trace):
         if nxt.data != step.data or nxt.locs != step.locs:
             raise ReplayError(i, "state diverges from stored trace")
 
-    final = replay_steps(
-        net, state, [(s.descriptor, s.label) for s in trace.steps], compare
-    )
-    check_valuations(net, trace)
-    return final
-
-
-
-
-def check_valuations(net, trace):
-    """Check a trace's clock valuations against the timed semantics.
-
-    Valuations are read exactly (as Fractions: they may be
-    half-integral).  The run starts with every clock at zero.  A delay
-    moves every clock by the same d >= 0 and is refused while an urgent
-    edge is data-enabled.  A fire meets its clock guard before it,
-    keeps `time` and every clock that survives it, and starts the
-    clocks it creates at zero.  After every step each clock of the
-    state is valued, the location invariants hold, and every deadline
-    flag agrees with `time` (set: at or past its threshold; clear: not
-    past it).  The trace's locations and data are taken as stored;
-    `replay_trace` checks those first.  Raises ReplayError.
-    """
-    def after(i, locs, data, val):
-        keys = _layout_keys(net, data)
-        if set(val) != set(keys):
-            raise ReplayError(i, "valuation names %s, the state has clocks %s"
-                              % (sorted(map(str, val)), sorted(map(str, keys))))
-        for key, op, k in _invariant_atoms(net, locs, data):
-            if not CMP[op](val[key], k):
-                raise ReplayError(i, "invariant %s %s %d broken at %s"
-                                  % (key, op, k, val[key]))
-        for d in net.deadlines:
-            t = val[TIME]
-            if (t < d.threshold) if d.is_set(data) else (t > d.threshold):
-                raise ReplayError(i, "flag %s disagrees with time %s"
-                                  % (d.name, t))
-
-    locs, data = trace.initial_locs, trace.initial_data
-    val = {k: Fraction(0) for k in _layout_keys(net, data)}
-    after(0, locs, data, val)
-    for i, step in enumerate(trace.steps):
-        nxt = {k: Fraction(v) for k, v in step.valuation.items()}
-        if step.kind == "delay":
-            if any(t.urgent for t in enabled_transitions(net, locs, data)):
-                raise ReplayError(i, "delay while an urgent edge is enabled")
-            d = nxt.get(TIME, 0) - val[TIME]
-            if d < 0 or any(nxt.get(k) != v + d for k, v in val.items()):
-                raise ReplayError(i, "delay does not move every clock by "
-                                     "one d >= 0")
-        else:
-            _fire, ai, ei, _binds = step.descriptor
-            for key, op, k in net.automata[ai].edges[ei].clock_guard:
-                if not CMP[op](val[key], k):
-                    raise ReplayError(i, "clock guard %s %s %d fails at %s"
-                                      % (key, op, k, val[key]))
-            for key, v in nxt.items():
-                if v != val.get(key, 0):
-                    raise ReplayError(i, "fire moves clock %s from %s to %s"
-                                      % (key, val.get(key, 0), v))
-        after(i, step.locs, step.data, nxt)
-        locs, data, val = step.locs, step.data, nxt
-    if {k: Fraction(v) for k, v in trace.final_valuation.items()} != val:
-        raise ReplayError(max(len(trace.steps) - 1, 0),
-                          "final valuation differs from the last step's")
+    steps = [(s.descriptor, s.label, s.valuation) for s in trace.steps]
+    return replay(net, state, steps, compare)[0]
 
 
 def random_run(net, seed, steps):

@@ -22,9 +22,10 @@ text and constants; the shared model is never mutated.
 
 Reports and diagnostic traces serialize to JSON with a versioned
 schema.  A trace document records the whole scenario that produced it
-(variant options, `.model` file hash and sweep pruning included) and
-the query it witnesses, so it replays on its own and the replay
-re-checks the query.
+(variant options, `.model` file hash and sweep pruning included), the
+query it witnesses and every clock's value at every step, so it
+replays on its own through the kernel's replay loop, and the replay
+re-checks the query at the final clock values.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import functools
 import json
 import os
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import queries as Q
@@ -41,17 +43,18 @@ from . import world as W
 from .adversary import AdversaryConfig, MessageAction
 from .contracts import ContractModel, instantiate
 from .kernel import (
+    TIME,
     AutomatonTemplate,
     Edge,
     Location,
     ModelError,
     ReplayError as TraceReplayError,
     initial_state,
-    replay_steps,
+    replay,
 )
 from .world import NssClause, Output, PartyKnowledge, TxRecord, WorldConstants
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 BUILTIN_CONTRACTS = ("cs", "newscs")
 MODELS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "models")
@@ -839,19 +842,13 @@ def trace_to_document(trace, net, model, adversary, query_text):
     (from `instantiate`); `query_text` is the violated property or None."""
     steps = []
     for step in trace.steps:
-        entry = {
+        steps.append({
             "kind": step.kind,
             "label": step.label,
-            "time": step.valuation.get("time"),
+            "clocks": {_clock_name(k): v for k, v in step.valuation.items()},
             "descriptor": step.descriptor,
-            "statuses": _statuses(step.data, model),
-            "holdings": _holdings(step.data, model),
-            "locations": {
-                net.automata[ai].name: net.automata[ai].location_name(li)
-                for ai, li in enumerate(step.locs)
-            },
-        }
-        steps.append(entry)
+            **_snapshot(step, net, model),
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "contract": model.name,
@@ -876,18 +873,30 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _statuses(data, model):
-    return {
-        name: W.STATUS_NAMES[data.txs[i].status]
-        for name, i in sorted(model.tx_names.items())
-    }
+def _clock_name(key):
+    """A kernel clock key as a document names it: `time`, or `tx<N>` for
+    the clock of pending transaction N."""
+    return key if key == TIME else "tx%d" % key[1]
 
 
-def _holdings(data, model):
-    # every party but the adversary slot, which is always last
+def _clock_key(name):
+    if name == TIME or not re.fullmatch(r"tx\d+", name):
+        return name  # `time`, or a name no state's clocks match
+    return ("tx", int(name[2:]))
+
+
+def _snapshot(state, net, model):
+    """What a trace document stores of one state: every transaction's
+    status, every party's holdings (not the adversary slot, which is
+    always last) and every automaton's location, by name."""
+    data = state.data
     return {
-        name: W.hold_bitcoins(data, pi)
-        for pi, name in enumerate(model.party_names[:-1])
+        "statuses": {name: W.STATUS_NAMES[data.txs[i].status]
+                     for name, i in sorted(model.tx_names.items())},
+        "holdings": {name: W.hold_bitcoins(data, pi)
+                     for pi, name in enumerate(model.party_names[:-1])},
+        "locations": {a.name: a.location_name(li)
+                      for a, li in zip(net.automata, state.locs)},
     }
 
 
@@ -900,11 +909,12 @@ def replay_document(doc):
     """Re-execute a trace document against the scenario it records.
 
     The scenario is rebuilt from the document alone; absent `model_file`,
-    `variant` or `prune_idle_sweeps` keys mean the defaults.  Returns the
-    final symbolic state.  Raises TraceReplayError for a malformed
-    document, an edited `.model` file, a status or holding that differs
-    from its stored snapshot, or a final state that satisfies the
-    document's query.
+    `variant` or `prune_idle_sweeps` keys mean the defaults.  The steps
+    run through `kernel.replay`, which checks their clock values, and
+    must match their stored statuses, holdings and locations.  Returns
+    the final symbolic state.  Raises TraceReplayError for a malformed
+    document, an edited `.model` file, a divergence, or a final `time`
+    outside the query's violation region.
     """
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
@@ -920,16 +930,17 @@ def replay_document(doc):
         query = doc.get("query")
         ast = Q.parse_query(query, ctx) if query is not None else None
         entries = doc["steps"]
-        steps = [(_tuples(e["descriptor"]), e["label"]) for e in entries]
-        snapshots = [{field: dict(e[field]) for field in ("statuses", "holdings")}
+        steps = [(_tuples(e["descriptor"]), e["label"],
+                  {_clock_key(k): Fraction(v) for k, v in e["clocks"].items()})
+                 for e in entries]
+        snapshots = [{f: dict(e[f]) for f in ("statuses", "holdings", "locations")}
                      for e in entries]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TraceReplayError(0, "malformed trace document (%s: %s)"
                                % (type(exc).__name__, exc)) from exc
 
     def compare(i, nxt):
-        for field, got in (("statuses", _statuses(nxt.data, model)),
-                           ("holdings", _holdings(nxt.data, model))):
+        for field, got in _snapshot(nxt, net, model).items():
             stored = snapshots[i][field]
             if got != stored:
                 diff = {k: (stored.get(k), got.get(k))
@@ -938,8 +949,9 @@ def replay_document(doc):
                 raise TraceReplayError(
                     i, "%s diverge (stored, recomputed): %s" % (field, diff))
 
-    final = replay_steps(net, initial_state(net), steps, compare)
-    if ast is not None and Q.evaluate(final, ast) is None:
+    final, val = replay(net, initial_state(net), steps, compare)
+    if ast is not None and not Q.in_region(Q.violation_region(ast, final),
+                                           val[TIME]):
         raise TraceReplayError(max(len(steps) - 1, 0),
                                "the final state satisfies the query %r" % query)
     return final
@@ -989,9 +1001,9 @@ def render_report_text(report, color=False):
         lines.append("  counterexample (%d steps):" % len(trace["steps"]))
         for step in trace["steps"]:
             if step["kind"] == "delay":
-                lines.append("    delay to t=%s" % step["time"])
+                lines.append("    delay to t=%s" % step["clocks"]["time"])
             else:
-                lines.append("    t=%-6s %s" % (step["time"], step["label"]))
+                lines.append("    t=%-6s %s" % (step["clocks"]["time"], step["label"]))
         last = trace["steps"][-1] if trace["steps"] else None
         if last:
             lines.append("  final holdings: %s" % json.dumps(

@@ -186,20 +186,13 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
 
     regions = [Q.region_memo(q) for q in queries]
 
-    def violates(i, state):
-        # negated query atoms may be strict; pointwise evaluation is exact
-        for conj in regions[i](state):
-            if all(Q._cmp(state.time, a.op, a.const) for a in conj):
-                return True
-        return False
-
     live = list(range(len(queries)))
     violated = [False] * len(queries)
 
     def checked(state):
         """Evaluate the live queries at `state`; True once none is left."""
         for i in tuple(live):
-            if violates(i, state):
+            if Q.in_region(regions[i](state), state.time):
                 violated[i] = True
                 live.remove(i)
         return not live

@@ -394,7 +394,7 @@ def _substitute(node, state):
         return node
     if isinstance(node, HoldAtom):
         held = W.hold_bitcoins(state.data, node.party)
-        return _cmp(held, node.op, node.const)
+        return CMP[node.op](held, node.const)
     if isinstance(node, KnowAtom):
         return state.data.parties[node.party].know_secret[node.secret]
     if isinstance(node, LocAtom):
@@ -402,10 +402,8 @@ def _substitute(node, state):
     if isinstance(node, Not):
         a = _substitute(node.arg, state)
         return (not a) if isinstance(a, bool) else Not(a)
-    pairs = {And: (And, lambda a, b: a and b),
-             Or: (Or, lambda a, b: a or b)}
     if isinstance(node, (And, Or)):
-        ctor, _fn = pairs[type(node)]
+        ctor = type(node)
         a = _substitute(node.left, state)
         b = _substitute(node.right, state)
         if isinstance(a, bool) and isinstance(b, bool):
@@ -422,10 +420,6 @@ def _substitute(node, state):
     if isinstance(node, Imply):
         return _substitute(Or(Not(node.left), node.right), state)
     raise TypeError(node)
-
-
-def _cmp(lhs, op, rhs):
-    return CMP[op](lhs, rhs)
 
 
 def _nnf(node, neg):
@@ -469,6 +463,13 @@ def violation_region(query, state):
     """DNF description of where, inside this discrete state, the property fails."""
     residue = _substitute(Not(query.root), state)
     return _dnf(_nnf(residue, False))
+
+
+def in_region(region, time):
+    """Whether the global clock value `time` lies in `region`, a DNF from
+    `violation_region`.  The test is pointwise, so the strict atoms that
+    negation introduces are exact."""
+    return any(all(CMP[a.op](time, a.const) for a in conj) for conj in region)
 
 
 def data_atoms(node, acc=None):

@@ -81,7 +81,7 @@ class TestVerify:
         )
         assert code == 0
         report = json.loads(out.strip())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["verdict"] == "SATISFIED"
         assert report["engine"] == "zone"
 
@@ -343,20 +343,89 @@ class TestTraceCommand:
         assert code == 3
         assert err.startswith("error: replay diverged: step 0:") and out == ""
 
-    def test_schema_one_document_refused(self, capsys, tmp_path):
-        # schema 1 wrote six-field fire descriptors; an urgent fire named
-        # HelperTA's sender edge (automaton 1, edge 0) and its partner
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_schema_one_document_refused(self, capsys, tmp_path, version):
+        # schemas 1 and 2 stored each step's `time` only, not every clock;
+        # schema 1 also wrote six-field fire descriptors, where an urgent
+        # fire named HelperTA's sender edge (automaton 1, edge 0) and its
+        # partner
         out_file = self.write_violation(capsys, tmp_path)
         doc = json.load(open(out_file))
-        doc["schema_version"] = 1
+        doc["schema_version"] = version
         for step in doc["steps"]:
-            if step["kind"] == "fire":
+            step["time"] = step.pop("clocks")["time"]
+            if version == 1 and step["kind"] == "fire":
                 step["descriptor"] = ["fire", 1, 0, [], step["descriptor"][1:],
                                       "urg_chan"]
         json.dump(doc, open(out_file, "w"))
         code, out, err = run(capsys, "trace", out_file)
         assert code == 3
         assert "unsupported schema version" in err and out == ""
+
+    def replay_mutant(self, capsys, tmp_path, doc):
+        out_file = str(tmp_path / "mutant.json")
+        with open(out_file, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, "trace", out_file)
+        assert code == 3 and out == ""
+        return err
+
+    def test_last_delay_moved_back_exit_three(self, capsys, tmp_path):
+        # each time-bounded counterexample, one time unit short of its bound
+        code, out, _err = run(
+            capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+            "--format", "json",
+        )
+        assert code == 1
+        docs = [r["trace"] for r in map(json.loads, out.splitlines())
+                if r["verdict"] == "VIOLATED" and "time" in r["query"]["text"]]
+        assert len(docs) == 3
+        for doc in docs:
+            steps = doc["steps"]
+            last = max(i for i, s in enumerate(steps) if s["kind"] == "delay")
+            alive = set(steps[last]["clocks"])
+            for step in steps[last:]:
+                for clock in alive & set(step["clocks"]):
+                    step["clocks"][clock] -= 1
+            err = self.replay_mutant(capsys, tmp_path, doc)
+            assert err.startswith("error: replay diverged: step %d:"
+                                  % (len(steps) - 1))
+            assert "the final state satisfies the query" in err
+
+    def test_zeroed_time_exit_three(self, capsys, tmp_path):
+        doc = json.load(open(self.write_violation(capsys, tmp_path)))
+        for step in doc["steps"]:
+            step["clocks"]["time"] = 0
+        err = self.replay_mutant(capsys, tmp_path, doc)
+        assert err.startswith("error: replay diverged: step ")
+
+    def test_fire_moving_a_transaction_clock_exit_three(self, capsys, tmp_path):
+        code, out, _err = run(
+            capsys, "simulate", "cs", "--adversary", "alice", *REDUCED,
+            "--seed", "0", "--steps", "20", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        steps = doc["steps"]
+        i, clock = next(
+            (i, clock) for i in range(1, len(steps)) if steps[i]["kind"] == "fire"
+            for clock in steps[i]["clocks"]
+            if clock != "time" and clock in steps[i - 1]["clocks"])
+        steps[i]["clocks"][clock] += 1
+        err = self.replay_mutant(capsys, tmp_path, doc)
+        assert err.startswith("error: replay diverged: step %d: fire moves "
+                              "clock ('tx', %s)" % (i, clock[2:]))
+
+    def test_edited_location_exit_three(self, capsys, tmp_path):
+        doc = json.load(open(self.write_violation(capsys, tmp_path)))
+        steps = doc["steps"]
+        # a step that moves an automaton, stored as if it had not moved
+        i = next(i for i in range(1, len(steps))
+                 if steps[i]["locations"] != steps[i - 1]["locations"])
+        steps[i]["locations"] = steps[i - 1]["locations"]
+        err = self.replay_mutant(capsys, tmp_path, doc)
+        assert err.startswith("error: replay diverged: step %d: locations "
+                              "diverge" % i)
 
     def test_unknown_adversary_exit_three(self, capsys, tmp_path):
         out_file = self.write_violation(capsys, tmp_path)

@@ -7,12 +7,14 @@ sets, deadline flips, exploration and trace replay without any of the
 block-chain machinery.
 """
 
+import json
 import random
 from typing import NamedTuple
 
 import pytest
 
 from tacv import kernel as K
+from tacv import modelio as M
 from tacv import queries as Q
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.world import WorldConstants
@@ -508,17 +510,19 @@ class TestCheckCounts:
 
 
 def counterexamples(build, constants, adversary):
-    """Traces of every violated default query, from one extrapolating run."""
+    """Traces of every violated default query, from one extrapolating run,
+    as (model, net, [(query text, trace), ...])."""
     model = build(WorldConstants(*constants))
     net, ctx = instantiate(model, adversary=adversary)
-    checks = []
+    texts, checks = [], []
     for name in sorted(model.queries):
         try:
             checks.append(Q.make_checker(Q.parse_query(model.queries[name], ctx)))
         except Q.QueryError:
             continue  # names the adversary's own automaton
+        texts.append(model.queries[name])
     res = K.explore(net, check=checks)
-    return net, [t for t in res.traces if t is not None]
+    return model, net, [(q, t) for q, t in zip(texts, res.traces) if t is not None]
 
 
 def shifted(trace, i, by):
@@ -526,12 +530,11 @@ def shifted(trace, i, by):
     steps = list(trace.steps)
     val = {k: v + by for k, v in steps[i].valuation.items()}
     steps[i] = steps[i]._replace(valuation=val)
-    final = val if i == len(steps) - 1 else trace.final_valuation
-    return trace._replace(steps=tuple(steps), final_valuation=final)
+    return trace._replace(steps=tuple(steps))
 
 
 class TestValuations:
-    """`replay_trace` checks clock valuations, not only locations and data."""
+    """Both replays check clock valuations, not only the stored states."""
 
     @pytest.mark.parametrize("build,constants,adversary", [
         (build_cs_model, (2, 5), "ALICE"),
@@ -540,15 +543,18 @@ class TestValuations:
     ], ids=["cs-2-5-ALICE", "newscs-2-7-BOB", "newscs-2-10-BOB"])
     def test_default_query_counterexamples_replay(self, build, constants,
                                                   adversary):
-        net, traces = counterexamples(build, constants, adversary)
+        model, net, traces = counterexamples(build, constants, adversary)
         assert traces
-        for trace in traces:
+        for query, trace in traces:
             K.replay_trace(net, trace)
+            # and as a trace document, with every clock and the query
+            doc = M.trace_to_document(trace, net, model, adversary, query)
+            M.replay_document(json.loads(json.dumps(doc)))
 
     def test_delay_shifted_by_one_rejected(self):
-        net, traces = counterexamples(build_cs_model, (2, 5), "ALICE")
+        _model, net, traces = counterexamples(build_cs_model, (2, 5), "ALICE")
         mutants = 0
-        for trace in traces:
+        for _query, trace in traces:
             for i, step in enumerate(trace.steps):
                 if step.kind == "delay":
                     with pytest.raises(K.ReplayError) as err:
@@ -564,16 +570,16 @@ class TestValuations:
         trace = K.explore(net, check=lambda s: s.zone if s.data.flag else None).trace
         i = [s.kind for s in trace.steps].index("fire")
         with pytest.raises(K.ReplayError, match="fire moves clock time"):
-            K.check_valuations(net, shifted(trace, i, 1))
+            K.replay_trace(net, shifted(trace, i, 1))
 
     def test_delay_while_urgent_edge_enabled_rejected(self):
         net = make_net(urgent_ping=True)
         s0 = K.initial_state(net)
         step = K.TraceStep("delay", ("delay",), "delay", {"time": 1},
                            s0.data, s0.locs)
-        trace = K.Trace((step,), s0.data, s0.locs, {"time": 1})
+        trace = K.Trace((step,), s0.data, s0.locs)
         with pytest.raises(K.ReplayError, match="urgent edge"):
-            K.check_valuations(net, trace)
+            K.replay_trace(net, trace)
 
     def test_clock_guard_checked(self):
         net = make_net()
@@ -581,6 +587,6 @@ class TestValuations:
         # the flip fires at time 5; fire it at 4 instead
         steps = [s._replace(valuation={k: v - 1 for k, v in s.valuation.items()})
                  for s in trace.steps]
-        bad = trace._replace(steps=tuple(steps), final_valuation=steps[-1].valuation)
+        bad = trace._replace(steps=tuple(steps))
         with pytest.raises(K.ReplayError, match="clock guard time == 5"):
-            K.check_valuations(net, bad)
+            K.replay_trace(net, bad)

@@ -6,7 +6,7 @@ import pytest
 
 from tacv import queries as Q
 from tacv import world as w
-from tacv.kernel import SymbolicState
+from tacv.kernel import CMP, SymbolicState
 from tacv.zones import Zone
 
 
@@ -183,7 +183,7 @@ class TestDnfSemantics:
 
             def direct(t, node):
                 if isinstance(node, Q.ClockAtom):
-                    return Q._cmp(t, node.op, node.const)
+                    return CMP[node.op](t, node.const)
                 if isinstance(node, Q.Not):
                     return not direct(t, node.arg)
                 if isinstance(node, Q.And):
@@ -195,11 +195,7 @@ class TestDnfSemantics:
                 raise TypeError(node)
 
             for t in range(0, 20):
-                in_region = any(
-                    all(Q._cmp(t, a.op, a.const) for a in conj)
-                    for conj in region
-                )
-                assert in_region == direct(t, f)
+                assert Q.in_region(region, t) == direct(t, f)
 
 
 def _strip_imply(node):
