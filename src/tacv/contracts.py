@@ -101,6 +101,8 @@ def instantiate(model, adversary=None, run_world_checks=True,
     automaton replaces the party's honest suite.  Returns the Network
     plus the name-resolution context for queries; `net.meta` keeps the
     model, the adversary and `prune_idle_sweeps`, which rebuild it.
+    Raises ModelError for an adversary that is no party or has no
+    `[adversary]` section, and for an honest party without an automaton.
 
     With `run_world_checks` the network carries the world's checks: one
     state check on the data valuation (value conservation, nonce
@@ -119,7 +121,10 @@ def instantiate(model, adversary=None, run_world_checks=True,
     adv_slot = len(model.party_names) - 1
 
     if adv_idx is not None:
-        cfg = model.adversary_configs[adv_idx]
+        cfg = model.adversary_configs.get(adv_idx)
+        if cfg is None:
+            raise ModelError("party %s has no [adversary %s] section"
+                             % (adversary, adversary))
         adv_key = cfg.adv_key
         msg_count = len(cfg.message_actions)
     else:
@@ -174,8 +179,10 @@ def instantiate(model, adversary=None, run_world_checks=True,
                     model.sig_capacity, sendable=sendable,
                 )
             )
-        else:
+        elif p in model.honest_automata:
             automata.extend(model.honest_automata[p])
+        else:
+            raise ModelError("party %s has no automaton" % model.party_names[p])
 
     state_checks = []
     transition_checks = []

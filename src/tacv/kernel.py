@@ -26,14 +26,18 @@ Semantics notes:
   key's successors (its "skeleton") is computed once per (locations,
   data) key and then applied to zones.  Exploration, random runs and
   trace replay all use it.
-- Checks run at three levels during exploration (`run_checks`).  A
-  network's transition checks see the data before and after each
-  data-enabled fire, once per fire of each skeleton built.  Its state
-  checks see only the data valuation and run once per (locations,
-  data) key, when the key's first zone is stored.  The kernel's own
-  zone checks (`run_state_checks`: deadline flags agree with their
-  clock condition, the zone lies inside its location invariants) run
-  on every stored zone state.
+- Checks run at three levels.  A network's transition checks see the
+  data before and after each data-enabled fire, once per fire of each
+  skeleton built.  They run in every `_build_skeleton`, so in
+  exploration, random runs, replay and trace building alike; only a
+  network built without them (`contracts.instantiate` with
+  `run_world_checks=False`) skips them.  Its state checks see only the
+  data valuation and run once per (locations, data) key, when the
+  key's first zone is stored.  The kernel's own zone checks
+  (`run_state_checks`: deadline flags agree with their clock
+  condition, the zone lies inside its location invariants) run on
+  every stored zone state.  `explore(run_checks=False)` skips these
+  last two, the state checks and the zone checks, and only them.
 - `explore` extrapolates transaction clocks (Extra+_LU of Behrmann,
   Bouyer, Larsen and Pelánek, "Lower and upper bounds in zone-based
   abstractions of timed automata", STTT 2006).  A clock is extrapolated
@@ -806,8 +810,9 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     earliest point of that meet; earlier states are chosen backward,
     keeping shared clocks consistent across fires and maximizing delay
     lengths so the run is the earliest one reaching the violation.
-    Closed zones concretize on integers; strict latency windows can
-    force half-integral instants.
+    Closed zones concretize on integers.  A strict bound can force
+    half-integral instants; only a negated query (the violation region
+    of `time >= c` is `time < c`) or a hand-built network has one.
     """
     chain = []
     sid = goal_sid

@@ -3,7 +3,12 @@
 A `.model` file is a sectioned plain-text document declaring constants,
 keys, secrets, parties, transactions, non-standard script clauses,
 timers, progress marks, party automata, adversary actions and named
-queries.  Clock guards, guards and updates on edges are parsed by the
+queries.  `build_model` reads it in one pass with no intermediate
+document: it splits the text into sections, declares every name (a
+name declared twice is E_NAME), then builds each entry with the one
+function of its kind, which parses the entry's fields and resolves
+their names together.  An error raised for an entry names its line.
+Clock guards, guards and updates on edges are parsed by the
 query language's `ExprParser` (one lexer, precedence parser and
 constant evaluator), with atoms of their own: `time OP const-expr` for
 clock guards, and for guards and updates the block-chain helper
@@ -18,7 +23,7 @@ Their variants are constants of the files (WEAKENED_ALICE, BUGGY_BOB,
 ABORT_MARGIN): a variant option `x` sets the constant `X` of any model
 that declares it.  `contract_model` builds every scenario's model, for
 the CLI and for trace replay alike, and memoizes the build per file
-text and constants; the shared model is never mutated.
+text and given constants; the shared model is never mutated.
 
 Reports and diagnostic traces serialize to JSON with a versioned
 schema.  A trace document records the whole scenario that produced it
@@ -30,13 +35,11 @@ re-checks the query at the final clock values.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import queries as Q
 from . import world as W
@@ -78,17 +81,6 @@ class ModelIOError(ModelError):
         return "%s: line %d: %s" % (self.code, self.line, self.message)
 
 
-@contextlib.contextmanager
-def _at(line):
-    """Give a ModelIOError raised inside without a line number `line`."""
-    try:
-        yield
-    except ModelIOError as exc:
-        if exc.line is None:
-            exc.line = line
-        raise
-
-
 # codes for distinct semantic failures
 E_PARSE = "E_PARSE"
 E_SECTION = "E_SECTION"
@@ -101,222 +93,13 @@ E_EXPR = "E_EXPR"
 E_STRICT = "E_STRICT"
 
 
-class ModelDocument(NamedTuple):
-    """Canonical parsed form of a .model file (pure data, order-stable).
-
-    Every entry that `build_model` resolves ends with its line number,
-    so that an error found while building it names the line.
-    """
-
-    name: str
-    constants: tuple      # ((name, value), ...)
-    keys: tuple
-    secrets: tuple
-    parties: tuple        # ((name, keys, secrets, line), ...)
-    capacity: int
-    txs: tuple            # ((name, inputs, outputs, timelock_expr, reveals, confirmed, line), ...)
-    nss: tuple            # ((name, clauses, line), ...) clause = (keys, secrets)
-    timers: tuple         # ((name, expr, line), ...)
-    marks: tuple
-    signed: tuple
-    automata: tuple       # ((auto name, party, locations, edges, line), ...)
-    adversaries: tuple    # ((party, key, actions, line), ...) action = (name, guard, update, line)
-    queries: tuple        # ((name, text), ...)
-
-
-# -- section reader -----------------------------------------------------
+# -- loader ----------------------------------------------------------------
 
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)(?:\s+(.*))?\]$")
-
-
-def _logical_lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            yield i, line.strip()
-
-
-def parse_model_text(text, name="model"):
-    sections = []
-    current = None
-    for ln, line in _logical_lines(text):
-        m = _SECTION_RE.match(line)
-        if m:
-            current = (m.group(1), m.group(2) or "", ln, [])
-            sections.append(current)
-            continue
-        if current is None:
-            raise ModelIOError(E_PARSE, "content before any section", ln)
-        current[3].append((ln, line))
-
-    constants, keys, secrets = [], [], []
-    parties, txs, nss, timers, marks, signed = [], [], [], [], [], []
-    automata, adversaries, queries = [], [], []
-    capacity = [1]
-
-    # a handler gets the section's argument, header line and body lines
-    handlers = {
-        "constants": lambda arg, ln, body: constants.extend(_parse_assignments(body)),
-        "keys": lambda arg, ln, body: keys.extend(_parse_names(body)),
-        "secrets": lambda arg, ln, body: secrets.extend(_parse_names(body)),
-        "parties": lambda arg, ln, body: _parse_parties(body, parties, capacity),
-        "transactions": lambda arg, ln, body: txs.extend(_parse_txs(body)),
-        "nss": lambda arg, ln, body: nss.extend(_parse_nss(body)),
-        "timers": lambda arg, ln, body: timers.extend(_parse_assign_exprs(body)),
-        "marks": lambda arg, ln, body: marks.extend(_parse_names(body)),
-        "signed": lambda arg, ln, body: signed.extend(_parse_names(body)),
-        "automaton": lambda arg, ln, body: automata.append(_parse_automaton(arg, ln, body)),
-        "adversary": lambda arg, ln, body: adversaries.append(_parse_adversary(arg, ln, body)),
-        "queries": lambda arg, ln, body: queries.extend(_parse_queries(body)),
-    }
-    for sec, arg, ln, body in sections:
-        handler = handlers.get(sec)
-        if handler is None:
-            raise ModelIOError(E_SECTION, "unknown section [%s]" % sec, ln)
-        handler(arg, ln, body)
-
-    return ModelDocument(
-        name=name,
-        constants=tuple(constants),
-        keys=tuple(keys),
-        secrets=tuple(secrets),
-        parties=tuple(parties),
-        capacity=capacity[0],
-        txs=tuple(txs),
-        nss=tuple(nss),
-        timers=tuple(timers),
-        marks=tuple(marks),
-        signed=tuple(signed),
-        automata=tuple(automata),
-        adversaries=tuple(adversaries),
-        queries=tuple(queries),
-    )
-
-
-def _parse_names(body):
-    out = []
-    for _ln, line in body:
-        out.extend(line.split())
-    return out
-
-
-def _parse_assignments(body):
-    out = []
-    for ln, line in body:
-        if "=" not in line:
-            raise ModelIOError(E_PARSE, "expected NAME = INTEGER", ln)
-        k, v = line.split("=", 1)
-        out.append((k.strip(), _int(v, "an integer value", ln)))
-    return out
-
-
-def _int(text, what, ln):
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ModelIOError(E_PARSE, "expected %s" % what, ln) from None
-
-
-def _parse_assign_exprs(body):
-    out = []
-    for ln, line in body:
-        if "=" not in line:
-            raise ModelIOError(E_PARSE, "expected NAME = EXPRESSION", ln)
-        k, v = line.split("=", 1)
-        out.append((k.strip(), v.strip(), ln))
-    return out
-
-
-def _parse_parties(body, parties, capacity):
-    for ln, line in body:
-        if line.startswith("capacity"):
-            capacity[0] = _int(line.partition("=")[2], "capacity = INTEGER", ln)
-            continue
-        name, _sep, rest = line.partition(":")
-        fields = _parse_fields(rest, ln)
-        parties.append((
-            name.strip(),
-            tuple(fields.pop("keys", "").split()),
-            tuple(fields.pop("secrets", "").split()),
-            ln,
-        ))
-        _no_extra(fields, ln)
-
-
-def _parse_fields(rest, ln, flags=()):
-    fields = {}
-    for part in filter(None, (p.strip() for p in rest.split(";"))):
-        if "=" in part:
-            k, v = part.split("=", 1)
-            fields[k.strip()] = v.strip()
-        elif part in flags:
-            fields[part] = True
-        else:
-            raise ModelIOError(E_PARSE, "expected %s = VALUE" % part, ln)
-    return fields
-
-
-def _no_extra(fields, ln):
-    if fields:
-        raise ModelIOError(E_PARSE, "unknown fields %s" % sorted(fields), ln)
-
-
-def _parse_txs(body):
-    out = []
-    for ln, line in body:
-        name, sep, rest = line.partition(":")
-        if not sep:
-            raise ModelIOError(E_PARSE, "expected NAME: fields", ln)
-        fields = _parse_fields(rest, ln, flags=("confirmed",))
-        inputs = []
-        for ref in fields.pop("inputs", "").split():
-            m = re.match(r"(\w+):(\d+)$", ref)
-            if not m:
-                raise ModelIOError(E_PARSE, "input must be NAME:INDEX", ln)
-            inputs.append((m.group(1), int(m.group(2))))
-        outputs = []
-        for ref in fields.pop("outputs", "").split():
-            m = re.match(r"(key|nss)\((\w+)\):(\d+)$", ref)
-            if not m:
-                raise ModelIOError(
-                    E_PARSE, "output must be key(NAME):VALUE or nss(NAME):VALUE", ln)
-            outputs.append((m.group(1), m.group(2), int(m.group(3))))
-        out.append((
-            name.strip(),
-            tuple(inputs),
-            tuple(outputs),
-            fields.pop("timelock", "0"),
-            tuple(fields.pop("reveals", "").split()),
-            bool(fields.pop("confirmed", False)),
-            ln,
-        ))
-        _no_extra(fields, ln)
-    return out
-
-
-def _parse_nss(body):
-    out = []
-    for ln, line in body:
-        name, sep, rest = line.partition(":")
-        if not sep:
-            raise ModelIOError(E_PARSE, "expected NAME: clauses", ln)
-        clauses = []
-        for clause in rest.split("|"):
-            clause = clause.strip()
-            if not (clause.startswith("{") and clause.endswith("}")):
-                raise ModelIOError(E_PARSE, "clause must be {...}", ln)
-            keys, secrets = [], []
-            for item in filter(None, (i.strip() for i in clause[1:-1].split(","))):
-                if item.startswith("reveal "):
-                    secrets.append(item[len("reveal "):].strip())
-                else:
-                    keys.append(item)
-            clauses.append((tuple(keys), tuple(secrets)))
-        out.append((name.strip(), tuple(clauses), ln))
-    return out
-
-
+_SECTIONS = ("constants", "keys", "secrets", "parties", "transactions", "nss",
+             "timers", "marks", "signed", "automaton", "adversary", "queries")
+_INVARIANT_RE = re.compile(r'invariant="time\s*<=\s*([^"]+)"')
 _EDGE_RE = re.compile(
     r"^edge\s+(\w+)\s*->\s*(\w+)"
     r"(?P<urgent>\s+urgent)?"
@@ -325,98 +108,399 @@ _EDGE_RE = re.compile(
     r"(?:\s+update\s+\"(?P<update>[^\"]*)\")?"
     r"(?:\s+label\s+(?P<label>\w+))?$"
 )
+_MESSAGE_RE = re.compile(
+    r"^message\s+(\w+)(?:\s+guard\s+\"([^\"]*)\")?\s+update\s+\"([^\"]*)\"$")
 
 
-def _parse_automaton(arg, header_ln, body):
+def _sections(text):
+    """The sections of a `.model` text as (kind, argument, header line,
+    body), the body a list of (line, text) without comments and blank
+    lines."""
+    sections = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        m = _SECTION_RE.match(line)
+        if m:
+            if m.group(1) not in _SECTIONS:
+                raise ModelIOError(E_SECTION, "unknown section [%s]" % m.group(1), ln)
+            sections.append((m.group(1), m.group(2) or "", ln, []))
+        elif line:
+            if not sections:
+                raise ModelIOError(E_PARSE, "content before any section", ln)
+            sections[-1][3].append((ln, line))
+    return sections
+
+
+def _named(text, sep=":"):
+    """(NAME, rest) of a `NAME: rest` or `NAME = rest` line."""
+    name, found, rest = text.partition(sep)
+    if not found:
+        raise ModelIOError(E_PARSE, "expected NAME %s ..." % sep)
+    return name.strip(), rest.strip()
+
+
+def _setting(text, word):
+    """VALUE of a `word = VALUE` line; None for a line that starts with
+    another word."""
+    head, _sep, value = text.partition("=")
+    return value.strip() if head.strip() == word else None
+
+
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelIOError(E_PARSE, "expected %s" % what) from None
+
+
+def _fields(text, known, flags=()):
+    """(NAME, {field: value}) of a `NAME: field = value; flag; ...` line;
+    a flag's value is True."""
+    name, rest = _named(text)
+    fields = {}
+    for part in filter(None, (p.strip() for p in rest.split(";"))):
+        field, sep, value = part.partition("=")
+        field = field.strip()
+        if not sep and part not in flags:
+            raise ModelIOError(E_PARSE, "expected %s = VALUE" % part)
+        if field in fields:
+            raise ModelIOError(E_PARSE, "field %s given twice" % field)
+        fields[field] = value.strip() if sep else True
+    unknown = set(fields) - set(known) - set(flags)
+    if unknown:
+        raise ModelIOError(E_PARSE, "unknown fields %s" % sorted(unknown))
+    return name, fields
+
+
+def _automaton_header(arg):
     m = re.match(r"^(\w+)\s+party\s*=\s*(\w+)$", arg.strip())
     if not m:
-        raise ModelIOError(E_PARSE, "expected [automaton NAME party=PARTY]",
-                           header_ln)
-    auto_name, party = m.group(1), m.group(2)
-    locations, edges = [], []
-    for ln, line in body:
-        if line.startswith("location"):
-            inv = None
-            im = re.search(r'invariant="time\s*<=\s*([^"]+)"', line)
-            if im:
-                inv = im.group(1).strip()
-                line = line[:im.start()] + line[im.end():]
-            parts = line.split()
-            if len(parts) < 2:
-                raise ModelIOError(E_PARSE, "expected location NAME [flags]", ln)
-            flags = set(parts[2:])
-            locations.append((
-                parts[1],
-                "initial" in flags,
-                "named" in flags,
-                inv,
-                ln,
-            ))
-            flags -= {"initial", "named"}
-            if flags:
-                raise ModelIOError(E_PARSE, "unknown location flags %s" % sorted(flags), ln)
-        elif line.startswith("edge"):
-            em = _EDGE_RE.match(line)
-            if not em:
-                raise ModelIOError(E_PARSE, "malformed edge line", ln)
-            edges.append((
-                em.group(1), em.group(2), bool(em.group("urgent")),
-                em.group("clock"), em.group("guard"), em.group("update"),
-                em.group("label") or "step%d" % len(edges),
-                ln,
-            ))
-        else:
-            raise ModelIOError(E_PARSE, "expected a location or edge line", ln)
-    return (auto_name, party, tuple(locations), tuple(edges), header_ln)
+        raise ModelIOError(E_PARSE, "expected [automaton NAME party=PARTY]")
+    return m.groups()
 
 
-def _parse_adversary(arg, header_ln, body):
-    party = arg.strip()
-    key = None
-    actions = []
-    for ln, line in body:
-        if line.startswith("key"):
-            key = line.partition("=")[2].strip()
-        elif line.startswith("message"):
-            m = re.match(
-                r"^message\s+(\w+)"
-                r"(?:\s+guard\s+\"([^\"]*)\")?"
-                r"\s+update\s+\"([^\"]*)\"$",
-                line,
-            )
+def _location(text):
+    """(NAME, flags, invariant bound text or None) of a location line."""
+    inv = _INVARIANT_RE.search(text)
+    if inv:
+        text = text[:inv.start()] + text[inv.end():]
+    words = text.split()
+    if len(words) < 2:
+        raise ModelIOError(E_PARSE, "expected location NAME [flags]")
+    flags = set(words[2:])
+    if flags - {"initial", "named"}:
+        raise ModelIOError(E_PARSE, "unknown location flags %s"
+                           % sorted(flags - {"initial", "named"}))
+    return words[1], flags, inv and inv.group(1).strip()
+
+
+def _declare(table, name, what, value=None):
+    if name in table:
+        raise ModelIOError(E_NAME, "%s %r declared twice" % (what, name))
+    table[name] = len(table) if value is None else value
+
+
+def _lookup(table, name, what, code):
+    if name not in table:
+        raise ModelIOError(code, "unknown %s %r (known: %s)"
+                           % (what, name, ", ".join(sorted(table))))
+    return table[name]
+
+
+class _Loader:
+    """A `.model` text read into a ContractModel, in two walks over its
+    sections.
+
+    The constructor declares every name: constants with their values,
+    keys, secrets, marks, the name that starts each party, transaction,
+    nss and timer line, automata with their location names, and queries
+    with their text.  A name declared twice is E_NAME.  `model` then
+    builds each entry with the one function of its kind, which parses
+    the entry's fields and resolves their names, so a name may be used
+    above its declaration.  The name tables are also what guards and
+    updates resolve against (`_Guard`).
+    """
+
+    def __init__(self, text, name, overrides):
+        self.name = name
+        self.sections = _sections(text)
+        self.constants, self.keys, self.secrets, self.marks = {}, {}, {}, {}
+        self.parties, self.txs, self.nss, self.timers = {}, {}, {}, {}
+        self.automata, self.queries = {}, {}  # automaton -> location table
+        declarations = {
+            "constants": self.constant,
+            "keys": lambda t: [_declare(self.keys, k, "key") for k in t.split()],
+            "secrets": lambda t: [_declare(self.secrets, s, "secret") for s in t.split()],
+            "marks": lambda t: [_declare(self.marks, m, "mark") for m in t.split()],
+            "parties": self.declare_party,
+            "transactions": lambda t: _declare(self.txs, _named(t)[0], "transaction"),
+            "nss": lambda t: _declare(self.nss, _named(t)[0], "nss"),
+            "timers": lambda t: _declare(self.timers, _named(t, "=")[0], "timer"),
+            "queries": self.query,
+        }
+        for kind, declare in declarations.items():
+            self.walk(kind, declare)
+        self.walk("automaton", section=self.declare_automaton)
+        _declare(self.parties, "ADVERSARY", "party")
+
+        unknown = sorted(set(overrides) - set(self.constants) - set(_WORLD))
+        if unknown:
+            takes = sorted(c.lower() for c in self.constants if c not in _WORLD)
+            raise ModelError("contract %s takes no option %s (it takes: %s)" % (
+                name, ", ".join(c.lower() for c in unknown), ", ".join(takes) or "none"))
+        self.variant = tuple(sorted((c.lower(), v) for c, v in overrides.items()
+                                    if c not in _WORLD and v != self.constants[c]))
+        self.constants.update(overrides)
+
+    def walk(self, kind, entry=None, section=None):
+        """The results other than None of building every `kind` section.
+
+        `entry(text)` builds one body line.  For a section with a header,
+        `section(argument)` returns the (entry, end) pair to use instead,
+        and `end()`, if given, runs after the body and gives the
+        section's result.  A ModelIOError without a line gets the line
+        of the entry it was raised for: the body line, or the header for
+        `section` and `end`.
+        """
+        out = []
+        for kind_, arg, header, body in self.sections:
+            if kind_ != kind:
+                continue
+            ln = header
+            try:
+                each, end = section(arg) if section else (entry, None)
+                for ln, text in body:
+                    out.append(each(text))
+                ln = header
+                out.append(end() if end else None)
+            except ModelIOError as exc:
+                if exc.line is None:
+                    exc.line = ln
+                raise
+        return [x for x in out if x is not None]
+
+    def declare_party(self, text):
+        if _setting(text, "capacity") is None:
+            _declare(self.parties, _named(text)[0], "party")
+
+    def declare_automaton(self, arg):
+        auto, _party = _automaton_header(arg)
+        locations = {}
+        _declare(self.automata, auto, "automaton", locations)
+
+        def line(text):
+            if text.split()[0] == "location":
+                _declare(locations, _location(text)[0], "location")
+
+        return line, None
+
+    # -- entries, one function per kind
+
+    def constant(self, text):
+        name, value = _named(text, "=")
+        _declare(self.constants, name, "constant", _int(value, "an integer value"))
+
+    def query(self, text):
+        name, prop = _named(text)
+        _declare(self.queries, name, "query", prop)
+
+    def party(self, text):
+        capacity = _setting(text, "capacity")
+        if capacity is not None:
+            self.capacity = _int(capacity, "capacity = INTEGER")
+            return None
+        _name, fields = _fields(text, ("keys", "secrets"))
+        keys = {_lookup(self.keys, k, "key", E_NAME) for k in fields.get("keys", "").split()}
+        secrets = {_lookup(self.secrets, s, "secret", E_NAME)
+                   for s in fields.get("secrets", "").split()}
+        return PartyKnowledge(tuple(i in keys for i in range(len(self.keys))),
+                              tuple(i in secrets for i in range(len(self.secrets))))
+
+    def nss_clauses(self, text):
+        _name, rest = _named(text)
+        clauses = []
+        for clause in (c.strip() for c in rest.split("|")):
+            if not (clause.startswith("{") and clause.endswith("}")):
+                raise ModelIOError(E_PARSE, "clause must be {...}")
+            keys, secrets = [], []
+            for item in filter(None, (i.strip() for i in clause[1:-1].split(","))):
+                if item.startswith("reveal "):
+                    secrets.append(_lookup(self.secrets, item[len("reveal "):].strip(),
+                                           "secret", E_RANGE))
+                else:
+                    keys.append(_lookup(self.keys, item, "key", E_RANGE))
+            clauses.append(NssClause(tuple(keys), tuple(secrets)))
+        return tuple(clauses)
+
+    def tx(self, text):
+        name, fields = _fields(text, ("inputs", "outputs", "timelock", "reveals"),
+                               flags=("confirmed",))
+        inputs = []
+        for ref in fields.get("inputs", "").split():
+            m = re.match(r"(\w+):(\d+)$", ref)
             if not m:
-                raise ModelIOError(E_PARSE, "malformed message line", ln)
-            actions.append((m.group(1), m.group(2) or "true", m.group(3), ln))
-        else:
-            raise ModelIOError(E_PARSE, "expected key or message line", ln)
-    if key is None:
-        raise ModelIOError(E_PARSE, "adversary section needs a key", header_ln)
-    return (party, key, tuple(actions), header_ln)
+                raise ModelIOError(E_PARSE, "input must be NAME:INDEX")
+            inputs.append((_lookup(self.txs, m.group(1), "transaction", E_DANGLING_TX),
+                           int(m.group(2))))
+        outputs = []
+        for ref in fields.get("outputs", "").split():
+            m = re.match(r"(key|nss)\((\w+)\):(\d+)$", ref)
+            if not m:
+                raise ModelIOError(
+                    E_PARSE, "output must be key(NAME):VALUE or nss(NAME):VALUE")
+            table = self.keys if m.group(1) == "key" else self.nss
+            outputs.append(Output(m.group(1), _lookup(table, m.group(2), m.group(1), E_RANGE),
+                                  int(m.group(3))))
+        timelock = _Expr(fields.get("timelock", "0"), self.constants).parse_const()
+        return TxRecord(
+            self.txs[name], tuple(inputs), tuple(outputs),
+            status=W.CONFIRMED if fields.get("confirmed") else W.UNSENT,
+            timelock=timelock,
+            timelock_passed=(timelock == 0),
+            reveals=tuple(_lookup(self.secrets, s, "secret", E_RANGE)
+                          for s in fields.get("reveals", "").split()),
+        )
 
+    def timer(self, text):
+        name, expr = _named(text, "=")
+        threshold = _Expr(expr, self.constants).parse_const()
+        if threshold < 1:
+            raise ModelIOError(E_RANGE, "timer %s: threshold %s is %d, must be at least 1"
+                               % (name, expr, threshold))
+        return name, threshold
 
-def _parse_queries(body):
-    out = []
-    for ln, line in body:
-        name, sep, rest = line.partition(":")
-        if not sep:
-            raise ModelIOError(E_PARSE, "expected NAME: A[] ...", ln)
-        out.append((name.strip(), rest.strip()))
-    return out
+    def location(self, text):
+        """(whether it is the initial location, Location) of a location line."""
+        name, flags, inv = _location(text)
+        atoms = inv and (("time", "<=", _Expr(inv, self.constants).parse_const()),)
+        return "initial" in flags, Location(name, atoms and (lambda _w: atoms),
+                                            named="named" in flags)
+
+    def edge(self, text, auto, locations, index):
+        m = _EDGE_RE.match(text)
+        if not m:
+            raise ModelIOError(E_PARSE, "malformed edge line")
+        src, dst = m.group(1), m.group(2)
+        if src not in locations or dst not in locations:
+            raise ModelIOError(E_NAME, "unknown location in edge %s->%s" % (src, dst))
+        label = m.group("label") or "step%d" % index
+        urgent = bool(m.group("urgent"))
+        cg = _ClockGuard(m.group("clock"), self.constants).parse_expr() if m.group("clock") else ()
+        if urgent and cg:
+            raise ModelIOError(E_URGENT_CLOCK, "urgent edge %s.%s guards clocks" % (auto, label))
+        gfn = _Guard(m.group("guard"), self).parse_expr() if m.group("guard") else None
+        ufn = _Guard(m.group("update"), self).parse_update() if m.group("update") else None
+        return Edge(
+            locations[src], locations[dst], label,
+            guard=(lambda w, b, f=gfn: f(w)) if gfn else None,
+            clock_guard=cg,
+            urgent=urgent,
+            update=(lambda w, b, f=ufn: f(w)) if ufn else None,
+        )
+
+    def message(self, text):
+        m = _MESSAGE_RE.match(text)
+        if not m:
+            raise ModelIOError(E_PARSE, "malformed message line")
+        return MessageAction(m.group(1), _Guard(m.group(2) or "true", self).parse_expr(),
+                             _Guard(m.group(3), self).parse_update())
+
+    # -- sections with a header
+
+    def automaton(self, arg):
+        auto, party = _automaton_header(arg)
+        p = _lookup(self.parties, party, "party", E_NAME)
+        table, locations, edges, initial = self.automata[auto], [], [], [0]
+
+        def line(text):
+            word = text.split()[0]
+            if word == "location":
+                is_initial, location = self.location(text)
+                if is_initial:
+                    initial[0] = len(locations)
+                locations.append(location)
+            elif word == "edge":
+                edges.append(self.edge(text, auto, table, len(edges)))
+            else:
+                raise ModelIOError(E_PARSE, "expected a location or edge line")
+
+        return line, lambda: (p, AutomatonTemplate(auto, locations, edges, initial=initial[0]))
+
+    def adversary(self, arg):
+        party = arg.strip()
+        p = _lookup(self.parties, party, "party", E_NAME)
+        if p in self.adversary_configs:
+            raise ModelIOError(E_TWO_ADVERSARIES, "duplicate adversary section for %s" % party)
+        key, actions = [], []
+
+        def line(text):
+            value = _setting(text, "key")
+            if value is not None:
+                if key:
+                    raise ModelIOError(E_PARSE, "adversary key given twice")
+                key.append(value)
+            elif text.split()[0] == "message":
+                actions.append(self.message(text))
+            else:
+                raise ModelIOError(E_PARSE, "expected key or message line")
+
+        def end():
+            if not key:
+                raise ModelIOError(E_PARSE, "adversary section needs a key")
+            self.adversary_configs[p] = AdversaryConfig(
+                controlled_party=p,
+                adv_key=_lookup(self.keys, key[0], "key", E_RANGE),
+                message_actions=tuple(actions),
+            )
+
+        return line, end
+
+    def model(self):
+        self.nss_table = tuple(self.walk("nss", self.nss_clauses))
+        txs = self.walk("transactions", self.tx)
+
+        def spends_existing_outputs(text):
+            tx = txs[self.txs[_named(text)[0]]]
+            for src, oi in tx.inputs:
+                if oi >= len(txs[src].outputs):
+                    raise ModelIOError(E_DANGLING_TX, "transaction %d spends missing output %d:%d"
+                                       % (tx.num, src, oi))
+
+        self.walk("transactions", spends_existing_outputs)
+        self.capacity = 1
+        knowledge = self.walk("parties", self.party)
+        honest = {}
+        for p, template in self.walk("automaton", section=self.automaton):
+            honest.setdefault(p, []).append(template)
+        self.adversary_configs = {}
+        self.walk("adversary", section=self.adversary)
+        timers = self.walk("timers", self.timer)
+        signed = self.walk("signed", lambda t: [
+            _lookup(self.txs, s, "transaction", E_DANGLING_TX) for s in t.split()])
+        nobody = PartyKnowledge((False,) * len(self.keys), (False,) * len(self.secrets))
+        return ContractModel(
+            name=self.name,
+            constants=_world_constants(self.constants),
+            key_names=self.keys,
+            secret_names=self.secrets,
+            party_names=tuple(self.parties),
+            tx_names=self.txs,
+            protocol_txs=tuple(txs),
+            nss_table=self.nss_table,
+            sig_capacity=self.capacity,
+            timers=tuple(timers),
+            initial_parties=tuple(knowledge) + (nobody,),
+            honest_automata={p: tuple(a) for p, a in honest.items()},
+            adversary_configs=self.adversary_configs,
+            queries=self.queries,
+            total_value=sum(o.value for t in txs if t.status == W.CONFIRMED for o in t.outputs),
+            signed_txs=tuple(i for ids in signed for i in ids),
+            mark_count=len(self.marks),
+            variant=self.variant,
+        )
 
 
 # -- expression language ---------------------------------------------------
-
-
-class _Names(NamedTuple):
-    constants: dict
-    keys: dict
-    secrets: dict
-    parties: dict
-    txs: dict
-    timers: dict
-    marks: dict
-    nss_table: tuple
-    capacity: int
 
 
 class _Expr(Q.ExprParser):
@@ -595,186 +679,27 @@ class _Guard(_Expr):
         self.error("unknown update statement %r" % tok)
 
 
-# -- document -> ContractModel ---------------------------------------------
+# -- models from text and files ---------------------------------------------
 
 
-def build_model(doc, overrides=None):
-    constants = dict(doc.constants)
-    if overrides:
-        constants.update(overrides)
-    wc = _world_constants(constants)
-
-    keys = {k: i for i, k in enumerate(doc.keys)}
-    secrets = {s: i for i, s in enumerate(doc.secrets)}
-    tx_ids = {t[0]: i for i, t in enumerate(doc.txs)}
-    nss_ids = {n[0]: i for i, n in enumerate(doc.nss)}
-    timer_ids = {t[0]: i for i, t in enumerate(doc.timers)}
-    mark_ids = {m: i for i, m in enumerate(doc.marks)}
-    party_names = tuple(p[0] for p in doc.parties) + ("ADVERSARY",)
-    party_ids = {n: i for i, n in enumerate(party_names)}
-
-    nss_table = []
-    for (_n, clauses, ln) in doc.nss:
-        with _at(ln):
-            nss_table.append(tuple(
-                NssClause(
-                    tuple(_lookup(keys, k, "key", E_RANGE) for k in ckeys),
-                    tuple(_lookup(secrets, s, "secret", E_RANGE) for s in csecs),
-                )
-                for (ckeys, csecs) in clauses
-            ))
-    nss_table = tuple(nss_table)
-
-    txs = []
-    for (name, inputs, outputs, timelock, reveals, confirmed, ln) in doc.txs:
-        with _at(ln):
-            in_refs = []
-            for (ref, oi) in inputs:
-                if ref not in tx_ids:
-                    raise ModelIOError(E_DANGLING_TX, "input %r of %s" % (ref, name))
-                in_refs.append((tx_ids[ref], oi))
-            outs = []
-            for (kind, ref, value) in outputs:
-                table = keys if kind == "key" else nss_ids
-                outs.append(Output(kind, _lookup(table, ref, kind, E_RANGE), value))
-            tl = _Expr(timelock, constants).parse_const()
-            txs.append(TxRecord(
-                tx_ids[name],
-                tuple(in_refs),
-                tuple(outs),
-                status=W.CONFIRMED if confirmed else W.UNSENT,
-                timelock=tl,
-                timelock_passed=(tl == 0),
-                reveals=tuple(_lookup(secrets, s, "secret", E_RANGE) for s in reveals),
-            ))
-    for tx, entry in zip(txs, doc.txs):
-        for (src, oi) in tx.inputs:
-            if oi >= len(txs[src].outputs):
-                raise ModelIOError(
-                    E_DANGLING_TX,
-                    "transaction %d spends missing output %d:%d" % (tx.num, src, oi),
-                    entry[-1],
-                )
-
-    for (_n, pkeys, psecs, ln) in doc.parties:
-        with _at(ln):
-            for k in pkeys:
-                _lookup(keys, k, "key", E_NAME)
-            for sec in psecs:
-                _lookup(secrets, sec, "secret", E_NAME)
-    parties = tuple(
-        PartyKnowledge(
-            tuple(k in pkeys for k in doc.keys),
-            tuple(s in psecs for s in doc.secrets),
-        )
-        for (_n, pkeys, psecs, _ln) in doc.parties
-    ) + (PartyKnowledge((False,) * len(doc.keys), (False,) * len(doc.secrets)),)
-
-    names = _Names(constants, keys, secrets, party_ids, tx_ids,
-                   timer_ids, mark_ids, nss_table, doc.capacity)
-
-    honest = {}
-    for (auto_name, party, locations, edges, header_ln) in doc.automata:
-        with _at(header_ln):
-            p = _lookup(party_ids, party, "party", E_NAME)
-        loc_ids = {l[0]: i for i, l in enumerate(locations)}
-        locs = []
-        initial = 0
-        for i, (lname, is_init, named, inv, ln) in enumerate(locations):
-            if is_init:
-                initial = i
-            inv_fn = None
-            if inv is not None:
-                with _at(ln):
-                    bound = _Expr(inv, constants).parse_const()
-                inv_fn = (lambda b: lambda _w: (("time", "<=", b),))(bound)
-            locs.append(Location(lname, inv_fn, named=named))
-        built_edges = []
-        for (src, dst, urgent, clock, guard, update, label, ln) in edges:
-            with _at(ln):
-                if src not in loc_ids or dst not in loc_ids:
-                    raise ModelIOError(E_NAME, "unknown location in edge %s->%s" % (src, dst))
-                cg = _ClockGuard(clock, constants).parse_expr() if clock else ()
-                if urgent and cg:
-                    raise ModelIOError(
-                        E_URGENT_CLOCK,
-                        "urgent edge %s.%s guards clocks" % (auto_name, label),
-                    )
-                gfn = _Guard(guard, names).parse_expr() if guard else None
-                ufn = _Guard(update, names).parse_update() if update else None
-            built_edges.append(Edge(
-                loc_ids[src], loc_ids[dst], label,
-                guard=(lambda w, b, f=gfn: f(w)) if gfn else None,
-                clock_guard=cg,
-                urgent=urgent,
-                update=(lambda w, b, f=ufn: f(w)) if ufn else None,
-            ))
-        honest.setdefault(p, []).append(
-            AutomatonTemplate(auto_name, locs, built_edges, initial=initial))
-
-    adv_configs = {}
-    for (party, key, actions, header_ln) in doc.adversaries:
-        with _at(header_ln):
-            p = _lookup(party_ids, party, "party", E_NAME)
-            if p in adv_configs:
-                raise ModelIOError(E_TWO_ADVERSARIES,
-                                   "duplicate adversary section for %s" % party)
-            adv_key = _lookup(keys, key, "key", E_RANGE)
-        msg = []
-        for (name, guard, update, ln) in actions:
-            with _at(ln):
-                gfn = _Guard(guard, names).parse_expr()
-                ufn = _Guard(update, names).parse_update()
-            msg.append(MessageAction(name, gfn, ufn))
-        adv_configs[p] = AdversaryConfig(
-            controlled_party=p,
-            adv_key=adv_key,
-            message_actions=tuple(msg),
-        )
-
-    timers = []
-    for (n, e, ln) in doc.timers:
-        with _at(ln):
-            threshold = _Expr(e, constants).parse_const()
-            if threshold < 1:
-                raise ModelIOError(E_RANGE, "timer %s: threshold %s is %d, must be at least 1"
-                                   % (n, e, threshold))
-        timers.append((n, threshold))
-
-    total = sum(
-        o.value for t in txs if t.status == W.CONFIRMED for o in t.outputs
-    )
-    return ContractModel(
-        name=doc.name,
-        constants=wc,
-        key_names=keys,
-        secret_names=secrets,
-        party_names=party_names,
-        tx_names=tx_ids,
-        protocol_txs=tuple(txs),
-        nss_table=nss_table,
-        sig_capacity=doc.capacity,
-        timers=tuple(timers),
-        initial_parties=parties,
-        honest_automata={p: tuple(a) for p, a in honest.items()},
-        adversary_configs=adv_configs,
-        queries=dict(doc.queries),
-        total_value=total,
-        signed_txs=tuple(_lookup(tx_ids, s, "transaction", E_DANGLING_TX)
-                         for s in doc.signed),
-        mark_count=len(doc.marks),
-    )
+_WORLD = ("MAX_LATENCY", "PROT_TIMELOCK")
 
 
-def _lookup(table, name, what, code):
-    if name not in table:
-        raise ModelIOError(code, "unknown %s %r (known: %s)"
-                           % (what, name, ", ".join(sorted(table))))
-    return table[name]
+def build_model(text, name="model", overrides=None):
+    """The ContractModel of a `.model` text.
+
+    `overrides` maps constants to values: MAX_LATENCY and PROT_TIMELOCK,
+    declared or not, and any constant the text declares; another name
+    raises ModelError, in terms of variant options.  The model's
+    `variant` lists the overridden declared constants other than those
+    two whose value differs from the declared one, as (option, value),
+    the option being the constant's name in lower case.
+    """
+    return _Loader(text, name, overrides or {}).model()
 
 
 def load_model(path, overrides=None, variant=None):
-    """Parse and build a contract model from a .model file.
+    """Build a contract model from a .model file.
 
     `overrides` maps MAX_LATENCY / PROT_TIMELOCK to values.  `variant`
     maps options to values: option `x` sets the constant `X` the file
@@ -782,35 +707,23 @@ def load_model(path, overrides=None, variant=None):
     The model records the options that differ from the declared values,
     as given, in `variant`, and the file's absolute path and text in
     `source`.  The file is read on every call; the build is shared by
-    the calls with the same text and constants.
+    the calls with the same text and the same constants given.
     """
     with open(path) as fh:
         text = fh.read()
-    name = re.sub(r"\.model$", "", os.path.basename(path))
-    declared = dict(_parsed(text, name).constants)
-    takes = sorted(c.lower() for c in declared if c not in ("MAX_LATENCY", "PROT_TIMELOCK"))
     variant = dict(variant or {})
-    unknown = sorted(set(variant) - set(takes))
-    if unknown:
-        raise ModelError("contract %s takes no option %s (it takes: %s)" % (
-            name, ", ".join(unknown), ", ".join(takes) or "none"))
-    values = dict(declared)
-    values.update((option.upper(), int(value)) for option, value in variant.items())
+    values = {option.upper(): int(value) for option, value in variant.items()}
     values.update(overrides or {})
-    return _built(text, name, tuple(sorted(values.items())))._replace(
-        variant=tuple(sorted((option, value) for option, value in variant.items()
-                             if values[option.upper()] != declared[option.upper()])),
+    model = _built(text, re.sub(r"\.model$", "", os.path.basename(path)),
+                   tuple(sorted(values.items())))
+    return model._replace(
+        variant=tuple((option, variant.get(option, value)) for option, value in model.variant),
         source=(os.path.abspath(path), text))
 
 
 @functools.lru_cache(maxsize=32)
-def _parsed(text, name):
-    return parse_model_text(text, name=name)
-
-
-@functools.lru_cache(maxsize=32)
 def _built(text, name, values):
-    return build_model(_parsed(text, name), dict(values))
+    return build_model(text, name, dict(values))
 
 
 def _world_constants(values):
@@ -820,7 +733,6 @@ def _world_constants(values):
         values.get("MAX_LATENCY", base.max_latency),
         values.get("PROT_TIMELOCK", base.prot_timelock),
     ).validate()
-
 
 def contract_model(contract, overrides=None, variant=None):
     """The ContractModel of a built-in contract name or a `.model` path.

@@ -67,8 +67,9 @@ def _holds(op, lhs, rhs):
     if op == ">=":
         return lhs >= rhs
     if op == "<":
-        # strict upper bounds (the latency windows) digitize exactly:
-        # over the integers, value < k is value <= k - 1
+        # strict upper bounds (only hand-built networks have them; the
+        # shipped models are closed) digitize exactly: over the
+        # integers, value < k is value <= k - 1
         return lhs < rhs
     raise ModelError(
         "strict lower clock bound %r: the discrete oracle requires "

@@ -228,6 +228,21 @@ class TestVerify:
         assert code == 3 and out == ""
         assert err.startswith("error: E_NAME: line %d: unknown " % line)
 
+    def test_adversary_without_its_section_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "cs.model"
+        path.write_text(open(CS_MODEL).read().replace("[adversary BOB]\nkey = R_KEY\n", ""))
+        code, out, err = run(capsys, "verify", str(path), "--adversary", "bob", *REDUCED)
+        assert code == 3 and out == ""
+        assert err.startswith("error: party BOB has no [adversary BOB] section")
+
+    def test_party_without_automaton_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "cs.model"
+        path.write_text(open(CS_MODEL).read().replace(
+            "BOB: keys = R_KEY", "BOB: keys = R_KEY\nCAROL:"))
+        code, out, err = run(capsys, "verify", str(path), *REDUCED)
+        assert code == 3 and out == ""
+        assert err.startswith("error: party CAROL has no automaton")
+
     def test_discrete_engine_wall_clock_budget(self, capsys):
         code, out, _err = run(
             capsys, "verify", "newscs", "--engine", "discrete", "--adversary",

@@ -43,17 +43,15 @@ class TestLoader:
     def test_dangling_input_rejected(self):
         text = open(CS_PATH).read().replace(
             "OPEN: inputs = COMMIT:0", "OPEN: inputs = GHOST:0")
-        doc = M.parse_model_text(text, name="bad")
         with pytest.raises(M.ModelIOError) as err:
-            M.build_model(doc)
+            M.build_model(text, "bad")
         assert err.value.code == M.E_DANGLING_TX
 
     def test_unknown_key_rejected(self):
         text = open(CS_PATH).read().replace(
             "outputs = key(R_KEY):1", "outputs = key(Z_KEY):1")
-        doc = M.parse_model_text(text, name="bad")
         with pytest.raises(M.ModelIOError) as err:
-            M.build_model(doc)
+            M.build_model(text, "bad")
         assert err.value.code == M.E_RANGE
 
     def test_urgent_clock_guard_rejected(self):
@@ -61,9 +59,8 @@ class TestLoader:
             'edge start -> failure clock "time == MAX_LATENCY" guard "not on_chain(COMMIT)" label commit_missing',
             'edge start -> failure urgent clock "time == MAX_LATENCY" guard "not on_chain(COMMIT)" label commit_missing',
         )
-        doc = M.parse_model_text(text, name="bad")
         with pytest.raises(M.ModelIOError) as err:
-            M.build_model(doc)
+            M.build_model(text, "bad")
         assert err.value.code == M.E_URGENT_CLOCK
 
     def test_strict_clock_guard_rejected(self):
@@ -71,21 +68,19 @@ class TestLoader:
             'clock "time == MAX_LATENCY" guard "not on_chain(COMMIT)"',
             'clock "time < MAX_LATENCY" guard "not on_chain(COMMIT)"',
         )
-        doc = M.parse_model_text(text, name="bad")
         with pytest.raises(M.ModelIOError) as err:
-            M.build_model(doc)
+            M.build_model(text, "bad")
         assert err.value.code == M.E_STRICT
 
     def test_duplicate_adversary_rejected(self):
         text = open(CS_PATH).read() + "\n[adversary ALICE]\nkey = C_KEY\n"
-        doc = M.parse_model_text(text, name="bad")
         with pytest.raises(M.ModelIOError) as err:
-            M.build_model(doc)
+            M.build_model(text, "bad")
         assert err.value.code == M.E_TWO_ADVERSARIES
 
     def test_parse_error_carries_line(self):
         with pytest.raises(M.ModelIOError, match="line 2"):
-            M.parse_model_text("[transactions]\nBOGUS LINE\n")
+            M.build_model("[transactions]\nBOGUS LINE\n")
 
     def test_clock_guard_constant_containing_and(self):
         # `expand_at` holds the letters "and" but is one name
@@ -98,7 +93,7 @@ class TestLoader:
             'clock "time == MAX_LATENCY" guard "not can_create_input_script',
             'clock "time >= expand_at and time <= MAX_LATENCY" guard "not can_create_input_script',
         )
-        model = M.build_model(M.parse_model_text(text, name="expand"))
+        model = M.build_model(text, "expand")
         guards = {e.label: e.clock_guard
                   for autos in model.honest_automata.values()
                   for a in autos for e in a.edges}
@@ -109,14 +104,76 @@ class TestLoader:
     def test_automaton_without_party_carries_header_line(self):
         text = "[keys]\nK\n\n[automaton A]\nlocation s initial\n"
         with pytest.raises(M.ModelIOError) as err:
-            M.parse_model_text(text)
+            M.build_model(text)
         assert (err.value.code, err.value.line) == (M.E_PARSE, 4)
 
     def test_adversary_without_key_carries_header_line(self):
-        text = '[keys]\nK\n[adversary ALICE]\nmessage m update "x"\n'
+        text = ('[keys]\nK\n[marks]\nM\n[parties]\nALICE:\n'
+                '[adversary ALICE]\nmessage m update "set_mark(M)"\n')
         with pytest.raises(M.ModelIOError) as err:
-            M.parse_model_text(text)
-        assert (err.value.code, err.value.line) == (M.E_PARSE, 3)
+            M.build_model(text)
+        assert (err.value.code, err.value.line) == (M.E_PARSE, 7)
+
+
+class TestDeclaredOnce:
+    """A name declared twice is E_NAME at the second declaration, a field
+    given twice in one entry is E_PARSE, and repeated edges stay legal."""
+
+    @pytest.mark.parametrize("path,line,code", [
+        (CS_PATH, "MAX_LATENCY = 10", M.E_NAME),
+        (CS_PATH, "R_KEY", M.E_NAME),
+        (CS_PATH, "C_SEC", M.E_NAME),
+        (CS_PATH, "BOB: keys = R_KEY", M.E_NAME),
+        (CS_PATH, "OPEN: inputs = COMMIT:0; outputs = key(C_KEY):1; reveals = C_SEC",
+         M.E_NAME),
+        (CS_PATH, "NSS0: {C_KEY, reveal C_SEC} | {C_KEY, R_KEY}", M.E_NAME),
+        (CS_PATH, "open_deadline = PROT_TIMELOCK - MAX_LATENCY", M.E_NAME),
+        (NEWSCS_PATH, "bob_accepted", M.E_NAME),
+        (CS_PATH, "[automaton BobTA party=BOB]", M.E_NAME),
+        (CS_PATH, "location committed", M.E_NAME),
+        (CS_PATH, "bob_accepts: A[] not BobTA.failure", M.E_NAME),
+        (CS_PATH, "key = R_KEY", M.E_PARSE),
+        (CS_PATH, "edge start -> await_signature urgent guard \"on_chain(COMMIT)\" "
+         "label commit_confirmed", None),
+    ], ids=["constant", "key", "secret", "party", "transaction", "nss", "timer",
+            "mark", "automaton", "location", "query", "adversary-key", "edge"])
+    def test_line_written_twice(self, path, line, code):
+        lines = open(path).read().split("\n")
+        i = lines.index(line)
+        text = "\n".join(lines[:i + 1] + lines[i:])
+        if code is None:
+            build_text(text)
+            return
+        with pytest.raises(M.ModelIOError) as err:
+            build_text(text)
+        assert (err.value.code, err.value.line) == (code, i + 2)
+
+    @pytest.mark.parametrize("line,edited", [
+        ("OPEN: inputs = COMMIT:0;", "OPEN: inputs = COMMIT:0; inputs = INPUT:0;"),
+        ("outputs = key(C_KEY):1; confirmed", "outputs = key(C_KEY):1; confirmed; confirmed"),
+        ("ALICE: keys = C_KEY;", "ALICE: keys = C_KEY; keys = R_KEY;"),
+    ], ids=["inputs", "confirmed", "keys"])
+    def test_field_given_twice(self, line, edited):
+        text = open(CS_PATH).read()
+        assert line in text
+        number = text[:text.index(line)].count("\n") + 1
+        with pytest.raises(M.ModelIOError) as err:
+            build_text(text.replace(line, edited, 1))
+        assert (err.value.code, err.value.line) == (M.E_PARSE, number)
+
+    def test_party_named_after_a_keyword(self):
+        # only `capacity = INT` is the capacity line
+        model = build_text(open(CS_PATH).read().replace("BOB", "capacity_bob"))
+        assert model.party_names == ("ALICE", "capacity_bob", "ADVERSARY")
+        assert model.sig_capacity == 1
+        instantiate(model, adversary="capacity_bob")
+
+    def test_adversary_key_line_is_a_whole_word(self):
+        text = open(CS_PATH).read()
+        line = text[:text.index("key = R_KEY")].count("\n") + 2
+        with pytest.raises(M.ModelIOError) as err:
+            build_text(text.replace("key = R_KEY", "key = R_KEY\nkeys = C_KEY"))
+        assert (err.value.code, err.value.line) == (M.E_PARSE, line)
 
 
 # Where each kind of expression sits in cs.model: the line with `{}` in
@@ -140,7 +197,7 @@ def cs_with(spot, expression, text=None):
 
 
 def build_text(text):
-    return M.build_model(M.parse_model_text(text, name="edited"))
+    return M.build_model(text, "edited")
 
 
 class TestExpressionErrors:
@@ -238,6 +295,44 @@ def test_expression_mutants_build_or_raise_model_error(path):
         except Exception as exc:  # noqa: BLE001 - any other type is the defect
             crashes.append("%s: %s" % (type(exc).__name__, exc))
     assert count > 500
+    assert crashes == []
+
+
+def line_mutants(text):
+    """`text` with one non-comment line deleted or written twice, or with
+    one `;`-separated field of a line dropped."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if not line.split("#", 1)[0].strip():
+            continue
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+        fields = line.split(";")
+        for j in range(len(fields) if len(fields) > 1 else 0):
+            yield lines[:i] + [";".join(fields[:j] + fields[j + 1:])] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("path", [CS_PATH, NEWSCS_PATH], ids=["cs", "newscs"])
+def test_line_mutants_build_or_raise_model_error(path):
+    """Each mutant either raises ModelError from the loader, or builds and
+    then instantiates, or raises ModelError, with no adversary and with
+    each party as the adversary."""
+    crashes = []
+    count = 0
+    for lines in line_mutants(open(path).read()):
+        count += 1
+        try:
+            model = build_text("\n".join(lines))
+            for adversary in (None,) + model.party_names[:-1]:
+                try:
+                    instantiate(model, adversary=adversary)
+                except M.ModelError:
+                    pass
+        except M.ModelError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other type is the defect
+            crashes.append("mutant %d: %s: %s" % (count, type(exc).__name__, exc))
+    assert count > 100
     assert crashes == []
 
 
