@@ -10,8 +10,9 @@ their comments give the reasons behind each protocol step;
 `build_cs_model` and `build_newscs_model` load them.
 
 `instantiate` assembles the network of one scenario: the block-chain
-agent, the deadline helper, the honest automata and, for a corrupted
-party, the generic adversary in its place.
+agent, the deadline helper (whose location invariant holds time at the
+next pending timer or timelock threshold), the honest automata and, for
+a corrupted party, the generic adversary in its place.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def instantiate(model, adversary=None, run_world_checks=True,
     )
 
     deadlines = [
-        W.timer_flag(name, i, threshold)
-        for i, (name, threshold) in enumerate(model.timers)
+        W.timer_flag(i, threshold)
+        for i, (_name, threshold) in enumerate(model.timers)
     ]
     for tx in txs:
         if tx.timelock > 0:
@@ -207,7 +208,6 @@ def instantiate(model, adversary=None, run_world_checks=True,
     net = Network(
         "%s[adversary=%s]" % (model.name, adversary or "none"),
         automata,
-        deadlines,
         initial,
         W.pending_clock_owners,
         state_checks=state_checks,

@@ -11,11 +11,11 @@ Semantics notes:
 
 - An urgent edge blocks delay while its data guard holds.  Urgent
   edges must not constrain clocks.
-- Deadline flags are a kernel primitive: each carries an integer
-  threshold and a boolean view of the data valuation.  Delay is capped
-  at the nearest pending threshold, and flip transitions (generated
-  into a helper template by `contracts.instantiate`) fire exactly at the
-  boundary, so a flag always agrees with its clock condition.
+- Location invariants are the only bound on delay.  A deadline is no
+  kernel concept: the block-chain world's helper automaton
+  (`world.build_helper`) holds `time <= θ` as its invariant while a
+  flag of threshold θ is clear, and sets it on an edge guarded by
+  `time == θ` (as a deadline is written in UPPAAL).
 - Exploration is breadth-first over one passed/waiting list keyed by
   (locations, data): a new zone is dropped when a stored zone of its
   key covers it, and stored zones it covers die, so a dead state still
@@ -33,11 +33,10 @@ Semantics notes:
   network built without them (`contracts.instantiate` with
   `run_world_checks=False`) skips them.  Its state checks see only the
   data valuation and run once per (locations, data) key, when the
-  key's first zone is stored.  The kernel's own zone checks
-  (`run_state_checks`: deadline flags agree with their clock
-  condition, the zone lies inside its location invariants) run on
-  every stored zone state.  `explore(run_checks=False)` skips these
-  last two, the state checks and the zone checks, and only them.
+  key's first zone is stored.  The kernel's own zone check
+  (`run_state_checks`: the zone lies inside its location invariants)
+  runs on every stored zone state.  `explore(run_checks=False)` skips
+  these last two, the state checks and the zone check, and only them.
 - `explore` extrapolates transaction clocks (Extra+_LU of Behrmann,
   Bouyer, Larsen and Pelánek, "Lower and upper bounds in zone-based
   abstractions of timed automata", STTT 2006).  A clock is extrapolated
@@ -107,15 +106,6 @@ class Edge(NamedTuple):
     update: Optional[Callable] = None      # (data, binds) -> data
 
 
-class DeadlineFlag(NamedTuple):
-    """Boolean view of the data that flips exactly at `threshold`."""
-
-    name: str
-    threshold: int
-    is_set: Callable       # (data) -> bool
-    set: Callable          # (data) -> data
-
-
 class AutomatonTemplate:
     def __init__(self, name, locations, edges, initial=0):
         self.name = name
@@ -146,20 +136,21 @@ class Network:
     fire.  Both raise ModelInvariantError on a broken model invariant.
     `explore` runs a state check once per (locations, data) key and a
     transition check once per fire of each skeleton; the kernel's zone
-    checks run on every stored zone state (see `run_state_checks`).
+    check runs on every stored zone state (see `run_state_checks`).
 
     A location invariant maps the data to clock atoms (key, op, const)
     that bound clocks only from above (`<`, `<=`); building a key's
     invariant atoms raises ModelError on any other operator.  `explore`
     relies on this: its extrapolation treats an invariant as an upper
-    bound that it may re-impose on an abstracted zone.
+    bound that it may re-impose on an abstracted zone.  The invariants
+    are the only bound on delay, so a deadline is an invariant plus an
+    edge guarded at its threshold.
     """
 
     def __init__(
         self,
         name,
         automata,
-        deadlines,
         initial_data,
         clock_owners,
         state_checks=(),
@@ -168,7 +159,6 @@ class Network:
     ):
         self.name = name
         self.automata = tuple(automata)
-        self.deadlines = tuple(deadlines)
         self.initial_data = initial_data
         self.clock_owners = clock_owners
         self.state_checks = tuple(state_checks)
@@ -186,11 +176,6 @@ class Network:
                     raise ModelError(
                         "%s: urgent edge %s has a clock guard" % (a.name, e.label)
                     )
-        seen = set()
-        for d in self.deadlines:
-            if d.name in seen:
-                raise ModelError("duplicate deadline flag %r" % (d.name,))
-            seen.add(d.name)
 
     def automaton_index(self, name):
         for i, a in enumerate(self.automata):
@@ -265,13 +250,19 @@ def _layout(owners):
     return layout
 
 
+# one shared (idx, 0, op, k) tuple per distinct zone atom: every fire
+# of every cached skeleton holds its target's invariant atoms
+_INDEXED = {}
+
+
 def _atoms_to_indices(atoms, layout):
     out = []
     for (key, op, k) in atoms:
         idx = layout.get(key)
         if idx is None:
             raise ModelError("clock atom for inactive clock %r" % (key,))
-        out.append((idx, 0, op, k))
+        atom = (idx, 0, op, k)
+        out.append(_INDEXED.setdefault(atom, atom))
     return out
 
 
@@ -375,30 +366,14 @@ def enabled_transitions(net, locs, data):
     return plain + urgent
 
 
-def run_state_checks(state, net, inv_atoms):
-    """The kernel's zone checks on one stored state.
+def run_state_checks(state, inv_atoms):
+    """The kernel's zone check on one stored state.
 
-    Deadline flags must agree with their clock condition, and the zone
-    must lie inside its location invariants, given as `inv_atoms` (see
-    `invariant_indices`).  The network's data checks are not run here:
-    they see only the data valuation, and `explore` runs them once per
-    (locations, data) key.
+    The zone must lie inside its location invariants, given as
+    `inv_atoms` (see `invariant_indices`).  The network's data checks
+    are not run here: they see only the data valuation, and `explore`
+    runs them once per (locations, data) key.
     """
-    # deadline flags must agree with their clock condition
-    for d in net.deadlines:
-        if d.is_set(state.data):
-            if state.zone.min_value(1) < d.threshold:
-                raise ModelInvariantError(
-                    "flag %s set but zone reaches below %d"
-                    % (d.name, d.threshold)
-                )
-        else:
-            hi = state.zone.max_value(1)
-            if hi is None or hi > d.threshold:
-                raise ModelInvariantError(
-                    "flag %s clear but zone passes %d" % (d.name, d.threshold)
-                )
-    # every state satisfies its location invariants
     if inv_atoms and state.zone.constrained(inv_atoms) != state.zone:
         raise ModelInvariantError("state escapes a location invariant")
 
@@ -469,7 +444,6 @@ class _Skeleton(NamedTuple):
 
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
-    delay_atoms: tuple  # inv_atoms plus the nearest pending deadline cap
     bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
     fires: tuple   # (desc, label, cg_idx_atoms, locs2, data2, drop, nnew, perm,
                    #  inv2, bounds2)
@@ -478,22 +452,16 @@ class _Skeleton(NamedTuple):
 def _build_skeleton(net, locs, data):
     """The skeleton of one key: computed once, applied to each of its zones.
 
-    Delay is blocked by enabled urgent edges and otherwise capped by the
-    location invariants and the nearest pending deadline threshold, so
-    that flags flip exactly on time.  On a fire, clocks of items that
-    left the pending set are dropped, and items that entered it get
-    fresh clocks at zero in their sorted slots.
+    Delay is blocked by enabled urgent edges and otherwise bounded by
+    the location invariants.  On a fire, clocks of items that left the
+    pending set are dropped, and items that entered it get fresh clocks
+    at zero in their sorted slots.
     """
     insts = enabled_transitions(net, locs, data)
     urgent = any(i.urgent for i in insts)
     before = net.clock_owners(data)
     layout = _layout(before)
     inv_atoms, bounds = _invariants(net, locs, data, layout)
-    delay_atoms = inv_atoms
-    pending = [d.threshold for d in net.deadlines if not d.is_set(data)]
-    if pending:
-        delay_atoms += ((1, 0, "<=", min(pending)),)
-
     before_set = set(before)
     fires = []
     for inst in insts:
@@ -523,7 +491,7 @@ def _build_skeleton(net, locs, data):
         ))
         for chk in net.transition_checks:
             chk(data, data2)
-    return _Skeleton(urgent, inv_atoms, delay_atoms, bounds, tuple(fires))
+    return _Skeleton(urgent, inv_atoms, bounds, tuple(fires))
 
 
 def _apply_skeleton(skel, zone):
@@ -537,7 +505,7 @@ def _apply_skeleton(skel, zone):
     """
     out = []
     if not skel.urgent:
-        delayed = zone.up().constrained(skel.delay_atoms)
+        delayed = zone.up().constrained(skel.inv_atoms)
         if delayed != zone:
             if delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
@@ -702,7 +670,7 @@ def explore(
     if run_checks:
         for chk in net.state_checks:
             chk(init.data)
-        run_state_checks(init, net, invariant_indices(net, init.locs, init.data))
+        run_state_checks(init, invariant_indices(net, init.locs, init.data))
     meta.append((init, None, None, "initial"))
     passed.insert((init.locs, init.data), init.zone, 0)
     if live and checked(0):
@@ -740,7 +708,7 @@ def explore(
                 if passed.key_count != known:  # the first zone of its key
                     for chk in net.state_checks:
                         chk(nxt.data)
-                run_state_checks(nxt, net, inv2)
+                run_state_checks(nxt, inv2)
             meta.append((nxt, sid, desc, label))
             if live and checked(nid):
                 return result()
@@ -925,10 +893,9 @@ def replay(net, state, steps, compare):
     followed (`_follow`), and then: a delay moves every clock by one
     d >= 0; a fire meets its clock guard, keeps `time` and every clock
     that survives it, and starts new clocks at zero; every clock of the
-    new state is valued, its invariants hold and every deadline flag
-    agrees with `time` (set: at or past its threshold; clear: not past
-    it).  Last, `compare(i, state)` checks the caller's snapshot of
-    step i.  Raises ReplayError with the diverging step.
+    new state is valued and its invariants hold.  Last,
+    `compare(i, state)` checks the caller's snapshot of step i.  Raises
+    ReplayError with the diverging step.
     """
     keys = tuple(clock_layout(net, state.data))
     val = dict.fromkeys(keys, Fraction(0))
@@ -960,11 +927,6 @@ def replay(net, state, steps, compare):
             if not CMP[op](point[idx], k):
                 raise ReplayError(i, "invariant %s %s %d broken at %s"
                                   % (keys[idx - 1], op, k, point[idx]))
-        t = nxt[TIME]
-        for d in net.deadlines:
-            if (t < d.threshold) if d.is_set(state.data) else (t > d.threshold):
-                raise ReplayError(i, "flag %s disagrees with time %s"
-                                  % (d.name, t))
         compare(i, state)
         val = nxt
     return state, val

@@ -307,6 +307,8 @@ class _Loader:
     def party(self, text):
         capacity = _setting(text, "capacity")
         if capacity is not None:
+            if self.capacity is not None:
+                raise ModelIOError(E_PARSE, "capacity given twice")
             self.capacity = _int(capacity, "capacity = INTEGER")
             return None
         _name, fields = _fields(text, ("keys", "secrets"))
@@ -410,21 +412,24 @@ class _Loader:
     def automaton(self, arg):
         auto, party = _automaton_header(arg)
         p = _lookup(self.parties, party, "party", E_NAME)
-        table, locations, edges, initial = self.automata[auto], [], [], [0]
+        table, locations, edges, initial = self.automata[auto], [], [], []
 
         def line(text):
             word = text.split()[0]
             if word == "location":
                 is_initial, location = self.location(text)
                 if is_initial:
-                    initial[0] = len(locations)
+                    if initial:
+                        raise ModelIOError(E_PARSE, "initial location given twice")
+                    initial.append(len(locations))
                 locations.append(location)
             elif word == "edge":
                 edges.append(self.edge(text, auto, table, len(edges)))
             else:
                 raise ModelIOError(E_PARSE, "expected a location or edge line")
 
-        return line, lambda: (p, AutomatonTemplate(auto, locations, edges, initial=initial[0]))
+        return line, lambda: (p, AutomatonTemplate(
+            auto, locations, edges, initial=initial[0] if initial else 0))
 
     def adversary(self, arg):
         party = arg.strip()
@@ -467,7 +472,7 @@ class _Loader:
                                        % (tx.num, src, oi))
 
         self.walk("transactions", spends_existing_outputs)
-        self.capacity = 1
+        self.capacity = None
         knowledge = self.walk("parties", self.party)
         honest = {}
         for p, template in self.walk("automaton", section=self.automaton):
@@ -487,7 +492,7 @@ class _Loader:
             tx_names=self.txs,
             protocol_txs=tuple(txs),
             nss_table=self.nss_table,
-            sig_capacity=self.capacity,
+            sig_capacity=1 if self.capacity is None else self.capacity,
             timers=tuple(timers),
             initial_parties=tuple(knowledge) + (nobody,),
             honest_automata={p: tuple(a) for p, a in honest.items()},

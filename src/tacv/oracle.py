@@ -8,9 +8,10 @@ sound and complete oracle for discrete-state reachability on reduced
 constants.  Any strict clock atom encountered aborts the run.
 
 A horizon bounds the time dimension.  It must exceed every query
-constant and every deadline threshold: past the last threshold all
-guards are time-independent, so no new discrete configuration needs a
-later clock.
+constant and every clock-guard constant (a deadline's threshold is the
+constant of its `time == θ` edge): past the last of them every guard is
+time-independent and invariants only bound clocks from above, so no new
+discrete configuration needs a later clock.
 
 `explore_discrete` checks any number of queries in one pass and gives
 each its own verdict, with the same rule as the zone engine: a query
@@ -24,7 +25,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from . import queries as Q
-from .kernel import ModelError, TIME, overall_verdicts
+from .kernel import CMP, ModelError, TIME, overall_verdicts
 
 
 class OracleResult(NamedTuple):
@@ -36,11 +37,13 @@ class OracleResult(NamedTuple):
 
 
 def default_horizon(net, query_asts=()):
-    """Max of deadline thresholds and query constants, plus latency slack."""
-    consts = [d.threshold for d in net.deadlines]
+    """Max of clock-guard and query constants, plus latency slack."""
+    consts = [k for a in net.automata for e in a.edges
+              for _key, _op, k in e.clock_guard]
     for q in query_asts:
         consts.extend(_clock_constants(q.root))
-    # the blockchain agent bound is the only other clock constant
+    # invariants bound clocks from above only; the slack covers the
+    # block-chain agent's latency bound
     return (max(consts) if consts else 0) + _latency_bound(net) + 2
 
 
@@ -60,21 +63,15 @@ def _clock_constants(node):
 
 
 def _holds(op, lhs, rhs):
-    if op == "<=":
-        return lhs <= rhs
-    if op == "==":
-        return lhs == rhs
-    if op == ">=":
-        return lhs >= rhs
-    if op == "<":
-        # strict upper bounds (only hand-built networks have them; the
-        # shipped models are closed) digitize exactly: over the
-        # integers, value < k is value <= k - 1
-        return lhs < rhs
-    raise ModelError(
-        "strict lower clock bound %r: the discrete oracle requires "
-        "non-strict lower bounds" % (op,)
-    )
+    # a strict upper bound (only hand-built networks have one; the
+    # shipped models are closed) digitizes exactly: over the integers,
+    # value < k is value <= k - 1; a strict lower bound does not
+    if op == ">":
+        raise ModelError(
+            "strict lower clock bound %r: the discrete oracle requires "
+            "non-strict lower bounds" % (op,)
+        )
+    return CMP[op](lhs, rhs)
 
 
 class _Concrete(NamedTuple):
@@ -124,21 +121,15 @@ def _discrete_successors(net, state):
                 if nxt is not None:
                     (urgent_fires if e.urgent else fires).append(nxt)
 
-    # unit delay: blocked by urgency, pending thresholds, invariants
+    # unit delay: blocked by urgency and bounded by the invariants
     out = []
-    if not blocked:
-        pending_ok = all(
-            state.time + 1 <= d.threshold
-            for d in net.deadlines
-            if not d.is_set(state.data)
-        )
-        if pending_ok and _invariants_hold(net, state, owners, offset=1):
-            out.append(
-                _Concrete(
-                    state.locs, state.data, state.time + 1,
-                    tuple(c + 1 for c in state.clocks),
-                )
+    if not blocked and _invariants_hold(net, state, owners, offset=1):
+        out.append(
+            _Concrete(
+                state.locs, state.data, state.time + 1,
+                tuple(c + 1 for c in state.clocks),
             )
+        )
     return out + fires + urgent_fires
 
 

@@ -19,11 +19,11 @@ and signatures sent between parties are likewise visible to everyone.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .kernel import (
+    TIME,
     AutomatonTemplate,
-    DeadlineFlag,
     Edge,
     Location,
     ModelError,
@@ -415,9 +415,16 @@ def check_status_machine(before, after):
 # -- deadline flags -------------------------------------------------------
 
 
-def timer_flag(name, index, threshold):
+class DeadlineFlag(NamedTuple):
+    """A boolean of the world that the helper sets at `threshold`."""
+
+    threshold: int
+    is_set: Callable       # (world) -> bool
+    set: Callable          # (world) -> world
+
+
+def timer_flag(index, threshold):
     return DeadlineFlag(
-        name,
         threshold,
         lambda w, i=index: w.timers[i],
         lambda w, i=index: w.set_timer(i),
@@ -433,7 +440,6 @@ def timelock_flag(txid, threshold):
         ))
 
     return DeadlineFlag(
-        "timelock[%d]" % txid,
         threshold,
         lambda w, t=txid: w.txs[t].timelock_passed,
         _set,
@@ -495,36 +501,42 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
 
 
 def build_helper(deadlines):
-    """One-state helper with the deadline-flip edges, one per distinct
-    threshold.
+    """One-location helper that sets each deadline flag at its threshold.
 
-    Thresholds must be strictly increasing per flag list; several flags
-    sharing a threshold flip together.
+    Flags sharing a threshold θ form a group.  While a group has a clear
+    flag, its edge `time == θ` may set the group, and the location
+    invariant is `time <= θ` for the smallest such θ, so time cannot
+    pass a threshold before its flags are set; once every flag is set
+    the invariant is empty.  No `.model` update sets or clears a flag,
+    so a clear flag means `time <= θ` and a set one `time >= θ`.
     """
     by_threshold = {}
     for d in deadlines:
         by_threshold.setdefault(d.threshold, []).append(d)
+    groups = tuple(
+        (theta, ((TIME, "<=", theta),), tuple(flags))
+        for theta, flags in sorted(by_threshold.items())
+    )
+
+    def invariant(w):
+        for _theta, cap, flags in groups:
+            for d in flags:
+                if not d.is_set(w):
+                    return cap
+        return ()
+
     edges = []
-    for theta in sorted(by_threshold):
-        group = by_threshold[theta]
+    for theta, _cap, flags in groups:
 
-        def guard(w, group=group):
-            return any(not d.is_set(w) for d in group)
+        def guard(w, binds, flags=flags):
+            return any(not d.is_set(w) for d in flags)
 
-        def update(w, group=group):
-            for d in group:
+        def update(w, binds, flags=flags):
+            for d in flags:
                 if not d.is_set(w):
                     w = d.set(w)
             return w
 
-        edges.append(
-            Edge(
-                0,
-                0,
-                "tick@%d" % theta,
-                guard=lambda w, binds, g=guard: g(w),
-                clock_guard=((("time"), "==", theta),),
-                update=lambda w, binds, u=update: u(w),
-            )
-        )
-    return AutomatonTemplate("HelperTA", [Location("idle", None)], edges)
+        edges.append(Edge(0, 0, "tick@%d" % theta, guard=guard,
+                          clock_guard=((TIME, "==", theta),), update=update))
+    return AutomatonTemplate("HelperTA", [Location("idle", invariant)], edges)

@@ -191,8 +191,9 @@ def test_criterion_7_oracle_equivalence(capsys, newscs_fixed):
 
 
 def test_criterion_8_property_suites(capsys):
-    """Randomized DBM oracle (10^4 cases) plus world invariants asserted
-    across full CS exploration: zero violations."""
+    """Randomized DBM oracle (10^4 cases) plus world and location
+    invariants (deadlines included) asserted across full CS exploration:
+    zero violations."""
     rng = random.Random(8_2026)
     cases = 0
     for _ in range(10_000):
@@ -216,8 +217,9 @@ def test_criterion_8_property_suites(capsys):
         assert z.contains(vals) == direct, atoms
         cases += 1
 
-    # value conservation, status machine, eavesdropping, nonce and
-    # deadline-flag agreement are asserted on every reachable state
+    # value conservation, status machine, eavesdropping, nonce
+    # consistency and the location invariants (the helper's deadlines
+    # among them) are asserted on every reachable state
     for adversary in (None, "ALICE", "BOB"):
         net, _ctx = instantiate(
             build_cs_model(CS_REDUCED), adversary=adversary,

@@ -407,6 +407,19 @@ class TestTraceCommand:
                                   % (len(steps) - 1))
             assert "the final state satisfies the query" in err
 
+    def test_delay_past_a_pending_threshold_exit_three(self, capsys, tmp_path):
+        # the delay that ends at the open deadline, just before its tick,
+        # moved one time unit past it while the timer is still clear
+        doc = json.load(open(self.write_violation(capsys, tmp_path)))
+        steps = doc["steps"]
+        i = next(i for i in range(len(steps) - 1) if steps[i]["kind"] == "delay"
+                 and steps[i + 1]["label"].startswith("HelperTA.tick@"))
+        assert steps[i]["clocks"]["time"] == int(steps[i + 1]["label"].split("@")[1])
+        for clock in steps[i]["clocks"]:
+            steps[i]["clocks"][clock] += 1
+        err = self.replay_mutant(capsys, tmp_path, doc)
+        assert err.startswith("error: replay diverged: step %d:" % i)
+
     def test_zeroed_time_exit_three(self, capsys, tmp_path):
         doc = json.load(open(self.write_violation(capsys, tmp_path)))
         for step in doc["steps"]:

@@ -1,9 +1,11 @@
 """Kernel semantics on a small synthetic network.
 
 A two-job system: jobs are started (their clock is born at zero) and
-must finish within 3 time units of starting; a deadline flag flips at
-time 5.  This exercises delay capping, urgent edges, dynamic clock
-sets, deadline flips, exploration and trace replay without any of the
+must finish within 3 time units of starting; a ticker sets a flag at
+time 5, the way a deadline is written in UPPAAL: its location invariant
+`time <= 5` holds while the flag is clear, and its edge `time == 5`
+sets it.  This exercises delay bounded by invariants, urgent edges,
+dynamic clock sets, exploration and trace replay without any of the
 block-chain machinery.
 """
 
@@ -82,14 +84,10 @@ def make_net(urgent_ping=False, deadline=5, bound=3, inv_op="<="):
             ],
         )
         automata.append(pinger)
-    flag = K.DeadlineFlag(
-        "flag", deadline,
-        lambda d: d.flag,
-        lambda d: d._replace(flag=True),
-    )
+    cap = (("time", "<=", deadline),)
     ticker = K.AutomatonTemplate(
         "Ticker",
-        [K.Location("t", None)],
+        [K.Location("t", lambda d: () if d.flag else cap)],
         [
             K.Edge(
                 0, 0, "tick",
@@ -103,7 +101,6 @@ def make_net(urgent_ping=False, deadline=5, bound=3, inv_op="<="):
     return K.Network(
         "jobs",
         automata,
-        [flag],
         Jobs((IDLE, IDLE), False),
         clock_owners,
     )
@@ -201,7 +198,7 @@ class TestClockLifecycle:
 
 class TestExplore:
     def test_empty_network_single_configuration(self):
-        net = K.Network("empty", [], [], Jobs((), True), clock_owners)
+        net = K.Network("empty", [], Jobs((), True), clock_owners)
         res = K.explore(net, check=lambda s: None)
         assert res.verdict == "SATISFIED"
         assert res.states == 1
@@ -336,7 +333,7 @@ class TestValidation:
                     clock_guard=(("time", "<=", 1),))],
         )
         with pytest.raises(K.ModelError):
-            K.Network("bad", [bad], [], Jobs((), False), clock_owners)
+            K.Network("bad", [bad], Jobs((), False), clock_owners)
 
     @pytest.mark.parametrize("op", [">=", ">", "=="])
     def test_invariant_lower_bound_rejected(self, op):
@@ -406,8 +403,8 @@ class TestExtrapolation:
             K.Edge(0, 0, "late", guard=lambda d, b: False,
                    clock_guard=((("tx", 0), ">", 1), (("tx", 1), "<", 2))),
         ])
-        net = K.Network("jobs+", net.automata + (never,), net.deadlines,
-                        net.initial_data, clock_owners)
+        net = K.Network("jobs+", net.automata + (never,), net.initial_data,
+                        clock_owners)
         assert K._lower_bounded_keys(net) == {"time", ("tx", 0)}
 
     def test_same_reachable_set_fewer_transitions(self):
@@ -476,11 +473,11 @@ class TestCheckCounts:
             calls["fires"] += len(skel.fires)
             return skel
 
-        def zone_checks(state, net_, inv_atoms):
+        def zone_checks(state, inv_atoms):
             calls["zone"] += 1
             # the atoms handed over are the state's own invariants
-            assert inv_atoms == K.invariant_indices(net_, state.locs, state.data)
-            return run_state_checks(state, net_, inv_atoms)
+            assert inv_atoms == K.invariant_indices(net, state.locs, state.data)
+            return run_state_checks(state, inv_atoms)
 
         monkeypatch.setattr(K, "_build_skeleton", counted_skeleton)
         monkeypatch.setattr(K, "run_state_checks", zone_checks)

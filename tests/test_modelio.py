@@ -117,7 +117,9 @@ class TestLoader:
 
 class TestDeclaredOnce:
     """A name declared twice is E_NAME at the second declaration, a field
-    given twice in one entry is E_PARSE, and repeated edges stay legal."""
+    given twice in one entry, a second capacity line and a second initial
+    location of one automaton are E_PARSE, and repeated edges stay
+    legal."""
 
     @pytest.mark.parametrize("path,line,code", [
         (CS_PATH, "MAX_LATENCY = 10", M.E_NAME),
@@ -133,10 +135,12 @@ class TestDeclaredOnce:
         (CS_PATH, "location committed", M.E_NAME),
         (CS_PATH, "bob_accepts: A[] not BobTA.failure", M.E_NAME),
         (CS_PATH, "key = R_KEY", M.E_PARSE),
+        (CS_PATH, "capacity = 1", M.E_PARSE),
         (CS_PATH, "edge start -> await_signature urgent guard \"on_chain(COMMIT)\" "
          "label commit_confirmed", None),
     ], ids=["constant", "key", "secret", "party", "transaction", "nss", "timer",
-            "mark", "automaton", "location", "query", "adversary-key", "edge"])
+            "mark", "automaton", "location", "query", "adversary-key", "capacity",
+            "edge"])
     def test_line_written_twice(self, path, line, code):
         lines = open(path).read().split("\n")
         i = lines.index(line)
@@ -152,7 +156,8 @@ class TestDeclaredOnce:
         ("OPEN: inputs = COMMIT:0;", "OPEN: inputs = COMMIT:0; inputs = INPUT:0;"),
         ("outputs = key(C_KEY):1; confirmed", "outputs = key(C_KEY):1; confirmed; confirmed"),
         ("ALICE: keys = C_KEY;", "ALICE: keys = C_KEY; keys = R_KEY;"),
-    ], ids=["inputs", "confirmed", "keys"])
+        ("location committed", "location committed initial"),
+    ], ids=["inputs", "confirmed", "keys", "initial"])
     def test_field_given_twice(self, line, edited):
         text = open(CS_PATH).read()
         assert line in text
@@ -392,6 +397,32 @@ class TestShippedModels:
         assert lu_on.verdicts == lu_off.verdicts
         for trace in filter(None, lu_on.traces):
             replay_trace(net, trace)  # clock valuations included
+
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
+    def test_deadline_flags_agree_with_time(self, contract, constants, variant,
+                                            adversary, counts):
+        # every stored zone: a set timer or timelock flag lies at or past
+        # its threshold, a clear one at or before it
+        model, net, _ctx = shipped_net(contract, constants, variant, adversary)
+        seen = []
+
+        def flags_agree(state):
+            flags = [(set_, theta) for set_, (_name, theta)
+                     in zip(state.data.timers, model.timers)]
+            flags += [(tx.timelock_passed, tx.timelock)
+                      for tx in state.data.txs if tx.timelock > 0]
+            assert len(flags) > 1
+            for set_, theta in flags:
+                if set_:
+                    assert state.zone.min_value(1) >= theta
+                else:
+                    hi = state.zone.max_value(1)
+                    assert hi is not None and hi <= theta
+            seen.append(state)
+
+        assert explore(net, check=flags_agree).verdict == "SATISFIED"
+        assert len(seen) >= counts[0]
 
 
     @pytest.mark.parametrize("contract,constants,adversary", [

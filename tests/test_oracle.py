@@ -7,15 +7,19 @@ every verdict.  The full scenario matrix is exercised again in the
 acceptance suite; here the mechanics are checked per piece.
 """
 
+import os
+
 import pytest
 
 from tacv import queries as Q
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.kernel import ModelError, explore
+from tacv.modelio import build_model
 from tacv.oracle import default_horizon, explore_discrete
 from tacv.world import WorldConstants
 
 CS = build_cs_model(WorldConstants(2, 5))
+CS_MODEL = os.path.join(os.path.dirname(Q.__file__), "models", "cs.model")
 
 
 def scenario(model, adversary):
@@ -40,7 +44,7 @@ class TestReachability:
 
     def test_empty_network_single_state(self):
         from tacv.kernel import Network
-        net = Network("empty", [], [], (), lambda d: ())
+        net = Network("empty", [], (), lambda d: ())
         res, _verdicts = explore_discrete(net)
         assert res.states == 1
 
@@ -104,6 +108,27 @@ class TestHorizon:
         h = default_horizon(net, (q,))
         assert h > 7  # beyond the query constant PROT_TIMELOCK+MAX_LATENCY
 
+    def test_clock_guard_beyond_every_threshold_reached(self):
+        # BobTA may move to `late` at 3*PROT_TIMELOCK = 15, past the
+        # last deadline threshold (5): the horizon must cover it
+        text = open(CS_MODEL).read()
+        for line, extra in [
+            ("location accepted named", "location late named"),
+            ("[adversary ALICE]",
+             'edge accepted -> late clock "time == 3*PROT_TIMELOCK" label late'),
+        ]:
+            assert line in text
+            text = text.replace(line, extra + "\n" + line, 1)
+        model = build_model(text, "late", {"MAX_LATENCY": 2, "PROT_TIMELOCK": 5})
+        net, ctx = scenario(model, None)
+        q = Q.parse_query("A[] not BobTA.late", ctx)
+        zres = explore(net, check=Q.make_checker(q))
+        ores, _verdicts = explore_discrete(net, queries=[q])
+        assert zres.verdict == ores.verdict == "VIOLATED"
+        zone_keys = explore(net, collect_reachable=True).reachable
+        assert zone_keys == explore_discrete(net)[0].reachable
+        assert any(locs[net.automaton_index("BobTA")] == 4 for locs, _d in zone_keys)
+
     def test_horizon_must_exceed_query_constants(self):
         net, ctx = scenario(CS, None)
         q = Q.parse_query(CS.queries["bob_security"], ctx)
@@ -135,6 +160,6 @@ class TestClosedModelGuard:
             "Bad", [Location("x", None)],
             [Edge(0, 0, "late", clock_guard=(("time", ">", 3),))],
         )
-        net = Network("bad", [bad], [], (), lambda d: ())
+        net = Network("bad", [bad], (), lambda d: ())
         with pytest.raises(ModelError):
             explore_discrete(net, horizon=10)
