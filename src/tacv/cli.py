@@ -255,7 +255,17 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader went away (`tacv verify ... | head`): send what is
+        # still buffered to the null device, so the interpreter's last
+        # flush does not report the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except KeyboardInterrupt:
         return EXIT_ERROR
 

@@ -25,7 +25,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from . import queries as Q
-from .kernel import CMP, ModelError, TIME, overall_verdicts
+from .kernel import CMP, ModelError, TIME, gc_paused, overall_verdicts
 
 
 class OracleResult(NamedTuple):
@@ -145,6 +145,7 @@ def _apply(net, state, owners, ai, edge, binds):
     return nxt
 
 
+@gc_paused
 def explore_discrete(net, queries=(), horizon=None, max_states=None,
                      max_seconds=None):
     """BFS over unit-delay and discrete steps up to the horizon.

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -493,3 +495,26 @@ class TestList:
         assert code == 0
         assert "cs" in out and "newscs" in out
         assert "bob_security" in out
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["verify", "cs", "--adversary", "alice", *REDUCED, "--query", VIOLATED_QUERY],
+    ], ids=["list", "verify"])
+    def test_closed_pipe_exits_three_quietly(self, argv):
+        # the reader is gone before the first write, as in `tacv ... | head`
+        # once head has its lines: no traceback, no shutdown warning
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tacv.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == ""
+        assert proc.returncode == cli.EXIT_ERROR

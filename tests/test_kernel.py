@@ -9,6 +9,7 @@ dynamic clock sets, exploration and trace replay without any of the
 block-chain machinery.
 """
 
+import gc
 import json
 import random
 from typing import NamedTuple
@@ -264,6 +265,39 @@ class TestExplore:
         t2 = K.explore(net, check=check).trace
         assert [s.descriptor for s in t1.steps] == [s.descriptor for s in t2.steps]
         assert [s.valuation for s in t1.steps] == [s.valuation for s in t2.steps]
+
+
+class TestCollectorPause:
+    """`explore` runs with the cyclic collector paused and gives the
+    caller's setting back on every way out."""
+
+    @pytest.mark.parametrize("violation,budget,verdict", [
+        (False, None, "SATISFIED"),
+        (True, None, "VIOLATED"),
+        (False, 3, "LIMIT"),
+    ], ids=["return", "early-stop", "limit"])
+    def test_caller_setting_restored(self, collector, violation, budget, verdict):
+        seen = []
+
+        def check(state):
+            seen.append(gc.isenabled())
+            if violation and all(s == DONE for s in state.data.statuses):
+                return state.zone
+            return None
+
+        res = K.explore(make_net(), check=check, max_states=budget)
+        assert res.verdict == verdict
+        assert (res.trace is not None) == violation
+        assert seen and not any(seen)
+        assert gc.isenabled() == collector
+
+    def test_raising_checker(self, collector):
+        def check(state):
+            raise RuntimeError("checker failed")
+
+        with pytest.raises(RuntimeError, match="checker failed"):
+            K.explore(make_net(), check=check)
+        assert gc.isenabled() == collector
 
 
 class TestPassedList:

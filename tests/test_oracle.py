@@ -7,13 +7,16 @@ every verdict.  The full scenario matrix is exercised again in the
 acceptance suite; here the mechanics are checked per piece.
 """
 
+import gc
 import os
 
 import pytest
 
 from tacv import queries as Q
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
-from tacv.kernel import ModelError, explore
+from tacv.kernel import (
+    AutomatonTemplate, Edge, Location, ModelError, Network, explore,
+)
 from tacv.modelio import build_model
 from tacv.oracle import default_horizon, explore_discrete
 from tacv.world import WorldConstants
@@ -43,7 +46,6 @@ class TestReachability:
         assert zr.reachable == orr.reachable
 
     def test_empty_network_single_state(self):
-        from tacv.kernel import Network
         net = Network("empty", [], (), lambda d: ())
         res, _verdicts = explore_discrete(net)
         assert res.states == 1
@@ -151,15 +153,45 @@ class TestHorizon:
         assert verdicts == ("LIMIT",) * 5
 
 
+def strict_lower_bound_net():
+    bad = AutomatonTemplate(
+        "Bad", [Location("x", None)],
+        [Edge(0, 0, "late", clock_guard=(("time", ">", 3),))],
+    )
+    return Network("bad", [bad], (), lambda d: ())
+
+
 class TestClosedModelGuard:
     def test_strict_lower_bound_rejected(self):
-        from tacv.kernel import (
-            AutomatonTemplate, Edge, Location, Network,
-        )
-        bad = AutomatonTemplate(
-            "Bad", [Location("x", None)],
-            [Edge(0, 0, "late", clock_guard=(("time", ">", 3),))],
-        )
-        net = Network("bad", [bad], (), lambda d: ())
         with pytest.raises(ModelError):
-            explore_discrete(net, horizon=10)
+            explore_discrete(strict_lower_bound_net(), horizon=10)
+
+
+class TestCollectorPause:
+    """`explore_discrete` runs with the cyclic collector paused and gives
+    the caller's setting back on every way out."""
+
+    @pytest.mark.parametrize("adversary,budget,verdict", [
+        (None, None, "SATISFIED"),
+        ("ALICE", None, "VIOLATED"),
+        (None, 3, "LIMIT"),
+    ], ids=["return", "early-stop", "limit"])
+    def test_caller_setting_restored(self, collector, adversary, budget, verdict):
+        net, ctx = scenario(CS, adversary)
+        owners, seen = net.clock_owners, []
+
+        def clock_owners(data):
+            seen.append(gc.isenabled())
+            return owners(data)
+
+        net.clock_owners = clock_owners
+        q = Q.parse_query(CS.queries["bob_knows_secret"], ctx)
+        res, _verdicts = explore_discrete(net, queries=[q], max_states=budget)
+        assert res.verdict == verdict
+        assert seen and not any(seen)
+        assert gc.isenabled() == collector
+
+    def test_raising_model(self, collector):
+        with pytest.raises(ModelError, match="strict lower clock bound"):
+            explore_discrete(strict_lower_bound_net(), horizon=10)
+        assert gc.isenabled() == collector
