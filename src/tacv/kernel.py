@@ -61,6 +61,15 @@ Semantics notes:
   explorers hold, a fifth to a quarter of a newscs(1,5) exploration.
   Checker callbacks run while it is paused.  The caller's setting is
   restored on every way out, exceptions included.
+- `explore` keeps one intern table (a plain dict) for the length of
+  one call.  Every skeleton it builds takes the canonical object for
+  each fire's locations, data, descriptor and clock-guard atoms and for
+  each key's invariant atoms and extrapolation bounds, so a successor's
+  (locations, data) key is made of the very objects that the passed
+  list and the skeleton cache store: each is held once, and key
+  comparison short-circuits on identity.  Nothing of the table outlives
+  the call.  Fire labels (`Automaton.edge`) take no part in
+  exploration; a trace derives them from its descriptors (`step_label`).
 - `replay` is the one replay loop: it follows stored descriptors with
   the lookup that rebuilds exact trace zones and checks each step's
   concrete clock valuation.  `replay_trace` and
@@ -208,7 +217,6 @@ class TransitionInstance(NamedTuple):
     edge: int
     binds: tuple              # ((var, value), ...)
     urgent: bool
-    label: str
 
 
 class TraceStep(NamedTuple):
@@ -261,20 +269,32 @@ def _layout(owners):
     return layout
 
 
-# one shared (idx, 0, op, k) tuple per distinct zone atom: every fire
-# of every cached skeleton holds its target's invariant atoms
-_INDEXED = {}
+def _intern_data(table, data):
+    """The canonical data valuation equal to `data` in the intern `table`.
+
+    The kernel's own tuples (locations, atoms, descriptors, bounds) are
+    interned with `table.setdefault`: any equal object serves for them.
+    A valuation is the network's object and must keep its type, so an
+    equal object of another type (a plain tuple for a NamedTuple, say)
+    is not taken for it.
+    """
+    canon = table.setdefault(data, data)
+    return canon if type(canon) is type(data) else data
 
 
-def _atoms_to_indices(atoms, layout):
+def _atoms_to_indices(atoms, layout, table):
+    """Clock atoms (key, op, k) as zone atoms (idx, 0, op, k), each the
+    canonical one of the intern `table`."""
+    intern = table.setdefault
     out = []
     for (key, op, k) in atoms:
         idx = layout.get(key)
         if idx is None:
             raise ModelError("clock atom for inactive clock %r" % (key,))
         atom = (idx, 0, op, k)
-        out.append(_INDEXED.setdefault(atom, atom))
-    return out
+        out.append(intern(atom, atom))
+    out = tuple(out)
+    return intern(out, out)
 
 
 def _invariant_atoms(net, locs, data):
@@ -287,10 +307,11 @@ def _invariant_atoms(net, locs, data):
     return atoms
 
 
-def _invariants(net, locs, data, layout):
+def _invariants(net, locs, data, layout, table):
     """(zone atoms (i, 0, op, k), extrapolation bounds) of (locs, data).
 
-    `layout` is the clock layout of `data`.  Raises ModelError on an
+    `layout` is the clock layout of `data`, and both tuples are the
+    canonical ones of the intern `table`.  Raises ModelError on an
     atom that bounds a clock from below.  The bounds are (index, packed
     bound, key) triples, one per transaction clock, with the clock's
     tightest invariant bound.  A clock pinned to zero (`<= 0`) is left
@@ -298,7 +319,7 @@ def _invariants(net, locs, data, layout):
     changes nothing.
     """
     atoms = _invariant_atoms(net, locs, data)
-    indexed = tuple(_atoms_to_indices(atoms, layout))
+    indexed = _atoms_to_indices(atoms, layout, table)
     loose = False
     for key, op, k in atoms:
         if op != "<=" and op != "<":
@@ -317,12 +338,12 @@ def _invariants(net, locs, data, layout):
         (idx, tightest[idx], key) for key, idx in layout.items()
         if tightest.get(idx, ZERO) > ZERO
     )
-    return indexed, bounds
+    return indexed, table.setdefault(bounds, bounds)
 
 
 def invariant_indices(net, locs, data):
     """The location invariants of (locs, data) as zone atoms (i, 0, op, k)."""
-    return _invariants(net, locs, data, clock_layout(net, data))[0]
+    return _invariants(net, locs, data, clock_layout(net, data), {})[0]
 
 
 def initial_state(net):
@@ -370,10 +391,7 @@ def enabled_transitions(net, locs, data):
                 if guard is not None and not guard(data, binds):
                     continue
                 (urgent if e.urgent else plain).append(
-                    TransitionInstance(
-                        ai, ei, bkey, e.urgent, "%s.%s" % (a.name, e.label),
-                    )
-                )
+                    TransitionInstance(ai, ei, bkey, e.urgent))
     return plain + urgent
 
 
@@ -456,30 +474,37 @@ class _Skeleton(NamedTuple):
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
     bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
-    fires: tuple   # (desc, label, cg_idx_atoms, locs2, data2, drop, nnew, perm,
-                   #  inv2, bounds2)
+    fires: tuple   # (desc, cg_idx_atoms, locs2, data2, drop, nnew, perm, inv2,
+                   #  bounds2); desc, the atoms, locs2, data2, inv2 and
+                   #  bounds2 are canonical objects of the intern table
 
 
-def _build_skeleton(net, locs, data):
+def _build_skeleton(net, locs, data, table):
     """The skeleton of one key: computed once, applied to each of its zones.
 
     Delay is blocked by enabled urgent edges and otherwise bounded by
     the location invariants.  On a fire, clocks of items that left the
     pending set are dropped, and items that entered it get fresh clocks
-    at zero in their sorted slots.
+    at zero in their sorted slots.  Every tuple and data valuation the
+    skeleton holds is the canonical one of the intern `table` (a dict
+    that `explore` keeps for one call; see the module notes).
     """
     insts = enabled_transitions(net, locs, data)
     urgent = any(i.urgent for i in insts)
     before = net.clock_owners(data)
     layout = _layout(before)
-    inv_atoms, bounds = _invariants(net, locs, data, layout)
+    inv_atoms, bounds = _invariants(net, locs, data, layout, table)
     before_set = set(before)
+    intern = table.setdefault
     fires = []
     for inst in insts:
         auto = net.automata[inst.auto]
         edge = auto.edges[inst.edge]
         data2 = edge.update(data, dict(inst.binds)) if edge.update else data
         locs2 = locs[:inst.auto] + (edge.target,) + locs[inst.auto + 1:]
+        data2 = _intern_data(table, data2)
+        locs2 = intern(locs2, locs2)
+        desc = ("fire", inst.auto, inst.edge, inst.binds)
         cg = edge.clock_guard
         after = net.clock_owners(data2)
         after_set = set(after)
@@ -494,10 +519,10 @@ def _build_skeleton(net, locs, data):
             perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
         else:
             perm = None
-        inv2, bounds2 = _invariants(net, locs2, data2, _layout(after))
+        inv2, bounds2 = _invariants(net, locs2, data2, _layout(after), table)
         fires.append((
-            ("fire", inst.auto, inst.edge, inst.binds), inst.label,
-            tuple(_atoms_to_indices(cg, layout)) if cg else (),
+            intern(desc, desc),
+            _atoms_to_indices(cg, layout, table) if cg else (),
             locs2, data2, drop, len(new), perm, inv2, bounds2,
         ))
         for chk in net.transition_checks:
@@ -508,8 +533,8 @@ def _build_skeleton(net, locs, data):
 def _apply_skeleton(skel, zone):
     """Successors of (key, zone) from the key's skeleton.
 
-    Each successor is (descriptor, label, locs, data, zone, invariant
-    atoms and extrapolation bounds of its configuration).  A fire whose
+    Each successor is (descriptor, locs, data, zone, invariant atoms and
+    extrapolation bounds of its configuration).  A fire whose
     clock guards or target invariants empty the zone is disabled.  Delay
     successors carry None for locations and data: the configuration is
     unchanged.  Zones are exact; `explore` extrapolates them.
@@ -520,10 +545,8 @@ def _apply_skeleton(skel, zone):
         if delayed != zone:
             if delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
-            out.append((DELAY, "delay", None, None, delayed,
-                        skel.inv_atoms, skel.bounds))
-    for (desc, label, cg, locs2, data2, drop, nnew, perm, inv2,
-         bounds2) in skel.fires:
+            out.append((DELAY, None, None, delayed, skel.inv_atoms, skel.bounds))
+    for desc, cg, locs2, data2, drop, nnew, perm, inv2, bounds2 in skel.fires:
         z = zone
         if cg:
             z = z.constrained(cg)
@@ -539,7 +562,7 @@ def _apply_skeleton(skel, zone):
             z = z.constrained(inv2)
             if z.is_empty():
                 continue
-        out.append((desc, label, locs2, data2, z, inv2, bounds2))
+        out.append((desc, locs2, data2, z, inv2, bounds2))
     return out
 
 
@@ -551,7 +574,7 @@ def _permute(zone, perm):
 
 
 def successors(net, state):
-    """Successors of one symbolic state as (descriptor, label, state) triples.
+    """Successors of one symbolic state as (descriptor, state) pairs.
 
     The delay successor comes first, then the fires in enabled-transition
     order.  This is the skeleton routine `explore` uses, without its
@@ -559,11 +582,11 @@ def successors(net, state):
     """
     locs, data, zone = state
     out = []
-    skel = _build_skeleton(net, locs, data)
-    for desc, label, locs2, data2, zone2, _inv, _b in _apply_skeleton(skel, zone):
+    skel = _build_skeleton(net, locs, data, {})
+    for desc, locs2, data2, zone2, _inv, _b in _apply_skeleton(skel, zone):
         if locs2 is None:  # delay successor keeps the configuration
             locs2, data2 = locs, data
-        out.append((desc, label, SymbolicState(locs2, data2, zone2)))
+        out.append((desc, SymbolicState(locs2, data2, zone2)))
     return out
 
 
@@ -668,8 +691,11 @@ def explore(
     checks = () if check is None else (check,) if callable(check) else tuple(check)
     live = list(range(len(checks)))
     traces = {}  # check index -> trace, in the order violations were found
+    table = {}  # the intern table of this call (see the module notes)
     init = initial_state(net)
-    meta = []  # sid -> (state, parent sid, descriptor, label)
+    init = init._replace(locs=table.setdefault(init.locs, init.locs),
+                         data=_intern_data(table, init.data))
+    meta = []  # sid -> (state, parent sid, descriptor)
     passed = _Passed(meta, subsumption=subsumption)
     dead = passed.dead
 
@@ -702,7 +728,7 @@ def explore(
         for chk in net.state_checks:
             chk(init.data)
         run_state_checks(init, invariant_indices(net, init.locs, init.data))
-    meta.append((init, None, None, "initial"))
+    meta.append((init, None, None))
     passed.insert((init.locs, init.data), init.zone, 0)
     if live and checked(0):
         return result()
@@ -721,8 +747,9 @@ def explore(
         key = (state.locs, state.data)
         skel = skeletons.get(key)
         if skel is None:
-            skel = skeletons[key] = _build_skeleton(net, state.locs, state.data)
-        for desc, label, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(
+            skel = skeletons[key] = _build_skeleton(net, state.locs, state.data,
+                                                    table)
+        for desc, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(
                 skel, state.zone):
             transitions += 1
             if bounds2 and lower is not None:
@@ -740,7 +767,7 @@ def explore(
                     for chk in net.state_checks:
                         chk(nxt.data)
                 run_state_checks(nxt, inv2)
-            meta.append((nxt, sid, desc, label))
+            meta.append((nxt, sid, desc))
             if live and checked(nid):
                 return result()
             if max_states is not None and len(meta) > max_states:
@@ -752,34 +779,47 @@ def explore(
 # -- trace reconstruction and replay ------------------------------------
 
 
-def _follow(net, state, desc, label, i):
+def step_label(net, desc):
+    """The display label of a step: `delay`, or `Automaton.edge` for the
+    fire descriptor ('fire', automaton, edge, binds)."""
+    if desc == DELAY:
+        return "delay"
+    a = net.automata[desc[1]]
+    return "%s.%s" % (a.name, a.edges[desc[2]].label)
+
+
+def _follow(net, state, desc, i):
     """(successor, its invariant atoms) of `state` along the descriptor
     of step `i`, from the state's skeleton.  Raises ReplayError when the
     step is not enabled; a delay is refused while an urgent edge is."""
-    skel = _build_skeleton(net, state.locs, state.data)
+    skel = _build_skeleton(net, state.locs, state.data, {})
     if desc == DELAY and skel.urgent:
         raise ReplayError(i, "delay while an urgent edge is enabled")
-    for d, _label, locs2, data2, zone2, inv2, _b in _apply_skeleton(skel, state.zone):
+    for d, locs2, data2, zone2, inv2, _b in _apply_skeleton(skel, state.zone):
         if d == desc:
             if locs2 is None:  # delay successor keeps the configuration
                 locs2, data2 = state.locs, state.data
             return SymbolicState(locs2, data2, zone2), inv2
     if desc == DELAY:
         raise ReplayError(i, "delay not possible here")
-    raise ReplayError(i, "transition %r not enabled here" % (label,))
+    try:
+        what = step_label(net, desc)
+    except (IndexError, TypeError):  # names no edge of the network
+        what = desc
+    raise ReplayError(i, "transition %r not enabled here" % (what,))
 
 
 def _exact_chain(net, chain):
     """The states of `chain` with exact zones, recomputed forward.
 
-    `chain` is the (state, descriptor, label) path from the initial
-    state, whose zones `explore` may have extrapolated.  Extrapolation
-    is a simulation that matches edge for edge, so every descriptor is
+    `chain` is the (state, descriptor) path from the initial state,
+    whose zones `explore` may have extrapolated.  Extrapolation is a
+    simulation that matches edge for edge, so every descriptor is
     enabled from the exact zone too; ModelInvariantError otherwise.
     """
     def follow(state, step):
-        i, (_stored, desc, label) = step
-        return _follow(net, state, desc, label, i)[0]
+        i, (_stored, desc) = step
+        return _follow(net, state, desc, i)[0]
 
     try:
         return list(itertools.accumulate(enumerate(chain[1:]), follow,
@@ -807,7 +847,8 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     final one is met with the witness, the violating sub-zone; an empty
     meet raises ModelInvariantError.  The final state is pinned to the
     earliest point of that meet; earlier states are chosen backward,
-    keeping shared clocks consistent across fires and maximizing delay
+    keeping shared clocks consistent across fires, inside each fire's
+    clock guard (it may bound a clock the fire drops) and maximizing delay
     lengths so the run is the earliest one reaching the violation.
     Closed zones concretize on integers.  A strict bound can force
     half-integral instants; only a negated query (the violation region
@@ -816,8 +857,8 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     chain = []
     sid = goal_sid
     while sid is not None:
-        state, parent, desc, label = meta[sid]
-        chain.append((state, desc, label))
+        state, parent, desc = meta[sid]
+        chain.append((state, desc))
         sid = parent
     chain.reverse()
 
@@ -844,6 +885,11 @@ def _build_trace(meta, goal_sid, witness_zone, net):
             atoms = [
                 (layout[k], 0, "==", int(nxt_vals[k] * scale)) for k in shared
             ]
+            _fire, ai, ei, _binds = desc
+            atoms.extend(
+                (layout[k], 0, op, c * scale)
+                for k, op, c in net.automata[ai].edges[ei].clock_guard
+            )
             z = z.constrained(atoms)
             if z.is_empty():
                 raise ModelInvariantError("trace concretization failed")
@@ -854,11 +900,12 @@ def _build_trace(meta, goal_sid, witness_zone, net):
 
     steps = []
     for i in range(1, len(chain)):
-        state, desc, label = chain[i]
+        state, desc = chain[i]
         steps.append(
             TraceStep(
-                "delay" if desc == DELAY else "fire",
-                desc, label, _display_vals(vals[i]), state.data, state.locs,
+                "delay" if desc == DELAY else "fire", desc,
+                step_label(net, desc), _display_vals(vals[i]), state.data,
+                state.locs,
             )
         )
     first = chain[0][0]
@@ -918,7 +965,7 @@ def replay(net, state, steps, compare):
     """Re-execute stored steps from the initial `state`, where every
     clock is zero; returns the final SymbolicState and valuation.
 
-    `steps` yields (descriptor, label, valuation) triples; a valuation
+    `steps` yields (descriptor, valuation) pairs; a valuation
     maps every clock key after the step to its value, read exactly (as
     a Fraction: values may be half-integral).  Each descriptor is
     followed (`_follow`), and then: a delay moves every clock by one
@@ -930,8 +977,8 @@ def replay(net, state, steps, compare):
     """
     keys = tuple(clock_layout(net, state.data))
     val = dict.fromkeys(keys, Fraction(0))
-    for i, (desc, label, stored) in enumerate(steps):
-        state, inv = _follow(net, state, desc, label, i)
+    for i, (desc, stored) in enumerate(steps):
+        state, inv = _follow(net, state, desc, i)
         nxt = {k: Fraction(v) for k, v in stored.items()}
         if desc != DELAY:
             keys = tuple(clock_layout(net, state.data))
@@ -975,7 +1022,7 @@ def replay_trace(net, trace):
         if nxt.data != step.data or nxt.locs != step.locs:
             raise ReplayError(i, "state diverges from stored trace")
 
-    steps = [(s.descriptor, s.label, s.valuation) for s in trace.steps]
+    steps = [(s.descriptor, s.valuation) for s in trace.steps]
     return replay(net, state, steps, compare)[0]
 
 
@@ -985,14 +1032,14 @@ def random_run(net, seed, steps):
 
     rng = _random.Random(seed)
     state = initial_state(net)
-    meta = [(state, None, None, "initial")]
+    meta = [(state, None, None)]
     sid = 0
     for _ in range(steps):
         succ = successors(net, meta[sid][0])
         if not succ:
             break
-        desc, label, nxt = succ[rng.randrange(len(succ))]
-        meta.append((nxt, sid, desc, label))
+        desc, nxt = succ[rng.randrange(len(succ))]
+        meta.append((nxt, sid, desc))
         sid = len(meta) - 1
     final_zone = meta[sid][0].zone
     return _build_trace(meta, sid, final_zone, net)

@@ -847,7 +847,7 @@ def replay_document(doc):
         query = doc.get("query")
         ast = Q.parse_query(query, ctx) if query is not None else None
         entries = doc["steps"]
-        steps = [(_tuples(e["descriptor"]), e["label"],
+        steps = [(_tuples(e["descriptor"]),
                   {_clock_key(k): Fraction(v) for k, v in e["clocks"].items()})
                  for e in entries]
         snapshots = [{f: dict(e[f]) for f in ("statuses", "holdings", "locations")}

@@ -9,11 +9,14 @@ keeps pytest from collecting it.  Usage, from the root of a checkout:
 
     python3 tests/crosscheck_newscs_2_10.py
 
-Prints keys, transitions and seconds for both engines and exits 1 when
-the reachable sets differ.
+Prints keys, transitions, seconds and the peak resident set size so
+far after each engine, and exits 1 when the reachable sets differ.  The
+zone engine runs first, so the oracle's figure is the larger of the
+two peaks.
 """
 
 import os
+import resource
 import sys
 import time
 
@@ -26,6 +29,11 @@ from tacv.modelio import contract_model  # noqa: E402
 from tacv.oracle import explore_discrete  # noqa: E402
 
 
+def peak_rss_mb():
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main():
     model = contract_model("newscs", {"MAX_LATENCY": 2, "PROT_TIMELOCK": 10})
     net, _ctx = instantiate(model, adversary="ALICE", run_world_checks=False)
@@ -33,14 +41,14 @@ def main():
     t0 = time.monotonic()
     zres = explore(net, run_checks=False, collect_reachable=True)
     zone_s = time.monotonic() - t0
-    print("zone:   %d keys, %d transitions, %.1f s"
-          % (len(zres.reachable), zres.transitions, zone_s))
+    print("zone:   %d keys, %d transitions, %.1f s, peak RSS %.0f MB"
+          % (len(zres.reachable), zres.transitions, zone_s, peak_rss_mb()))
 
     t0 = time.monotonic()
     ores, _verdicts = explore_discrete(net)
     oracle_s = time.monotonic() - t0
-    print("oracle: %d keys, %d transitions, %.1f s"
-          % (len(ores.reachable), ores.transitions, oracle_s))
+    print("oracle: %d keys, %d transitions, %.1f s, peak RSS %.0f MB"
+          % (len(ores.reachable), ores.transitions, oracle_s, peak_rss_mb()))
 
     if zres.reachable != ores.reachable:
         print("reachable sets differ: %d keys only in the zone engine, "

@@ -110,8 +110,9 @@ def make_net(urgent_ping=False, deadline=5, bound=3, inv_op="<="):
 def by_label(net, state, label, i=None):
     """Successor states whose label contains `label` (and binds i, if given)."""
     return [
-        nxt for desc, lab, nxt in K.successors(net, state)
-        if label in lab and (i is None or dict(desc[3])["i"] == i)
+        nxt for desc, nxt in K.successors(net, state)
+        if label in K.step_label(net, desc)
+        and (i is None or dict(desc[3])["i"] == i)
     ]
 
 
@@ -168,7 +169,8 @@ class TestOrder:
         net = make_net(urgent_ping=True)
         s0 = K.initial_state(net)
         insts = K.enabled_transitions(net, s0.locs, s0.data)
-        assert [(i.label, i.binds, i.urgent) for i in insts] == [
+        assert [(K.step_label(net, ("fire", i.auto, i.edge, i.binds)),
+                 i.binds, i.urgent) for i in insts] == [
             ("Starter.start", (("i", 0),), False),
             ("Starter.start", (("i", 1),), False),
             ("Ticker.tick", (), False),
@@ -315,7 +317,7 @@ class TestPassedList:
         added = passed.insert(self.KEY, zone, sid)
         if added:
             meta.append((K.SymbolicState(self.KEY[0], self.KEY[1], zone),
-                         None, None, "made"))
+                         None, None))
         return added
 
     def test_covering_zone_marks_stored_one_dead(self):
@@ -462,6 +464,51 @@ class TestRandomRun:
         assert len(t.steps) == 0
 
 
+def guard_drop_net():
+    """A job whose finishing edge guards the job's clock and drops it.
+
+    The data moves 'idle' -> 'job' -> 'done'; the job's clock lives only
+    in 'job'.  J holds it to at most 3, and `finish` needs it at least 1,
+    so no value of the state after `finish` pins the clock that its
+    guard bounds.
+    """
+    def owners(data):
+        return (0,) if data == "job" else ()
+
+    job = K.AutomatonTemplate("Job", [
+        K.Location("A", None),
+        K.Location("J", lambda d: ((("tx", 0), "<=", 3),)),
+        K.Location("B", None),
+    ], [
+        K.Edge(0, 1, "start", update=lambda d, b: "job"),
+        K.Edge(1, 2, "finish", clock_guard=((("tx", 0), ">=", 1),),
+               update=lambda d, b: "done"),
+    ])
+    return K.Network("guard-drop", [job], "idle", owners)
+
+
+class TestGuardOnDroppedClock:
+    """Traces through a fire whose clock guard bounds a clock it drops."""
+
+    def test_counterexample_replays(self):
+        net = guard_drop_net()
+        res = K.explore(net, check=lambda s: s.zone if s.locs == (2,) else None)
+        assert res.verdict == "VIOLATED"
+        assert [s.label for s in res.trace.steps if s.kind == "fire"] == [
+            "Job.start", "Job.finish"]
+        final = K.replay_trace(net, res.trace)
+        assert (final.locs, final.data) == ((2,), "done")
+
+    def test_random_runs_replay(self):
+        net = guard_drop_net()
+        finished = 0
+        for seed in range(30):
+            trace = K.random_run(net, seed=seed, steps=6)
+            final = K.replay_trace(net, trace)
+            finished += final.locs == (2,)
+        assert finished > 0
+
+
 # shipped scenarios small enough to explore in full with every check on
 SHIPPED = {
     "newscs-1-5-honest": (build_newscs_model, (1, 5), None),
@@ -473,6 +520,79 @@ def shipped_net(name):
     build, constants, adversary = SHIPPED[name]
     net, _ctx = instantiate(build(WorldConstants(*constants)), adversary=adversary)
     return net
+
+
+class TestInterning:
+    """`explore` stores each discrete state component once (module notes)."""
+
+    def test_fires_into_one_key_share_its_objects(self):
+        net = shipped_net("cs-2-5-ALICE")
+        table = {}
+        init = K.initial_state(net)
+        todo = [(init.locs, init.data)]
+        seen = set(todo)
+        into = {}  # key -> [(source key, locs, data), ...] of fires reaching it
+        while todo:
+            locs, data = todo.pop()
+            skel = K._build_skeleton(net, locs, data, table)
+            for _desc, _cg, locs2, data2, *_rest in skel.fires:
+                into.setdefault((locs2, data2), []).append(
+                    ((locs, data), locs2, data2))
+                if (locs2, data2) not in seen:
+                    seen.add((locs2, data2))
+                    todo.append((locs2, data2))
+        shared = [fires for fires in into.values()
+                  if len({source for source, _l, _d in fires}) > 1]
+        assert shared
+        for (_source, locs, data), *rest in shared:
+            assert all(l is locs and d is data for _s, l, d in rest)
+
+    def test_stored_states_of_a_key_share_its_objects(self):
+        stored = []
+        K.explore(shipped_net("cs-2-5-ALICE"), check=stored.append)
+        first = {}
+        for state in stored:
+            locs, data = first.setdefault((state.locs, state.data),
+                                          (state.locs, state.data))
+            assert state.locs is locs and state.data is data
+        assert len(stored) > len(first)
+
+    def test_valuation_keeps_its_type(self):
+        # the valuation Count(0) equals the initial locations (0,), which
+        # the table holds first; the guard reads a field of the valuation
+        class Count(NamedTuple):
+            n: int
+
+        counter = K.AutomatonTemplate("Counter", [
+            K.Location("a", None), K.Location("b", None),
+        ], [
+            K.Edge(0, 1, "step", guard=lambda d, b: d.n == 0,
+                   update=lambda d, b: d._replace(n=1)),
+        ])
+        net = K.Network("count", [counter], Count(0), lambda d: ())
+        res = K.explore(net, check=lambda s: s.zone if s.data.n == 1 else None)
+        assert res.verdict == "VIOLATED"
+        assert [type(s.data) for s in res.trace.steps] == [Count]
+
+    def test_no_module_table_grows(self):
+        from tacv import oracle, queries, world, zones
+
+        def sizes():
+            return {
+                (mod.__name__, name): len(value)
+                for mod in (K, zones, world, queries, oracle)
+                for name, value in vars(mod).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))
+            }
+
+        before = sizes()
+        # constants no other test uses, so a table that outlives a call
+        # would have to grow
+        K.explore(make_net(deadline=97, bound=89))
+        K.explore(shipped_net("cs-2-5-ALICE"))
+        assert sizes() == before
+
 
 
 class TestCheckCounts:
@@ -502,8 +622,8 @@ class TestCheckCounts:
         build_skeleton = K._build_skeleton
         run_state_checks = K.run_state_checks
 
-        def counted_skeleton(net_, locs, data):
-            skel = build_skeleton(net_, locs, data)
+        def counted_skeleton(net_, locs, data, table):
+            skel = build_skeleton(net_, locs, data, table)
             calls["fires"] += len(skel.fires)
             return skel
 

@@ -2,6 +2,7 @@
 exploration counters, trace documents and reports."""
 
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -500,6 +501,24 @@ class TestReports:
         doc = json.loads(json.dumps(report["trace"]))
         final = M.replay_document(doc)
         assert not final.data.parties[1].know_secret[0]
+
+    def test_counterexample_document_pinned(self):
+        # fire labels are derived from descriptors when a trace is built;
+        # the document, as `tacv verify --trace-out` writes it, is pinned
+        # byte for byte
+        model, net, q, res = self.make_violation()
+        doc = M.trace_to_document(res.trace, net, model, "ALICE",
+                                  model.queries["bob_knows_secret"])
+        steps = json.loads(json.dumps(doc))["steps"]
+        assert [s["label"] for s in steps] == [
+            "AdversaryTA.send_fuse_sig", "delay", "BobTA.commit_missing",
+            "delay", "HelperTA.tick@3", "delay"]
+        assert [s["descriptor"] for s in steps] == [
+            ["fire", 2, 1, []], ["delay"], ["fire", 3, 1, []], ["delay"],
+            ["fire", 1, 0, []], ["delay"]]
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "019b9c5fc6cbeab08c8c91e4db8dc969273ccb5958077b3e8fb568cd39a9b9b6")
 
     def test_tampered_trace_detected(self):
         model, net, q, res = self.make_violation()
