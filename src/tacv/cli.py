@@ -21,13 +21,12 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import modelio
 from . import oracle as oracle_mod
 from . import queries as Q
 from .contracts import instantiate
-from .kernel import ModelError, VerificationResult, explore, random_run
+from .kernel import ModelError, explore, random_run
 
 EXIT_SATISFIED = 0
 EXIT_VIOLATED = 1
@@ -105,22 +104,17 @@ def cmd_verify(args):
 
     asts = [ast for _name, _text, ast in triples]
     if args.engine == "discrete":
-        t0 = time.perf_counter()
         try:
-            res, verdicts = oracle_mod.explore_discrete(
+            result, _verdicts = oracle_mod.explore_discrete(
                 net, queries=asts, max_states=args.max_states,
                 max_seconds=args.max_seconds)
         except ModelError as exc:
             return _fail(str(exc))
-        result = VerificationResult(
-            res.verdict, res.states, res.transitions,
-            time.perf_counter() - t0, None, res.limit_reason)
-        traces = (None,) * len(asts)
     else:
         result = explore(net, check=[Q.make_checker(ast) for ast in asts],
                          max_states=args.max_states,
                          max_seconds=args.max_seconds)
-        verdicts, traces = result.verdicts, result.traces
+    verdicts, traces = result.verdicts, result.traces
 
     color = _color_enabled()
     first_trace = None

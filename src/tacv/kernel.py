@@ -37,21 +37,29 @@ Semantics notes:
   (`run_state_checks`: the zone lies inside its location invariants)
   runs on every stored zone state.  `explore(run_checks=False)` skips
   these last two, the state checks and the zone check, and only them.
+- Clock guards compare only `time`: `AutomatonTemplate` rejects a guard
+  on any other clock, and builds each edge's guard as zone atoms on
+  index 1 once.  Transaction clocks are bounded only from above, by
+  location invariants.
 - `explore` extrapolates transaction clocks (Extra+_LU of Behrmann,
   Bouyer, Larsen and Pelánek, "Lower and upper bounds in zone-based
-  abstractions of timed automata", STTT 2006).  A clock is extrapolated
-  when no clock guard of the network bounds its key from below (`>`,
-  `>=`, `==`) and its invariant bounds it by some B; `time` never is.
-  With no lower bound, L(x) = -inf, so Extra+_LU forgets every upper
-  bound on x and its invariant puts back x <= B: the row of x becomes
-  B + (row of the reference clock), an O(n) rewrite of a closed DBM.
+  abstractions of timed automata", STTT 2006).  No guard bounds a
+  transaction clock from below, so L(x) = -inf for each of them, and
+  every one that its invariant bounds by some B is extrapolated; `time`
+  never is.  Extra+_LU forgets every upper bound on x and the
+  invariant puts back x <= B: the row of x becomes B + (row of the
+  reference clock), an O(n) rewrite of a closed DBM.
   Zones that differ only in how long ago a pending transaction started
   then merge.  The abstraction is a simulation that matches edge for
   edge and leaves the projection on `time` alone, so (locations, data)
   reachability and every query over `time` and data are unchanged.
   Stored zones are abstract, so a trace first recomputes the exact
   zones forward along its descriptors and meets the checker's witness
-  with the exact final zone before it concretizes.
+  with the exact final zone, whose earliest point ends the trace.  It
+  then goes backward with one rule for both step kinds: constrain the
+  exact zone to the next point (across a fire every shared clock keeps
+  its value; across a delay every clock keeps its difference to `time`
+  and `time` is no later) and take the earliest point there.
 - Both explorers (`explore` and `oracle.explore_discrete`) run with
   CPython's cyclic garbage collector paused (`gc_paused`).  They build
   no reference cycles (a test over the shipped models checks that
@@ -63,8 +71,8 @@ Semantics notes:
   restored on every way out, exceptions included.
 - `explore` keeps one intern table (a plain dict) for the length of
   one call.  Every skeleton it builds takes the canonical object for
-  each fire's locations, data, descriptor and clock-guard atoms and for
-  each key's invariant atoms and extrapolation bounds, so a successor's
+  each fire's locations, data and descriptor and for each key's
+  invariant atoms and extrapolation bounds, so a successor's
   (locations, data) key is made of the very objects that the passed
   list and the skeleton cache store: each is held once, and key
   comparison short-circuits on identity.  Nothing of the table outlives
@@ -121,7 +129,7 @@ class Edge(NamedTuple):
     label: str
     select: tuple = ()        # ((var, (values...)), ...)
     guard: Optional[Callable] = None       # (data, binds) -> bool
-    clock_guard: tuple = ()   # ((key, op, const), ...), key 'time' or ('tx', id)
+    clock_guard: tuple = ()   # (('time', op, const), ...): only `time` is guarded
     urgent: bool = False      # blocks delay while its guard holds
     update: Optional[Callable] = None      # (data, binds) -> data
 
@@ -133,13 +141,21 @@ class AutomatonTemplate:
         self.edges = tuple(edges)
         self.initial = initial
         self._out = {}
+        bindings, guard_atoms = [], []
         for idx, e in enumerate(self.edges):
             self._out.setdefault(e.source, []).append((idx, e))
-        # select domains are static: expand bindings once per edge
-        self.bindings = tuple(
-            tuple((b, _binds_key(b)) for b in _expand_binds(e.select))
-            for e in self.edges
-        )
+            # select domains are static: expand bindings once per edge
+            bindings.append(tuple((b, _binds_key(b)) for b in _expand_binds(e.select)))
+            # clock guards compare only `time`, zone index 1 in every layout
+            atoms = []
+            for key, op, k in e.clock_guard:
+                if key != TIME:
+                    raise ModelError("%s: edge %s guards clock %r; clock guards "
+                                     "compare only time" % (name, e.label, key))
+                atoms.append((1, 0, op, k))
+            guard_atoms.append(tuple(atoms))
+        self.bindings = tuple(bindings)
+        self.guard_atoms = tuple(guard_atoms)
 
     def edges_from(self, loc):
         return self._out.get(loc, ())
@@ -313,8 +329,8 @@ def _invariants(net, locs, data, layout, table):
     `layout` is the clock layout of `data`, and both tuples are the
     canonical ones of the intern `table`.  Raises ModelError on an
     atom that bounds a clock from below.  The bounds are (index, packed
-    bound, key) triples, one per transaction clock, with the clock's
-    tightest invariant bound.  A clock pinned to zero (`<= 0`) is left
+    bound) pairs, one per transaction clock, with the clock's tightest
+    invariant bound.  A clock pinned to zero (`<= 0`) is left
     out: it has the reference clock's row already, so extrapolating it
     changes nothing.
     """
@@ -334,10 +350,7 @@ def _invariants(net, locs, data, layout, table):
         b = 2 * k + (op == "<=")  # packed
         if idx > 1 and b < tightest.get(idx, INF):
             tightest[idx] = b
-    bounds = tuple(
-        (idx, tightest[idx], key) for key, idx in layout.items()
-        if tightest.get(idx, ZERO) > ZERO
-    )
+    bounds = tuple((idx, b) for idx, b in sorted(tightest.items()) if b > ZERO)
     return indexed, table.setdefault(bounds, bounds)
 
 
@@ -474,9 +487,9 @@ class _Skeleton(NamedTuple):
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
     bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
-    fires: tuple   # (desc, cg_idx_atoms, locs2, data2, drop, nnew, perm, inv2,
-                   #  bounds2); desc, the atoms, locs2, data2, inv2 and
-                   #  bounds2 are canonical objects of the intern table
+    fires: tuple   # (desc, guard_atoms, locs2, data2, drop, nnew, perm, inv2,
+                   #  bounds2); desc, locs2, data2, inv2 and bounds2 are
+                   #  canonical objects of the intern table
 
 
 def _build_skeleton(net, locs, data, table):
@@ -505,7 +518,6 @@ def _build_skeleton(net, locs, data, table):
         data2 = _intern_data(table, data2)
         locs2 = intern(locs2, locs2)
         desc = ("fire", inst.auto, inst.edge, inst.binds)
-        cg = edge.clock_guard
         after = net.clock_owners(data2)
         after_set = set(after)
         drop = tuple(
@@ -521,9 +533,8 @@ def _build_skeleton(net, locs, data, table):
             perm = None
         inv2, bounds2 = _invariants(net, locs2, data2, _layout(after), table)
         fires.append((
-            intern(desc, desc),
-            _atoms_to_indices(cg, layout, table) if cg else (),
-            locs2, data2, drop, len(new), perm, inv2, bounds2,
+            intern(desc, desc), auto.guard_atoms[inst.edge], locs2, data2,
+            drop, len(new), perm, inv2, bounds2,
         ))
         for chk in net.transition_checks:
             chk(data, data2)
@@ -590,22 +601,11 @@ def successors(net, state):
     return out
 
 
-def _lower_bounded_keys(net):
-    """Clock keys that some clock guard bounds from below (`>`, `>=`, `==`)."""
-    return frozenset(
-        key
-        for a in net.automata
-        for e in a.edges
-        for key, op, _k in e.clock_guard
-        if op in (">", ">=", "==")
-    )
-
-
-def _extrapolate(zone, bounds, lower):
+def _extrapolate(zone, bounds):
     """Extra+_LU of the transaction clocks in `bounds`, re-bounded by B.
 
-    Each (x, B, key) whose key is not in `lower` has L(x) = -inf, so
-    its row is forgotten and its invariant x <= B put back:
+    No guard bounds a transaction clock from below, so each (x, B) has
+    L(x) = -inf: its row is forgotten and its invariant x <= B put back:
     c(x, 0) = B, c(x, x) = 0 and c(x, j) = B + c(0, j).  On a closed
     zone inside its invariants this is Extra+_LU followed by the
     invariant, and every other entry stays, so the result is closed.
@@ -616,9 +616,7 @@ def _extrapolate(zone, bounds, lower):
     m = zone.m
     row0 = m[:n]
     work = None
-    for x, b, key in bounds:
-        if key in lower:
-            continue
+    for x, b in bounds:
         base = x * n
         row = [b + c - ((b | c) & 1) for c in row0]
         row[x] = ZERO
@@ -687,7 +685,6 @@ def explore(
     extrapolation never changes a verdict or a reachable set.
     """
     started = _time.monotonic()
-    lower = _lower_bounded_keys(net) if extrapolate else None
     checks = () if check is None else (check,) if callable(check) else tuple(check)
     live = list(range(len(checks)))
     traces = {}  # check index -> trace, in the order violations were found
@@ -752,8 +749,8 @@ def explore(
         for desc, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(
                 skel, state.zone):
             transitions += 1
-            if bounds2 and lower is not None:
-                zone2 = _extrapolate(zone2, bounds2, lower)
+            if bounds2 and extrapolate:
+                zone2 = _extrapolate(zone2, bounds2)
             if locs2 is None:  # delay successor keeps the configuration
                 nxt = SymbolicState(state.locs, state.data, zone2)
             else:
@@ -793,15 +790,16 @@ def _follow(net, state, desc, i):
     of step `i`, from the state's skeleton.  Raises ReplayError when the
     step is not enabled; a delay is refused while an urgent edge is."""
     skel = _build_skeleton(net, state.locs, state.data, {})
-    if desc == DELAY and skel.urgent:
-        raise ReplayError(i, "delay while an urgent edge is enabled")
+    if desc == DELAY:
+        if skel.urgent:
+            raise ReplayError(i, "delay while an urgent edge is enabled")
+        # a zone its invariants already close under delay is its own
+        # delay successor: only a delay of zero is left there
+        return (state._replace(zone=state.zone.up().constrained(skel.inv_atoms)),
+                skel.inv_atoms)
     for d, locs2, data2, zone2, inv2, _b in _apply_skeleton(skel, state.zone):
         if d == desc:
-            if locs2 is None:  # delay successor keeps the configuration
-                locs2, data2 = state.locs, state.data
             return SymbolicState(locs2, data2, zone2), inv2
-    if desc == DELAY:
-        raise ReplayError(i, "delay not possible here")
     try:
         what = step_label(net, desc)
     except (IndexError, TypeError):  # names no edge of the network
@@ -846,13 +844,18 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     The path's zones are recomputed exactly (`_exact_chain`) and the
     final one is met with the witness, the violating sub-zone; an empty
     meet raises ModelInvariantError.  The final state is pinned to the
-    earliest point of that meet; earlier states are chosen backward,
-    keeping shared clocks consistent across fires, inside each fire's
-    clock guard (it may bound a clock the fire drops) and maximizing delay
-    lengths so the run is the earliest one reaching the violation.
-    Closed zones concretize on integers.  A strict bound can force
-    half-integral instants; only a negated query (the violation region
-    of `time >= c` is `time < c`) or a hand-built network has one.
+    earliest point of that meet.  Earlier states are chosen backward by
+    one rule: constrain the exact zone to the next point and take its
+    earliest point.  Across a fire, `time` and every clock the fire
+    keeps equal their next values; `time` is pinned, so the fire's
+    clock guard holds.  Across a delay, every clock keeps its difference
+    to `time` and `time` is no later, so the earliest point is the
+    longest delay, and the run is the earliest one reaching the
+    violation.  Points are taken on the grid of the next point's
+    denominators.  Closed zones concretize on integers.  A strict bound
+    can force half-integral instants; only a negated query (the
+    violation region of `time >= c` is `time < c`) or a hand-built
+    network has one.
     """
     chain = []
     sid = goal_sid
@@ -863,40 +866,30 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     chain.reverse()
 
     zones_ = [st.zone for st in _exact_chain(net, chain)]
-    zones_[-1] = _meet(zones_[-1], witness_zone)
-    if zones_[-1].is_empty():
+    final = _meet(zones_[-1], witness_zone)
+    if final.is_empty():
         raise ModelInvariantError("witness lies outside the exact final zone")
+    layouts = [clock_layout(net, state.data) for state, _desc in chain]
+    w = final.witness()
     vals = [None] * len(chain)
-    vals[-1] = _zone_witness_map(zones_[-1], tuple(clock_layout(net, chain[-1][0].data)))
+    vals[-1] = {k: Fraction(w[idx]) for k, idx in layouts[-1].items()}
     for i in range(len(chain) - 2, -1, -1):
-        state_i = chain[i][0]
-        keys_i = tuple(clock_layout(net, state_i.data))
-        desc = chain[i + 1][1]
-        nxt_vals = vals[i + 1]
-        if desc == DELAY:
-            vals[i] = _delay_predecessor(zones_[i], keys_i, nxt_vals)
+        layout, nxt = layouts[i], vals[i + 1]
+        scale = math.lcm(*(v.denominator for v in nxt.values()))
+        if chain[i + 1][1] == DELAY:
+            t = nxt[TIME] * scale
+            atoms = [(layout[k], 1, "==", int(v * scale - t))
+                     for k, v in nxt.items() if k != TIME]
+            atoms.append((1, 0, "<=", int(t)))
         else:
-            shared = [k for k in keys_i if k in nxt_vals]
-            scale = 1
-            for k in shared:
-                scale = math.lcm(scale, nxt_vals[k].denominator)
-            z = zones_[i].scaled(scale) if scale > 1 else zones_[i]
-            layout = {k: idx + 1 for idx, k in enumerate(keys_i)}
-            atoms = [
-                (layout[k], 0, "==", int(nxt_vals[k] * scale)) for k in shared
-            ]
-            _fire, ai, ei, _binds = desc
-            atoms.extend(
-                (layout[k], 0, op, c * scale)
-                for k, op, c in net.automata[ai].edges[ei].clock_guard
-            )
-            z = z.constrained(atoms)
-            if z.is_empty():
-                raise ModelInvariantError("trace concretization failed")
-            vals[i] = {
-                k: Fraction(v) / scale
-                for k, v in _zone_witness_map(z, keys_i).items()
-            }
+            atoms = [(layout[k], 0, "==", int(v * scale))
+                     for k, v in nxt.items() if k in layout]
+        z = zones_[i].scaled(scale) if scale > 1 else zones_[i]
+        z = z.constrained(atoms)
+        if z.is_empty():
+            raise ModelInvariantError("trace concretization failed")
+        w = z.witness()
+        vals[i] = {k: Fraction(w[idx]) / scale for k, idx in layout.items()}
 
     steps = []
     for i in range(1, len(chain)):
@@ -916,48 +909,6 @@ def _display_vals(vals):
     out = {}
     for k, v in vals.items():
         out[k] = int(v) if v == int(v) else float(v)
-    return out
-
-
-def _zone_witness_map(zone, keys):
-    w = zone.witness()
-    return {k: Fraction(w[i + 1]) for i, k in enumerate(keys)}
-
-
-def _delay_predecessor(zone, keys, nxt_vals):
-    """Latest-start point of `zone` on the delay line into `nxt_vals`.
-
-    Differences between clocks are delay-invariant, so only the bounds
-    against the reference clock constrain the delay length; the feasible
-    set is one interval and we take its upper end (strict ends step back
-    inside by half the remaining room).
-    """
-    lo, lo_strict = Fraction(0), False
-    hi, hi_strict = Fraction(nxt_vals[TIME]), False
-    for pos, k in enumerate(keys):
-        idx = pos + 1
-        v = Fraction(nxt_vals[k])
-        b = zone.entry(idx, 0)          # x_idx <= w: d >= v - w
-        if b < INF:
-            w, weak = unpack(b)
-            if v - w > lo or (v - w == lo and not weak):
-                lo, lo_strict = v - w, not weak
-        b = zone.entry(0, idx)          # -x_idx <= w: d <= v + w
-        if b < INF:
-            w, weak = unpack(b)
-            if v + w < hi or (v + w == hi and not weak):
-                hi, hi_strict = v + w, not weak
-    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        raise ModelInvariantError("no delay predecessor found")
-    if not hi_strict:
-        d = hi
-    else:
-        floor = max(lo, hi - 1)
-        d = hi - (hi - floor) / 2
-    out = {k: Fraction(nxt_vals[k]) - d for k in keys}
-    cand = (0,) + tuple(out[k] for k in keys)
-    if not zone.contains(cand):
-        raise ModelInvariantError("delay predecessor fell outside the zone")
     return out
 
 

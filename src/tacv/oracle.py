@@ -22,18 +22,11 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import queries as Q
-from .kernel import CMP, ModelError, TIME, gc_paused, overall_verdicts
-
-
-class OracleResult(NamedTuple):
-    verdict: str                # 'SATISFIED' | 'VIOLATED' | 'LIMIT'
-    states: int                 # distinct (locations, data) configurations
-    transitions: int            # successors generated
-    reachable: frozenset        # (locations, data) set
-    limit_reason: Optional[str] = None
+from .kernel import (CMP, ModelError, TIME, VerificationResult, gc_paused,
+                     overall_verdicts)
 
 
 def default_horizon(net, query_asts=()):
@@ -153,11 +146,12 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     Each of the parsed `queries` is evaluated pointwise at every
     reachable concrete state; a violated query is not evaluated again,
     and exploration stops once every query is violated.  Returns
-    (OracleResult, verdicts): the result carries the projected reachable
-    (locations, data) set and the number of successors generated, and
-    the verdicts, one per query, follow the zone engine's rule
-    (`kernel.overall_verdicts`).  `max_states` and `max_seconds` are
-    budgets as in `kernel.explore`.
+    (VerificationResult, verdicts), the result's `verdicts` again: the
+    result counts (locations, data) configurations in `states` and the
+    successors generated in `transitions`, carries the reachable
+    (locations, data) set, and has no traces.  The verdicts, one per
+    query, follow the zone engine's rule (`kernel.overall_verdicts`).
+    `max_states` and `max_seconds` are budgets as in `kernel.explore`.
     """
     started = _time.monotonic()
     queries = tuple(queries)
@@ -197,8 +191,10 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
 
     def result(reason=None):
         verdict, verdicts = overall_verdicts(violated, reason)
-        return OracleResult(verdict, len(keys), transitions, frozenset(keys),
-                            reason), verdicts
+        return VerificationResult(
+            verdict, len(keys), transitions, _time.monotonic() - started, None,
+            reason, frozenset(keys), verdicts, (None,) * len(queries),
+        ), verdicts
 
     if live and checked(init):
         return result()

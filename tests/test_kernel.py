@@ -371,6 +371,14 @@ class TestValidation:
         with pytest.raises(K.ModelError):
             K.Network("bad", [bad], Jobs((), False), clock_owners)
 
+    def test_transaction_clock_guard_rejected(self):
+        # a job's finishing edge guards the job's clock
+        job = [K.Location("A", None), K.Location("J", None)]
+        finish = K.Edge(0, 1, "finish", clock_guard=((("tx", 0), ">=", 1),))
+        with pytest.raises(K.ModelError,
+                           match=r"Job: edge finish guards clock \('tx', 0\)"):
+            K.AutomatonTemplate("Job", job, [finish])
+
     @pytest.mark.parametrize("op", [">=", ">", "=="])
     def test_invariant_lower_bound_rejected(self, op):
         # the invariant ("tx", i) >= 1 is a callable of the data: it is
@@ -413,35 +421,19 @@ class TestExtrapolation:
             bound = rng.randint(1, 4)
             z = random_zone(rng, dim, bound)
             x = rng.randrange(2, dim)
-            got = K._extrapolate(z, ((x, pack(bound, True), ("tx", x)),),
-                                 frozenset())
+            got = K._extrapolate(z, ((x, pack(bound, True)),))
             assert got == self.reference(z, x, bound)
             assert got.subsumes(z)
             assert got.canonicalize() == got
             # every row at once, in either order, is one abstraction
-            bounds = tuple((i, pack(bound, True), ("tx", i)) for i in range(2, dim))
-            once = K._extrapolate(z, bounds, frozenset())
-            assert once == K._extrapolate(z, bounds[::-1], frozenset())
-            assert K._extrapolate(once, bounds, frozenset()) is once
+            bounds = tuple((i, pack(bound, True)) for i in range(2, dim))
+            once = K._extrapolate(z, bounds)
+            assert once == K._extrapolate(z, bounds[::-1])
+            assert K._extrapolate(once, bounds) is once
 
     def test_lower_bounded_or_pinned_clock_kept(self):
-        z = random_zone(random.Random(3), 4, 2)
-        bounds = ((2, pack(2, True), ("tx", 0)), (3, pack(2, True), ("tx", 1)))
-        assert K._extrapolate(z, bounds, frozenset({("tx", 0), ("tx", 1)})) is z
         pinned = Zone.from_constraints(3, [(2, 0, "<=", 0)])
-        assert K._extrapolate(pinned, ((2, pack(0, True), ("tx", 0)),),
-                              frozenset()) is pinned
-
-    def test_lower_bounded_keys_come_from_clock_guards(self):
-        net = make_net()
-        assert K._lower_bounded_keys(net) == {"time"}
-        never = K.AutomatonTemplate("Never", [K.Location("n", None)], [
-            K.Edge(0, 0, "late", guard=lambda d, b: False,
-                   clock_guard=((("tx", 0), ">", 1), (("tx", 1), "<", 2))),
-        ])
-        net = K.Network("jobs+", net.automata + (never,), net.initial_data,
-                        clock_owners)
-        assert K._lower_bounded_keys(net) == {"time", ("tx", 0)}
+        assert K._extrapolate(pinned, ((2, pack(0, True)),)) is pinned
 
     def test_same_reachable_set_fewer_transitions(self):
         net = make_net()
@@ -464,13 +456,57 @@ class TestRandomRun:
         assert len(t.steps) == 0
 
 
+def delay_closed_net():
+    """A path that delays where its exact zone is already delay-closed.
+
+    The job's clock starts at time 0 and lives from phase 1 on.  In L1
+    extrapolation loosens it to `tx <= 3`, so in L2 (`time <= 1`) the
+    abstract zone still grows by delay while the exact one, with
+    time = tx in [0, 1], does not.
+    """
+    def owners(phase):
+        return (0,) if phase >= 1 else ()
+
+    def phase(p):
+        return lambda d, b: p
+
+    walk = K.AutomatonTemplate("Walk", [
+        K.Location("L0", lambda d: (("time", "<=", 0),)),
+        K.Location("L1", lambda d: ((("tx", 0), "<=", 3),)),
+        K.Location("L2", lambda d: (("time", "<=", 1),)),
+        K.Location("L3", None),
+        K.Location("L4", None),
+    ], [
+        K.Edge(0, 1, "start", update=phase(1)),
+        K.Edge(1, 2, "enter"),
+        K.Edge(2, 3, "step", update=phase(2)),
+        K.Edge(3, 4, "goal", update=phase(3)),
+    ])
+    return K.Network("delay-closed", [walk], 0, owners)
+
+
+class TestDelayClosedExactZone:
+    """A counterexample whose path delays where the exact zone cannot."""
+
+    @pytest.mark.parametrize("extrapolate", [True, False])
+    def test_counterexample_replays(self, extrapolate):
+        net = delay_closed_net()
+        res = K.explore(net, check=lambda s: s.zone if s.locs == (4,) else None,
+                        extrapolate=extrapolate)
+        assert res.verdict == "VIOLATED"
+        final = K.replay_trace(net, res.trace)
+        assert (final.locs, final.data) == ((4,), 3)
+        assert [s.label for s in res.trace.steps if s.kind == "fire"] == [
+            "Walk.start", "Walk.enter", "Walk.step", "Walk.goal"]
+
+
 def guard_drop_net():
-    """A job whose finishing edge guards the job's clock and drops it.
+    """A job whose finishing edge guards `time` and drops the job's clock.
 
     The data moves 'idle' -> 'job' -> 'done'; the job's clock lives only
-    in 'job'.  J holds it to at most 3, and `finish` needs it at least 1,
-    so no value of the state after `finish` pins the clock that its
-    guard bounds.
+    in 'job'.  `start` fires by time 1, J holds the clock to at most 3,
+    and `finish` needs time at least 2, so the clock reads 1 to 3 when
+    `finish` drops it and no value of the state after `finish` pins it.
     """
     def owners(data):
         return (0,) if data == "job" else ()
@@ -480,15 +516,16 @@ def guard_drop_net():
         K.Location("J", lambda d: ((("tx", 0), "<=", 3),)),
         K.Location("B", None),
     ], [
-        K.Edge(0, 1, "start", update=lambda d, b: "job"),
-        K.Edge(1, 2, "finish", clock_guard=((("tx", 0), ">=", 1),),
+        K.Edge(0, 1, "start", clock_guard=(("time", "<=", 1),),
+               update=lambda d, b: "job"),
+        K.Edge(1, 2, "finish", clock_guard=(("time", ">=", 2),),
                update=lambda d, b: "done"),
     ])
     return K.Network("guard-drop", [job], "idle", owners)
 
 
 class TestGuardOnDroppedClock:
-    """Traces through a fire whose clock guard bounds a clock it drops."""
+    """Traces through a fire whose `time` guard bounds a clock it drops."""
 
     def test_counterexample_replays(self):
         net = guard_drop_net()
