@@ -16,12 +16,20 @@ Semantics notes:
   (`world.build_helper`) holds `time <= θ` as its invariant while a
   flag of threshold θ is clear, and sets it on an edge guarded by
   `time == θ` (as a deadline is written in UPPAAL).
-- Exploration is breadth-first over one passed/waiting list keyed by
-  (locations, data): a new zone is dropped when a stored zone of its
-  key covers it, and stored zones it covers die, so a dead state still
-  waiting in the queue is skipped rather than expanded.  It is
-  deterministic: non-urgent enabled transitions come before urgent
-  ones, each ordered by (automaton index, edge index, select binding).
+- Exploration runs over one passed/waiting list keyed by (locations,
+  data): a new zone is dropped when a stored zone of its key covers it,
+  and stored zones it covers die, so a dead state still waiting in the
+  queue is skipped rather than expanded.  The waiting queue is
+  breadth-first except for evictors: a state whose zone evicted a
+  stored zone is expanded before every other waiting state (first in,
+  first out among evictors), after Herbreteau and Tran, "Improving
+  search order for reachability testing in timed automata" (FORMATS
+  2015).  Its successors then reach the keys of the evicted zone's
+  waiting successors while those still wait, evict them in turn, and
+  the dead-skip drops them.  Without subsumption nothing is evicted,
+  so the search is plain breadth-first.  It is deterministic: non-urgent
+  enabled transitions come before urgent ones, each ordered by
+  (automaton index, edge index, select binding).
 - Successors come from one routine: the zone-independent part of a
   key's successors (its "skeleton") is computed once per (locations,
   data) key and then applied to zones.  Exploration, random runs and
@@ -423,6 +431,9 @@ def run_state_checks(state, inv_atoms):
 # -- exploration -------------------------------------------------------
 
 
+COVERED, STORED, EVICTED = 0, 1, 2  # outcomes of `_Passed.insert`
+
+
 class _Passed:
     """Unified passed/waiting list: zone antichains per (locations, data) key.
 
@@ -434,6 +445,12 @@ class _Passed:
     was inserted, and the successors of the zone that evicted it cover
     its own.  This is the passed/waiting list of Behrmann et al., "UPPAAL
     Implementation Secrets" (FTRTFT 2002).
+
+    `insert` tells an evicting zone apart (EVICTED), and `explore`
+    expands it ahead of the breadth-first queue.  The evicted zone's
+    waiting successors need no walk to find them: the evictor's own
+    successors cover them while they still wait, so they die and are
+    skipped like the evicted zone itself.
     """
 
     def __init__(self, meta, subsumption=True):
@@ -449,32 +466,35 @@ class _Passed:
     def insert(self, key, zone, sid):
         """Store state `sid` with `zone` unless a stored zone covers it.
 
-        Without subsumption only exact duplicates are rejected and
-        nothing dies (used to validate that inclusion checking never
+        Returns COVERED (false) when nothing is stored, STORED, or
+        EVICTED when `zone` was stored and evicted at least one stored
+        zone.  Without subsumption only exact duplicates are rejected
+        and nothing dies (used to validate that inclusion checking never
         changes a verdict or a reachable set).
         """
         row = self._store.get(key)
         if row is None:
             self._store[key] = [sid]
-            return True
+            return STORED
         zones = [self._meta[s][0].zone for s in row]
         if not self._subsume:
             if zone in zones:
-                return False
+                return COVERED
             row.append(sid)
-            return True
+            return STORED
         for z in zones:
             if z.subsumes(zone):
-                return False
+                return COVERED
         kept = []
         for s, z in zip(row, zones):
             if zone.subsumes(z):
                 self.dead.add(s)
             else:
                 kept.append(s)
+        evicted = len(kept) < len(row)
         kept.append(sid)
         self._store[key] = kept
-        return True
+        return EVICTED if evicted else STORED
 
 
 class _Skeleton(NamedTuple):
@@ -731,13 +751,14 @@ def explore(
         return result()
 
     frontier = deque([0])
+    evictors = deque()  # expanded first (see the module notes)
     skeletons = {}
     ticks = 0
-    while frontier:
+    while evictors or frontier:
         ticks += 1
         if ticks % 512 == 0 and out_of_time():
             return result("wall-clock budget exhausted")
-        sid = frontier.popleft()
+        sid = (evictors or frontier).popleft()
         if sid in dead:
             continue
         state = meta[sid][0]
@@ -757,7 +778,8 @@ def explore(
                 nxt = SymbolicState(locs2, data2, zone2)
             nid = len(meta)
             known = passed.key_count
-            if not passed.insert((nxt.locs, nxt.data), nxt.zone, nid):
+            stored = passed.insert((nxt.locs, nxt.data), nxt.zone, nid)
+            if not stored:
                 continue
             if run_checks:
                 if passed.key_count != known:  # the first zone of its key
@@ -769,7 +791,7 @@ def explore(
                 return result()
             if max_states is not None and len(meta) > max_states:
                 return result("state budget exhausted")
-            frontier.append(nid)
+            (evictors if stored == EVICTED else frontier).append(nid)
     return result()
 
 

@@ -7,6 +7,15 @@ reachability coincides with dense reachability and this explorer is a
 sound and complete oracle for discrete-state reachability on reduced
 constants.  Any strict clock atom encountered aborts the run.
 
+Queries are checked on the half-integer grid where they need it.  A
+query's violation region can be an open interval between two integers
+(`time > 4 and time < 5` violates `A[] time <= 4 or time >= 5`), which
+no integer time meets.  When a state may delay by one unit it passes
+every time up to the next integer, so a query with two or more clock
+atoms (one atom cannot bound an interval on both sides) is also
+evaluated at the state's time + 1/2, with the region of the state's
+locations and data.
+
 A horizon bounds the time dimension.  It must exceed every query
 constant and every clock-guard constant (a deadline's threshold is the
 constant of its `time == θ` edge): past the last of them every guard is
@@ -144,13 +153,15 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     """BFS over unit-delay and discrete steps up to the horizon.
 
     Each of the parsed `queries` is evaluated pointwise at every
-    reachable concrete state; a violated query is not evaluated again,
-    and exploration stops once every query is violated.  Returns
-    (VerificationResult, verdicts), the result's `verdicts` again: the
-    result counts (locations, data) configurations in `states` and the
-    successors generated in `transitions`, carries the reachable
-    (locations, data) set, and has no traces.  The verdicts, one per
-    query, follow the zone engine's rule (`kernel.overall_verdicts`).
+    reachable concrete state, and one with two or more clock atoms also
+    halfway through each unit delay (see the module notes); a violated
+    query is not evaluated again, and exploration stops once every
+    query is violated.  Returns (VerificationResult, verdicts), the
+    result's `verdicts` again: the result counts (locations, data)
+    configurations in `states` and the successors generated in
+    `transitions`, carries the reachable (locations, data) set, and has
+    no traces.  The verdicts, one per query, follow the zone engine's
+    rule (`kernel.overall_verdicts`).
     `max_states` and `max_seconds` are budgets as in `kernel.explore`.
     """
     started = _time.monotonic()
@@ -172,14 +183,18 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     )
 
     regions = [Q.region_memo(q) for q in queries]
+    # the queries whose violation region may hold no integer time
+    between = {i for i, q in enumerate(queries)
+               if len(_clock_constants(q.root)) >= 2}
 
     live = list(range(len(queries)))
     violated = [False] * len(queries)
 
-    def checked(state):
-        """Evaluate the live queries at `state`; True once none is left."""
-        for i in tuple(live):
-            if Q.in_region(regions[i](state), state.time):
+    def checked(state, time, among):
+        """Evaluate the live queries of `among` at `state` and `time`;
+        True once no query is left."""
+        for i in among:
+            if Q.in_region(regions[i](state), time):
                 violated[i] = True
                 live.remove(i)
         return not live
@@ -196,7 +211,7 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
             reason, frozenset(keys), verdicts, (None,) * len(queries),
         ), verdicts
 
-    if live and checked(init):
+    if live and checked(init, init.time, tuple(live)):
         return result()
     ticks = 0
     while frontier:
@@ -204,14 +219,20 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
         if (ticks % 512 == 0 and max_seconds is not None
                 and _time.monotonic() - started > max_seconds):
             return result("wall-clock budget exhausted")
-        succ = _discrete_successors(net, frontier.popleft())
+        state = frontier.popleft()
+        succ = _discrete_successors(net, state)
         transitions += len(succ)
+        # a unit delay (always the first successor) passes time + 1/2
+        if between and succ and succ[0].time > state.time:
+            halfway = [i for i in live if i in between]
+            if halfway and checked(state, state.time + 0.5, halfway):
+                return result()
         for nxt in succ:
             if nxt.time > horizon or nxt in seen:
                 continue
             seen.add(nxt)
             keys.add((nxt.locs, nxt.data))
-            if live and checked(nxt):
+            if live and checked(nxt, nxt.time, tuple(live)):
                 return result()
             if max_states is not None and len(seen) > max_states:
                 return result("state budget exhausted")

@@ -349,6 +349,14 @@ class TestPassedList:
         assert passed.dead == set()
         assert passed._store[self.KEY] == [0]
 
+    def test_insert_reports_eviction(self):
+        meta = []
+        passed = K._Passed(meta)
+        assert self.insert(passed, meta, self.zone(2)) == K.STORED
+        assert self.insert(passed, meta, self.zone(5, lower=4)) == K.STORED
+        assert self.insert(passed, meta, self.zone(1)) == K.COVERED
+        assert self.insert(passed, meta, self.zone(5)) == K.EVICTED
+
     def test_without_subsumption_nothing_dies(self):
         meta = []
         passed = K._Passed(meta, subsumption=False)
@@ -630,6 +638,58 @@ class TestInterning:
         K.explore(shipped_net("cs-2-5-ALICE"))
         assert sizes() == before
 
+
+
+class TestSearchOrder:
+    """A state whose zone evicts a stored zone is expanded before the
+    rest of the waiting queue (module notes); without subsumption the
+    search is plain breadth-first."""
+
+    def expansions(self, monkeypatch):
+        """Patch `_apply_skeleton` to record each expanded (key, zone)."""
+        keys, expanded = {}, []
+        build_skeleton, apply_skeleton = K._build_skeleton, K._apply_skeleton
+
+        def keyed_skeleton(net, locs, data, table):
+            skel = build_skeleton(net, locs, data, table)
+            keys[id(skel)] = (locs, data)  # the cache keeps skel alive
+            return skel
+
+        def recorded(skel, zone):
+            expanded.append((keys[id(skel)], zone))
+            return apply_skeleton(skel, zone)
+
+        monkeypatch.setattr(K, "_build_skeleton", keyed_skeleton)
+        monkeypatch.setattr(K, "_apply_skeleton", recorded)
+        return expanded
+
+    def test_evictors_first_expansions(self, monkeypatch):
+        # plain breadth-first order expands 388 states here
+        net, _ctx = instantiate(build_cs_model(WorldConstants(10, 100)),
+                                adversary="ALICE")
+        expanded = self.expansions(monkeypatch)
+        res = K.explore(net)
+        assert (res.states, len(expanded)) == (249, 287)
+
+    def test_without_subsumption_breadth_first(self, monkeypatch):
+        net, _ctx = instantiate(build_cs_model(WorldConstants(2, 5)),
+                                adversary="ALICE")
+        expanded = self.expansions(monkeypatch)
+        stored = []
+        insert = K._Passed.insert
+
+        def recorded(passed, key, zone, sid):
+            outcome = insert(passed, key, zone, sid)
+            if outcome:
+                assert outcome == K.STORED
+                stored.append((sid, (key, zone)))
+            return outcome
+
+        monkeypatch.setattr(K._Passed, "insert", recorded)
+        K.explore(net, subsumption=False)
+        # every stored state is expanded, in state id order
+        assert [sid for sid, _state in stored] == list(range(len(stored)))
+        assert expanded == [state for _sid, state in stored]
 
 
 class TestCheckCounts:

@@ -345,11 +345,11 @@ def test_line_mutants_build_or_raise_model_error(path):
 
 
 SHIPPED_ROWS = [
-    ("cs", (10, 100), {}, None, (32, 68)),
-    ("cs", (10, 100), {}, "ALICE", (249, 746)),
+    ("cs", (10, 100), {}, None, (32, 62)),
+    ("cs", (10, 100), {}, "ALICE", (249, 536)),
     ("cs", (10, 100), {}, "BOB", (18, 38)),
-    ("cs", (2, 5), {"weakened_alice": True}, None, (33, 75)),
-    ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 754)),
+    ("cs", (2, 5), {"weakened_alice": True}, None, (33, 66)),
+    ("cs", (2, 5), {"weakened_alice": True}, "ALICE", (252, 542)),
     ("newscs", (1, 5), {}, None, (308, 588)),
     ("newscs", (1, 5), {"buggy_bob": True}, None, (300, 576)),
 ]
@@ -380,7 +380,8 @@ class TestShippedModels:
     """Pinned whole-exploration counters of the shipped files (no query,
     default checks): distinct keys and transitions.  Keys match the
     Python builders the files replaced; transitions come only from
-    states that no larger zone evicted before they were popped, over
+    states that no larger zone evicted before they were popped, with
+    evicting states expanded ahead of the breadth-first queue, over
     zones whose transaction clocks are extrapolated."""
 
     @pytest.mark.parametrize("contract,constants,variant,adversary,counts",

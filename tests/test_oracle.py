@@ -153,6 +153,24 @@ class TestHorizon:
         assert verdicts == ("LIMIT",) * 5
 
 
+class TestHalfIntegerTime:
+    """A violation region that is an open interval between two integers
+    is met halfway through a unit delay."""
+
+    @pytest.mark.parametrize("bound,verdict", [
+        (10, "VIOLATED"),   # time may pass 4.5
+        (4, "SATISFIED"),   # time stops at 4
+    ])
+    def test_agrees_with_zone_engine(self, bound, verdict):
+        inv = (("time", "<=", bound),)
+        wait = AutomatonTemplate("W", [Location("w", lambda d: inv)], [])
+        net = Network("wait", [wait], (), lambda d: ())
+        root = Q.Or(Q.ClockAtom("<=", 4, "4"), Q.ClockAtom(">=", 5, "5"))
+        q = Q.QueryAst(root, "A[] time <= 4 or time >= 5")
+        assert explore(net, check=Q.make_checker(q)).verdict == verdict
+        assert explore_discrete(net, queries=[q], horizon=12)[0].verdict == verdict
+
+
 def strict_lower_bound_net():
     bad = AutomatonTemplate(
         "Bad", [Location("x", None)],

@@ -14,7 +14,7 @@ global invariant `time <= T` bounds every run.  On each network:
 - the counterexample to every reachable key, and a few random runs,
   replay through `replay_trace`;
 - the zone and the discrete verdicts of random `A[]` queries over
-  locations and one `time` atom agree.
+  locations and up to two `time` atoms agree.
 
 Some networks have strict `<` invariants.  The oracle needs closed
 networks, so these get only the zone comparisons and the replays.
@@ -114,27 +114,25 @@ def random_network(rng):
 
 
 def random_query(rng, net, horizon):
-    """An `A[]` query over locations and at most one `time` atom, with a
-    constant below T + 2.
+    """An `A[]` query over locations and at most two `time` atoms, each
+    with a constant below T + 2.
 
-    With one clock atom, each conjunct of the violation region is one
-    interval of `time` with integer ends, which meets a closed zone in
-    an integer point if at all.  Two atoms can leave an open interval
-    between integers (`time > 4 and time < 5`), which no integer time
-    of the oracle reaches.
+    Two atoms can leave an open interval between integers as a conjunct
+    of the violation region (`time > 4 and time < 5`), which the oracle
+    meets only halfway through a unit delay.
     """
-    clock_left = True
+    clocks_left = 2
 
     def node(depth):
-        nonlocal clock_left
+        nonlocal clocks_left
         r = rng.random()
         if depth == 0 or r < 0.4:
-            if not clock_left or rng.random() < 0.5:
+            if not clocks_left or rng.random() < 0.5:
                 ai = rng.randrange(len(net.automata))
                 a = net.automata[ai]
                 li = rng.randrange(len(a.locations))
                 return Q.LocAtom(ai, a.name, li, a.locations[li].name)
-            clock_left = False
+            clocks_left -= 1
             const = rng.randint(0, horizon + 1)
             return Q.ClockAtom(rng.choice(QUERY_OPS), const, str(const))
         if r < 0.55:
