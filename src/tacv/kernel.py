@@ -33,10 +33,15 @@ Semantics notes:
 - Successors come from one routine: the zone-independent part of a
   key's successors (its "skeleton") is computed once per (locations,
   data) key and then applied to zones.  Exploration, random runs and
-  trace replay all use it.
+  trace replay all use it.  A skeleton keeps each data-enabled fire
+  except those whose clock guard bounds `time` from below past the
+  key's own invariant bound on `time` (a `tick@θ` above the helper's
+  first clear threshold, say): every zone applied to a key's skeleton
+  lies inside the key's invariants, so such a fire can never be taken,
+  and it gets no update, target invariants or transition check.
 - Checks run at three levels.  A network's transition checks see the
-  data before and after each data-enabled fire, once per fire of each
-  skeleton built.  They run in every `_build_skeleton`, so in
+  data before and after a fire, once per fire each skeleton built
+  keeps.  They run in every `_build_skeleton`, so in
   exploration, random runs, replay and trace building alike; only a
   network built without them (`contracts.instantiate` with
   `run_world_checks=False`) skips them.  Its state checks see only the
@@ -179,8 +184,10 @@ class Network:
     `transition_checks` are `chk(before, after)` on the data around one
     fire.  Both raise ModelInvariantError on a broken model invariant.
     `explore` runs a state check once per (locations, data) key and a
-    transition check once per fire of each skeleton; the kernel's zone
-    check runs on every stored zone state (see `run_state_checks`).
+    transition check once per fire each skeleton keeps (a data-enabled
+    fire that the key's own invariant bound on `time` does not rule
+    out); the kernel's zone check runs on every stored zone state (see
+    `run_state_checks`).
 
     A location invariant maps the data to clock atoms (key, op, const)
     that bound clocks only from above (`<`, `<=`); building a key's
@@ -521,17 +528,30 @@ def _build_skeleton(net, locs, data, table):
     at zero in their sorted slots.  Every tuple and data valuation the
     skeleton holds is the canonical one of the intern `table` (a dict
     that `explore` keeps for one call; see the module notes).
+
+    A fire whose clock guard bounds `time` from below past the key's own
+    invariant bound on `time` is left out before its update runs: every
+    zone applied to the skeleton lies inside those invariants, so no
+    zone can meet that guard.
     """
     insts = enabled_transitions(net, locs, data)
     urgent = any(i.urgent for i in insts)
     before = net.clock_owners(data)
     layout = _layout(before)
     inv_atoms, bounds = _invariants(net, locs, data, layout, table)
+    # the packed bound on `time`; a guard atom `time >= k` (or `== k`)
+    # needs 2k < cap, and `time > k` needs 2k + 1 < cap
+    cap = min((2 * k + (op == "<=") for idx, _z, op, k in inv_atoms if idx == 1),
+              default=INF)
     before_set = set(before)
     intern = table.setdefault
     fires = []
     for inst in insts:
         auto = net.automata[inst.auto]
+        cg = auto.guard_atoms[inst.edge]
+        if cg and any(2 * k + (op == ">") >= cap for _i, _z, op, k in cg
+                      if op != "<=" and op != "<"):
+            continue
         edge = auto.edges[inst.edge]
         data2 = edge.update(data, dict(inst.binds)) if edge.update else data
         locs2 = locs[:inst.auto] + (edge.target,) + locs[inst.auto + 1:]
@@ -553,7 +573,7 @@ def _build_skeleton(net, locs, data, table):
             perm = None
         inv2, bounds2 = _invariants(net, locs2, data2, _layout(after), table)
         fires.append((
-            intern(desc, desc), auto.guard_atoms[inst.edge], locs2, data2,
+            intern(desc, desc), cg, locs2, data2,
             drop, len(new), perm, inv2, bounds2,
         ))
         for chk in net.transition_checks:
@@ -609,7 +629,9 @@ def successors(net, state):
 
     The delay successor comes first, then the fires in enabled-transition
     order.  This is the skeleton routine `explore` uses, without its
-    per-key cache.
+    per-key cache.  The state's zone must lie inside its location
+    invariants, as every reachable zone does: a fire that those
+    invariants rule out is not built.
     """
     locs, data, zone = state
     out = []

@@ -508,7 +508,10 @@ def build_helper(deadlines):
     invariant is `time <= θ` for the smallest such θ, so time cannot
     pass a threshold before its flags are set; once every flag is set
     the invariant is empty.  No `.model` update sets or clears a flag,
-    so a clear flag means `time <= θ` and a set one `time >= θ`.
+    so a clear flag means `time <= θ` and a set one `time >= θ`.  The
+    edge of a group above the first clear one is data-enabled but
+    guards `time` past that invariant, so a skeleton never builds it
+    (see the kernel's module notes).
     """
     by_threshold = {}
     for d in deadlines:

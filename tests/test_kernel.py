@@ -695,9 +695,10 @@ class TestSearchOrder:
 class TestCheckCounts:
     """Every check runs wherever it must on the shipped scenarios.
 
-    Transition checks run on each data-enabled fire of every skeleton
-    built, the network's data checks on each reachable (locations, data)
-    key, and the kernel's zone checks on each stored zone state.
+    Transition checks run on each fire that a skeleton keeps (a
+    data-enabled fire not ruled out by its key's invariant bound on
+    `time`), the network's data checks on each reachable (locations,
+    data) key, and the kernel's zone checks on each stored zone state.
     """
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
@@ -755,6 +756,90 @@ class TestCheckCounts:
         net.state_checks += (refuse,)
         with pytest.raises(K.ModelInvariantError, match="refused valuation"):
             K.explore(net)
+
+
+def time_cap_net(cap_op, calls):
+    """A location holding `time <cap_op> 3`, and a probe whose edges guard
+    `time` at and around that bound; each probe update and each
+    transition check counts its calls in `calls`."""
+    def counted_update(label):
+        def update(d, b):
+            calls[label] = calls.get(label, 0) + 1
+            return d
+        return update
+
+    def check(before, after):
+        calls["check"] = calls.get("check", 0) + 1
+
+    cap = (("time", cap_op, 3),)
+    capped = K.AutomatonTemplate("Cap", [K.Location("c", lambda d: cap)], [])
+    guards = {"eq5": ("==", 5), "eq3": ("==", 3), "ge3": (">=", 3),
+              "gt3": (">", 3), "le1": ("<=", 1)}
+    probe = K.AutomatonTemplate("Probe", [K.Location("p", None)], [
+        K.Edge(0, 0, label, clock_guard=(("time", op, k),),
+               update=counted_update(label))
+        for label, (op, k) in guards.items()
+    ])
+    return K.Network("time-cap", [capped, probe], 0, lambda d: (),
+                     transition_checks=(check,))
+
+
+class TestSkeletonTimeCap:
+    """A skeleton leaves out each fire whose clock guard bounds `time`
+    from below past the key's own invariant bound on `time`."""
+
+    @pytest.mark.parametrize("cap_op,kept", [
+        ("<=", ["eq3", "ge3", "le1"]),
+        ("<", ["le1"]),
+    ])
+    def test_only_feasible_fires_built(self, cap_op, kept):
+        calls = {}
+        net = time_cap_net(cap_op, calls)
+        s0 = K.initial_state(net)
+        skel = K._build_skeleton(net, s0.locs, s0.data, {})
+        labels = [K.step_label(net, fire[0]).split(".")[1] for fire in skel.fires]
+        assert labels == kept
+        # no update and no transition check for a dropped fire
+        assert calls == dict({label: 1 for label in kept}, check=len(kept))
+        # every kept fire is enabled somewhere below the bound
+        top = K.successors(net, s0)[0][1]
+        assert sorted(K.step_label(net, desc).split(".")[1]
+                      for desc, _nxt in K.successors(net, top)
+                      if desc != K.DELAY) == kept
+
+    # (keys, transitions, skeleton fires); without the bound on `time`
+    # the skeletons hold 748 and 1,884 fires
+    @pytest.mark.parametrize("build,constants,adversary,counts", [
+        (build_cs_model, (10, 100), "ALICE", (249, 536, 497)),
+        (build_newscs_model, (1, 5), None, (308, 588, 908)),
+    ], ids=["cs-10-100-ALICE", "newscs-1-5-honest"])
+    def test_dropped_fires_disabled_on_every_stored_zone(
+            self, build, constants, adversary, counts, monkeypatch):
+        net, _ctx = instantiate(build(WorldConstants(*constants)),
+                                adversary=adversary)
+        fires = []
+        build_skeleton = K._build_skeleton
+
+        def counted_skeleton(net_, locs, data, table):
+            skel = build_skeleton(net_, locs, data, table)
+            fires.append(len(skel.fires))
+            return skel
+
+        monkeypatch.setattr(K, "_build_skeleton", counted_skeleton)
+        zones = {}
+        res = K.explore(net, check=lambda s: zones.setdefault(
+            (s.locs, s.data), []).append(s.zone))
+        assert (res.states, res.transitions, sum(fires)) == counts
+        dropped = 0
+        for (locs, data), stored in zones.items():
+            built = {fire[0] for fire in build_skeleton(net, locs, data, {}).fires}
+            for inst in K.enabled_transitions(net, locs, data):
+                if ("fire", inst.auto, inst.edge, inst.binds) in built:
+                    continue
+                dropped += 1
+                guard = net.automata[inst.auto].guard_atoms[inst.edge]
+                assert all(z.constrained(guard).is_empty() for z in stored)
+        assert dropped > 0
 
 
 def counterexamples(build, constants, adversary):
