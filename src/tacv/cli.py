@@ -48,6 +48,28 @@ def _fail(message):
     return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_ERROR, where
+    argparse's own exit code 2 would read as EXIT_LIMIT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, "%s: error: %s\n" % (self.prog, message))
+
+
+def _non_negative(kind):
+    """An option type: a number of `kind` (int or float) that is >= 0."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid number: %r" % text) from None
+        if not value >= 0:  # NaN compares false too
+            raise argparse.ArgumentTypeError("must be a number >= 0: %r" % text)
+        return value
+    return parse
+
+
 def _given(**options):
     return {name: value for name, value in options.items() if value is not None}
 
@@ -215,7 +237,7 @@ def _add_scenario_args(p):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tacv",
         description="Timed-automata verification of Bitcoin contracts",
     )
@@ -227,8 +249,8 @@ def main(argv=None):
                     help="inline A[] property (repeatable)")
     pv.add_argument("--query-file", metavar="FILE", help=".q file, one property per line")
     pv.add_argument("--engine", choices=("zone", "discrete"), default="zone")
-    pv.add_argument("--max-states", type=int)
-    pv.add_argument("--max-seconds", type=float)
+    pv.add_argument("--max-states", type=_non_negative(int))
+    pv.add_argument("--max-seconds", type=_non_negative(float))
     pv.add_argument("--trace-out", metavar="FILE",
                     help="write the trace document of the first violated"
                     " query, in report order, here")
@@ -237,7 +259,7 @@ def main(argv=None):
     ps = sub.add_parser("simulate", help="one random maximal run")
     _add_scenario_args(ps)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--steps", type=int, default=50)
+    ps.add_argument("--steps", type=_non_negative(int), default=50)
     ps.set_defaults(func=cmd_simulate)
 
     pt = sub.add_parser("trace", help="replay a saved trace document")

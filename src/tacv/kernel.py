@@ -31,19 +31,30 @@ Semantics notes:
   enabled transitions come before urgent ones, each ordered by
   (automaton index, edge index, select binding).
 - Successors come from one routine: the zone-independent part of a
-  key's successors (its "skeleton") is computed once per (locations,
-  data) key and then applied to zones.  Exploration, random runs and
-  trace replay all use it.  A skeleton keeps each data-enabled fire
+  key's successors (its "skeleton") is built per (locations, data) key,
+  one fire at a time (`_build_fire`), and then applied to zones, one
+  fire at a time (`_fire_successor`).  Exploration and random runs use
+  whole skeletons; trace replay builds and applies only the fire each
+  step names.  A skeleton keeps each data-enabled fire
   except those whose clock guard bounds `time` from below past the
   key's own invariant bound on `time` (a `tick@θ` above the helper's
   first clear threshold, say): every zone applied to a key's skeleton
   lies inside the key's invariants, so such a fire can never be taken,
   and it gets no update, target invariants or transition check.
+- `explore` keeps a key's skeleton only while a state of the key waits
+  in its queue, as the passed/waiting list of UPPAAL keeps only what
+  its waiting states still need (Behrmann et al., "UPPAAL
+  Implementation Secrets", FTRTFT 2002).  It counts each key's waiting
+  states, dead ones included; the skeleton goes once its last waiting
+  state has been expanded (unless that expansion stored another zone
+  of the key), and a zone of the key stored later builds it again.
+  On the shipped scenarios no key gets a zone after its last waiting
+  state is expanded, so each key's skeleton is built once.
 - Checks run at three levels.  A network's transition checks see the
-  data before and after a fire, once per fire each skeleton built
-  keeps.  They run in every `_build_skeleton`, so in
-  exploration, random runs, replay and trace building alike; only a
-  network built without them (`contracts.instantiate` with
+  data before and after a fire, once per fire built: they run in every
+  `_build_fire`, so on each fire a skeleton keeps (again when a key's
+  skeleton is rebuilt) and on each fire a replay or a trace follows;
+  only a network built without them (`contracts.instantiate` with
   `run_world_checks=False`) skips them.  Its state checks see only the
   data valuation and run once per (locations, data) key, when the
   key's first zone is stored.  The kernel's own zone check
@@ -87,7 +98,7 @@ Semantics notes:
   each fire's locations, data and descriptor and for each key's
   invariant atoms and extrapolation bounds, so a successor's
   (locations, data) key is made of the very objects that the passed
-  list and the skeleton cache store: each is held once, and key
+  list and the waiting counts store: each is held once, and key
   comparison short-circuits on identity.  Nothing of the table outlives
   the call.  Fire labels (`Automaton.edge`) take no part in
   exploration; a trace derives them from its descriptors (`step_label`).
@@ -184,9 +195,10 @@ class Network:
     `transition_checks` are `chk(before, after)` on the data around one
     fire.  Both raise ModelInvariantError on a broken model invariant.
     `explore` runs a state check once per (locations, data) key and a
-    transition check once per fire each skeleton keeps (a data-enabled
-    fire that the key's own invariant bound on `time` does not rule
-    out); the kernel's zone check runs on every stored zone state (see
+    transition check once per fire each skeleton it builds keeps (a
+    data-enabled fire that the key's own invariant bound on `time` does
+    not rule out; a rebuilt key's fires are checked again); the
+    kernel's zone check runs on every stored zone state (see
     `run_state_checks`).
 
     A location invariant maps the data to clock atoms (key, op, const)
@@ -509,76 +521,94 @@ class _Skeleton(NamedTuple):
 
     Guards, updates, urgency and invariant atoms never read clocks, so
     sibling states that differ only in their zone share all of this.
+    `explore` keeps a key's skeleton only while a state of the key waits
+    in its queue, and builds it again for a zone of the key stored after
+    that (see `explore`).
     """
 
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
     bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
-    fires: tuple   # (desc, guard_atoms, locs2, data2, drop, nnew, perm, inv2,
-                   #  bounds2); desc, locs2, data2, inv2 and bounds2 are
-                   #  canonical objects of the intern table
+    fires: tuple        # one `_build_fire` tuple per fire kept
+
+
+def _time_cap(inv_atoms):
+    """The packed upper bound on `time` of invariant atoms `inv_atoms`
+    (INF when none bounds it)."""
+    return min((2 * k + (op == "<=") for idx, _z, op, k in inv_atoms if idx == 1),
+               default=INF)
 
 
 def _build_skeleton(net, locs, data, table):
-    """The skeleton of one key: computed once, applied to each of its zones.
+    """The skeleton of one key, applied to each of its zones.
 
     Delay is blocked by enabled urgent edges and otherwise bounded by
-    the location invariants.  On a fire, clocks of items that left the
-    pending set are dropped, and items that entered it get fresh clocks
-    at zero in their sorted slots.  Every tuple and data valuation the
-    skeleton holds is the canonical one of the intern `table` (a dict
-    that `explore` keeps for one call; see the module notes).
-
-    A fire whose clock guard bounds `time` from below past the key's own
-    invariant bound on `time` is left out before its update runs: every
-    zone applied to the skeleton lies inside those invariants, so no
-    zone can meet that guard.
+    the location invariants.  It keeps each data-enabled fire that
+    `_build_fire` does not rule out.  Every tuple and data valuation the
+    skeleton holds is
+    the canonical one of the intern `table` (a dict that `explore` keeps
+    for one call; see the module notes).
     """
     insts = enabled_transitions(net, locs, data)
-    urgent = any(i.urgent for i in insts)
     before = net.clock_owners(data)
-    layout = _layout(before)
-    inv_atoms, bounds = _invariants(net, locs, data, layout, table)
-    # the packed bound on `time`; a guard atom `time >= k` (or `== k`)
-    # needs 2k < cap, and `time > k` needs 2k + 1 < cap
-    cap = min((2 * k + (op == "<=") for idx, _z, op, k in inv_atoms if idx == 1),
-              default=INF)
-    before_set = set(before)
-    intern = table.setdefault
+    inv_atoms, bounds = _invariants(net, locs, data, _layout(before), table)
+    cap = _time_cap(inv_atoms)
     fires = []
     for inst in insts:
-        auto = net.automata[inst.auto]
-        cg = auto.guard_atoms[inst.edge]
-        if cg and any(2 * k + (op == ">") >= cap for _i, _z, op, k in cg
-                      if op != "<=" and op != "<"):
-            continue
-        edge = auto.edges[inst.edge]
-        data2 = edge.update(data, dict(inst.binds)) if edge.update else data
-        locs2 = locs[:inst.auto] + (edge.target,) + locs[inst.auto + 1:]
-        data2 = _intern_data(table, data2)
-        locs2 = intern(locs2, locs2)
-        desc = ("fire", inst.auto, inst.edge, inst.binds)
-        after = net.clock_owners(data2)
-        after_set = set(after)
-        drop = tuple(
-            2 + i for i, o in enumerate(before) if o not in after_set
-        )
-        kept = [o for o in before if o in after_set]
-        new = [o for o in after if o not in before_set]
-        if new:
-            # appended clocks must move to their canonical sorted slots
-            interim = kept + new
-            perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
-        else:
-            perm = None
-        inv2, bounds2 = _invariants(net, locs2, data2, _layout(after), table)
-        fires.append((
-            intern(desc, desc), cg, locs2, data2,
-            drop, len(new), perm, inv2, bounds2,
-        ))
-        for chk in net.transition_checks:
-            chk(data, data2)
-    return _Skeleton(urgent, inv_atoms, bounds, tuple(fires))
+        fire = _build_fire(net, locs, data, inst, before, cap, table)
+        if fire is not None:
+            fires.append(fire)
+    return _Skeleton(any(i.urgent for i in insts), inv_atoms, bounds, tuple(fires))
+
+
+def _build_fire(net, locs, data, inst, before, cap, table):
+    """The zone-independent part of firing `inst` from (locs, data).
+
+    `before` is the key's clock owners and `cap` its packed bound on
+    `time` (`_time_cap`).  Returns (desc, guard_atoms, locs2, data2,
+    drop, nnew, perm, inv2, bounds2), where desc, locs2, data2, inv2 and
+    bounds2 are canonical objects of the intern `table`: clocks of items
+    that left the pending set are dropped, and items that entered it get
+    fresh clocks at zero in their sorted slots.  The network's
+    transition checks run on the fire.
+
+    A fire whose clock guard bounds `time` from below past `cap` is
+    ruled out before its update runs (None): every zone applied to the
+    key's skeleton lies inside the key's invariants, so no zone can meet
+    that guard.
+    """
+    auto = net.automata[inst.auto]
+    cg = auto.guard_atoms[inst.edge]
+    # a guard atom `time >= k` (or `== k`) needs 2k < cap, and
+    # `time > k` needs 2k + 1 < cap
+    if cg and any(2 * k + (op == ">") >= cap for _i, _z, op, k in cg
+                  if op != "<=" and op != "<"):
+        return None
+    intern = table.setdefault
+    edge = auto.edges[inst.edge]
+    data2 = edge.update(data, dict(inst.binds)) if edge.update else data
+    locs2 = locs[:inst.auto] + (edge.target,) + locs[inst.auto + 1:]
+    data2 = _intern_data(table, data2)
+    locs2 = intern(locs2, locs2)
+    desc = ("fire", inst.auto, inst.edge, inst.binds)
+    after = net.clock_owners(data2)
+    after_set = set(after)
+    drop = tuple(
+        2 + i for i, o in enumerate(before) if o not in after_set
+    )
+    kept = [o for o in before if o in after_set]
+    new = [o for o in after if o not in before]
+    if new:
+        # appended clocks must move to their canonical sorted slots
+        interim = kept + new
+        perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
+    else:
+        perm = None
+    inv2, bounds2 = _invariants(net, locs2, data2, _layout(after), table)
+    for chk in net.transition_checks:
+        chk(data, data2)
+    return (intern(desc, desc), cg, locs2, data2,
+            drop, len(new), perm, inv2, bounds2)
 
 
 def _apply_skeleton(skel, zone):
@@ -597,24 +627,34 @@ def _apply_skeleton(skel, zone):
             if delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
             out.append((DELAY, None, None, delayed, skel.inv_atoms, skel.bounds))
-    for desc, cg, locs2, data2, drop, nnew, perm, inv2, bounds2 in skel.fires:
-        z = zone
-        if cg:
-            z = z.constrained(cg)
-            if z.is_empty():
-                continue
-        if drop:
-            z = z.remove_clocks(drop)
-        for _ in range(nnew):
-            z = z.add_clock_zero()
-        if perm is not None:
-            z = _permute(z, perm)
-        if inv2:
-            z = z.constrained(inv2)
-            if z.is_empty():
-                continue
-        out.append((desc, locs2, data2, z, inv2, bounds2))
+    for fire in skel.fires:
+        succ = _fire_successor(fire, zone)
+        if succ is not None:
+            out.append(succ)
     return out
+
+
+def _fire_successor(fire, zone):
+    """(desc, locs2, data2, zone2, inv2, bounds2) of one `_build_fire`
+    tuple applied to `zone`, or None when its clock guard or its
+    target invariants empty the zone."""
+    desc, cg, locs2, data2, drop, nnew, perm, inv2, bounds2 = fire
+    z = zone
+    if cg:
+        z = z.constrained(cg)
+        if z.is_empty():
+            return None
+    if drop:
+        z = z.remove_clocks(drop)
+    for _ in range(nnew):
+        z = z.add_clock_zero()
+    if perm is not None:
+        z = _permute(z, perm)
+    if inv2:
+        z = z.constrained(inv2)
+        if z.is_empty():
+            return None
+    return desc, locs2, data2, z, inv2, bounds2
 
 
 def _permute(zone, perm):
@@ -628,8 +668,8 @@ def successors(net, state):
     """Successors of one symbolic state as (descriptor, state) pairs.
 
     The delay successor comes first, then the fires in enabled-transition
-    order.  This is the skeleton routine `explore` uses, without its
-    per-key cache.  The state's zone must lie inside its location
+    order.  This is the skeleton routine `explore` uses, built for
+    this one state.  The state's zone must lie inside its location
     invariants, as every reachable zone does: a fire that those
     invariants rule out is not built.
     """
@@ -725,6 +765,11 @@ def explore(
     Stored zones are extrapolated (see the module notes); with
     `extrapolate=False` they are exact, which is used to validate that
     extrapolation never changes a verdict or a reachable set.
+
+    A key's skeleton lives while a state of the key waits in the queue:
+    it is built when the first of them is expanded and dropped after
+    the expansion that leaves none waiting, dead states included.  A
+    zone of the key stored after that builds it again.
     """
     started = _time.monotonic()
     checks = () if check is None else (check,) if callable(check) else tuple(check)
@@ -774,33 +819,38 @@ def explore(
 
     frontier = deque([0])
     evictors = deque()  # expanded first (see the module notes)
-    skeletons = {}
+    # key -> [its states in the queue, its skeleton or None]; a key
+    # leaves once its last waiting state is expanded
+    waiting = {(init.locs, init.data): [1, None]}
     ticks = 0
     while evictors or frontier:
         ticks += 1
         if ticks % 512 == 0 and out_of_time():
             return result("wall-clock budget exhausted")
         sid = (evictors or frontier).popleft()
-        if sid in dead:
-            continue
         state = meta[sid][0]
         key = (state.locs, state.data)
-        skel = skeletons.get(key)
+        entry = waiting[key]
+        entry[0] -= 1
+        if sid in dead:
+            if not entry[0]:
+                del waiting[key]
+            continue
+        skel = entry[1]
         if skel is None:
-            skel = skeletons[key] = _build_skeleton(net, state.locs, state.data,
-                                                    table)
+            skel = entry[1] = _build_skeleton(net, state.locs, state.data, table)
         for desc, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(
                 skel, state.zone):
             transitions += 1
             if bounds2 and extrapolate:
                 zone2 = _extrapolate(zone2, bounds2)
             if locs2 is None:  # delay successor keeps the configuration
-                nxt = SymbolicState(state.locs, state.data, zone2)
-            else:
-                nxt = SymbolicState(locs2, data2, zone2)
+                locs2, data2 = key
+            nxt = SymbolicState(locs2, data2, zone2)
+            key2 = (locs2, data2)
             nid = len(meta)
             known = passed.key_count
-            stored = passed.insert((nxt.locs, nxt.data), nxt.zone, nid)
+            stored = passed.insert(key2, zone2, nid)
             if not stored:
                 continue
             if run_checks:
@@ -814,6 +864,9 @@ def explore(
             if max_states is not None and len(meta) > max_states:
                 return result("state budget exhausted")
             (evictors if stored == EVICTED else frontier).append(nid)
+            waiting.setdefault(key2, [0, None])[0] += 1
+        if not entry[0]:  # no state of the key waits: drop its skeleton
+            del waiting[key]
     return result()
 
 
@@ -831,19 +884,28 @@ def step_label(net, desc):
 
 def _follow(net, state, desc, i):
     """(successor, its invariant atoms) of `state` along the descriptor
-    of step `i`, from the state's skeleton.  Raises ReplayError when the
+    of step `i`.  Only the fire it names is built, by the skeleton's own
+    `_build_fire` and `_fire_successor`.  Raises ReplayError when the
     step is not enabled; a delay is refused while an urgent edge is."""
-    skel = _build_skeleton(net, state.locs, state.data, {})
+    locs, data, zone = state
+    insts = enabled_transitions(net, locs, data)
+    before = net.clock_owners(data)
+    inv_atoms = _invariants(net, locs, data, _layout(before), {})[0]
     if desc == DELAY:
-        if skel.urgent:
+        if any(inst.urgent for inst in insts):
             raise ReplayError(i, "delay while an urgent edge is enabled")
         # a zone its invariants already close under delay is its own
         # delay successor: only a delay of zero is left there
-        return (state._replace(zone=state.zone.up().constrained(skel.inv_atoms)),
-                skel.inv_atoms)
-    for d, locs2, data2, zone2, inv2, _b in _apply_skeleton(skel, state.zone):
-        if d == desc:
-            return SymbolicState(locs2, data2, zone2), inv2
+        return state._replace(zone=zone.up().constrained(inv_atoms)), inv_atoms
+    for inst in insts:
+        if ("fire", inst.auto, inst.edge, inst.binds) == desc:
+            fire = _build_fire(net, locs, data, inst, before,
+                               _time_cap(inv_atoms), {})
+            succ = None if fire is None else _fire_successor(fire, zone)
+            if succ is not None:
+                _d, locs2, data2, zone2, inv2, _b = succ
+                return SymbolicState(locs2, data2, zone2), inv2
+            break
     try:
         what = step_label(net, desc)
     except (IndexError, TypeError):  # names no edge of the network

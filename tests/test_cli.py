@@ -489,6 +489,36 @@ class TestSimulate:
         assert '"OPEN": "CONFIRMED"' in out
 
 
+class TestUsageErrors:
+    """A usage error exits 3, as the `cli` docstring says: argparse's
+    own exit code 2 would read as LIMIT."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "cs", "--max-states", "abc"], "invalid number: 'abc'"),
+        (["verify", "cs", "--max-states", "-5"], "must be a number >= 0: '-5'"),
+        (["verify", "cs", "--max-seconds", "-1", "--query", "A[] true"],
+         "must be a number >= 0: '-1'"),
+        (["verify", "cs", "--max-seconds", "nan"], "must be a number >= 0"),
+        (["simulate", "cs", "--steps", "-3"], "must be a number >= 0: '-3'"),
+        (["verify", "cs", "--engine", "dbm"], "invalid choice"),
+        (["frobnicate"], "invalid choice"),
+    ], ids=["states-abc", "states-negative", "seconds-negative", "seconds-nan",
+            "steps-negative", "bad-choice", "bad-command"])
+    def test_exit_three_with_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: tacv")
+        assert message in out.err
+
+    def test_zero_budget_accepted(self, capsys):
+        code, out, _err = run(capsys, "verify", "cs", *REDUCED, "--max-states",
+                              "0", "--query", "A[] true")
+        assert code == cli.EXIT_LIMIT
+        assert "state budget exhausted" in out
+
+
 class TestList:
     def test_lists_contracts_and_queries(self, capsys):
         code, out, _err = run(capsys, "list")

@@ -7,8 +7,11 @@ needs MAX_LATENCY >= 3: the exploit chains three sequential
 confirmations, each gaining at most MAX_LATENCY - 1.
 """
 
+import json
+
 import pytest
 
+from tacv import modelio as M
 from tacv import queries as Q
 from tacv import world as w
 from tacv.contracts import build_newscs_model, instantiate
@@ -142,3 +145,14 @@ class TestAbortMargin:
         t = model.tx_names
         assert final.data.txs[t["CSA_OPEN"]].status == w.CANCELED
         assert final.data.txs[t["CSA_FUSE"]].status == w.CONFIRMED
+        # the counterexample replays on its own, with the margin it was
+        # found at; without its variant it meets margin 3, whose abort
+        # deadline 13 - 3*3 = 4 it overruns
+        doc = json.loads(json.dumps(M.trace_to_document(
+            res.trace, net, model, "BOB", model.queries["alice_compensated"])))
+        assert doc["variant"]["abort_margin"] == 2
+        final = M.replay_document(doc)
+        assert Q.evaluate(final, q) is not None
+        del doc["variant"]
+        with pytest.raises(M.TraceReplayError, match="invariant time <= 4 broken"):
+            M.replay_document(doc)

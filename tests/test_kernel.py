@@ -9,9 +9,11 @@ dynamic clock sets, exploration and trace replay without any of the
 block-chain machinery.
 """
 
+import functools
 import gc
 import json
 import random
+from collections import deque
 from typing import NamedTuple
 
 import pytest
@@ -20,8 +22,12 @@ from tacv import kernel as K
 from tacv import modelio as M
 from tacv import queries as Q
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
+from tacv.oracle import explore_discrete
 from tacv.world import WorldConstants
 from tacv.zones import INF, Zone, pack
+
+from test_modelio import SHIPPED_IDS, SHIPPED_ROWS
+from test_modelio import shipped_net as shipped_row_net
 
 
 IDLE, RUNNING, DONE = 0, 1, 2
@@ -652,11 +658,12 @@ class TestSearchOrder:
 
         def keyed_skeleton(net, locs, data, table):
             skel = build_skeleton(net, locs, data, table)
-            keys[id(skel)] = (locs, data)  # the cache keeps skel alive
+            # holding skel keeps its id from being reused by a later one
+            keys[id(skel)] = (skel, (locs, data))
             return skel
 
         def recorded(skel, zone):
-            expanded.append((keys[id(skel)], zone))
+            expanded.append((keys[id(skel)][1], zone))
             return apply_skeleton(skel, zone)
 
         monkeypatch.setattr(K, "_build_skeleton", keyed_skeleton)
@@ -692,13 +699,124 @@ class TestSearchOrder:
         assert expanded == [state for _sid, state in stored]
 
 
+def revisit_net():
+    """A key whose last waiting state is expanded before a later zone of
+    it is stored.  Flip leaves A at once (an urgent edge blocks delay
+    there); B delays up to `time <= 4` and goes back to A at `time >= 3`,
+    a zone of A that its first zone, `time == 0`, does not cover."""
+    flip = K.AutomatonTemplate("Flip", [
+        K.Location("A", None),
+        K.Location("B", lambda d: (("time", "<=", 4),)),
+    ], [
+        K.Edge(0, 1, "go", urgent=True),
+        K.Edge(1, 0, "back", clock_guard=(("time", ">=", 3),)),
+    ])
+    return K.Network("revisit", [flip], 0, lambda d: ())
+
+
+class TestSkeletonLifetime:
+    """`explore` keeps a key's skeleton only while a state of the key
+    waits in its queue, and builds it again for a zone of the key stored
+    after that (module notes)."""
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """Patch `_build_skeleton` to count its builds per key."""
+        builds = {}
+        build_skeleton = K._build_skeleton
+
+        def counted(net, locs, data, table):
+            builds[(locs, data)] = builds.get((locs, data), 0) + 1
+            return build_skeleton(net, locs, data, table)
+
+        monkeypatch.setattr(K, "_build_skeleton", counted)
+        return builds
+
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
+    def test_one_build_per_key_on_shipped_rows(self, contract, constants,
+                                               variant, adversary, counts,
+                                               monkeypatch):
+        _model, net, _ctx = shipped_row_net(contract, constants, variant,
+                                            adversary)
+        builds = self.counted_builds(monkeypatch)
+        res = K.explore(net)
+        assert res.states == len(builds) == counts[0]
+        assert set(builds.values()) == {1}
+
+    def test_revisited_key_rebuilt(self, monkeypatch):
+        net = revisit_net()
+        builds = self.counted_builds(monkeypatch)
+        res = K.explore(net, collect_reachable=True)
+        assert builds == {((0,), 0): 2, ((1,), 0): 1}
+        flat = K.explore(net, collect_reachable=True, subsumption=False)
+        oracle = explore_discrete(net, horizon=6)[0]
+        assert res.reachable == flat.reachable == oracle.reachable
+        assert len(res.reachable) == 2
+
+        def in_a(*clock):
+            a = Q.LocAtom(0, "Flip", 0, "A")
+            atoms = [Q.ClockAtom(op, k, str(k)) for op, k in clock]
+            return functools.reduce(Q.And, atoms, a)
+
+        asts = [Q.QueryAst(Q.Not(root), "") for root in (
+            in_a((">=", 3)),              # A again from time 3 on
+            in_a((">", 0), ("<", 3)),     # never in A between 0 and 3
+        )]
+        verdicts = [K.explore(net, check=[Q.make_checker(q) for q in asts],
+                              subsumption=lu).verdicts for lu in (True, False)]
+        assert verdicts[0] == verdicts[1] == ("VIOLATED", "SATISFIED")
+        assert explore_discrete(net, queries=asts, horizon=6)[1] == verdicts[0]
+
+    def test_alive_skeletons_bounded_by_waiting_keys(self, monkeypatch):
+        net, _ctx = instantiate(build_cs_model(WorldConstants(10, 100)),
+                                adversary="ALICE")
+        alive, queues, keys, excess = [0], [], {}, []
+
+        class Alive(K._Skeleton):
+            def __del__(self):
+                alive[0] -= 1
+
+        class Queue(deque):
+            def __init__(self, *args):
+                super().__init__(*args)
+                queues.append(self)
+
+        build_skeleton, apply_skeleton = K._build_skeleton, K._apply_skeleton
+        insert = K._Passed.insert
+
+        def counted(net_, locs, data, table):
+            alive[0] += 1
+            return Alive(*build_skeleton(net_, locs, data, table))
+
+        def keyed(passed, key, zone, sid):
+            keys[sid] = key
+            return insert(passed, key, zone, sid)
+
+        def measured(skel, zone):
+            waiting = {keys[sid] for queue in queues for sid in queue}
+            excess.append(alive[0] - len(waiting))
+            return apply_skeleton(skel, zone)
+
+        monkeypatch.setattr(K, "deque", Queue)
+        monkeypatch.setattr(K, "_build_skeleton", counted)
+        monkeypatch.setattr(K, "_apply_skeleton", measured)
+        monkeypatch.setattr(K._Passed, "insert", keyed)
+        res = K.explore(net)
+        assert (res.states, len(excess)) == (249, 287)
+        # the skeleton of the key being expanded may be the one more
+        assert max(excess) <= 1
+        assert alive[0] == 0
+
+
 class TestCheckCounts:
     """Every check runs wherever it must on the shipped scenarios.
 
     Transition checks run on each fire that a skeleton keeps (a
     data-enabled fire not ruled out by its key's invariant bound on
-    `time`), the network's data checks on each reachable (locations,
-    data) key, and the kernel's zone checks on each stored zone state.
+    `time`), so a rebuilt key's fires are checked again; the network's
+    data checks run on each reachable (locations, data) key, and the
+    kernel's zone checks on each stored zone state.
     """
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
@@ -806,6 +924,21 @@ class TestSkeletonTimeCap:
         assert sorted(K.step_label(net, desc).split(".")[1]
                       for desc, _nxt in K.successors(net, top)
                       if desc != K.DELAY) == kept
+
+    def test_replay_builds_only_the_followed_fire(self):
+        calls = {}
+        net = time_cap_net("<=", calls)
+        s0 = K.initial_state(net)
+        le1 = ("fire", 1, 4, ())
+        nxt, inv = K._follow(net, s0, le1, 0)
+        assert (nxt.locs, inv) == (s0.locs, ((1, 0, "<=", 3),))
+        assert calls == {"le1": 1, "check": 1}
+        # a fire the bound on `time` rules out is refused before its update
+        calls.clear()
+        with pytest.raises(K.ReplayError,
+                           match=r"^step 2: transition 'Probe.eq5' not enabled here$"):
+            K._follow(net, s0, ("fire", 1, 0, ()), 2)
+        assert calls == {}
 
     # (keys, transitions, skeleton fires); without the bound on `time`
     # the skeletons hold 748 and 1,884 fires
