@@ -59,8 +59,7 @@ def derive_adversary_txset(protocol_txs, adv_key):
     return tuple(txs)
 
 
-def build_adversary_automaton(cfg, adv_slot, tx_count, nss_table, capacity,
-                              sendable=None):
+def build_adversary_automaton(cfg, adv_slot, tx_count, nss_table, sendable=None):
     """Single-state adversary: try-send loop plus urgent message loops.
 
     `sendable` restricts the try-send select; None means every

@@ -35,14 +35,14 @@ class ContractModel(NamedTuple):
     tx_names: dict              # name -> tx id (protocol transactions)
     protocol_txs: tuple
     nss_table: tuple
-    sig_capacity: int
+    sig_capacity: int           # size bound of the world's signature pool
     timers: tuple               # ((name, threshold), ...)
     initial_parties: tuple      # knowledge for honest slots, empty adversary
     honest_automata: dict       # party index -> (AutomatonTemplate, ...)
     adversary_configs: dict     # party index -> AdversaryConfig
     queries: dict               # name -> property text
     total_value: int
-    signed_txs: tuple           # txs that exchanged signatures cover
+    signed_txs: tuple           # txs some broadcast_signature statement signs
     mark_count: int = 0         # protocol progress marks in the data
     variant: tuple = ()         # non-default variant options as given, sorted (name, value)
     source: tuple = None        # (absolute path, text) of a loaded .model file
@@ -105,6 +105,10 @@ def instantiate(model, adversary=None, run_world_checks=True,
     Raises ModelError for an adversary that is no party or has no
     `[adversary]` section, and for an honest party without an automaton.
 
+    The chain agent chooses a malleability nonce only when it confirms
+    an input of a signed transaction (`model.signed_txs`): no other
+    nonce is ever compared with a pooled signature's.
+
     With `run_world_checks` the network carries the world's checks: one
     state check on the data valuation (value conservation, nonce
     consistency, eavesdropping and the confirmed unspent total), which
@@ -155,7 +159,6 @@ def instantiate(model, adversary=None, run_world_checks=True,
         if tx.timelock > 0:
             deadlines.append(W.timelock_flag(tx.num, tx.timelock))
 
-    # only inputs of signature-covered transactions have live nonces
     nonce_relevant = sorted({
         src_tx
         for signed in model.signed_txs
@@ -178,8 +181,7 @@ def instantiate(model, adversary=None, run_world_checks=True,
                 )
             automata.append(
                 build_adversary_automaton(
-                    cfg, adv_slot, len(txs), model.nss_table,
-                    model.sig_capacity, sendable=sendable,
+                    cfg, adv_slot, len(txs), model.nss_table, sendable=sendable,
                 )
             )
         elif p in model.honest_automata:

@@ -14,7 +14,10 @@ constant evaluator), with atoms of their own: `time OP const-expr` for
 clock guards, and for guards and updates the block-chain helper
 operations by name (status checks, try_to_send, broadcast_signature,
 ...).  Guards and updates become closures over the loaded model's
-tables, never compiled code.  The grammar is documented in
+tables, never compiled code.  The transactions that
+`broadcast_signature` statements name, in automata and adversary
+messages alike, are the model's signed set: the chain agent chooses a
+malleability nonce only for their inputs.  The grammar is documented in
 docs/model_grammar.ebnf.
 
 The built-in contracts `cs` and `newscs` are the shipped
@@ -98,7 +101,7 @@ E_STRICT = "E_STRICT"
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)(?:\s+(.*))?\]$")
 _SECTIONS = ("constants", "keys", "secrets", "parties", "transactions", "nss",
-             "timers", "marks", "signed", "automaton", "adversary", "queries")
+             "timers", "marks", "automaton", "adversary", "queries")
 _INVARIANT_RE = re.compile(r'invariant="time\s*<=\s*([^"]+)"')
 _EDGE_RE = re.compile(
     r"^edge\s+(\w+)\s*->\s*(\w+)"
@@ -472,7 +475,7 @@ class _Loader:
                                        % (tx.num, src, oi))
 
         self.walk("transactions", spends_existing_outputs)
-        self.capacity = None
+        self.capacity, self.signed = None, set()
         knowledge = self.walk("parties", self.party)
         honest = {}
         for p, template in self.walk("automaton", section=self.automaton):
@@ -480,8 +483,6 @@ class _Loader:
         self.adversary_configs = {}
         self.walk("adversary", section=self.adversary)
         timers = self.walk("timers", self.timer)
-        signed = self.walk("signed", lambda t: [
-            _lookup(self.txs, s, "transaction", E_DANGLING_TX) for s in t.split()])
         nobody = PartyKnowledge((False,) * len(self.keys), (False,) * len(self.secrets))
         return ContractModel(
             name=self.name,
@@ -499,7 +500,7 @@ class _Loader:
             adversary_configs=self.adversary_configs,
             queries=self.queries,
             total_value=sum(o.value for t in txs if t.status == W.CONFIRMED for o in t.outputs),
-            signed_txs=tuple(i for ids in signed for i in ids),
+            signed_txs=tuple(sorted(self.signed)),
             mark_count=len(self.marks),
             variant=self.variant,
         )
@@ -560,9 +561,8 @@ class _Guard(_Expr):
         super().__init__(text, names.constants)
         self.names = names
 
-    def args(self, *params, nonce=False):
-        """`(NAME, ...)`, each name looked up in its (table, what); with
-        `nonce`, an optional `, INT` follows and comes last (None if absent)."""
+    def args(self, *params):
+        """`(NAME, ...)`, each name looked up in its (table, what)."""
         self.expect("(")
         values = []
         for table, what in params:
@@ -572,15 +572,6 @@ class _Guard(_Expr):
             if name not in table:
                 self.fail_name(name, table, what)
             values.append(table[name])
-        if nonce:
-            pinned = None
-            if self.peek() == ",":
-                self.next()
-                tok = self.next()
-                if not tok.isdigit():
-                    self.error("expected a nonce, found %r" % (tok or "end of input"))
-                pinned = int(tok)
-            values.append(pinned)
         self.expect(")")
         return values
 
@@ -621,8 +612,7 @@ class _Guard(_Expr):
         if tok == "know_signature":
             p, tx, k = self.args((n.parties, "party"), (n.txs, "transaction"),
                                  (n.keys, "key"))
-            return lambda w, pi=p, t=tx, ki=k: W.know_signature(
-                w, pi, w.txs[t], 0, ki)
+            return lambda w, pi=p, t=tx, ki=k: W.know_signature(w, pi, w.txs[t], ki)
         if tok == "can_create_input_script":
             p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
             return lambda w, pi=p, t=tx, nss=n.nss_table: (
@@ -666,18 +656,10 @@ class _Guard(_Expr):
             p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
             return lambda w, pi=p, t=tx, nss=n.nss_table: W.try_to_send(w, pi, t, nss)
         if tok == "broadcast_signature":
-            k, tx, pinned = self.args((n.keys, "key"), (n.txs, "transaction"),
-                                      nonce=True)
-            cap = n.capacity
-
-            def send_sig(w, ki=k, t=tx, pn=pinned, cap=cap):
-                if pn is None:
-                    sig = W.make_signature(w, ki, t)
-                else:
-                    sig = W.SignatureRec(ki, t, pn)
-                return W.broadcast_signature(w, sig, cap)
-
-            return send_sig
+            k, tx = self.args((n.keys, "key"), (n.txs, "transaction"))
+            n.signed.add(tx)
+            return lambda w, ki=k, t=tx, cap=n.capacity: W.broadcast_signature(
+                w, W.make_signature(w, ki, t), cap)
         if tok == "set_mark":
             (mi,) = self.args((n.marks, "mark"))
             return lambda w, i=mi: w.set_mark(i)

@@ -1,20 +1,22 @@
 """Symbolic block-chain world shared by all contract models.
 
 Transactions live in a fixed table; parties are knowledge records in
-the Dolev-Yao style (key and secret possession is binary, signatures
-are unforgeable records).  All operations are pure: they take a World
-and return a new one.
+the Dolev-Yao style (key and secret possession is binary).  All
+operations are pure: they take a World and return a new one.
 
 Transactions generalize the single-input record to multiple inputs and
 outputs: spending is tracked per output, and a transaction's status
-moves to SPENT once every output is spent.  Signatures carry the
-malleability nonce of the signed transaction's input observed at
-signing time and are valid only while it matches the input's current
-nonce.
+moves to SPENT once every output is spent.
 
-Broadcasting a transaction that reveals secrets discloses them to every
-party immediately (network eavesdropping happens before confirmation),
-and signatures sent between parties are likewise visible to everyone.
+Signatures are unforgeable records in one pool of the world: a
+signature sent between parties travels on an open network, so every
+party can use it, and `broadcast_signature` is the pool's only writer.
+A signature covers every input of the transaction it signs
+(SIGHASH_ALL): it records each input's malleability nonce at signing
+time and is valid only while all of them match the inputs' current
+nonces.  Broadcasting a transaction that reveals secrets likewise
+discloses them to every party immediately (network eavesdropping
+happens before confirmation).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class WorldConstants(NamedTuple):
 class SignatureRec(NamedTuple):
     key: int
     tx_num: int
-    input_nonce: int
+    input_nonces: tuple  # each input's nonce at signing time
 
 
 class Output(NamedTuple):
@@ -78,24 +80,26 @@ class TxRecord(NamedTuple):
 class PartyKnowledge(NamedTuple):
     know_key: tuple
     know_secret: tuple
-    sigs: tuple = ()   # sorted SignatureRec tuple
 
 
 class World:
-    """Complete discrete state: transaction table, parties, boolean flags.
+    """Complete discrete state: transaction table, parties, boolean
+    flags and the signature pool (a sorted SignatureRec tuple).
 
     Hash and the pending-transaction view are computed lazily and cached:
     intermediate worlds inside compound updates are never hashed.
     """
 
-    __slots__ = ("txs", "parties", "timers", "msgs", "marks", "_hash", "_owners")
+    __slots__ = ("txs", "parties", "timers", "msgs", "marks", "sigs",
+                 "_hash", "_owners")
 
-    def __init__(self, txs, parties, timers=(), msgs=(), marks=()):
+    def __init__(self, txs, parties, timers=(), msgs=(), marks=(), sigs=()):
         self.txs = txs
         self.parties = parties
         self.timers = timers
         self.msgs = msgs
         self.marks = marks
+        self.sigs = sigs
         self._hash = None
         self._owners = None
 
@@ -103,7 +107,8 @@ class World:
         h = self._hash
         if h is None:
             h = self._hash = hash(
-                (self.txs, self.parties, self.timers, self.msgs, self.marks)
+                (self.txs, self.parties, self.timers, self.msgs, self.marks,
+                 self.sigs)
             )
         return h
 
@@ -115,6 +120,7 @@ class World:
             and self.timers == other.timers
             and self.msgs == other.msgs
             and self.marks == other.marks
+            and self.sigs == other.sigs
         )
 
     def __repr__(self):
@@ -127,23 +133,28 @@ class World:
 
     def replace_tx(self, idx, tx):
         txs = self.txs[:idx] + (tx,) + self.txs[idx + 1:]
-        return World(txs, self.parties, self.timers, self.msgs, self.marks)
+        return World(txs, self.parties, self.timers, self.msgs, self.marks,
+                     self.sigs)
 
     def replace_party(self, idx, p):
         parties = self.parties[:idx] + (p,) + self.parties[idx + 1:]
-        return World(self.txs, parties, self.timers, self.msgs, self.marks)
+        return World(self.txs, parties, self.timers, self.msgs, self.marks,
+                     self.sigs)
 
     def set_timer(self, idx):
         timers = self.timers[:idx] + (True,) + self.timers[idx + 1:]
-        return World(self.txs, self.parties, timers, self.msgs, self.marks)
+        return World(self.txs, self.parties, timers, self.msgs, self.marks,
+                     self.sigs)
 
     def set_msg(self, idx):
         msgs = self.msgs[:idx] + (True,) + self.msgs[idx + 1:]
-        return World(self.txs, self.parties, self.timers, msgs, self.marks)
+        return World(self.txs, self.parties, self.timers, msgs, self.marks,
+                     self.sigs)
 
     def set_mark(self, idx):
         marks = self.marks[:idx] + (True,) + self.marks[idx + 1:]
-        return World(self.txs, self.parties, self.timers, self.msgs, marks)
+        return World(self.txs, self.parties, self.timers, self.msgs, marks,
+                     self.sigs)
 
 
 def pending_clock_owners(world):
@@ -159,22 +170,24 @@ def pending_clock_owners(world):
 # -- signatures and scripts ---------------------------------------------
 
 
-def know_signature(world, party, tx, input_index, key):
-    """Can `party` produce key's signature for spending input `input_index` of tx?
+def know_signature(world, party, tx, key):
+    """Can `party` produce key's signature for tx?
 
-    True with direct key knowledge, or with a stored signature for this
-    transaction and key whose recorded nonce still matches the current
-    nonce of the referenced input transaction (malleability check).
+    True with direct key knowledge, or with a pooled signature for this
+    transaction and key whose recorded nonces all still match the
+    current nonces of tx's inputs (malleability check).
     """
-    p = world.parties[party]
-    if p.know_key[key]:
+    if world.parties[party].know_key[key]:
         return True
-    in_tx, _out = tx.inputs[input_index]
-    current = world.txs[in_tx].nonce
-    for s in p.sigs:
-        if s.tx_num == tx.num and s.key == key and s.input_nonce == current:
+    for s in world.sigs:
+        if (s.tx_num == tx.num and s.key == key
+                and s.input_nonces == _input_nonces(world, tx)):
             return True
     return False
+
+
+def _input_nonces(world, tx):
+    return tuple(world.txs[in_tx].nonce for (in_tx, _out) in tx.inputs)
 
 
 def can_create_input_script(world, party, tx, nss_table):
@@ -185,17 +198,17 @@ def can_create_input_script(world, party, tx, nss_table):
     signed and all its secrets both known to the party and revealed by
     the spending transaction itself.
     """
-    for idx, (in_tx, out_idx) in enumerate(tx.inputs):
+    for (in_tx, out_idx) in tx.inputs:
         out = world.txs[in_tx].outputs[out_idx]
         if out.script_kind == "key":
-            if not know_signature(world, party, tx, idx, out.script_ref):
+            if not know_signature(world, party, tx, out.script_ref):
                 return False
         else:
             p = world.parties[party]
             clause_ok = False
             for clause in nss_table[out.script_ref]:
                 if all(
-                    know_signature(world, party, tx, idx, k)
+                    know_signature(world, party, tx, k)
                     for k in clause.keys
                 ) and all(
                     p.know_secret[s] and s in tx.reveals
@@ -322,30 +335,22 @@ def hold_bitcoins(world, party):
 
 
 def make_signature(world, key, txid):
-    """Sign txid's first input with `key`, recording the input's current nonce."""
-    tx = world.txs[txid]
-    in_tx, _ = tx.inputs[0]
-    return SignatureRec(key, txid, world.txs[in_tx].nonce)
-
-
-def add_signature(world, party, sig, capacity):
-    p = world.parties[party]
-    if sig in p.sigs:
-        return world
-    if len(p.sigs) >= capacity:
-        raise ModelError(
-            "signature store overflow for party %d (capacity %d)"
-            % (party, capacity)
-        )
-    sigs = tuple(sorted(p.sigs + (sig,)))
-    return world.replace_party(party, p._replace(sigs=sigs))
+    """Sign every input of txid with `key` (SIGHASH_ALL), recording the
+    inputs' current nonces."""
+    return SignatureRec(key, txid, _input_nonces(world, world.txs[txid]))
 
 
 def broadcast_signature(world, sig, capacity):
-    """Deliver a signature to every party: messages travel on an open network."""
-    for i in range(len(world.parties)):
-        world = add_signature(world, i, sig, capacity)
-    return world
+    """Add a signature to the pool, where every party can use it:
+    messages travel on an open network.  The pool holds at most
+    `capacity` signatures."""
+    sigs = world.sigs
+    if sig in sigs:
+        return world
+    if len(sigs) >= capacity:
+        raise ModelError("signature pool overflow (capacity %d)" % capacity)
+    return World(world.txs, world.parties, world.timers, world.msgs,
+                 world.marks, tuple(sorted(sigs + (sig,))))
 
 
 # -- invariant checkers (used as exploration assertions) -----------------
@@ -462,9 +467,9 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
     chosen nondeterministically at confirmation time, which is how
     transaction malleability enters the model.
 
-    A transaction's nonce is only ever read through stored signatures
-    that name it as an input, so for transactions no signature covers
-    the nonce is a dead field and choosing it would just double
+    A transaction's nonce is only ever read through pooled signatures
+    of transactions that spend it, so for transactions no signature
+    covers the nonce is a dead field and choosing it would just double
     bisimilar states.  `nonce_relevant` lists the transactions whose
     confirmation keeps the full nonce choice; the rest confirm with
     nonce zero.

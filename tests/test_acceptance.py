@@ -238,12 +238,13 @@ def test_criterion_9_malleability(capsys):
     model = build_cs_model(CS_PAPER)
     net, _ctx = instantiate(model, adversary=None)
     world = net.initial_data
-    sig = w.SignatureRec(0, 3, 0)  # C_KEY over FUSE at nonce 0
-    world = w.add_signature(world, 1, sig, model.sig_capacity)
-    assert w.know_signature(world, 1, world.txs[3], 0, 0)
+    sig = w.make_signature(world, 0, 3)  # C_KEY over FUSE at nonce 0
+    assert sig == w.SignatureRec(0, 3, (0,))
+    world = w.broadcast_signature(world, sig, model.sig_capacity)
+    assert w.know_signature(world, 1, world.txs[3], 0)
     world = w.try_to_send(world, 0, 1, model.nss_table)
     world = w.try_to_confirm(world, 1, 1)  # malleated confirmation
-    assert not w.know_signature(world, 1, world.txs[3], 0, 0)
+    assert not w.know_signature(world, 1, world.txs[3], 0)
 
     weakened = build_cs_model(CS_PAPER, weakened_alice=True)
     res_weak, net_w, q = run_query(weakened, None, "bob_accepts")

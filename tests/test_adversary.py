@@ -93,7 +93,7 @@ class TestAdversaryReach:
         net, _ctx = instantiate(model, adversary="ALICE")
 
         def watch(state):
-            assert len(state.data.parties[1].sigs) <= 1
+            assert len(state.data.sigs) <= 1
             return None
 
         explore(net, check=watch)

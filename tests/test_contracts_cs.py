@@ -65,10 +65,11 @@ class TestMalleability:
         res, net, _q = verdict(model, None, "bob_accepts")
         assert res.verdict == "VIOLATED"
         # the losing run confirms the commitment with a fresh nonce,
-        # killing the pre-broadcast signature
+        # killing the pre-broadcast signature, which the pool still holds
         final = replay_trace(net, res.trace)
         assert final.data.txs[1].nonce == 1
-        assert not w.know_signature(final.data, 1, final.data.txs[3], 0, 0)
+        assert final.data.sigs == (w.SignatureRec(0, 3, (0,)),)
+        assert not w.know_signature(final.data, 1, final.data.txs[3], 0)
 
     def test_shipped_alice_immune(self):
         res, _n, _q = verdict(build_cs_model(PAPER), None, "bob_accepts")

@@ -135,10 +135,17 @@ class TestAbortMargin:
         assert res.verdict == "SATISFIED"
 
     def test_tighter_margin_exploitable(self):
+        # one pass checks alice_compensated and alice_no_loss together
         model = build_newscs_model(self.CONSTANTS, abort_margin=2)
-        res, net, q = verdict(model, "BOB", "alice_compensated")
-        assert res.verdict == "VIOLATED"
-        final = replay_trace(net, res.trace)
+        net, ctx = instantiate(model, adversary="BOB")
+        q, no_loss = (Q.parse_query(model.queries[n], ctx)
+                      for n in ("alice_compensated", "alice_no_loss"))
+        res = explore(net, check=[Q.make_checker(q), Q.make_checker(no_loss)])
+        assert res.verdicts == ("VIOLATED", "VIOLATED")
+        trace = res.traces[0]
+        final = replay_trace(net, res.traces[1])
+        assert Q.evaluate(final, no_loss) is not None
+        final = replay_trace(net, trace)
         assert Q.evaluate(final, q) is not None
         # the attack waits with the commit broadcast until her abort
         # instant, then races her sequenced sub-commitment open
@@ -149,7 +156,7 @@ class TestAbortMargin:
         # found at; without its variant it meets margin 3, whose abort
         # deadline 13 - 3*3 = 4 it overruns
         doc = json.loads(json.dumps(M.trace_to_document(
-            res.trace, net, model, "BOB", model.queries["alice_compensated"])))
+            trace, net, model, "BOB", model.queries["alice_compensated"])))
         assert doc["variant"]["abort_margin"] == 2
         final = M.replay_document(doc)
         assert Q.evaluate(final, q) is not None

@@ -28,13 +28,34 @@ class TestLoader:
         assert model.constants == WorldConstants(10, 100)
         assert len(model.protocol_txs) == 4
         assert model.sig_capacity == 1
+        assert model.signed_txs == (model.tx_names["FUSE"],)
         assert set(model.queries) == set(build_cs_model().queries)
 
     def test_newscs_loads(self):
         model = M.load_model(NEWSCS_PATH)
         assert len(model.protocol_txs) == 16
         assert model.mark_count == 2
-        assert len(model.signed_txs) == 3
+        # the signed set is what the broadcast_signature statements name
+        assert model.signed_txs == tuple(sorted(
+            model.tx_names[t] for t in ("CSA_FUSE", "CSB_FUSE", "COMMIT")))
+
+    def test_adversary_message_signs_too(self):
+        text = open(CS_PATH).read()
+        for stmt in ("if(WEAKENED_ALICE) broadcast_signature(C_KEY, FUSE); ",
+                     ' update "if(not WEAKENED_ALICE) broadcast_signature(C_KEY, FUSE)"'):
+            assert stmt in text
+            text = text.replace(stmt, "")
+        model = M.build_model(text)
+        assert model.signed_txs == (model.tx_names["FUSE"],)
+        text = text.replace('message send_fuse_sig update "broadcast_signature(C_KEY, FUSE)"', "")
+        assert M.build_model(text).signed_txs == ()
+
+    def test_signed_section_rejected(self):
+        text = open(CS_PATH).read()
+        line = text[:text.index("[timers]")].count("\n") + 1
+        with pytest.raises(M.ModelIOError) as err:
+            M.build_model(text.replace("[timers]", "[signed]\nFUSE\n\n[timers]"))
+        assert (err.value.code, err.value.line) == (M.E_SECTION, line)
 
     def test_constant_overrides(self):
         model = M.load_model(CS_PATH, overrides={"MAX_LATENCY": 2,
@@ -228,7 +249,7 @@ class TestExpressionErrors:
         ("update", "broadcast_signature(GHOST, FUSE)", M.E_NAME),
         ("update", "broadcast_signature(C_KEY, FUSE, x)", M.E_EXPR),
         ("update", "broadcast_signature(C_KEY, FUSE,)", M.E_EXPR),
-        ("update", "broadcast_signature(C_KEY, FUSE, 0)", None),
+        ("update", "broadcast_signature(C_KEY, FUSE, 0)", M.E_EXPR),
         ("clock", "time == MAX_LATENCY or time == 0", M.E_EXPR),
         ("clock", "not time == MAX_LATENCY", M.E_EXPR),
         ("clock", "true", M.E_EXPR),

@@ -2,9 +2,12 @@
 
 import pytest
 
+from tacv import queries as Q
 from tacv import world as w
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.kernel import ModelError, ModelInvariantError, explore
+from tacv.modelio import build_model
+from tacv.oracle import explore_discrete
 
 
 C_KEY, R_KEY = 0, 1
@@ -45,33 +48,131 @@ def cs_world(prot_timelock=100):
 class TestSignatures:
     def test_key_knowledge_suffices(self):
         ww = cs_world()
-        assert w.know_signature(ww, BOB, ww.txs[FUSE], 0, R_KEY)
+        assert w.know_signature(ww, BOB, ww.txs[FUSE], R_KEY)
 
     def test_stored_signature_checked_against_current_nonce(self):
         ww = cs_world()
-        sig = w.SignatureRec(C_KEY, FUSE, 0)
-        ww = w.add_signature(ww, BOB, sig, capacity=1)
-        assert w.know_signature(ww, BOB, ww.txs[FUSE], 0, C_KEY)
+        sig = w.SignatureRec(C_KEY, FUSE, (0,))
+        ww = w.broadcast_signature(ww, sig, capacity=1)
+        assert w.know_signature(ww, BOB, ww.txs[FUSE], C_KEY)
         # malleability: COMMIT confirms with nonce 1, invalidating the record
         ww = ww.replace_tx(COMMIT, ww.txs[COMMIT]._replace(
             status=w.CONFIRMED, nonce=1))
-        assert not w.know_signature(ww, BOB, ww.txs[FUSE], 0, C_KEY)
+        assert not w.know_signature(ww, BOB, ww.txs[FUSE], C_KEY)
+
+    def test_pool_serves_every_party(self):
+        ww = cs_world()
+        ww = w.broadcast_signature(ww, w.make_signature(ww, C_KEY, FUSE), 1)
+        assert ww.sigs == (w.SignatureRec(C_KEY, FUSE, (0,)),)
+        for p in (ALICE, BOB, ADV):
+            assert w.know_signature(ww, p, ww.txs[FUSE], C_KEY)
 
     def test_empty_set_unknown_key(self):
         ww = cs_world()
-        assert not w.know_signature(ww, BOB, ww.txs[OPEN], 0, C_KEY)
+        assert not w.know_signature(ww, BOB, ww.txs[OPEN], C_KEY)
 
     def test_capacity_overflow_is_model_error(self):
         ww = cs_world()
-        ww = w.add_signature(ww, BOB, w.SignatureRec(C_KEY, FUSE, 0), 1)
+        ww = w.broadcast_signature(ww, w.SignatureRec(C_KEY, FUSE, (0,)), 1)
         with pytest.raises(ModelError):
-            w.add_signature(ww, BOB, w.SignatureRec(C_KEY, FUSE, 1), 1)
+            w.broadcast_signature(ww, w.SignatureRec(C_KEY, FUSE, (1,)), 1)
 
     def test_duplicate_signature_is_idempotent(self):
         ww = cs_world()
-        sig = w.SignatureRec(C_KEY, FUSE, 0)
-        w1 = w.add_signature(ww, BOB, sig, 1)
-        assert w.add_signature(w1, BOB, sig, 1) == w1
+        sig = w.SignatureRec(C_KEY, FUSE, (0,))
+        w1 = w.broadcast_signature(ww, sig, 1)
+        assert w.broadcast_signature(w1, sig, 1) is w1
+
+
+# T spends S0 and S1.  Alice signs T once S0 is on chain and before she
+# sends S1, and she signs PROBE, which spends S1 alone, before either is
+# sent: PROBE's signature stays valid exactly when S1 confirms plain.
+# Bob judges T's signature once S1 is on chain, and his location says
+# what he found and whether S1 confirmed plain.
+TWO_INPUT_MODEL = """
+[constants]
+MAX_LATENCY = 2
+PROT_TIMELOCK = 5
+
+[keys]
+A_KEY
+B_KEY
+
+[parties]
+ALICE: keys = A_KEY
+BOB: keys = B_KEY
+capacity = 2
+
+[transactions]
+F0: inputs = F0:0; outputs = key(A_KEY):1; confirmed
+F1: inputs = F1:0; outputs = key(A_KEY):1; confirmed
+S0: inputs = F0:0; outputs = key(A_KEY):1
+S1: inputs = F1:0; outputs = key(A_KEY):1
+T: inputs = S0:0 S1:0; outputs = key(B_KEY):2
+PROBE: inputs = S1:0; outputs = key(B_KEY):1
+
+[automaton AliceTA party=ALICE]
+location init initial
+location sent
+location done
+edge init -> sent urgent update "broadcast_signature(A_KEY, PROBE); try_to_send(ALICE, S0)"
+edge sent -> done urgent guard "on_chain(S0)" update "broadcast_signature(A_KEY, T); try_to_send(ALICE, S1)"
+
+[automaton BobTA party=BOB]
+location wait initial
+location accepted_plain named
+location accepted_malleated named
+location refused_plain named
+location refused_malleated named
+edge wait -> accepted_plain urgent guard "on_chain(S1) and can_create_input_script(BOB, T) and know_signature(BOB, PROBE, A_KEY)"
+edge wait -> accepted_malleated urgent guard "on_chain(S1) and can_create_input_script(BOB, T) and not know_signature(BOB, PROBE, A_KEY)"
+edge wait -> refused_plain urgent guard "on_chain(S1) and not can_create_input_script(BOB, T) and know_signature(BOB, PROBE, A_KEY)"
+edge wait -> refused_malleated urgent guard "on_chain(S1) and not can_create_input_script(BOB, T) and not know_signature(BOB, PROBE, A_KEY)"
+
+[queries]
+plain_input_keeps_signature: A[] not BobTA.refused_plain
+malleated_input_kills_signature: A[] not BobTA.accepted_malleated
+never_accepts: A[] not BobTA.accepted_plain
+never_refuses: A[] not BobTA.refused_malleated
+"""
+
+
+class TestTwoInputSignatures:
+    """A signature covers every input of the signed transaction: it
+    stays valid while each input's nonce is the one recorded at
+    signing, whichever input confirms malleated."""
+
+    @pytest.mark.parametrize("s1_nonce,valid", [(0, True), (1, False)],
+                             ids=["s1-plain", "s1-malleated"])
+    def test_validity_follows_every_input(self, s1_nonce, valid):
+        # S0 confirms malleated, then Alice signs T
+        model = build_model(TWO_INPUT_MODEL)
+        tx, a_key, nss = model.tx_names, model.key_names["A_KEY"], model.nss_table
+        ww = instantiate(model)[0].initial_data
+        ww = w.try_to_confirm(w.try_to_send(ww, ALICE, tx["S0"], nss), tx["S0"], 1)
+        ww = w.broadcast_signature(ww, w.make_signature(ww, a_key, tx["T"]),
+                                   model.sig_capacity)
+        assert ww.sigs == (w.SignatureRec(a_key, tx["T"], (1, 0)),)
+        ww = w.try_to_confirm(w.try_to_send(ww, ALICE, tx["S1"], nss), tx["S1"], s1_nonce)
+        assert w.know_signature(ww, BOB, ww.txs[tx["T"]], a_key) is valid
+        assert w.can_create_input_script(ww, BOB, ww.txs[tx["T"]], nss) is valid
+
+    def test_engines_agree_on_the_model(self):
+        model = build_model(TWO_INPUT_MODEL)
+        assert model.signed_txs == (model.tx_names["T"], model.tx_names["PROBE"])
+        net, ctx = instantiate(model)
+        names = sorted(model.queries)
+        asts = [Q.parse_query(model.queries[n], ctx) for n in names]
+        zone = explore(net, check=[Q.make_checker(a) for a in asts],
+                       collect_reachable=True)
+        oracle, verdicts = explore_discrete(net, queries=asts)
+        assert zone.reachable == oracle.reachable
+        assert dict(zip(names, zone.verdicts)) == dict(zip(names, verdicts)) == {
+            "plain_input_keeps_signature": "SATISFIED",
+            "malleated_input_kills_signature": "SATISFIED",
+            "never_accepts": "VIOLATED",
+            "never_refuses": "VIOLATED",
+        }
 
 
 class TestInputScripts:
