@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .kernel import AutomatonTemplate, Edge, Location
-from .world import Output, TxRecord, can_send, try_to_send
+from .world import Output, TxRecord, can_send, set_flags, try_to_send
 
 
 class MessageAction(NamedTuple):
@@ -40,7 +40,9 @@ def derive_adversary_txset(protocol_txs, adv_key):
 
     Sweep identifiers continue the protocol block in (transaction,
     output) order; each sweep spends one output to `adv_key` with the
-    same value, no timelock, and no reveals.
+    same value, no timelock, and no reveals.  The count and shape of the
+    sweeps do not depend on `adv_key`, so neither does the layout of a
+    model's worlds.
     """
     txs = list(protocol_txs)
     next_id = len(txs)
@@ -51,27 +53,26 @@ def derive_adversary_txset(protocol_txs, adv_key):
                     num=next_id,
                     inputs=((tx.num, oi),),
                     outputs=(Output("key", adv_key, out.value),),
-                    timelock=0,
-                    timelock_passed=True,
                 )
             )
             next_id += 1
     return tuple(txs)
 
 
-def build_adversary_automaton(cfg, adv_slot, tx_count, nss_table, sendable=None):
+def build_adversary_automaton(cfg, adv_slot, tx_count, msgs, sendable=None):
     """Single-state adversary: try-send loop plus urgent message loops.
 
     `sendable` restricts the try-send select; None means every
-    transaction identifier (the generic automaton).
+    transaction identifier (the generic automaton).  Message action k's
+    flag is the valuation's byte `msgs + k`.
     """
     domain = tuple(sendable) if sendable is not None else tuple(range(tx_count))
 
-    def send_guard(w, binds, slot=adv_slot, nss=nss_table):
-        return can_send(w, slot, binds["i"], nss)
+    def send_guard(w, binds, slot=adv_slot):
+        return can_send(w, slot, binds["i"])
 
-    def send_update(w, binds, slot=adv_slot, nss=nss_table):
-        return try_to_send(w, slot, binds["i"], nss)
+    def send_update(w, binds, slot=adv_slot):
+        return try_to_send(w, slot, binds["i"])
 
     edges = [
         Edge(
@@ -82,11 +83,11 @@ def build_adversary_automaton(cfg, adv_slot, tx_count, nss_table, sendable=None)
         )
     ]
     for k, action in enumerate(cfg.message_actions):
-        def mguard(w, binds, k=k, action=action):
-            return (not w.msgs[k]) and action.guard(w)
+        def mguard(w, binds, flag=msgs + k, action=action):
+            return (not w[flag]) and action.guard(w)
 
-        def mupdate(w, binds, k=k, action=action):
-            return action.update(w).set_msg(k)
+        def mupdate(w, binds, flag=(msgs + k,), action=action):
+            return set_flags(action.update(w), flag)
 
         edges.append(
             Edge(

@@ -23,7 +23,7 @@ from . import world as W
 from .adversary import build_adversary_automaton, derive_adversary_txset
 from .kernel import ModelError, Network
 from .queries import QueryContext
-from .world import CONFIRMED, World, WorldConstants
+from .world import CONFIRMED, WorldConstants, WorldTable
 
 
 class ContractModel(NamedTuple):
@@ -42,10 +42,12 @@ class ContractModel(NamedTuple):
     adversary_configs: dict     # party index -> AdversaryConfig
     queries: dict               # name -> property text
     total_value: int
-    signed_txs: tuple           # txs some broadcast_signature statement signs
+    signatures: tuple           # (key, tx) pairs of the broadcast_signature statements
+    confirmed: tuple            # txs on chain in the initial world
     mark_count: int = 0         # protocol progress marks in the data
     variant: tuple = ()         # non-default variant options as given, sorted (name, value)
     source: tuple = None        # (absolute path, text) of a loaded .model file
+    worlds: dict = None         # adversary index or None -> WorldTable (`world_tables`)
 
 
 def _overrides(constants):
@@ -66,6 +68,30 @@ def build_newscs_model(constants=None, *, buggy_bob=False, abort_margin=3):
 
 
 # -- instantiation -----------------------------------------------------------
+
+
+def world_tables(model):
+    """The WorldTable of every network of `model`, by adversary: None for
+    the all-honest network, and each party with an `[adversary]`
+    section.  The adversary's sweeps pay to its key, its slot (the last)
+    starts with the corrupted party's knowledge, and its messages get the
+    last bytes.  The model builds them once (see `modelio`), so
+    `instantiate` builds no table.
+    """
+    adv_slot = len(model.party_names) - 1
+    choices = [(None, 0, model.initial_parties, 0)]
+    for p, cfg in sorted(model.adversary_configs.items()):
+        parties = list(model.initial_parties)
+        parties[adv_slot] = parties[p]
+        choices.append((p, cfg.adv_key, tuple(parties), len(cfg.message_actions)))
+    return {
+        p: WorldTable(
+            derive_adversary_txset(model.protocol_txs, adv_key), model.nss_table,
+            parties, len(model.timers), model.mark_count,
+            confirmed=model.confirmed, signatures=model.signatures,
+            capacity=model.sig_capacity, msg_count=msg_count)
+        for p, adv_key, parties, msg_count in choices
+    }
 
 
 def _idle_sweep_ids(model, txs, adv_knowledge):
@@ -106,8 +132,8 @@ def instantiate(model, adversary=None, run_world_checks=True,
     `[adversary]` section, and for an honest party without an automaton.
 
     The chain agent chooses a malleability nonce only when it confirms
-    an input of a signed transaction (`model.signed_txs`): no other
-    nonce is ever compared with a pooled signature's.
+    an input of a signed transaction (one of `model.signatures`): no
+    other nonce is ever compared with a pooled signature's.
 
     With `run_world_checks` the network carries the world's checks: one
     state check on the data valuation (value conservation, nonce
@@ -125,63 +151,40 @@ def instantiate(model, adversary=None, run_world_checks=True,
                 "unknown party %r (parties: %s)" % (adversary, ", ".join(names))
             )
         adv_idx = names.index(adversary)
-    adv_slot = len(model.party_names) - 1
-
-    if adv_idx is not None:
         cfg = model.adversary_configs.get(adv_idx)
         if cfg is None:
             raise ModelError("party %s has no [adversary %s] section"
                              % (adversary, adversary))
-        adv_key = cfg.adv_key
-        msg_count = len(cfg.message_actions)
-    else:
-        cfg = None
-        adv_key = 0
-        msg_count = 0
-
-    txs = derive_adversary_txset(model.protocol_txs, adv_key)
-    parties = list(model.initial_parties)
-    if adv_idx is not None:
-        parties[adv_slot] = parties[adv_idx]
-    initial = World(
-        tuple(txs),
-        tuple(parties),
-        timers=(False,) * len(model.timers),
-        msgs=(False,) * msg_count,
-        marks=(False,) * model.mark_count,
-    )
+    table = model.worlds[adv_idx]
+    txs = table.txs
 
     deadlines = [
-        W.timer_flag(i, threshold)
+        (threshold, table.timers + i)
         for i, (_name, threshold) in enumerate(model.timers)
     ]
-    for tx in txs:
-        if tx.timelock > 0:
-            deadlines.append(W.timelock_flag(tx.num, tx.timelock))
+    deadlines += [(tx.timelock, table.flag + tx.num) for tx in txs if tx.timelock > 0]
 
     nonce_relevant = sorted({
         src_tx
-        for signed in model.signed_txs
+        for _key, signed in model.signatures
         for (src_tx, _oi) in model.protocol_txs[signed].inputs
     })
     automata = [
-        W.build_blockchain_agent(
-            model.constants, len(txs), nonce_count=2,
-            nonce_relevant=nonce_relevant,
-        ),
+        W.build_blockchain_agent(model.constants, len(txs), nonce_relevant),
         W.build_helper(deadlines),
     ]
-    for p in range(len(model.party_names) - 1):
+    adv_slot = len(model.party_names) - 1
+    for p in range(adv_slot):
         if p == adv_idx:
             sendable = None
             if prune_idle_sweeps:
-                idle = _idle_sweep_ids(model, txs, parties[adv_slot])
+                idle = _idle_sweep_ids(model, txs, model.initial_parties[p])
                 sendable = tuple(
                     i for i in range(len(txs)) if i not in idle
                 )
             automata.append(
                 build_adversary_automaton(
-                    cfg, adv_slot, len(txs), model.nss_table, sendable=sendable,
+                    cfg, adv_slot, len(txs), table.msgs, sendable=sendable,
                 )
             )
         elif p in model.honest_automata:
@@ -192,15 +195,14 @@ def instantiate(model, adversary=None, run_world_checks=True,
     state_checks = []
     transition_checks = []
     if run_world_checks:
-        def value_check(data, total=model.total_value):
+        def value_check(data, total=model.total_value, outputs=table.outputs):
             W.check_value_conservation(data)
             W.check_nonce_consistency(data)
             W.check_eavesdropping(data)
-            live = sum(
-                o.value
-                for tx in data.txs if tx.status == CONFIRMED
-                for o in tx.outputs if not o.spent
-            )
+            live = 0
+            for txid, spent, out in outputs:
+                if data[txid] == CONFIRMED and not data[spent]:
+                    live += out.value
             if live != total:
                 raise W.ModelInvariantError(
                     "confirmed unspent value %d, expected %d" % (live, total)
@@ -212,7 +214,7 @@ def instantiate(model, adversary=None, run_world_checks=True,
     net = Network(
         "%s[adversary=%s]" % (model.name, adversary or "none"),
         automata,
-        initial,
+        table.initial,
         W.pending_clock_owners,
         state_checks=state_checks,
         transition_checks=transition_checks,

@@ -35,7 +35,8 @@ Semantics notes:
   one fire at a time (`_build_fire`), and then applied to zones, one
   fire at a time (`_fire_successor`).  Exploration and random runs use
   whole skeletons; trace replay builds and applies only the fire each
-  step names.  A skeleton keeps each data-enabled fire
+  step names, and evaluates only that fire's guard (a delay step: only
+  the urgent edges' guards).  A skeleton keeps each data-enabled fire
   except those whose clock guard bounds `time` from below past the
   key's own invariant bound on `time` (a `tick@θ` above the helper's
   first clear threshold, say): every zone applied to a key's skeleton
@@ -99,8 +100,11 @@ Semantics notes:
   invariant atoms and extrapolation bounds, so a successor's
   (locations, data) key is made of the very objects that the passed
   list and the waiting counts store: each is held once, and key
-  comparison short-circuits on identity.  Nothing of the table outlives
-  the call.  Fire labels (`Automaton.edge`) take no part in
+  comparison short-circuits on identity.  The block-chain world's data
+  valuation is one flat `bytes` (see `world`) with no nested objects to
+  share: interning it keeps one copy per distinct valuation, and its
+  hash is computed once and cached in the object.  Nothing of the
+  table outlives the call.  Fire labels (`Automaton.edge`) take no part in
   exploration; a trace derives them from its descriptors (`step_label`).
 - `replay` is the one replay loop: it follows stored descriptors with
   the lookup that rebuilds exact trace zones and checks each step's
@@ -318,8 +322,8 @@ def _intern_data(table, data):
     The kernel's own tuples (locations, atoms, descriptors, bounds) are
     interned with `table.setdefault`: any equal object serves for them.
     A valuation is the network's object and must keep its type, so an
-    equal object of another type (a plain tuple for a NamedTuple, say)
-    is not taken for it.
+    equal object of another type (a plain `bytes` for a `world.World`
+    valuation, say) is not taken for it.
     """
     canon = table.setdefault(data, data)
     return canon if type(canon) is type(data) else data
@@ -882,30 +886,64 @@ def step_label(net, desc):
     return "%s.%s" % (a.name, a.edges[desc[2]].label)
 
 
+def _named_instance(net, locs, data, desc):
+    """The transition instance that the fire descriptor `desc` names, if
+    it is enabled at (locs, data): its edge leaves the current location,
+    its binding is one of the edge's static domain, and its data guard
+    holds.  None otherwise, for a malformed descriptor too.  Only that
+    one guard is evaluated."""
+    try:
+        kind, ai, ei, bkey = desc
+    except (TypeError, ValueError):
+        return None
+    if kind != "fire":
+        return None
+    for a_i, a in enumerate(net.automata):
+        if a_i != ai:
+            continue
+        for e_i, e in a.edges_from(locs[a_i]):
+            if e_i != ei:
+                continue
+            for binds, b in a.bindings[e_i]:
+                if b == bkey and (e.guard is None or e.guard(data, binds)):
+                    return TransitionInstance(a_i, e_i, b, e.urgent)
+    return None
+
+
+def _urgent_enabled(net, locs, data):
+    """Whether some urgent edge's data guard holds at (locs, data)."""
+    for ai, a in enumerate(net.automata):
+        for ei, e in a.edges_from(locs[ai]):
+            if e.urgent:
+                for binds, _b in a.bindings[ei]:
+                    if e.guard is None or e.guard(data, binds):
+                        return True
+    return False
+
+
 def _follow(net, state, desc, i):
     """(successor, its invariant atoms) of `state` along the descriptor
     of step `i`.  Only the fire it names is built, by the skeleton's own
-    `_build_fire` and `_fire_successor`.  Raises ReplayError when the
-    step is not enabled; a delay is refused while an urgent edge is."""
+    `_build_fire` and `_fire_successor`, and only the guards the step
+    needs run: the named edge's for a fire, the urgent edges' for a
+    delay.  Raises ReplayError when the step is not enabled; a delay is
+    refused while an urgent edge is."""
     locs, data, zone = state
-    insts = enabled_transitions(net, locs, data)
     before = net.clock_owners(data)
     inv_atoms = _invariants(net, locs, data, _layout(before), {})[0]
     if desc == DELAY:
-        if any(inst.urgent for inst in insts):
+        if _urgent_enabled(net, locs, data):
             raise ReplayError(i, "delay while an urgent edge is enabled")
         # a zone its invariants already close under delay is its own
         # delay successor: only a delay of zero is left there
         return state._replace(zone=zone.up().constrained(inv_atoms)), inv_atoms
-    for inst in insts:
-        if ("fire", inst.auto, inst.edge, inst.binds) == desc:
-            fire = _build_fire(net, locs, data, inst, before,
-                               _time_cap(inv_atoms), {})
-            succ = None if fire is None else _fire_successor(fire, zone)
-            if succ is not None:
-                _d, locs2, data2, zone2, inv2, _b = succ
-                return SymbolicState(locs2, data2, zone2), inv2
-            break
+    inst = _named_instance(net, locs, data, desc)
+    if inst is not None:
+        fire = _build_fire(net, locs, data, inst, before, _time_cap(inv_atoms), {})
+        succ = None if fire is None else _fire_successor(fire, zone)
+        if succ is not None:
+            _d, locs2, data2, zone2, inv2, _b = succ
+            return SymbolicState(locs2, data2, zone2), inv2
     try:
         what = step_label(net, desc)
     except (IndexError, TypeError):  # names no edge of the network

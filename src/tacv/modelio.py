@@ -14,11 +14,15 @@ constant evaluator), with atoms of their own: `time OP const-expr` for
 clock guards, and for guards and updates the block-chain helper
 operations by name (status checks, try_to_send, broadcast_signature,
 ...).  Guards and updates become closures over the loaded model's
-tables, never compiled code.  The transactions that
+tables, never compiled code; they read and write the data valuation at
+the offsets of the model's `world.Layout`, which every network of the
+model shares.  The (key, transaction) pairs that
 `broadcast_signature` statements name, in automata and adversary
-messages alike, are the model's signed set: the chain agent chooses a
-malleability nonce only for their inputs.  The grammar is documented in
-docs/model_grammar.ebnf.
+messages alike, are the model's possible signatures: each gets its
+bytes in the valuation, and the chain agent chooses a malleability
+nonce only for the inputs of their transactions.  The model builds the
+`WorldTable` of each of its networks once (`contracts.world_tables`).
+The grammar is documented in docs/model_grammar.ebnf.
 
 The built-in contracts `cs` and `newscs` are the shipped
 models/cs.model and models/newscs.model; nothing else defines them.
@@ -46,8 +50,8 @@ from fractions import Fraction
 
 from . import queries as Q
 from . import world as W
-from .adversary import AdversaryConfig, MessageAction
-from .contracts import ContractModel, instantiate
+from .adversary import AdversaryConfig, MessageAction, derive_adversary_txset
+from .contracts import ContractModel, instantiate, world_tables
 from .kernel import (
     TIME,
     AutomatonTemplate,
@@ -357,11 +361,11 @@ class _Loader:
             outputs.append(Output(m.group(1), _lookup(table, m.group(2), m.group(1), E_RANGE),
                                   int(m.group(3))))
         timelock = _Expr(fields.get("timelock", "0"), self.constants).parse_const()
+        if fields.get("confirmed"):
+            self.confirmed.append(self.txs[name])
         return TxRecord(
             self.txs[name], tuple(inputs), tuple(outputs),
-            status=W.CONFIRMED if fields.get("confirmed") else W.UNSENT,
             timelock=timelock,
-            timelock_passed=(timelock == 0),
             reveals=tuple(_lookup(self.secrets, s, "secret", E_RANGE)
                           for s in fields.get("reveals", "").split()),
         )
@@ -465,6 +469,7 @@ class _Loader:
 
     def model(self):
         self.nss_table = tuple(self.walk("nss", self.nss_clauses))
+        self.confirmed = []
         txs = self.walk("transactions", self.tx)
 
         def spends_existing_outputs(text):
@@ -475,6 +480,11 @@ class _Loader:
                                        % (tx.num, src, oi))
 
         self.walk("transactions", spends_existing_outputs)
+        # every network of the model lays out these fields alike
+        self.layout = W.Layout(
+            tuple(len(tx.outputs) for tx in derive_adversary_txset(txs, 0)),
+            len(self.parties), len(self.keys), len(self.secrets),
+            len(self.timers), len(self.marks))
         self.capacity, self.signed = None, set()
         knowledge = self.walk("parties", self.party)
         honest = {}
@@ -484,7 +494,7 @@ class _Loader:
         self.walk("adversary", section=self.adversary)
         timers = self.walk("timers", self.timer)
         nobody = PartyKnowledge((False,) * len(self.keys), (False,) * len(self.secrets))
-        return ContractModel(
+        model = ContractModel(
             name=self.name,
             constants=_world_constants(self.constants),
             key_names=self.keys,
@@ -499,11 +509,13 @@ class _Loader:
             honest_automata={p: tuple(a) for p, a in honest.items()},
             adversary_configs=self.adversary_configs,
             queries=self.queries,
-            total_value=sum(o.value for t in txs if t.status == W.CONFIRMED for o in t.outputs),
-            signed_txs=tuple(sorted(self.signed)),
+            total_value=sum(o.value for t in self.confirmed for o in txs[t].outputs),
+            signatures=tuple(sorted(self.signed)),
+            confirmed=tuple(self.confirmed),
             mark_count=len(self.marks),
             variant=self.variant,
         )
+        return model._replace(worlds=world_tables(model))
 
 
 # -- expression language ---------------------------------------------------
@@ -578,6 +590,7 @@ class _Guard(_Expr):
     def atom(self, tok):
         self.next()
         n = self.names
+        L = n.layout
         if tok == "true":
             return lambda w: True
         if tok == "false":
@@ -592,34 +605,33 @@ class _Guard(_Expr):
                 self.error("unknown status %r" % st)
             sv = STATUS_BY_NAME[st]
             if op == "==":
-                return lambda w, t=tx, s=sv: w.txs[t].status == s
-            return lambda w, t=tx, s=sv: w.txs[t].status != s
+                return lambda w, t=tx, s=sv: w[t] == s
+            return lambda w, t=tx, s=sv: w[t] != s
         if tok == "on_chain":
             (tx,) = self.args((n.txs, "transaction"))
-            return lambda w, t=tx: W.ever_confirmed(w, t)
+            return lambda w, t=tx: w[t] in W.ON_CHAIN
         if tok == "timelock_passed":
             (tx,) = self.args((n.txs, "transaction"))
-            return lambda w, t=tx: w.txs[t].timelock_passed
+            return lambda w, o=L.flag + tx: w[o] == 1
         if tok == "timer":
             (ti,) = self.args((n.timers, "timer"))
-            return lambda w, i=ti: w.timers[i]
+            return lambda w, o=L.timers + ti: w[o] == 1
         if tok == "mark":
             (mi,) = self.args((n.marks, "mark"))
-            return lambda w, i=mi: w.marks[i]
+            return lambda w, o=L.marks + mi: w[o] == 1
         if tok == "know_secret":
             p, s = self.args((n.parties, "party"), (n.secrets, "secret"))
-            return lambda w, pi=p, si=s: w.parties[pi].know_secret[si]
+            return lambda w, o=L.secret_bit(p, s): w[o] == 1
         if tok == "know_signature":
             p, tx, k = self.args((n.parties, "party"), (n.txs, "transaction"),
                                  (n.keys, "key"))
-            return lambda w, pi=p, t=tx, ki=k: W.know_signature(w, pi, w.txs[t], ki)
+            return lambda w, pi=p, t=tx, ki=k: W.know_signature(w, pi, t, ki)
         if tok == "can_create_input_script":
             p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
-            return lambda w, pi=p, t=tx, nss=n.nss_table: (
-                W.can_create_input_script(w, pi, w.txs[t], nss))
+            return lambda w, pi=p, t=tx: W.can_create_input_script(w, pi, t)
         if tok == "can_send":
             p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
-            return lambda w, pi=p, t=tx, nss=n.nss_table: W.can_send(w, pi, t, nss)
+            return lambda w, pi=p, t=tx: W.can_send(w, pi, t)
         if tok in self.constants:
             # a declared constant, true when nonzero, fixed at build time
             return (lambda w: True) if self.constants[tok] else (lambda w: False)
@@ -654,15 +666,14 @@ class _Guard(_Expr):
             return lambda w, c=cond, b=body: b(w) if c(w) else w
         if tok == "try_to_send":
             p, tx = self.args((n.parties, "party"), (n.txs, "transaction"))
-            return lambda w, pi=p, t=tx, nss=n.nss_table: W.try_to_send(w, pi, t, nss)
+            return lambda w, pi=p, t=tx: W.try_to_send(w, pi, t)
         if tok == "broadcast_signature":
             k, tx = self.args((n.keys, "key"), (n.txs, "transaction"))
-            n.signed.add(tx)
-            return lambda w, ki=k, t=tx, cap=n.capacity: W.broadcast_signature(
-                w, W.make_signature(w, ki, t), cap)
+            n.signed.add((k, tx))
+            return lambda w, ki=k, t=tx: W.broadcast_signature(w, ki, t)
         if tok == "set_mark":
             (mi,) = self.args((n.marks, "mark"))
-            return lambda w, i=mi: w.set_mark(i)
+            return lambda w, o=(n.layout.marks + mi,): W.set_flags(w, o)
         self.error("unknown update statement %r" % tok)
 
 
@@ -790,7 +801,7 @@ def _snapshot(state, net, model):
     always last) and every automaton's location, by name."""
     data = state.data
     return {
-        "statuses": {name: W.STATUS_NAMES[data.txs[i].status]
+        "statuses": {name: W.STATUS_NAMES[data[i]]
                      for name, i in sorted(model.tx_names.items())},
         "holdings": {name: W.hold_bitcoins(data, pi)
                      for pi, name in enumerate(model.party_names[:-1])},

@@ -396,7 +396,7 @@ def _substitute(node, state):
         held = W.hold_bitcoins(state.data, node.party)
         return CMP[node.op](held, node.const)
     if isinstance(node, KnowAtom):
-        return state.data.parties[node.party].know_secret[node.secret]
+        return W.know_secret(state.data, node.party, node.secret)
     if isinstance(node, LocAtom):
         return state.locs[node.auto] == node.loc
     if isinstance(node, Not):

@@ -1,27 +1,50 @@
 """Symbolic block-chain world shared by all contract models.
 
-Transactions live in a fixed table; parties are knowledge records in
-the Dolev-Yao style (key and secret possession is binary).  All
-operations are pure: they take a World and return a new one.
+A world has a static half and a dynamic half, as UPPAAL splits a
+network's static description from its discrete state vector (Behrmann
+et al., "UPPAAL Implementation Secrets", FTRTFT 2002).
 
-Transactions generalize the single-input record to multiple inputs and
-outputs: spending is tracked per output, and a transaction's status
-moves to SPENT once every output is spent.
+- The static half is a network's `WorldTable`, built once per model and
+  scenario: every transaction's inputs, its outputs' script kinds,
+  references and values, its timelock and reveals, and the offset of
+  every dynamic field.
+- The dynamic half, the data valuation, is one immutable `bytes` with
+  one byte per dynamic field: each transaction's status, timelock flag
+  and malleability nonce; each output's spent bit; each party's key
+  and secret bits (Dolev-Yao knowledge is binary); the timers, marks
+  and adversary messages; and one byte per possible pooled signature.
+  A valuation is an instance of its network's `World` subclass, whose
+  class attribute `T` is the table, so every function here takes the
+  valuation alone.  An update copies it into a `bytearray`, stores, and
+  returns a new valuation; hashing and comparing one is a flat `bytes`
+  operation.
 
-Signatures are unforgeable records in one pool of the world: a
+The fields that a `.model` can name (everything but the signatures and
+the messages) have offsets that depend only on the model, never on the
+adversary (`Layout`), so the loader compiles guards and updates to
+fixed offsets before any network exists.
+
+Transactions have any number of inputs and outputs: spending is tracked
+per output, and a transaction's status moves to SPENT once every output
+is spent.
+
+Signatures are unforgeable and live in one pool of the world: a
 signature sent between parties travels on an open network, so every
 party can use it, and `broadcast_signature` is the pool's only writer.
 A signature covers every input of the transaction it signs
 (SIGHASH_ALL): it records each input's malleability nonce at signing
 time and is valid only while all of them match the inputs' current
-nonces.  Broadcasting a transaction that reveals secrets likewise
-discloses them to every party immediately (network eavesdropping
-happens before confirmation).
+nonces.  So the possible signatures are the (key, transaction, input
+nonce vector) triples of the model's `broadcast_signature` statements,
+each one byte of the valuation.  Broadcasting a transaction that
+reveals secrets likewise discloses them to every party immediately
+(network eavesdropping happens before confirmation).
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+import itertools
+from typing import NamedTuple
 
 from .kernel import (
     TIME,
@@ -34,6 +57,8 @@ from .kernel import (
 
 UNSENT, SENT, CONFIRMED, SPENT, CANCELED = range(5)
 STATUS_NAMES = ("UNSENT", "SENT", "CONFIRMED", "SPENT", "CANCELED")
+ON_CHAIN = (CONFIRMED, SPENT)
+NONCES = 2  # the chain confirms a nonce-relevant transaction with nonce 0 or 1
 
 
 class WorldConstants(NamedTuple):
@@ -48,17 +73,10 @@ class WorldConstants(NamedTuple):
         return self
 
 
-class SignatureRec(NamedTuple):
-    key: int
-    tx_num: int
-    input_nonces: tuple  # each input's nonce at signing time
-
-
 class Output(NamedTuple):
     script_kind: str   # 'key' (standard) or 'nss'
     script_ref: int    # key id or non-standard-script id
     value: int
-    spent: bool = False
 
 
 class NssClause(NamedTuple):
@@ -67,210 +85,262 @@ class NssClause(NamedTuple):
 
 
 class TxRecord(NamedTuple):
+    """A transaction's static description."""
+
     num: int
     inputs: tuple      # ((tx id, output index), ...)
     outputs: tuple     # (Output, ...)
-    status: int = UNSENT
     timelock: int = 0
-    timelock_passed: bool = False
-    nonce: int = 0
     reveals: tuple = ()
 
 
 class PartyKnowledge(NamedTuple):
+    """A party's initial keys and secrets, one boolean each."""
+
     know_key: tuple
     know_secret: tuple
 
 
-class World:
-    """Complete discrete state: transaction table, parties, boolean
-    flags and the signature pool (a sorted SignatureRec tuple).
+class Layout:
+    """Offsets of the fields a `.model` can name.
 
-    Hash and the pending-transaction view are computed lazily and cached:
-    intermediate worlds inside compound updates are never hashed.
+    Transaction i's status is byte i, its timelock flag `flag + i` and
+    its nonce `nonce + i`; the spent bit of its output j is
+    `spent[i][j]`.  Party p's bit of key k is `key_bit(p, k)` and of
+    secret s `secret_bit(p, s)`; timer i is `timers + i` and mark i
+    `marks + i`.  The fields end at `end`, where the signatures begin.
     """
 
-    __slots__ = ("txs", "parties", "timers", "msgs", "marks", "sigs",
-                 "_hash", "_owners")
+    def __init__(self, output_counts, party_count, key_count, secret_count,
+                 timer_count, mark_count):
+        n = self.tx_count = len(output_counts)
+        self.flag = n
+        self.nonce = 2 * n
+        off = 3 * n
+        spent = []
+        for count in output_counts:
+            spent.append(tuple(range(off, off + count)))
+            off += count
+        self.spent = tuple(spent)
+        self.spent_range = (3 * n, off)
+        self.party_count, self.key_count, self.secret_count = (
+            party_count, key_count, secret_count)
+        self.keys = off
+        off += party_count * key_count
+        self.secrets = off
+        off += party_count * secret_count
+        self.timers = off
+        off += timer_count
+        self.marks = off
+        self.end = off + mark_count
 
-    def __init__(self, txs, parties, timers=(), msgs=(), marks=(), sigs=()):
-        self.txs = txs
-        self.parties = parties
-        self.timers = timers
-        self.msgs = msgs
-        self.marks = marks
-        self.sigs = sigs
-        self._hash = None
-        self._owners = None
+    def key_bit(self, party, key):
+        return self.keys + party * self.key_count + key
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(
-                (self.txs, self.parties, self.timers, self.msgs, self.marks,
-                 self.sigs)
-            )
-        return h
+    def secret_bit(self, party, secret):
+        return self.secrets + party * self.secret_count + secret
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, World)
-            and self.txs == other.txs
-            and self.parties == other.parties
-            and self.timers == other.timers
-            and self.msgs == other.msgs
-            and self.marks == other.marks
-            and self.sigs == other.sigs
-        )
+
+class World(bytes):
+    """A data valuation: one byte per dynamic field of its table `T`.
+
+    Each network has its own subclass, whose `T` is the network's
+    `WorldTable`; equal valuations are equal bytes, and CPython caches a
+    `bytes` hash in the object.
+    """
+
+    __slots__ = ()
+    T = None
 
     def __repr__(self):
-        live = [
-            "%d:%s" % (t.num, STATUS_NAMES[t.status])
-            for t in self.txs
-            if t.status != UNSENT
-        ]
+        live = ["%d:%s" % (i, STATUS_NAMES[s])
+                for i, s in enumerate(self[:self.T.tx_count]) if s != UNSENT]
         return "World(%s)" % ", ".join(live)
 
-    def replace_tx(self, idx, tx):
-        txs = self.txs[:idx] + (tx,) + self.txs[idx + 1:]
-        return World(txs, self.parties, self.timers, self.msgs, self.marks,
-                     self.sigs)
 
-    def replace_party(self, idx, p):
-        parties = self.parties[:idx] + (p,) + self.parties[idx + 1:]
-        return World(self.txs, parties, self.timers, self.msgs, self.marks,
-                     self.sigs)
+class WorldTable(Layout):
+    """The static half of one network's world (see the module notes).
 
-    def set_timer(self, idx):
-        timers = self.timers[:idx] + (True,) + self.timers[idx + 1:]
-        return World(self.txs, self.parties, timers, self.msgs, self.marks,
-                     self.sigs)
+    `txs` are the network's transactions (protocol ones and the
+    adversary's sweeps), `parties` the initial knowledge of every party
+    slot, `confirmed` the transactions on chain at the start, and
+    `signatures` the (key, transaction) pairs of the model's
+    `broadcast_signature` statements: each has one pool byte per vector
+    of its inputs' nonces.  The pool holds at most `capacity`
+    signatures, and the `msg_count` adversary messages come last.
+    `initial` is the network's initial valuation, and `World` the
+    valuation class.
+    """
 
-    def set_msg(self, idx):
-        msgs = self.msgs[:idx] + (True,) + self.msgs[idx + 1:]
-        return World(self.txs, self.parties, self.timers, msgs, self.marks,
-                     self.sigs)
+    def __init__(self, txs, nss_table, parties, timer_count, mark_count,
+                 confirmed=(), signatures=(), capacity=1, msg_count=0):
+        party_count, key_count = len(parties), len(parties[0].know_key)
+        super().__init__(tuple(len(tx.outputs) for tx in txs), party_count,
+                         key_count, len(parties[0].know_secret), timer_count,
+                         mark_count)
+        self.txs = tuple(txs)
+        self.nss_table = nss_table
+        self.capacity = capacity
+        off = self.sigs = self.end
+        self.sig_slots = {}  # (key, tx) -> (nonce offsets, {nonces: offset})
+        for key, t in signatures:
+            ins = tuple(self.nonce + src for src, _oi in txs[t].inputs)
+            slots = {}
+            for nonces in itertools.product(range(NONCES), repeat=len(ins)):
+                slots[nonces] = off
+                off += 1
+            self.sig_slots[(key, t)] = (ins, slots)
+        self.sig_end = self.msgs = off
+        self.size = off + msg_count
 
-    def set_mark(self, idx):
-        marks = self.marks[:idx] + (True,) + self.marks[idx + 1:]
-        return World(self.txs, self.parties, self.timers, self.msgs, marks,
-                     self.sigs)
+        # static data the checks and holdings read, resolved to offsets
+        self.outputs = tuple(
+            (tx.num, self.spent[tx.num][j], out)
+            for tx in txs for j, out in enumerate(tx.outputs))
+        # every party's bit of a key, as a slice of the valuation
+        self.key_outputs = tuple(
+            (t, spent, slice(self.key_bit(0, out.script_ref),
+                             self.key_bit(party_count, out.script_ref), key_count),
+             out.value)
+            for t, spent, out in self.outputs if out.script_kind == "key")
+        self.reveals = tuple(
+            (tx.num, tuple((s, tuple(self.secret_bit(p, s)
+                                     for p in range(self.party_count)))
+                           for s in tx.reveals))
+            for tx in txs if tx.reveals)
+        self.unbalanced = tuple(
+            tx.num for tx in txs
+            if sum(txs[i].outputs[oi].value for i, oi in tx.inputs)
+            != sum(o.value for o in tx.outputs))
+        self.owners = {}  # status bytes -> transactions awaiting confirmation
+
+        self.World = type("World", (World,), {"__slots__": (), "T": self})
+        data = bytearray(self.size)
+        for t in confirmed:
+            data[t] = CONFIRMED
+        for tx in txs:
+            data[self.flag + tx.num] = tx.timelock == 0
+        for p, k in enumerate(parties):
+            for i, bit in enumerate(k.know_key):
+                data[self.key_bit(p, i)] = bit
+            for i, bit in enumerate(k.know_secret):
+                data[self.secret_bit(p, i)] = bit
+        self.initial = self.World(data)
 
 
 def pending_clock_owners(world):
-    """Transactions awaiting confirmation, ascending: the live clock set."""
-    owners = world._owners
+    """Transactions awaiting confirmation, ascending: the live clock set.
+
+    Derived from the status bytes alone, and remembered per status
+    vector by the table."""
+    T = world.T
+    statuses = world[:T.tx_count]
+    owners = T.owners.get(statuses)
     if owners is None:
-        owners = world._owners = tuple(
-            t.num for t in world.txs if t.status == SENT
-        )
+        owners = T.owners[statuses] = tuple(
+            i for i, s in enumerate(statuses) if s == SENT)
     return owners
+
+
+def set_flags(world, offsets):
+    """`world` with the byte at each of `offsets` set to 1."""
+    data = bytearray(world)
+    for o in offsets:
+        data[o] = 1
+    return world.T.World(data)
+
+
+def know_secret(world, party, secret):
+    T = world.T
+    return world[T.secrets + party * T.secret_count + secret] == 1
 
 
 # -- signatures and scripts ---------------------------------------------
 
 
-def know_signature(world, party, tx, key):
-    """Can `party` produce key's signature for tx?
+def know_signature(world, party, txid, key):
+    """Can `party` produce key's signature for transaction txid?
 
     True with direct key knowledge, or with a pooled signature for this
     transaction and key whose recorded nonces all still match the
-    current nonces of tx's inputs (malleability check).
+    current nonces of the transaction's inputs (malleability check).
     """
-    if world.parties[party].know_key[key]:
+    T = world.T
+    if world[T.key_bit(party, key)]:
         return True
-    for s in world.sigs:
-        if (s.tx_num == tx.num and s.key == key
-                and s.input_nonces == _input_nonces(world, tx)):
-            return True
-    return False
+    pool = T.sig_slots.get((key, txid))
+    if pool is None:
+        return False
+    ins, slots = pool
+    return world[slots[tuple(world[o] for o in ins)]] == 1
 
 
-def _input_nonces(world, tx):
-    return tuple(world.txs[in_tx].nonce for (in_tx, _out) in tx.inputs)
-
-
-def can_create_input_script(world, party, tx, nss_table):
-    """Can `party` satisfy the spending conditions of every input of tx?
+def can_create_input_script(world, party, txid):
+    """Can `party` satisfy the spending conditions of every input of txid?
 
     Standard outputs need a signature for the output's key.  A
     non-standard script is satisfied when some clause has all its keys
     signed and all its secrets both known to the party and revealed by
     the spending transaction itself.
     """
+    T = world.T
+    txs = T.txs
+    tx = txs[txid]
     for (in_tx, out_idx) in tx.inputs:
-        out = world.txs[in_tx].outputs[out_idx]
+        out = txs[in_tx].outputs[out_idx]
         if out.script_kind == "key":
-            if not know_signature(world, party, tx, out.script_ref):
+            if not know_signature(world, party, txid, out.script_ref):
                 return False
         else:
-            p = world.parties[party]
-            clause_ok = False
-            for clause in nss_table[out.script_ref]:
+            secrets = T.secrets + party * T.secret_count
+            for clause in T.nss_table[out.script_ref]:
                 if all(
-                    know_signature(world, party, tx, k)
-                    for k in clause.keys
+                    know_signature(world, party, txid, k) for k in clause.keys
                 ) and all(
-                    p.know_secret[s] and s in tx.reveals
-                    for s in clause.secrets
+                    world[secrets + s] and s in tx.reveals for s in clause.secrets
                 ):
-                    clause_ok = True
                     break
-            if not clause_ok:
+            else:
                 return False
     return True
 
 
-def ever_confirmed(world, txid):
-    """Has the transaction appeared on the chain?  Persistent observation:
-    a confirmed transaction that was later redeemed still counts."""
-    return world.txs[txid].status in (CONFIRMED, SPENT)
-
-
-def _inputs_spendable(world, tx):
+def _inputs_spendable(world, T, tx):
     # every input must be confirmed with the referenced output unredeemed
+    spent = T.spent
     for (in_tx, out_idx) in tx.inputs:
-        src = world.txs[in_tx]
-        if src.status != CONFIRMED or src.outputs[out_idx].spent:
+        if world[in_tx] != CONFIRMED or world[spent[in_tx][out_idx]]:
             return False
     return True
 
 
-def can_send(world, party, txid, nss_table):
-    tx = world.txs[txid]
+def can_send(world, party, txid):
+    if world[txid] != UNSENT:
+        return False
+    T = world.T
     return (
-        tx.status == UNSENT
-        and tx.timelock_passed
-        and _inputs_spendable(world, tx)
-        and can_create_input_script(world, party, tx, nss_table)
+        world[T.flag + txid] == 1
+        and _inputs_spendable(world, T, T.txs[txid])
+        and can_create_input_script(world, party, txid)
     )
 
 
-def try_to_send(world, party, txid, nss_table):
+def try_to_send(world, party, txid):
     """Broadcast txid if legal; silently a no-op otherwise.
 
     Broadcasting discloses every secret in the transaction's input
     script to all parties at once: peers see transactions before they
     are confirmed.
     """
-    if not can_send(world, party, txid, nss_table):
+    if not can_send(world, party, txid):
         return world
-    tx = world.txs[txid]
-    world = world.replace_tx(txid, TxRecord(
-        tx.num, tx.inputs, tx.outputs, SENT, tx.timelock,
-        tx.timelock_passed, tx.nonce, tx.reveals,
-    ))
-    for sec in tx.reveals:
-        world = _disclose_secret(world, sec)
-    return world
-
-
-def _disclose_secret(world, sec):
-    for i, p in enumerate(world.parties):
-        if not p.know_secret[sec]:
-            ks = p.know_secret[:sec] + (True,) + p.know_secret[sec + 1:]
-            world = world.replace_party(i, p._replace(know_secret=ks))
-    return world
+    T = world.T
+    data = bytearray(world)
+    data[txid] = SENT
+    for sec in T.txs[txid].reveals:
+        for p in range(T.party_count):
+            data[T.secret_bit(p, sec)] = 1
+    return T.World(data)
 
 
 def try_to_confirm(world, txid, nonce):
@@ -280,30 +350,22 @@ def try_to_confirm(world, txid, nonce):
     Confirmation marks the referenced input outputs spent; an input
     transaction whose outputs are all spent moves to SPENT.
     """
-    tx = world.txs[txid]
-    if tx.status != SENT:
+    if world[txid] != SENT:
         raise ModelError("try_to_confirm on a transaction that is not SENT")
-    # records are built directly: namedtuple _replace is slow on this path
-    if tx.timelock_passed and _inputs_spendable(world, tx):
-        world = world.replace_tx(txid, TxRecord(
-            tx.num, tx.inputs, tx.outputs, CONFIRMED, tx.timelock,
-            tx.timelock_passed, nonce, tx.reveals,
-        ))
+    T = world.T
+    tx = T.txs[txid]
+    data = bytearray(world)
+    if world[T.flag + txid] and _inputs_spendable(world, T, tx):
+        data[txid] = CONFIRMED
+        data[T.nonce + txid] = nonce
         for (in_tx, out_idx) in tx.inputs:
-            src = world.txs[in_tx]
-            outs = list(src.outputs)
-            out = outs[out_idx]
-            outs[out_idx] = Output(out.script_kind, out.script_ref, out.value, True)
-            status = SPENT if all(o.spent for o in outs) else src.status
-            world = world.replace_tx(in_tx, TxRecord(
-                src.num, src.inputs, tuple(outs), status, src.timelock,
-                src.timelock_passed, src.nonce, src.reveals,
-            ))
-        return world
-    return world.replace_tx(txid, TxRecord(
-        tx.num, tx.inputs, tx.outputs, CANCELED, tx.timelock,
-        tx.timelock_passed, tx.nonce, tx.reveals,
-    ))
+            outs = T.spent[in_tx]
+            data[outs[out_idx]] = 1
+            if all(data[o] for o in outs):
+                data[in_tx] = SPENT
+    else:
+        data[txid] = CANCELED
+    return T.World(data)
 
 
 # -- holdings ------------------------------------------------------------
@@ -316,76 +378,67 @@ def hold_bitcoins(world, party):
     the party knows and which have exactly one owner; outputs whose key
     leaked to another party protect nobody and count for no one.
     """
-    parties = world.parties
-    mine = parties[party].know_key
     total = 0
-    for tx in world.txs:
-        if tx.status != CONFIRMED:
-            continue
-        for out in tx.outputs:
-            if out.script_kind != "key" or out.spent:
-                continue
-            key = out.script_ref
-            if mine[key] and sum(p.know_key[key] for p in parties) == 1:
-                total += out.value
+    for txid, spent, owners, value in world.T.key_outputs:
+        if world[txid] == CONFIRMED and not world[spent]:
+            owners = world[owners]
+            if owners[party] and owners.count(1) == 1:
+                total += value
     return total
 
 
 # -- signatures as messages ----------------------------------------------
 
 
-def make_signature(world, key, txid):
+def broadcast_signature(world, key, txid):
     """Sign every input of txid with `key` (SIGHASH_ALL), recording the
-    inputs' current nonces."""
-    return SignatureRec(key, txid, _input_nonces(world, world.txs[txid]))
-
-
-def broadcast_signature(world, sig, capacity):
-    """Add a signature to the pool, where every party can use it:
-    messages travel on an open network.  The pool holds at most
-    `capacity` signatures."""
-    sigs = world.sigs
-    if sig in sigs:
+    inputs' current nonces, and add the signature to the pool, where
+    every party can use it: messages travel on an open network.  The
+    pool holds at most the table's `capacity` signatures; the pair must
+    be one of the table's `signatures`."""
+    T = world.T
+    ins, slots = T.sig_slots[(key, txid)]
+    slot = slots[tuple(world[o] for o in ins)]
+    if world[slot]:
         return world
-    if len(sigs) >= capacity:
-        raise ModelError("signature pool overflow (capacity %d)" % capacity)
-    return World(world.txs, world.parties, world.timers, world.msgs,
-                 world.marks, tuple(sorted(sigs + (sig,))))
+    if world.count(1, T.sigs, T.sig_end) >= T.capacity:
+        raise ModelError("signature pool overflow (capacity %d)" % T.capacity)
+    data = bytearray(world)
+    data[slot] = 1
+    return T.World(data)
 
 
 # -- invariant checkers (used as exploration assertions) -----------------
 
 
 def check_value_conservation(world):
-    for tx in world.txs:
-        if tx.status in (CONFIRMED, SPENT):
-            in_val = sum(
-                world.txs[i].outputs[oi].value for (i, oi) in tx.inputs
-            )
-            out_val = sum(o.value for o in tx.outputs)
-            if in_val != out_val:
-                raise ModelInvariantError(
-                    "value not conserved by tx %d" % tx.num
-                )
+    # only a transaction whose static values are unbalanced can break it
+    for t in world.T.unbalanced:
+        if world[t] in ON_CHAIN:
+            raise ModelInvariantError("value not conserved by tx %d" % t)
 
 
 def check_nonce_consistency(world):
-    for tx in world.txs:
-        if tx.nonce != 0 and tx.status not in (CONFIRMED, SPENT):
+    T = world.T
+    n, base = T.tx_count, T.nonce
+    if world.count(0, base, base + n) == n:
+        return
+    for t in range(n):
+        if world[base + t] != 0 and world[t] not in ON_CHAIN:
             raise ModelInvariantError(
-                "tx %d carries a nonce without being confirmed" % tx.num
+                "tx %d carries a nonce without being confirmed" % t
             )
 
 
 def check_eavesdropping(world):
-    for tx in world.txs:
-        if tx.status in (SENT, CONFIRMED, SPENT):
-            for sec in tx.reveals:
-                for i, p in enumerate(world.parties):
-                    if not p.know_secret[sec]:
+    for txid, secrets in world.T.reveals:
+        if world[txid] in (SENT, CONFIRMED, SPENT):
+            for sec, bits in secrets:
+                for i, b in enumerate(bits):
+                    if not world[b]:
                         raise ModelInvariantError(
                             "secret %d revealed by tx %d but unknown to party %d"
-                            % (sec, tx.num, i)
+                            % (sec, txid, i)
                         )
 
 
@@ -398,63 +451,37 @@ _STATUS_STEPS = {
 
 
 def check_status_machine(before, after):
-    # updates share every TxRecord they leave unchanged, so identical
-    # objects need no comparison
-    if before.txs is after.txs:
-        return
-    for old, new in zip(before.txs, after.txs):
-        if old is new:
-            continue
-        if old.status != new.status and (old.status, new.status) not in _STATUS_STEPS:
-            raise ModelInvariantError(
-                "illegal status transition %s -> %s on tx %d"
-                % (STATUS_NAMES[old.status], STATUS_NAMES[new.status], old.num)
-            )
-        for oo, no in zip(old.outputs, new.outputs):
-            if oo.spent and not no.spent:
+    # Equal status (or spent) bytes need no look; otherwise the bytes
+    # that differ are the set bytes of the XOR of the two slices read as
+    # little-endian integers, taken lowest (first transaction) first.
+    T = before.T
+    n = T.tx_count
+    old, new = before[:n], after[:n]
+    if old != new:
+        diff = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+        while diff:
+            t = ((diff & -diff).bit_length() - 1) >> 3
+            if (old[t], new[t]) not in _STATUS_STEPS:
                 raise ModelInvariantError(
-                    "output of tx %d became unspent" % old.num
+                    "illegal status transition %s -> %s on tx %d"
+                    % (STATUS_NAMES[old[t]], STATUS_NAMES[new[t]], t)
                 )
-
-
-# -- deadline flags -------------------------------------------------------
-
-
-class DeadlineFlag(NamedTuple):
-    """A boolean of the world that the helper sets at `threshold`."""
-
-    threshold: int
-    is_set: Callable       # (world) -> bool
-    set: Callable          # (world) -> world
-
-
-def timer_flag(index, threshold):
-    return DeadlineFlag(
-        threshold,
-        lambda w, i=index: w.timers[i],
-        lambda w, i=index: w.set_timer(i),
-    )
-
-
-def timelock_flag(txid, threshold):
-    def _set(w, t=txid):
-        tx = w.txs[t]
-        return w.replace_tx(t, TxRecord(
-            tx.num, tx.inputs, tx.outputs, tx.status, tx.timelock,
-            True, tx.nonce, tx.reveals,
-        ))
-
-    return DeadlineFlag(
-        threshold,
-        lambda w, t=txid: w.txs[t].timelock_passed,
-        _set,
-    )
+            diff &= ~(0xFF << (t << 3))
+    lo, hi = T.spent_range
+    old, new = before[lo:hi], after[lo:hi]
+    if old != new:
+        # spent bits are 0 or 1: a set byte of old & ~new was unspent again
+        lost = int.from_bytes(old, "little") & ~int.from_bytes(new, "little")
+        if lost:
+            o = lo + (((lost & -lost).bit_length() - 1) >> 3)
+            t = next(t for t, outs in enumerate(T.spent) if o in outs)
+            raise ModelInvariantError("output of tx %d became unspent" % t)
 
 
 # -- shared automata -------------------------------------------------------
 
 
-def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
+def build_blockchain_agent(constants, tx_count, nonce_relevant):
     """The agent that maintains the chain: confirmation with nonce choice.
 
     A waiting transaction resolves (confirms or cancels) strictly within
@@ -464,8 +491,8 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
     discrete oracle relies on; the boundary point MAX_LATENCY itself
     must stay excluded or pending transactions could straddle protocol
     deadlines the paper's guarantees assume they cannot.  The nonce is
-    chosen nondeterministically at confirmation time, which is how
-    transaction malleability enters the model.
+    chosen nondeterministically at confirmation time, among the NONCES
+    values, which is how transaction malleability enters the model.
 
     A transaction's nonce is only ever read through pooled signatures
     of transactions that spend it, so for transactions no signature
@@ -482,7 +509,7 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
         return [(("tx", t), "<=", bound) for t in pending_clock_owners(w)]
 
     def guard(w, binds):
-        return w.txs[binds["i"]].status == SENT
+        return w[binds["i"]] == SENT
 
     def update(w, binds):
         return try_to_confirm(w, binds["i"], binds.get("n", 0))
@@ -491,7 +518,7 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
     if relevant:
         edges.append(Edge(
             source=0, target=0, label="confirm",
-            select=(("i", relevant), ("n", tuple(range(nonce_count)))),
+            select=(("i", relevant), ("n", tuple(range(NONCES)))),
             guard=guard, update=update,
         ))
     if plain:
@@ -508,42 +535,41 @@ def build_blockchain_agent(constants, tx_count, nonce_count, nonce_relevant):
 def build_helper(deadlines):
     """One-location helper that sets each deadline flag at its threshold.
 
-    Flags sharing a threshold θ form a group.  While a group has a clear
-    flag, its edge `time == θ` may set the group, and the location
-    invariant is `time <= θ` for the smallest such θ, so time cannot
-    pass a threshold before its flags are set; once every flag is set
-    the invariant is empty.  No `.model` update sets or clears a flag,
-    so a clear flag means `time <= θ` and a set one `time >= θ`.  The
-    edge of a group above the first clear one is data-enabled but
-    guards `time` past that invariant, so a skeleton never builds it
-    (see the kernel's module notes).
+    `deadlines` are (threshold, offset) pairs: the flag is the byte at
+    `offset`, a timer or a transaction's timelock flag.  Flags sharing a
+    threshold θ form a group.  While a group has a clear flag, its edge
+    `time == θ` may set the group, and the location invariant is
+    `time <= θ` for the smallest such θ, so time cannot pass a threshold
+    before its flags are set; once every flag is set the invariant is
+    empty.  No `.model` update sets or clears a flag, so a clear flag
+    means `time <= θ` and a set one `time >= θ`.  The edge of a group
+    above the first clear one is data-enabled but guards `time` past
+    that invariant, so a skeleton never builds it (see the kernel's
+    module notes).
     """
     by_threshold = {}
-    for d in deadlines:
-        by_threshold.setdefault(d.threshold, []).append(d)
+    for theta, offset in deadlines:
+        by_threshold.setdefault(theta, []).append(offset)
     groups = tuple(
-        (theta, ((TIME, "<=", theta),), tuple(flags))
-        for theta, flags in sorted(by_threshold.items())
+        (theta, ((TIME, "<=", theta),), tuple(offsets))
+        for theta, offsets in sorted(by_threshold.items())
     )
 
     def invariant(w):
-        for _theta, cap, flags in groups:
-            for d in flags:
-                if not d.is_set(w):
+        for _theta, cap, offsets in groups:
+            for o in offsets:
+                if not w[o]:
                     return cap
         return ()
 
     edges = []
-    for theta, _cap, flags in groups:
+    for theta, _cap, offsets in groups:
 
-        def guard(w, binds, flags=flags):
-            return any(not d.is_set(w) for d in flags)
+        def guard(w, binds, offsets=offsets):
+            return any(not w[o] for o in offsets)
 
-        def update(w, binds, flags=flags):
-            for d in flags:
-                if not d.is_set(w):
-                    w = d.set(w)
-            return w
+        def update(w, binds, offsets=offsets):
+            return set_flags(w, offsets)
 
         edges.append(Edge(0, 0, "tick@%d" % theta, guard=guard,
                           clock_guard=((TIME, "==", theta),), update=update))

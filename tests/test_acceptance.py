@@ -116,8 +116,8 @@ def test_criterion_5_bug_regression(capsys, newscs_fixed):
     final = replay_trace(net, res.trace)
     assert Q.evaluate(final, q) is not None
     t = buggy.tx_names
-    assert final.data.txs[t["FUSE_A"]].status != w.CONFIRMED
-    assert final.data.txs[t["CSA_FUSE"]].status != w.CONFIRMED
+    assert final.data[t["FUSE_A"]] != w.CONFIRMED
+    assert final.data[t["CSA_FUSE"]] != w.CONFIRMED
 
     res_fixed, _n, _q = run_query(newscs_fixed, "ALICE", "bob_compensated")
     assert res_fixed.verdict == "SATISFIED"
@@ -238,13 +238,13 @@ def test_criterion_9_malleability(capsys):
     model = build_cs_model(CS_PAPER)
     net, _ctx = instantiate(model, adversary=None)
     world = net.initial_data
-    sig = w.make_signature(world, 0, 3)  # C_KEY over FUSE at nonce 0
-    assert sig == w.SignatureRec(0, 3, (0,))
-    world = w.broadcast_signature(world, sig, model.sig_capacity)
-    assert w.know_signature(world, 1, world.txs[3], 0)
-    world = w.try_to_send(world, 0, 1, model.nss_table)
+    (_ins, slots), = world.T.sig_slots.values()  # C_KEY over FUSE
+    world = w.broadcast_signature(world, 0, 3)
+    assert [nonces for nonces, o in slots.items() if world[o]] == [(0,)]
+    assert w.know_signature(world, 1, 3, 0)
+    world = w.try_to_send(world, 0, 1)
     world = w.try_to_confirm(world, 1, 1)  # malleated confirmation
-    assert not w.know_signature(world, 1, world.txs[3], 0)
+    assert not w.know_signature(world, 1, 3, 0)
 
     weakened = build_cs_model(CS_PAPER, weakened_alice=True)
     res_weak, net_w, q = run_query(weakened, None, "bob_accepts")

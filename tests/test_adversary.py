@@ -53,8 +53,8 @@ class TestAdversaryReach:
         sent = set()
 
         def watch(state):
-            for tx in state.data.txs:
-                if tx.status != w.UNSENT:
+            for tx in state.data.T.txs:
+                if state.data[tx.num] != w.UNSENT:
                     sent.add(tx.num)
             return None
 
@@ -83,7 +83,8 @@ class TestAdversaryReach:
         adv = len(model.party_names) - 1
 
         def watch(state):
-            assert state.data.parties[adv].know_key == (True, False)
+            T = state.data.T
+            assert [state.data[T.key_bit(adv, k)] for k in range(T.key_count)] == [1, 0]
             return None
 
         explore(net, check=watch)
@@ -93,7 +94,8 @@ class TestAdversaryReach:
         net, _ctx = instantiate(model, adversary="ALICE")
 
         def watch(state):
-            assert len(state.data.sigs) <= 1
+            T = state.data.T
+            assert state.data.count(1, T.sigs, T.sig_end) <= 1
             return None
 
         explore(net, check=watch)

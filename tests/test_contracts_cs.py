@@ -67,9 +67,11 @@ class TestMalleability:
         # the losing run confirms the commitment with a fresh nonce,
         # killing the pre-broadcast signature, which the pool still holds
         final = replay_trace(net, res.trace)
-        assert final.data.txs[1].nonce == 1
-        assert final.data.sigs == (w.SignatureRec(0, 3, (0,)),)
-        assert not w.know_signature(final.data, 1, final.data.txs[3], 0)
+        T = final.data.T
+        assert final.data[T.nonce + 1] == 1
+        (_ins, slots), = T.sig_slots.values()  # C_KEY over FUSE
+        assert [n for n, o in slots.items() if final.data[o]] == [(0,)]
+        assert not w.know_signature(final.data, 1, 3, 0)
 
     def test_shipped_alice_immune(self):
         res, _n, _q = verdict(build_cs_model(PAPER), None, "bob_accepts")
@@ -92,10 +94,12 @@ class TestExplorationInvariants:
         net, _ctx = instantiate(model, adversary="ALICE")
 
         def check(state):
+            data = state.data
             live = sum(
-                o.value
-                for tx in state.data.txs if tx.status == w.CONFIRMED
-                for o in tx.outputs if not o.spent
+                out.value
+                for tx in data.T.txs if data[tx.num] == w.CONFIRMED
+                for out, spent in zip(tx.outputs, data.T.spent[tx.num])
+                if not data[spent]
             )
             assert live == 1
             return None
@@ -111,7 +115,7 @@ class TestTraces:
         assert [s.descriptor for s in res.trace.steps] == \
                [s.descriptor for s in res2.trace.steps]
         final = replay_trace(net, res.trace)
-        assert not final.data.parties[1].know_secret[0]
+        assert not w.know_secret(final.data, 1, 0)
 
     def test_honest_run_ends_with_open_confirmed(self):
         model = build_cs_model(REDUCED)
@@ -119,8 +123,8 @@ class TestTraces:
 
         def check(state):
             # final settled states: OPEN confirmed, FUSE never confirmed
-            if state.data.txs[2].status == w.CONFIRMED:
-                assert state.data.txs[3].status in (w.UNSENT, w.CANCELED)
+            if state.data[2] == w.CONFIRMED:
+                assert state.data[3] in (w.UNSENT, w.CANCELED)
             return None
 
         res = explore(net, check=check)
@@ -147,9 +151,9 @@ class TestAliceWindow:
         net, _ctx = instantiate(model, adversary=None)
 
         def check(state):
-            deadline_passed = state.data.timers[0]
+            deadline_passed = state.data[state.data.T.timers]
             if deadline_passed and state.zone.min_value(1) > REDUCED.prot_timelock - REDUCED.max_latency:
-                assert state.data.txs[2].status != w.UNSENT
+                assert state.data[2] != w.UNSENT
             return None
 
         explore(net, check=check)

@@ -41,7 +41,7 @@ class TestStructure:
         txs = fixed_model.protocol_txs
         assert len(txs) == 16
         deposits = [txs[t[k]] for k in ("TA1", "TA2", "TB1", "TB2")]
-        assert all(d.status == w.CONFIRMED for d in deposits)
+        assert fixed_model.confirmed == tuple(d.num for d in deposits)
         assert all(d.outputs[0].value == 1 for d in deposits)
         joint = txs[t["COMMIT"]]
         assert len(joint.inputs) == 2 and len(joint.outputs) == 2
@@ -111,8 +111,8 @@ class TestBugRegression:
         # the losing run confirms neither the joint fuse nor the
         # sub-commitment fuse for Bob
         t = buggy.tx_names
-        assert final.data.txs[t["FUSE_A"]].status != w.CONFIRMED
-        assert final.data.txs[t["CSA_FUSE"]].status != w.CONFIRMED
+        assert final.data[t["FUSE_A"]] != w.CONFIRMED
+        assert final.data[t["CSA_FUSE"]] != w.CONFIRMED
 
     def test_buggy_bob_still_keeps_two(self):
         buggy = build_newscs_model(REDUCED, buggy_bob=True)
@@ -150,8 +150,8 @@ class TestAbortMargin:
         # the attack waits with the commit broadcast until her abort
         # instant, then races her sequenced sub-commitment open
         t = model.tx_names
-        assert final.data.txs[t["CSA_OPEN"]].status == w.CANCELED
-        assert final.data.txs[t["CSA_FUSE"]].status == w.CONFIRMED
+        assert final.data[t["CSA_OPEN"]] == w.CANCELED
+        assert final.data[t["CSA_FUSE"]] == w.CONFIRMED
         # the counterexample replays on its own, with the margin it was
         # found at; without its variant it meets margin 3, whose abort
         # deadline 13 - 3*3 = 4 it overruns

@@ -12,6 +12,7 @@ import pytest
 
 from tacv import modelio as M
 from tacv import queries as Q
+from tacv import world as w
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.kernel import explore, random_run, replay_trace
 from tacv.oracle import explore_discrete
@@ -28,16 +29,18 @@ class TestLoader:
         assert model.constants == WorldConstants(10, 100)
         assert len(model.protocol_txs) == 4
         assert model.sig_capacity == 1
-        assert model.signed_txs == (model.tx_names["FUSE"],)
+        assert model.signatures == ((model.key_names["C_KEY"], model.tx_names["FUSE"]),)
         assert set(model.queries) == set(build_cs_model().queries)
 
     def test_newscs_loads(self):
         model = M.load_model(NEWSCS_PATH)
         assert len(model.protocol_txs) == 16
         assert model.mark_count == 2
-        # the signed set is what the broadcast_signature statements name
-        assert model.signed_txs == tuple(sorted(
-            model.tx_names[t] for t in ("CSA_FUSE", "CSB_FUSE", "COMMIT")))
+        # the signatures are what the broadcast_signature statements name
+        k, t = model.key_names, model.tx_names
+        assert model.signatures == tuple(sorted(
+            (k[key], t[tx]) for key, tx in (("A_KEY", "CSA_FUSE"), ("B_KEY", "CSB_FUSE"),
+                                            ("A_KEY", "COMMIT"))))
 
     def test_adversary_message_signs_too(self):
         text = open(CS_PATH).read()
@@ -46,9 +49,9 @@ class TestLoader:
             assert stmt in text
             text = text.replace(stmt, "")
         model = M.build_model(text)
-        assert model.signed_txs == (model.tx_names["FUSE"],)
+        assert model.signatures == ((model.key_names["C_KEY"], model.tx_names["FUSE"]),)
         text = text.replace('message send_fuse_sig update "broadcast_signature(C_KEY, FUSE)"', "")
-        assert M.build_model(text).signed_txs == ()
+        assert M.build_model(text).signatures == ()
 
     def test_signed_section_rejected(self):
         text = open(CS_PATH).read()
@@ -439,10 +442,11 @@ class TestShippedModels:
         seen = []
 
         def flags_agree(state):
-            flags = [(set_, theta) for set_, (_name, theta)
-                     in zip(state.data.timers, model.timers)]
-            flags += [(tx.timelock_passed, tx.timelock)
-                      for tx in state.data.txs if tx.timelock > 0]
+            data, T = state.data, state.data.T
+            flags = [(data[T.timers + i], theta)
+                     for i, (_name, theta) in enumerate(model.timers)]
+            flags += [(data[T.flag + tx.num], tx.timelock)
+                      for tx in T.txs if tx.timelock > 0]
             assert len(flags) > 1
             for set_, theta in flags:
                 if set_:
@@ -522,7 +526,7 @@ class TestReports:
                                     model.queries["bob_knows_secret"], net)
         doc = json.loads(json.dumps(report["trace"]))
         final = M.replay_document(doc)
-        assert not final.data.parties[1].know_secret[0]
+        assert not w.know_secret(final.data, 1, 0)
 
     def test_counterexample_document_pinned(self):
         # fire labels are derived from descriptors when a trace is built;

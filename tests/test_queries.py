@@ -33,14 +33,15 @@ def state(zone_atoms, holdings_world=None, locs=(0, 0)):
 
 def _world(bob_holds=0, bob_knows=False):
     outs = (w.Output("key", 1, bob_holds or 1),)
-    tx = w.TxRecord(0, ((0, 0),), outs,
-                    status=w.CONFIRMED if bob_holds else w.UNSENT)
+    tx = w.TxRecord(0, ((0, 0),), outs)
     parties = (
         w.PartyKnowledge((True, False), (True,)),
         w.PartyKnowledge((False, True), (bob_knows,)),
         w.PartyKnowledge((False, False), (False,)),
     )
-    return w.World((tx,), parties)
+    table = w.WorldTable((tx,), (), parties, timer_count=0, mark_count=0,
+                         confirmed=(0,) if bob_holds else ())
+    return table.initial
 
 
 class TestParsing:
