@@ -5,9 +5,8 @@ to broadcast any transaction whose input scripts it can satisfy, and
 one urgent loop per protocol-specific message action (signature
 deliveries).  Its transaction set is the protocol set doubled: for
 every spendable protocol output there is one sweep transaction paying
-that output to a key the adversary controls.  Sweeps reveal nothing;
-their output scripts are irrelevant to the honest parties, and carrying
-a secret would only shrink the adversary's options.
+that output to the key of the `[adversary]` section.  Sweeps reveal
+nothing: carrying a secret would only shrink the adversary's options.
 
 Message deliveries are urgent edges, so an enabled delivery happens
 before time passes; the per-action flag makes each fire at most once.
@@ -30,7 +29,6 @@ class MessageAction(NamedTuple):
 
 
 class AdversaryConfig(NamedTuple):
-    controlled_party: int      # honest slot whose knowledge is cloned
     adv_key: int               # sweep recipient key
     message_actions: tuple = ()
 
@@ -59,15 +57,14 @@ def derive_adversary_txset(protocol_txs, adv_key):
     return tuple(txs)
 
 
-def build_adversary_automaton(cfg, adv_slot, tx_count, msgs, sendable=None):
+def build_adversary_automaton(cfg, adv_slot, sendable, msgs):
     """Single-state adversary: try-send loop plus urgent message loops.
 
-    `sendable` restricts the try-send select; None means every
-    transaction identifier (the generic automaton).  Message action k's
-    flag is the valuation's byte `msgs + k`.
+    `sendable` is the try-send select's domain: every transaction
+    identifier for the generic automaton, less the sweeps that
+    `contracts.instantiate` leaves out.  Message action k's flag is the
+    valuation's byte `msgs + k`.
     """
-    domain = tuple(sendable) if sendable is not None else tuple(range(tx_count))
-
     def send_guard(w, binds, slot=adv_slot):
         return can_send(w, slot, binds["i"])
 
@@ -77,7 +74,7 @@ def build_adversary_automaton(cfg, adv_slot, tx_count, msgs, sendable=None):
     edges = [
         Edge(
             0, 0, "try_send",
-            select=(("i", domain),),
+            select=(("i", tuple(sendable)),),
             guard=send_guard,
             update=send_update,
         )

@@ -86,9 +86,7 @@ def _scenario(args):
                abort_margin=args.abort_margin),
     )
     adversary = advs[0].upper() if advs else None
-    net, ctx = instantiate(
-        model, adversary=adversary, prune_idle_sweeps=not args.no_prune,
-    )
+    net, ctx = instantiate(model, adversary=adversary)
     return model, net, ctx, adversary
 
 
@@ -219,7 +217,9 @@ def cmd_list(args):
 def _add_scenario_args(p):
     p.add_argument("contract", help="built-in contract name or path to a .model file")
     p.add_argument("--adversary", action="append", metavar="PARTY",
-                   help="corrupted party (alice or bob); at most one")
+                   help="corrupted party (alice or bob); at most one.  It may"
+                   " broadcast any transaction it can script, less the sweeps"
+                   " no guard, holding or query can observe")
     p.add_argument("--buggy-bob", action="store_true", default=None,
                    help="set BUGGY_BOB = 1 (newscs: single-shot recovery,"
                    " the historical bug)")
@@ -231,8 +231,6 @@ def _add_scenario_args(p):
                    " PROT_TIMELOCK - N*MAX_LATENCY, default 3)")
     p.add_argument("--max-latency", type=int, help="override MAX_LATENCY")
     p.add_argument("--prot-timelock", type=int, help="override PROT_TIMELOCK")
-    p.add_argument("--no-prune", action="store_true",
-                   help="keep observationally idle sweeps in the adversary loop")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

@@ -43,6 +43,7 @@ class ContractModel(NamedTuple):
     queries: dict               # name -> property text
     total_value: int
     signatures: tuple           # (key, tx) pairs of the broadcast_signature statements
+    status_observed: tuple      # txs whose status a guard compares with CONFIRMED or SPENT
     confirmed: tuple            # txs on chain in the initial world
     mark_count: int = 0         # protocol progress marks in the data
     variant: tuple = ()         # non-default variant options as given, sorted (name, value)
@@ -94,17 +95,32 @@ def world_tables(model):
     }
 
 
-def _idle_sweep_ids(model, txs, adv_knowledge):
-    """Sweeps whose firing no guard, holding or reveal can observe.
+def _idle_sweep_ids(model, p):
+    """The sweeps that corrupted party `p`'s loop leaves out.
 
-    A sweep of a leaf output (one no protocol transaction spends) whose
-    key the adversary already controls moves value between two
-    adversary-reachable addresses: the source output counts for nobody
-    (two owners) and so does the swept one, honest automata never read
-    sweep statuses, and a pending sweep only tightens delay caps.
-    Dropping these from the adversary's loop preserves every verdict
-    and shrinks the exploration considerably.
+    A sweep of output (X, j) is left out when
+    1. no protocol transaction spends (X, j), so no guard or
+       confirmation depends on whether it is spent;
+    2. (X, j) is a standard output whose key the adversary holds, so
+       the key has two owners, `p` and its clone in the adversary's
+       slot, and the output counts for nobody;
+    3. no guard or condition compares X's status with CONFIRMED or
+       SPENT (`model.status_observed`): sweeping X's last unspent
+       output moves X from CONFIRMED to SPENT, which `on_chain(X)` and
+       a comparison with UNSENT, SENT or CANCELED cannot see;
+    4. the adversary's key is not held by exactly one party slot, the
+       adversary's counted: key bits never change, so the swept output
+       counts for nobody either.
+    A sweep reveals nothing, and while it waits it only bounds delays.
+    So a run of the full loop without these sweeps is a run of the
+    pruned loop with the same locations, holdings, secrets, timers and
+    marks, and the same statuses with SPENT read as CONFIRMED: every
+    guard and query answers alike on both, and so does every verdict.
     """
+    txs = model.worlds[p].txs
+    adv, adv_key = model.initial_parties[p], model.adversary_configs[p].adv_key
+    if sum(k.know_key[adv_key] for k in model.initial_parties[:-1] + (adv,)) == 1:
+        return frozenset()
     spent_by_protocol = {
         inp for tx in model.protocol_txs for inp in tx.inputs
     }
@@ -112,22 +128,23 @@ def _idle_sweep_ids(model, txs, adv_knowledge):
     for tx in txs[len(model.protocol_txs):]:
         (src, oi), = tx.inputs
         out = txs[src].outputs[oi]
-        if (src, oi) in spent_by_protocol:
+        if (src, oi) in spent_by_protocol or src in model.status_observed:
             continue
-        if out.script_kind == "key" and adv_knowledge.know_key[out.script_ref]:
+        if out.script_kind == "key" and adv.know_key[out.script_ref]:
             idle.append(tx.num)
     return frozenset(idle)
 
 
-def instantiate(model, adversary=None, run_world_checks=True,
-                prune_idle_sweeps=True):
+def instantiate(model, adversary=None, run_world_checks=True):
     """Assemble the network for one scenario selection.
 
     `adversary` names the corrupted party (or None for all-honest); its
     knowledge is cloned from that party's initial record and its
-    automaton replaces the party's honest suite.  Returns the Network
-    plus the name-resolution context for queries; `net.meta` keeps the
-    model, the adversary and `prune_idle_sweeps`, which rebuild it.
+    automaton replaces the party's honest suite.  Its try-send loop
+    leaves out the sweeps that no guard, holding or query can observe
+    (`_idle_sweep_ids`), so every verdict is that of the full loop over
+    every transaction.  Returns the Network plus the name-resolution context
+    for queries; `net.meta` keeps the model.
     Raises ModelError for an adversary that is no party or has no
     `[adversary]` section, and for an honest party without an automaton.
 
@@ -176,16 +193,10 @@ def instantiate(model, adversary=None, run_world_checks=True,
     adv_slot = len(model.party_names) - 1
     for p in range(adv_slot):
         if p == adv_idx:
-            sendable = None
-            if prune_idle_sweeps:
-                idle = _idle_sweep_ids(model, txs, model.initial_parties[p])
-                sendable = tuple(
-                    i for i in range(len(txs)) if i not in idle
-                )
+            idle = _idle_sweep_ids(model, p)
+            sendable = [i for i in range(len(txs)) if i not in idle]
             automata.append(
-                build_adversary_automaton(
-                    cfg, adv_slot, len(txs), table.msgs, sendable=sendable,
-                )
+                build_adversary_automaton(cfg, adv_slot, sendable, table.msgs)
             )
         elif p in model.honest_automata:
             automata.extend(model.honest_automata[p])
@@ -218,8 +229,7 @@ def instantiate(model, adversary=None, run_world_checks=True,
         W.pending_clock_owners,
         state_checks=state_checks,
         transition_checks=transition_checks,
-        meta={"model": model, "adversary": adversary,
-              "prune_idle_sweeps": prune_idle_sweeps},
+        meta={"model": model},
     )
     ctx = QueryContext(
         constants={

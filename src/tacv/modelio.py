@@ -20,8 +20,12 @@ model shares.  The (key, transaction) pairs that
 `broadcast_signature` statements name, in automata and adversary
 messages alike, are the model's possible signatures: each gets its
 bytes in the valuation, and the chain agent chooses a malleability
-nonce only for the inputs of their transactions.  The model builds the
-`WorldTable` of each of its networks once (`contracts.world_tables`).
+nonce only for the inputs of their transactions.  Likewise the
+transactions whose status a `status` atom compares with CONFIRMED or
+SPENT are the model's `status_observed`: the adversary's loop keeps
+every sweep of their outputs (see `contracts.instantiate`).  The model
+builds the `WorldTable` of each of its networks once
+(`contracts.world_tables`).
 The grammar is documented in docs/model_grammar.ebnf.
 
 The built-in contracts `cs` and `newscs` are the shipped
@@ -34,10 +38,10 @@ text and given constants; the shared model is never mutated.
 
 Reports and diagnostic traces serialize to JSON with a versioned
 schema.  A trace document records the whole scenario that produced it
-(variant options, `.model` file hash and sweep pruning included), the
-query it witnesses and every clock's value at every step, so it
-replays on its own through the kernel's replay loop, and the replay
-re-checks the query at the final clock values.
+(variant options and `.model` file hash included), the query it
+witnesses and every clock's value at every step, so it replays on its
+own through the kernel's replay loop, and the replay re-checks the
+query at the final clock values.
 """
 
 from __future__ import annotations
@@ -460,7 +464,6 @@ class _Loader:
             if not key:
                 raise ModelIOError(E_PARSE, "adversary section needs a key")
             self.adversary_configs[p] = AdversaryConfig(
-                controlled_party=p,
                 adv_key=_lookup(self.keys, key[0], "key", E_RANGE),
                 message_actions=tuple(actions),
             )
@@ -485,7 +488,7 @@ class _Loader:
             tuple(len(tx.outputs) for tx in derive_adversary_txset(txs, 0)),
             len(self.parties), len(self.keys), len(self.secrets),
             len(self.timers), len(self.marks))
-        self.capacity, self.signed = None, set()
+        self.capacity, self.signed, self.observed = None, set(), set()
         knowledge = self.walk("parties", self.party)
         honest = {}
         for p, template in self.walk("automaton", section=self.automaton):
@@ -511,6 +514,7 @@ class _Loader:
             queries=self.queries,
             total_value=sum(o.value for t in self.confirmed for o in txs[t].outputs),
             signatures=tuple(sorted(self.signed)),
+            status_observed=tuple(sorted(self.observed)),
             confirmed=tuple(self.confirmed),
             mark_count=len(self.marks),
             variant=self.variant,
@@ -604,6 +608,8 @@ class _Guard(_Expr):
             if st not in STATUS_BY_NAME:
                 self.error("unknown status %r" % st)
             sv = STATUS_BY_NAME[st]
+            if sv in W.ON_CHAIN:
+                n.observed.add(tx)
             if op == "==":
                 return lambda w, t=tx, s=sv: w[t] == s
             return lambda w, t=tx, s=sv: w[t] != s
@@ -766,7 +772,6 @@ def trace_to_document(trace, net, model, adversary, query_text):
         if model.source else None,
         "variant": dict(model.variant),
         "adversary": adversary,
-        "prune_idle_sweeps": net.meta["prune_idle_sweeps"],
         "constants": {
             "MAX_LATENCY": model.constants.max_latency,
             "PROT_TIMELOCK": model.constants.prot_timelock,
@@ -818,8 +823,9 @@ def _tuples(data):
 def replay_document(doc):
     """Re-execute a trace document against the scenario it records.
 
-    The scenario is rebuilt from the document alone; absent `model_file`,
-    `variant` or `prune_idle_sweeps` keys mean the defaults.  The steps
+    The scenario is rebuilt from the document alone; absent `model_file`
+    or `variant` keys mean the defaults, and a `prune_idle_sweeps` key,
+    which older documents carry, is ignored.  The steps
     run through `kernel.replay`, which checks their clock values, and
     must match their stored statuses, holdings and locations.  Returns
     the final symbolic state.  Raises TraceReplayError for a malformed
@@ -835,8 +841,7 @@ def replay_document(doc):
         if source and _sha256(model.source[1]) != source["sha256"]:
             raise TraceReplayError(
                 0, "%s changed since the trace was written" % source["path"])
-        net, ctx = instantiate(model, adversary=doc["adversary"],
-                               prune_idle_sweeps=doc.get("prune_idle_sweeps", True))
+        net, ctx = instantiate(model, adversary=doc["adversary"])
         query = doc.get("query")
         ast = Q.parse_query(query, ctx) if query is not None else None
         entries = doc["steps"]

@@ -55,13 +55,8 @@ def _latency_bound(net):
 
 
 def _clock_constants(node):
-    if isinstance(node, Q.ClockAtom):
-        return [node.const]
-    if isinstance(node, (Q.And, Q.Or, Q.Imply)):
-        return _clock_constants(node.left) + _clock_constants(node.right)
-    if isinstance(node, Q.Not):
-        return _clock_constants(node.arg)
-    return []
+    """The constants of a formula's clock atoms, repeats included."""
+    return [a.const for a in Q.leaves(node) if isinstance(a, Q.ClockAtom)]
 
 
 def _holds(op, lhs, rhs):

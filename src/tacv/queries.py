@@ -472,19 +472,22 @@ def in_region(region, time):
     return any(all(CMP[a.op](time, a.const) for a in conj) for conj in region)
 
 
-def data_atoms(node, acc=None):
-    """The non-clock atoms of a formula, in a stable order."""
-    if acc is None:
-        acc = []
-    if isinstance(node, (HoldAtom, KnowAtom, LocAtom)):
-        if node not in acc:
-            acc.append(node)
-    elif isinstance(node, Not):
-        data_atoms(node.arg, acc)
+def leaves(node):
+    """The atoms of a formula, left to right, repeats included; boolean
+    literals are no atoms."""
+    if isinstance(node, Not):
+        yield from leaves(node.arg)
     elif isinstance(node, (And, Or, Imply)):
-        data_atoms(node.left, acc)
-        data_atoms(node.right, acc)
-    return acc
+        yield from leaves(node.left)
+        yield from leaves(node.right)
+    elif not isinstance(node, BoolLit):
+        yield node
+
+
+def data_atoms(node):
+    """The distinct non-clock atoms of a formula, in a stable order."""
+    return list(dict.fromkeys(
+        a for a in leaves(node) if not isinstance(a, ClockAtom)))
 
 
 def region_memo(query):

@@ -1,10 +1,67 @@
-"""Adversary synthesis: transaction doubling and the generic automaton."""
+"""Adversary synthesis: transaction doubling, the generic automaton,
+and the exactness of the sweeps `instantiate` leaves out of its loop."""
 
+import pytest
+
+from tacv import modelio as M
+from tacv import queries as Q
 from tacv import world as w
-from tacv.adversary import derive_adversary_txset
+from tacv.adversary import build_adversary_automaton, derive_adversary_txset
 from tacv.contracts import build_cs_model, instantiate
-from tacv.kernel import explore
+from tacv.kernel import Network, explore
 from tacv.world import WorldConstants
+from test_modelio import CS_PATH, shipped_queries
+
+
+def full_loop(model, adversary):
+    """The network and query context of `instantiate`, with the
+    adversary's generic loop over every transaction in place of the
+    pruned one: the reference that pruning must match."""
+    net, ctx = instantiate(model, adversary=adversary)
+    p = model.party_names.index(adversary)
+    table = model.worlds[p]
+    loop = build_adversary_automaton(
+        model.adversary_configs[p], len(model.party_names) - 1,
+        range(len(table.txs)), table.msgs)
+    automata = [loop if a.name == loop.name else a for a in net.automata]
+    return Network(net.name, automata, net.initial_data, net.clock_owners,
+                   net.state_checks, net.transition_checks, net.meta), ctx
+
+
+def pruned_sweeps(model, adversary):
+    """The transactions the instantiated adversary's try-send leaves out."""
+    net, _ctx = instantiate(model, adversary=adversary)
+    loop = net.automata[net.automaton_index("AdversaryTA")]
+    (send,) = [e for e in loop.edges if e.label == "try_send"]
+    return set(range(len(net.initial_data.T.txs))) - set(dict(send.select)["i"])
+
+
+def observable(key, protocol_count):
+    """What a guard, holding or query can see of a (locations, data) key:
+    locations, protocol statuses with SPENT read as CONFIRMED, every
+    party slot's holdings, and the secret bits, timers and marks."""
+    locs, data = key
+    T = data.T
+    statuses = tuple(w.CONFIRMED if s == w.SPENT else s
+                     for s in data[:protocol_count])
+    holdings = tuple(w.hold_bitcoins(data, p) for p in range(T.party_count))
+    return locs, statuses, holdings, data[T.secrets:T.end]
+
+
+def compare_with_full_loop(model, adversary, queries=None):
+    """(verdicts, observable keys) of the pruned and of the full loop,
+    over `queries` (texts) or the model's default queries."""
+    out = []
+    for build in (instantiate, full_loop):
+        net, ctx = build(model, adversary=adversary)
+        asts = ([Q.parse_query(q, ctx) for q in queries] if queries
+                else shipped_queries(model, ctx))
+        # a check that never fails keeps the exploration whole
+        checks = [Q.make_checker(q) for q in asts] + [lambda _state: None]
+        res = explore(net, check=checks, collect_reachable=True)
+        n = len(model.protocol_txs)
+        out.append((res.verdicts[:-1], {observable(k, n) for k in res.reachable}))
+    return out
 
 
 def test_cs_doubling_four_to_eight():
@@ -46,10 +103,9 @@ def test_sweep_values_copied():
 class TestAdversaryReach:
     """What the corrupted party can actually broadcast."""
 
-    def reachable_sends(self, adversary, prune=False):
+    def reachable_sends(self, build, adversary):
         model = build_cs_model(WorldConstants(2, 5))
-        net, _ctx = instantiate(
-            model, adversary=adversary, prune_idle_sweeps=prune)
+        net, _ctx = build(model, adversary=adversary)
         sent = set()
 
         def watch(state):
@@ -67,14 +123,15 @@ class TestAdversaryReach:
         # COMMIT sweep needs an in-transaction reveal or Bob's key and
         # stays out of reach, as does FUSE alone
         INPUT, COMMIT, OPEN, FUSE = 0, 1, 2, 3
-        sent = self.reachable_sends("ALICE", prune=False)
-        sweeps = {4 + i for i in (INPUT, COMMIT, OPEN, FUSE)}
+        sent = self.reachable_sends(full_loop, "ALICE")
         assert COMMIT in sent and OPEN in sent
         assert 4 + INPUT in sent
         assert 4 + OPEN in sent
         assert 4 + COMMIT not in sent
         assert FUSE in sent  # only after Bob received her broadcast signature
         assert 4 + FUSE not in sent
+        # the instantiated loop leaves out the sweep of OPEN's output
+        assert self.reachable_sends(instantiate, "ALICE") == sent - {4 + OPEN}
 
     def test_no_key_material_created(self):
         # the adversary never comes to know keys it was not given
@@ -117,3 +174,58 @@ def test_saturation_second_sweep_does_not_change_verdicts():
             q = Q.parse_query(m.queries[name], ctx)
             verdicts.append(explore(net, check=Q.make_checker(q)).verdict)
         assert verdicts[0] == verdicts[1], name
+
+
+class TestSweepPruningExact:
+    """The adversary's loop leaves out only sweeps no guard, holding or
+    query can observe: verdicts and observable reachable keys equal
+    those of the full loop."""
+
+    @pytest.mark.parametrize("variant", [{}, {"weakened_alice": True}],
+                             ids=["shipped", "weakened_alice"])
+    @pytest.mark.parametrize("adversary", ["ALICE", "BOB"])
+    def test_cs_agrees_with_full_loop(self, variant, adversary):
+        model = build_cs_model(WorldConstants(2, 5), **variant)
+        pruned, full = compare_with_full_loop(model, adversary)
+        assert pruned == full
+
+    @pytest.mark.parametrize("contract,adversary,sweeps", [
+        ("cs", "ALICE", {6}),
+        ("cs", "BOB", {7}),
+        ("newscs", "ALICE", {21, 25, 28, 31, 32}),
+        ("newscs", "BOB", {22, 24, 29, 30}),
+    ])
+    def test_shipped_pruned_sets(self, contract, adversary, sweeps):
+        model = M.contract_model(contract)
+        assert pruned_sweeps(model, adversary) == sweeps
+
+    def edited_cs(self, old, new):
+        text = open(CS_PATH).read()
+        assert old in text
+        return M.build_model(text.replace(old, new, 1), "cs",
+                             {"MAX_LATENCY": 2, "PROT_TIMELOCK": 5})
+
+    def test_guard_on_spent_status_keeps_sweep(self):
+        # Bob moves when OPEN is SPENT, which only the sweep of OPEN's
+        # one output brings about
+        model = self.edited_cs(
+            "location accepted named\n",
+            "location accepted named\nlocation swept named\n"
+            'edge accepted -> swept urgent guard "status(OPEN) == SPENT"\n')
+        assert model.status_observed == (model.tx_names["OPEN"],)
+        assert pruned_sweeps(model, "ALICE") == set()
+        pruned, full = compare_with_full_loop(
+            model, "ALICE", ["A[] not BobTA.swept"])
+        assert pruned == full
+        assert full[0] == ("VIOLATED",)
+
+    def test_sweep_paying_one_owner_kept(self):
+        # Alice's sweeps pay R_KEY, which Bob alone holds: a swept output
+        # counts towards his holdings
+        model = self.edited_cs("key = C_KEY", "key = R_KEY")
+        assert pruned_sweeps(model, "ALICE") == set()
+        pruned, full = compare_with_full_loop(model, "ALICE", [
+            "A[] (parties[BOB].know_secret[0] and hold_bitcoins(parties[BOB]) >= 1)"
+            " imply BobTA.accepted"])
+        assert pruned == full
+        assert full[0] == ("VIOLATED",)

@@ -502,8 +502,11 @@ class TestUsageErrors:
         (["simulate", "cs", "--steps", "-3"], "must be a number >= 0: '-3'"),
         (["verify", "cs", "--engine", "dbm"], "invalid choice"),
         (["frobnicate"], "invalid choice"),
+        (["verify", "cs", "--no-prune"], "unrecognized arguments: --no-prune"),
+        (["simulate", "cs", "--no-prune"], "unrecognized arguments: --no-prune"),
     ], ids=["states-abc", "states-negative", "seconds-negative", "seconds-nan",
-            "steps-negative", "bad-choice", "bad-command"])
+            "steps-negative", "bad-choice", "bad-command", "verify-no-prune",
+            "simulate-no-prune"])
     def test_exit_three_with_usage(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from tacv import cli
 from tacv import modelio as M
 from tacv import queries as Q
 from tacv import world as w
@@ -544,7 +545,7 @@ class TestReports:
             ["fire", 1, 0, []], ["delay"]]
         text = json.dumps(doc, sort_keys=True, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "019b9c5fc6cbeab08c8c91e4db8dc969273ccb5958077b3e8fb568cd39a9b9b6")
+            "09d7c8b3d39bc72bd58c8ee2d2ce627ebf8bb5aedebaeeca7e7be8079e14d1db")
 
     def test_tampered_trace_detected(self):
         model, net, q, res = self.make_violation()
@@ -581,9 +582,8 @@ class TestReports:
 class TestTraceRoundTrip:
     """Random runs replay step for step through both replays."""
 
-    def replay_both(self, model, adversary, seed, prune_idle_sweeps=True):
-        net, _ctx = instantiate(model, adversary=adversary,
-                                prune_idle_sweeps=prune_idle_sweeps)
+    def replay_both(self, model, adversary, seed):
+        net, _ctx = instantiate(model, adversary=adversary)
         trace = random_run(net, seed=seed, steps=50)
         final = replay_trace(net, trace)
         doc = M.trace_to_document(trace, net, model, adversary, query_text=None)
@@ -618,9 +618,17 @@ class TestTraceRoundTrip:
             self.replay_both(model, "ALICE", seed)
 
     def test_cs_unpruned_random_runs(self):
+        # the full loop's runs replay through the kernel; a document
+        # cannot name that loop, so only `instantiate`'s runs have one
+        from test_adversary import full_loop
         model = build_cs_model(WorldConstants(2, 5))
+        net, _ctx = full_loop(model, "ALICE")
         for seed in range(20):
-            self.replay_both(model, "ALICE", seed, prune_idle_sweeps=False)
+            trace = random_run(net, seed=seed, steps=50)
+            final = replay_trace(net, trace)
+            if trace.steps:
+                last = trace.steps[-1]
+                assert (final.locs, final.data) == (last.locs, last.data)
 
     @pytest.mark.parametrize("adversary", [None, "ALICE"])
     def test_model_file_random_runs(self, adversary):
@@ -645,18 +653,41 @@ class TestTraceScenario:
     def test_records_variant_and_pruning(self):
         model = build_newscs_model(WorldConstants(1, 5), buggy_bob=True,
                                    abort_margin=2)
-        net, _ctx = instantiate(model, adversary="BOB", prune_idle_sweeps=False)
+        net, _ctx = instantiate(model, adversary="BOB")
         doc = M.trace_to_document(random_run(net, seed=0, steps=5), net, model,
                                   "BOB", query_text=None)
         assert doc["variant"] == {"abort_margin": 2, "buggy_bob": True}
-        assert doc["prune_idle_sweeps"] is False
+        assert "prune_idle_sweeps" not in doc
         assert doc["model_file"] is None
 
     def test_document_without_scenario_keys_means_defaults(self):
         doc = self.violation_document(build_cs_model(WorldConstants(2, 5)))
-        for key in ("variant", "model_file", "prune_idle_sweeps"):
+        for key in ("variant", "model_file"):
             del doc[key]
         M.replay_document(doc)
+
+    def test_pruning_key_ignored(self):
+        doc = self.violation_document(build_cs_model(WorldConstants(2, 5)))
+        doc["prune_idle_sweeps"] = False
+        M.replay_document(doc)
+
+    def test_fired_idle_sweep_not_enabled(self, tmp_path):
+        # a document of the full loop that sweeps OPEN's output (sweep 6)
+        # names a transition the scenario no longer has
+        from test_adversary import full_loop
+        model = build_cs_model(WorldConstants(2, 5))
+        net, _ctx = full_loop(model, "ALICE")
+        res = explore(net, check=lambda s: s.zone if s.data[6] != w.UNSENT else None)
+        doc = M.trace_to_document(res.trace, net, model, "ALICE", query_text=None)
+        doc = json.loads(json.dumps(dict(doc, prune_idle_sweeps=False)))
+        (sweep,) = [i for i, s in enumerate(doc["steps"])
+                    if s["descriptor"][3] == [["i", 6]]]
+        with pytest.raises(M.TraceReplayError, match="not enabled") as err:
+            M.replay_document(doc)
+        assert err.value.step == sweep
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["trace", str(path)]) == cli.EXIT_ERROR
 
     def test_satisfied_query_rejected(self):
         doc = self.violation_document(build_cs_model(WorldConstants(2, 5)))
