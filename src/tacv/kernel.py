@@ -42,6 +42,15 @@ Semantics notes:
   first clear threshold, say): every zone applied to a key's skeleton
   lies inside the key's invariants, so such a fire can never be taken,
   and it gets no update, target invariants or transition check.
+  An edge may name the bindings worth a look (`Edge.candidates`): a
+  function of the data giving ascending indices into the edge's static
+  bindings, such that every binding it leaves out has a false guard.
+  `enabled_transitions` evaluates the guard on those bindings alone, in
+  the same order, so instance order, search order and every counter
+  are those of the full domain.  Only it reads the hook: the discrete
+  oracle and replay (`_named_instance`, `_urgent_enabled`) keep the
+  full domain, so the oracle stays an independent check of every hook
+  and a trace step is judged by its guard alone.
 - `explore` keeps a key's skeleton only while a state of the key waits
   in its queue, as the passed/waiting list of UPPAAL keeps only what
   its waiting states still need (Behrmann et al., "UPPAAL
@@ -103,9 +112,13 @@ Semantics notes:
   comparison short-circuits on identity.  The block-chain world's data
   valuation is one flat `bytes` (see `world`) with no nested objects to
   share: interning it keeps one copy per distinct valuation, and its
-  hash is computed once and cached in the object.  Nothing of the
-  table outlives the call.  Fire labels (`Automaton.edge`) take no part in
-  exploration; a trace derives them from its descriptors (`step_label`).
+  hash is computed once and cached in the object.  The table also
+  remembers, under keys tagged so that no interned object meets them,
+  each invariant pattern's zone atoms and bounds (`_invariants`) and
+  each owner pair's clock remap (`_remap`): a few hundred patterns
+  serve tens of thousands of keys.  Nothing of the table outlives the
+  call.  Fire labels (`Automaton.edge`) take no part in exploration; a
+  trace derives them from its descriptors (`step_label`).
 - `replay` is the one replay loop: it follows stored descriptors with
   the lookup that rebuilds exact trace zones and checks each step's
   concrete clock valuation.  `replay_trace` and
@@ -160,6 +173,10 @@ class Edge(NamedTuple):
     clock_guard: tuple = ()   # (('time', op, const), ...): only `time` is guarded
     urgent: bool = False      # blocks delay while its guard holds
     update: Optional[Callable] = None      # (data, binds) -> data
+    # (data) -> ascending indices into the edge's static bindings; every
+    # binding left out must have a false guard.  Only
+    # `enabled_transitions` reads it (see the module notes).
+    candidates: Optional[Callable] = None
 
 
 class AutomatonTemplate:
@@ -354,40 +371,57 @@ def _invariant_atoms(net, locs, data):
     return atoms
 
 
-def _invariants(net, locs, data, layout, table):
+# Tags of the intern table's memo keys: no interned tuple holds them, so
+# a memo key never meets an interned object.
+_INVARIANTS, _REMAP = object(), object()
+
+
+def _invariants(net, locs, data, owners, table):
     """(zone atoms (i, 0, op, k), extrapolation bounds) of (locs, data).
 
-    `layout` is the clock layout of `data`, and both tuples are the
+    `owners` are the clock owners of `data`, and both tuples are the
     canonical ones of the intern `table`.  Raises ModelError on an
     atom that bounds a clock from below.  The bounds are (index, packed
     bound) pairs, one per transaction clock, with the clock's tightest
     invariant bound.  A clock pinned to zero (`<= 0`) is left
     out: it has the reference clock's row already, so extrapolating it
     changes nothing.
+
+    The result depends only on the owners and the raw atoms, so the
+    `table` remembers it under that pattern and builds the layout and
+    the zone atoms only for a pattern it has not seen.  A pattern with
+    a lower-bound atom raises before it is stored, so it raises again
+    each time.
     """
-    atoms = _invariant_atoms(net, locs, data)
-    indexed = _atoms_to_indices(atoms, layout, table)
+    atoms = tuple(_invariant_atoms(net, locs, data))
+    key = (_INVARIANTS, owners, atoms)
+    known = table.get(key)
+    if known is not None:
+        return known
+    indexed = _atoms_to_indices(atoms, _layout(owners), table)
     loose = False
-    for key, op, k in atoms:
+    for clock, op, k in atoms:
         if op != "<=" and op != "<":
             raise ModelError("invariant atom %r bounds a clock from below"
-                             % ((key, op, k),))
-        if k > 0 and key != TIME:
+                             % ((clock, op, k),))
+        if k > 0 and clock != TIME:
             loose = True
-    if not loose:
-        return indexed, ()
-    tightest = {}
-    for idx, _zero, op, k in indexed:
-        b = 2 * k + (op == "<=")  # packed
-        if idx > 1 and b < tightest.get(idx, INF):
-            tightest[idx] = b
-    bounds = tuple((idx, b) for idx, b in sorted(tightest.items()) if b > ZERO)
-    return indexed, table.setdefault(bounds, bounds)
+    bounds = ()
+    if loose:
+        tightest = {}
+        for idx, _zero, op, k in indexed:
+            b = 2 * k + (op == "<=")  # packed
+            if idx > 1 and b < tightest.get(idx, INF):
+                tightest[idx] = b
+        bounds = tuple((idx, b) for idx, b in sorted(tightest.items()) if b > ZERO)
+        bounds = table.setdefault(bounds, bounds)
+    table[key] = indexed, bounds
+    return indexed, bounds
 
 
 def invariant_indices(net, locs, data):
     """The location invariants of (locs, data) as zone atoms (i, 0, op, k)."""
-    return _invariants(net, locs, data, clock_layout(net, data), {})[0]
+    return _invariants(net, locs, data, net.clock_owners(data), {})[0]
 
 
 def initial_state(net):
@@ -424,14 +458,19 @@ def enabled_transitions(net, locs, data):
     Non-urgent instances come first, then urgent ones, each ordered by
     (automaton, edge, binding).  Guards never read clocks, so
     enabledness up to clock guards is a pure function of locations and
-    data; clock guards are applied to zones by `_apply_skeleton`.
+    data; clock guards are applied to zones by `_apply_skeleton`.  An
+    edge with `candidates` has its guard evaluated only on the bindings
+    those name, in the same order.
     """
     plain = []
     urgent = []
     for ai, a in enumerate(net.automata):
         for ei, e in a.edges_from(locs[ai]):
             guard = e.guard
-            for binds, bkey in a.bindings[ei]:
+            bindings = a.bindings[ei]
+            if e.candidates is not None:
+                bindings = map(bindings.__getitem__, e.candidates(data))
+            for binds, bkey in bindings:
                 if guard is not None and not guard(data, binds):
                     continue
                 (urgent if e.urgent else plain).append(
@@ -555,7 +594,7 @@ def _build_skeleton(net, locs, data, table):
     """
     insts = enabled_transitions(net, locs, data)
     before = net.clock_owners(data)
-    inv_atoms, bounds = _invariants(net, locs, data, _layout(before), table)
+    inv_atoms, bounds = _invariants(net, locs, data, before, table)
     cap = _time_cap(inv_atoms)
     fires = []
     for inst in insts:
@@ -571,10 +610,9 @@ def _build_fire(net, locs, data, inst, before, cap, table):
     `before` is the key's clock owners and `cap` its packed bound on
     `time` (`_time_cap`).  Returns (desc, guard_atoms, locs2, data2,
     drop, nnew, perm, inv2, bounds2), where desc, locs2, data2, inv2 and
-    bounds2 are canonical objects of the intern `table`: clocks of items
-    that left the pending set are dropped, and items that entered it get
-    fresh clocks at zero in their sorted slots.  The network's
-    transition checks run on the fire.
+    bounds2 are canonical objects of the intern `table` and (drop, nnew,
+    perm) remaps the clocks (`_remap`).  The network's transition checks
+    run on the fire.
 
     A fire whose clock guard bounds `time` from below past `cap` is
     ruled out before its update runs (None): every zone applied to the
@@ -596,23 +634,35 @@ def _build_fire(net, locs, data, inst, before, cap, table):
     locs2 = intern(locs2, locs2)
     desc = ("fire", inst.auto, inst.edge, inst.binds)
     after = net.clock_owners(data2)
-    after_set = set(after)
-    drop = tuple(
-        2 + i for i, o in enumerate(before) if o not in after_set
-    )
-    kept = [o for o in before if o in after_set]
-    new = [o for o in after if o not in before]
-    if new:
-        # appended clocks must move to their canonical sorted slots
-        interim = kept + new
-        perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
-    else:
-        perm = None
-    inv2, bounds2 = _invariants(net, locs2, data2, _layout(after), table)
+    drop, nnew, perm = _remap(before, after, table)
+    inv2, bounds2 = _invariants(net, locs2, data2, after, table)
     for chk in net.transition_checks:
         chk(data, data2)
     return (intern(desc, desc), cg, locs2, data2,
-            drop, len(new), perm, inv2, bounds2)
+            drop, nnew, perm, inv2, bounds2)
+
+
+def _remap(before, after, table):
+    """(drop, nnew, perm) of a fire from clock owners `before` to
+    `after`, remembered per owner pair in the intern `table`.
+
+    Clocks of items that left the pending set are dropped, and items
+    that entered it get fresh clocks at zero, appended and then moved
+    to their sorted slots by `perm` (None when none entered).
+    """
+    key = (_REMAP, before, after)
+    remap = table.get(key)
+    if remap is None:
+        after_set = set(after)
+        drop = tuple(2 + i for i, o in enumerate(before) if o not in after_set)
+        kept = [o for o in before if o in after_set]
+        new = [o for o in after if o not in before]
+        perm = None
+        if new:
+            interim = kept + new
+            perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
+        remap = table[key] = (drop, len(new), perm)
+    return remap
 
 
 def _apply_skeleton(skel, zone):
@@ -930,7 +980,7 @@ def _follow(net, state, desc, i):
     refused while an urgent edge is."""
     locs, data, zone = state
     before = net.clock_owners(data)
-    inv_atoms = _invariants(net, locs, data, _layout(before), {})[0]
+    inv_atoms = _invariants(net, locs, data, before, {})[0]
     if desc == DELAY:
         if _urgent_enabled(net, locs, data):
             raise ReplayError(i, "delay while an urgent edge is enabled")

@@ -305,6 +305,32 @@ def can_create_input_script(world, party, txid):
     return True
 
 
+def could_script(T, party, txid):
+    """Could `party` ever satisfy the input scripts of txid in a world of
+    table `T` (`can_create_input_script` in some valuation)?
+
+    No update writes a key bit, and a pooled signature exists only for
+    a (key, transaction) pair of `T.sig_slots`, so a key signs txid for
+    the party only when the party starts with the key or the pair has
+    pool slots.  Secret knowledge can grow, so a clause's secrets ask
+    only that txid reveals them.
+    """
+    def signs(key):
+        return T.initial[T.key_bit(party, key)] or (key, txid) in T.sig_slots
+
+    tx = T.txs[txid]
+    for (in_tx, out_idx) in tx.inputs:
+        out = T.txs[in_tx].outputs[out_idx]
+        if out.script_kind == "key":
+            if not signs(out.script_ref):
+                return False
+        elif not any(all(map(signs, clause.keys))
+                     and all(s in tx.reveals for s in clause.secrets)
+                     for clause in T.nss_table[out.script_ref]):
+            return False
+    return True
+
+
 def _inputs_spendable(world, T, tx):
     # every input must be confirmed with the referenced output unredeemed
     spent = T.spent
@@ -481,6 +507,24 @@ def check_status_machine(before, after):
 # -- shared automata -------------------------------------------------------
 
 
+def _sent_bindings(domain, width):
+    """The `candidates` of a confirm edge whose select is `i` over
+    `domain` (ascending), then `width` values of `n`: the bindings of
+    the SENT transactions, remembered per set of them."""
+    memo = {}
+
+    def candidates(w):
+        owners = pending_clock_owners(w)
+        found = memo.get(owners)
+        if found is None:
+            found = memo[owners] = tuple(
+                domain.index(t) * width + n
+                for t in owners if t in domain for n in range(width))
+        return found
+
+    return candidates
+
+
 def build_blockchain_agent(constants, tx_count, nonce_relevant):
     """The agent that maintains the chain: confirmation with nonce choice.
 
@@ -500,6 +544,10 @@ def build_blockchain_agent(constants, tx_count, nonce_relevant):
     bisimilar states.  `nonce_relevant` lists the transactions whose
     confirmation keeps the full nonce choice; the rest confirm with
     nonce zero.
+
+    A confirm guard holds exactly for a SENT transaction, so each edge's
+    `candidates` are the bindings of the clock owners
+    (`pending_clock_owners`), remembered per set of owners.
     """
     bound = constants.max_latency - 1
     relevant = tuple(sorted(nonce_relevant))
@@ -519,13 +567,13 @@ def build_blockchain_agent(constants, tx_count, nonce_relevant):
         edges.append(Edge(
             source=0, target=0, label="confirm",
             select=(("i", relevant), ("n", tuple(range(NONCES)))),
-            guard=guard, update=update,
+            guard=guard, update=update, candidates=_sent_bindings(relevant, NONCES),
         ))
     if plain:
         edges.append(Edge(
             source=0, target=0, label="confirm_plain",
             select=(("i", plain),),
-            guard=guard, update=update,
+            guard=guard, update=update, candidates=_sent_bindings(plain, 1),
         ))
     return AutomatonTemplate(
         "BlockChainAgentTA", [Location("chain", invariant)], edges

@@ -159,21 +159,29 @@ class TestAdversaryReach:
 
 
 def test_saturation_second_sweep_does_not_change_verdicts():
-    """Doubling the sweep set again leaves every CS verdict unchanged."""
-    from tacv import queries as Q
+    """Doubling the sweep set again leaves every cs verdict unchanged.
 
+    The saturated model declares one sweep of each protocol output as a
+    protocol transaction of its own, so the adversary's doubling sweeps
+    those too.  It is built from text: the honest automata are compiled
+    to the offsets of the model's own layout."""
+    fuse = "FUSE: inputs = COMMIT:0; outputs = key(R_KEY):1; timelock = PROT_TIMELOCK\n"
+    text = open(CS_PATH).read()
+    assert fuse in text
+    sweeps = "".join("SW_%s: inputs = %s:0; outputs = key(C_KEY):1\n" % (t, t)
+                     for t in ("INPUT", "COMMIT", "OPEN", "FUSE"))
+    saturated = M.build_model(text.replace(fuse, fuse + sweeps), "cs",
+                              {"MAX_LATENCY": 2, "PROT_TIMELOCK": 5})
     model = build_cs_model(WorldConstants(2, 5))
-    extra = derive_adversary_txset(model.protocol_txs, adv_key=0)
-    doubled_protocol = model.protocol_txs + extra[len(model.protocol_txs):]
-    saturated = model._replace(protocol_txs=doubled_protocol)
 
-    for name in ("bob_security", "bob_knows_secret", "alice_holds_deposit"):
-        verdicts = []
-        for m in (model, saturated):
-            net, ctx = instantiate(m, adversary="ALICE")
-            q = Q.parse_query(m.queries[name], ctx)
-            verdicts.append(explore(net, check=Q.make_checker(q)).verdict)
-        assert verdicts[0] == verdicts[1], name
+    verdicts = []
+    for m, tx_count in ((model, 8), (saturated, 16)):
+        net, ctx = instantiate(m, adversary="ALICE")
+        assert len(net.initial_data.T.txs) == tx_count
+        asts = shipped_queries(m, ctx)
+        assert len(asts) == 5
+        verdicts.append(explore(net, check=[Q.make_checker(q) for q in asts]).verdicts)
+    assert verdicts[0] == verdicts[1]
 
 
 class TestSweepPruningExact:

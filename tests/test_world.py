@@ -225,6 +225,16 @@ class TestInputScripts:
         ww = w.try_to_confirm(ww, COMMIT, 0)
         assert not w.can_create_input_script(ww, ALICE, sweep.num)
 
+    def test_could_script(self):
+        # Alice holds C_KEY and can reveal C_SEC only in OPEN; Bob's FUSE
+        # input needs C_KEY, whose signature of FUSE the pool may hold;
+        # nobody's input script for the sweep of COMMIT holds ever
+        sweep = w.TxRecord(4, ((COMMIT, 0),), (w.Output("key", C_KEY, 1),))
+        T = cs_table(extra=(sweep,))
+        scriptable = {p: [t for t in range(5) if w.could_script(T, p, t)]
+                      for p in (ALICE, BOB, ADV)}
+        assert scriptable == {ALICE: [INPUT, COMMIT, OPEN], BOB: [FUSE], ADV: []}
+
 
 class TestSendConfirm:
     def test_send_reveals_secret_to_everyone(self):
