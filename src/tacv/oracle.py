@@ -177,7 +177,7 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
         (0,) * len(net.clock_owners(net.initial_data)),
     )
 
-    regions = [Q.region_memo(q) for q in queries]
+    regions_of = Q.region_memo(queries)
     # the queries whose violation region may hold no integer time
     between = {i for i, q in enumerate(queries)
                if len(_clock_constants(q.root)) >= 2}
@@ -188,8 +188,9 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     def checked(state, time, among):
         """Evaluate the live queries of `among` at `state` and `time`;
         True once no query is left."""
+        regions = regions_of(state)
         for i in among:
-            if Q.in_region(regions[i](state), time):
+            if Q.in_region(regions[i], time):
                 violated[i] = True
                 live.remove(i)
         return not live

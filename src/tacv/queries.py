@@ -17,6 +17,15 @@ converts that to disjunctive normal form, and reports a violation iff
 some conjunct intersects the state's zone.  Only the global clock may
 appear in queries; holdings are computed by the same block-chain
 operation the models use.
+
+A checker (`make_checker`) compiles each data atom to a reader of a
+state once, and remembers the normal form, with each conjunct's packed
+bounds on `time` and `-time`, per vector of data-atom values.  Since
+every clock atom is on `time` alone, a conjunct meets a canonical zone
+iff it meets the zone's `time` interval, which the DBM's entries (1, 0)
+and (0, 1) give (Bengtsson and Yi, "Timed Automata: Semantics,
+Algorithms and Tools", 2004): one packed sum decides it, and only a
+conjunct that meets the zone is intersected with it, for the witness.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from typing import NamedTuple
 
 from . import world as W
 from .kernel import CMP
+from .zones import INF, ZERO, atom_entries
 
 
 class QueryError(Exception):
@@ -386,26 +396,37 @@ def pretty(node):
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", ">=": "<", ">": "<="}
 
 
-def _substitute(node, state):
-    """Fix data atoms to booleans; clock atoms stay symbolic."""
+def _reader(atom):
+    """A data atom compiled to a function of a state giving its truth
+    value: the atom's one interpretation."""
+    if isinstance(atom, HoldAtom):
+        party, cmp, const = atom.party, CMP[atom.op], atom.const
+        return lambda state: cmp(W.holdings(state.data)[party], const)
+    if isinstance(atom, KnowAtom):
+        party, secret = atom.party, atom.secret
+        return lambda state: W.know_secret(state.data, party, secret)
+    if isinstance(atom, LocAtom):
+        auto, loc = atom.auto, atom.loc
+        return lambda state: state.locs[auto] == loc
+    raise TypeError(atom)
+
+
+def _substitute(node, values):
+    """Fix data atoms to their booleans in `values`; clock atoms stay
+    symbolic."""
     if isinstance(node, BoolLit):
         return node.value
     if isinstance(node, ClockAtom):
         return node
-    if isinstance(node, HoldAtom):
-        held = W.hold_bitcoins(state.data, node.party)
-        return CMP[node.op](held, node.const)
-    if isinstance(node, KnowAtom):
-        return W.know_secret(state.data, node.party, node.secret)
-    if isinstance(node, LocAtom):
-        return state.locs[node.auto] == node.loc
+    if isinstance(node, (HoldAtom, KnowAtom, LocAtom)):
+        return values[node]
     if isinstance(node, Not):
-        a = _substitute(node.arg, state)
+        a = _substitute(node.arg, values)
         return (not a) if isinstance(a, bool) else Not(a)
     if isinstance(node, (And, Or)):
         ctor = type(node)
-        a = _substitute(node.left, state)
-        b = _substitute(node.right, state)
+        a = _substitute(node.left, values)
+        b = _substitute(node.right, values)
         if isinstance(a, bool) and isinstance(b, bool):
             return (a and b) if ctor is And else (a or b)
         if isinstance(a, bool):
@@ -418,7 +439,7 @@ def _substitute(node, state):
             return True if b else a
         return ctor(a, b)
     if isinstance(node, Imply):
-        return _substitute(Or(Not(node.left), node.right), state)
+        return _substitute(Or(Not(node.left), node.right), values)
     raise TypeError(node)
 
 
@@ -459,10 +480,14 @@ def _dnf(node):
     raise TypeError(node)
 
 
+def _region(query, values):
+    """DNF of where the property fails, given its data atoms' values."""
+    return _dnf(_nnf(_substitute(Not(query.root), values), False))
+
+
 def violation_region(query, state):
     """DNF description of where, inside this discrete state, the property fails."""
-    residue = _substitute(Not(query.root), state)
-    return _dnf(_nnf(residue, False))
+    return _region(query, {a: _reader(a)(state) for a in data_atoms(query.root)})
 
 
 def in_region(region, time):
@@ -490,38 +515,80 @@ def data_atoms(node):
         a for a in leaves(node) if not isinstance(a, ClockAtom)))
 
 
-def region_memo(query):
-    """`violation_region(query, state)` memoized on the data-atom values.
+def _memo(queries, compile_regions):
+    """`compile_regions` of the queries' violation regions on a state, as
+    a function of the state, remembered on the data-atom values.
 
-    The violation region depends only on the truth values of the data
-    atoms, which range over a handful of combinations per run.  The
-    returned function reads a state's `locs` and `data` only, so it
-    serves symbolic and concrete states alike.
+    The violation regions depend only on the truth values of the data
+    atoms, which range over a handful of combinations per run.  Each
+    distinct data atom of the queries is compiled to its reader once,
+    here, and read once per state; the returned function reads a state's
+    `locs` and `data` only, so it serves symbolic and concrete states
+    alike.
     """
-    atoms = tuple(data_atoms(query.root))
-    regions = {}
+    atoms = tuple(dict.fromkeys(a for q in queries for a in data_atoms(q.root)))
+    readers = tuple(_reader(a) for a in atoms)
+    compiled = {}
 
-    def region(state):
-        key = tuple(_substitute(a, state) for a in atoms)
-        found = regions.get(key)
+    def of(state):
+        key = tuple([read(state) for read in readers])
+        found = compiled.get(key)
         if found is None:
-            found = regions[key] = violation_region(query, state)
+            values = dict(zip(atoms, key))
+            found = compiled[key] = compile_regions(
+                [_region(q, values) for q in queries])
         return found
 
-    return region
+    return of
+
+
+def region_memo(queries):
+    """The function of a state giving the tuple of the queries'
+    `violation_region`s, remembered on the data-atom values (`_memo`)."""
+    return _memo(tuple(queries), tuple)
+
+
+def _bounded(region):
+    """Each conjunct of a region as (u, l, atoms): its packed upper bound
+    on `time` and on `-time` (INF where it has none) and its atoms as
+    `Zone.constrained` takes them."""
+    out = []
+    for conj in region:
+        catoms = [(1, 0, a.op, a.const) for a in conj]
+        u = l = INF
+        for _i, _j, op, k in catoms:
+            for row, _col, bound in atom_entries(1, 0, op, k):
+                if row == 1:
+                    u = min(u, bound)
+                else:
+                    l = min(l, bound)
+        out.append((u, l, catoms))
+    return tuple(out)
 
 
 def make_checker(query):
-    """Per-state checker with the DNF region memoized on data-atom values
-    (`region_memo`); the zone intersection still happens per state."""
-    region_of = region_memo(query)
+    """Per-state checker: None when the state satisfies the property,
+    else the witness sub-zone of the first conjunct of its violation
+    region that meets the zone.
+
+    The conjuncts are remembered on the data-atom values (`_memo`) with
+    their bounds on `time`.  Every atom of a query is on `time` alone, so
+    a conjunct meets a canonical zone iff it meets the zone's projection
+    on `time`, the interval of entries (1, 0) and (0, 1): the
+    intersection is empty iff min(u, m10) + min(l, m01) < 0.  Only a
+    conjunct that meets the zone is intersected with it.
+    """
+    conjuncts_of = _memo((query,), lambda regions: _bounded(regions[0]))
 
     def checker(state):
-        for conj in region_of(state):
-            catoms = [(1, 0, a.op, a.const) for a in conj]
-            sub = state.zone.constrained(catoms)
-            if not sub.is_empty():
-                return sub
+        zone = state.zone
+        m = zone.m
+        m10, m01 = m[zone.dim], m[1]
+        for u, l, catoms in conjuncts_of(state):
+            hi = u if u < m10 else m10
+            lo = l if l < m01 else m01
+            if hi + lo - ((hi & 1) | (lo & 1)) >= ZERO:
+                return zone.constrained(catoms)
         return None
 
     return checker

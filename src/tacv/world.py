@@ -213,6 +213,7 @@ class WorldTable(Layout):
             if sum(txs[i].outputs[oi].value for i, oi in tx.inputs)
             != sum(o.value for o in tx.outputs))
         self.owners = {}  # status bytes -> transactions awaiting confirmation
+        self.holdings = {}  # status, spent and key bytes -> every party's holdings
 
         self.World = type("World", (World,), {"__slots__": (), "T": self})
         data = bytearray(self.size)
@@ -404,13 +405,27 @@ def hold_bitcoins(world, party):
     the party knows and which have exactly one owner; outputs whose key
     leaked to another party protect nobody and count for no one.
     """
-    total = 0
-    for txid, spent, owners, value in world.T.key_outputs:
-        if world[txid] == CONFIRMED and not world[spent]:
-            owners = world[owners]
-            if owners[party] and owners.count(1) == 1:
-                total += value
-    return total
+    return holdings(world)[party]
+
+
+def holdings(world):
+    """Every party's `hold_bitcoins`, in party order.
+
+    Derived from the status bytes, the spent bits and the key bits
+    alone (the spent bits and the key bits are adjacent), and remembered
+    per vector of those bytes by the table."""
+    T = world.T
+    key = world[:T.tx_count] + world[T.spent_range[0]:T.secrets]
+    found = T.holdings.get(key)
+    if found is None:
+        total = [0] * T.party_count
+        for txid, spent, owners, value in T.key_outputs:
+            if world[txid] == CONFIRMED and not world[spent]:
+                owners = world[owners]
+                if owners.count(1) == 1:
+                    total[owners.index(1)] += value
+        found = T.holdings[key] = tuple(total)
+    return found
 
 
 # -- signatures as messages ----------------------------------------------

@@ -103,7 +103,7 @@ class ZoneError(Exception):
     pass
 
 
-def _atom_entries(i, j, op, k):
+def atom_entries(i, j, op, k):
     """Packed DBM entries for the atomic constraint clock_i - clock_j op k.
 
     Yields (row, col, bound) pairs; row/col refer to clock indices.
@@ -180,7 +180,7 @@ class Zone:
             work[i * dim + i] = ZERO
             work[0 * dim + i] = ZERO  # 0 - x_i <= 0
         for (i, j, op, k) in atoms:
-            for (a, b, bound) in _atom_entries(i, j, op, k):
+            for (a, b, bound) in atom_entries(i, j, op, k):
                 idx = a * dim + b
                 if bound < work[idx]:
                     work[idx] = bound
@@ -252,7 +252,7 @@ class Zone:
         ok = True
         changed = False
         for (i, j, op, k) in atoms:
-            for (a, b, bound) in _atom_entries(i, j, op, k):
+            for (a, b, bound) in atom_entries(i, j, op, k):
                 idx = a * n + b
                 if bound < work[idx]:
                     work[idx] = bound

@@ -21,6 +21,8 @@ from tacv.modelio import build_model
 from tacv.oracle import default_horizon, explore_discrete
 from tacv.world import WorldConstants
 
+from test_queries import first_meeting
+
 CS = build_cs_model(WorldConstants(2, 5))
 CS_MODEL = os.path.join(os.path.dirname(Q.__file__), "models", "cs.model")
 
@@ -97,10 +99,28 @@ class TestRegionMemo:
         states = []
         explore(net, check=states.append)
         assert len(states) > 100
-        for ast in asts:
-            region_of = Q.region_memo(ast)
-            for state in states:
-                assert region_of(state) == Q.violation_region(ast, state)
+        regions_of = Q.region_memo(asts)
+        for state in states:
+            assert regions_of(state) == tuple(
+                Q.violation_region(ast, state) for ast in asts)
+
+    def test_newscs_alice_every_reachable_state(self):
+        model = build_newscs_model(WorldConstants(1, 5))
+        net, ctx = scenario(model, "ALICE")
+        asts = [Q.parse_query(model.queries[n], ctx) for n in sorted(model.queries)]
+        asts.append(Q.parse_query(
+            "A[] BobWatchTA.accepted imply "
+            "(time <= PROT_TIMELOCK or hold_bitcoins(parties[BOB]) >= 1)", ctx))
+        states = []
+        explore(net, check=states.append)
+        assert len(states) > 30000
+        regions_of = Q.region_memo(asts)
+        checkers = [Q.make_checker(ast) for ast in asts]
+        for state in states:
+            regions = tuple(Q.violation_region(ast, state) for ast in asts)
+            assert regions_of(state) == regions
+            for checker, region in zip(checkers, regions):
+                assert checker(state) == first_meeting(state.zone, region)
 
 
 class TestHorizon:

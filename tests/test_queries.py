@@ -9,6 +9,8 @@ from tacv import world as w
 from tacv.kernel import CMP, SymbolicState
 from tacv.zones import Zone
 
+from test_zones import random_atoms
+
 
 CTX = Q.QueryContext(
     constants={"MAX_LATENCY": 10, "PROT_TIMELOCK": 100},
@@ -155,6 +157,62 @@ class TestEvaluation:
         s = state([(1, 0, "<=", 4)])
         witness = Q.evaluate(s, q)
         assert witness == s.zone
+
+
+def first_meeting(zone, region):
+    """The checker's answer by definition: the zone constrained by the
+    first conjunct of `region` that meets it, or None."""
+    for conj in region:
+        sub = zone.constrained([(1, 0, a.op, a.const) for a in conj])
+        if not sub.is_empty():
+            return sub
+    return None
+
+
+class TestTimeBound:
+    """The checker's test on a zone's `time` bounds is exact."""
+
+    def test_checker_matches_first_meeting_conjunct(self):
+        rng = random.Random(20261020)
+        ops = ["<", "<=", "==", ">=", ">"]
+        outcomes = {"none": 0, "first": 0, "later": 0}
+        kinds = {"bounded": 0, "unbounded": 0, "point": 0}
+        while min(kinds.values()) < 400:
+            dim = rng.randint(2, 4)
+            kind = rng.choice(sorted(kinds))
+            if kind == "point":
+                zone = Zone.from_constraints(
+                    dim, [(i, 0, "==", rng.randint(0, 8)) for i in range(1, dim)])
+            else:
+                zone = Zone.from_constraints(
+                    dim, random_atoms(rng, dim, rng.randint(1, 2 * dim), maxc=8))
+                if kind == "unbounded":
+                    zone = zone.up()
+            if zone.is_empty():
+                continue
+            kinds[kind] += 1
+            region = []
+            for _ in range(rng.randint(1, 3)):
+                consts = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
+                region.append(tuple(Q.ClockAtom(rng.choice(ops), k, str(k))
+                                    for k in consts))
+            formula = None
+            for conj in region:
+                term = conj[0]
+                for atom in conj[1:]:
+                    term = Q.And(term, atom)
+                formula = term if formula is None else Q.Or(formula, term)
+            query = Q.QueryAst(Q.Not(formula), "")
+            s = SymbolicState((), None, zone)
+            assert Q.violation_region(query, s) == region
+            expected = first_meeting(zone, region)
+            assert Q.make_checker(query)(s) == expected
+            if expected is None:
+                outcomes["none"] += 1
+            else:
+                first = zone.constrained([(1, 0, a.op, a.const) for a in region[0]])
+                outcomes["first" if first == expected else "later"] += 1
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestDnfSemantics:

@@ -311,6 +311,21 @@ class TestHoldings:
         ww = stored(ww, (ww.T.spent[INPUT][0], 1))
         assert w.hold_bitcoins(ww, ALICE) == 2 == reference_holdings(ww, ALICE)
 
+    def test_memo_key_covers_spent_and_key_bits(self):
+        # the three valuations share their status bytes, and the last two
+        # their spent bits as well, so a memo keyed on fewer bytes than
+        # holdings read answers from an earlier valuation's entry
+        ww = cs_world(input_outputs=(w.Output("key", C_KEY, 1),
+                                     w.Output("key", C_KEY, 2)))
+        T = ww.T
+        spent = stored(ww, (T.spent[INPUT][0], 1))
+        leaked = stored(spent, (T.key_bit(ADV, C_KEY), 1))
+        worlds = (ww, spent, leaked)
+        assert [w.hold_bitcoins(x, ALICE) for x in worlds] == [3, 2, 0]
+        for x in worlds:
+            for party in range(T.party_count):
+                assert w.hold_bitcoins(x, party) == reference_holdings(x, party)
+
     @pytest.mark.parametrize("build, constants, adversary", [
         (build_cs_model, (2, 5), "ALICE"),
         (build_newscs_model, (1, 5), None),
