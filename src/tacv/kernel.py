@@ -112,13 +112,23 @@ Semantics notes:
   comparison short-circuits on identity.  The block-chain world's data
   valuation is one flat `bytes` (see `world`) with no nested objects to
   share: interning it keeps one copy per distinct valuation, and its
-  hash is computed once and cached in the object.  The table also
-  remembers, under keys tagged so that no interned object meets them,
-  each invariant pattern's zone atoms and bounds (`_invariants`) and
-  each owner pair's clock remap (`_remap`): a few hundred patterns
-  serve tens of thousands of keys.  Nothing of the table outlives the
-  call.  Fire labels (`Automaton.edge`) take no part in exploration; a
-  trace derives them from its descriptors (`step_label`).
+  hash is computed once and cached in the object.  Every zone it
+  stores or expands is the table's object too (hash-consing, as
+  UPPAAL's state store shares equal DBMs), and zones are never
+  mutated, so each pure zone operation is remembered per operand zone
+  (Filliâtre and Conchon, "Type-safe modular hash-consing", ML
+  Workshop 2006): a fire's successor zone per zone part of the fire
+  (clock guard, clock remap, target invariants), a delay per key
+  invariants, an extrapolation per bounds, and an inclusion test per
+  ordered pair (`_Passed`).  On newscs(2,10) with adversary Bob,
+  69,100 fire applications are 871 distinct (zone, zone part) pairs
+  over 148 expanded zones.  The table also remembers each invariant
+  pattern's zone atoms and bounds (`_invariants`) and each owner
+  pair's clock remap (`_remap`): a few hundred patterns serve tens of
+  thousands of keys.  Memo keys are tagged so that no interned object
+  meets them.  Nothing of the table outlives the call.  Fire labels
+  (`Automaton.edge`) take no part in exploration; a trace derives them
+  from its descriptors (`step_label`).
 - `replay` is the one replay loop: it follows stored descriptors with
   the lookup that rebuilds exact trace zones and checks each step's
   concrete clock valuation.  `replay_trace` and
@@ -374,6 +384,16 @@ def _invariant_atoms(net, locs, data):
 # Tags of the intern table's memo keys: no interned tuple holds them, so
 # a memo key never meets an interned object.
 _INVARIANTS, _REMAP = object(), object()
+_FIRE, _DELAY, _EXTRAPOLATE, _SUBSUMES = object(), object(), object(), object()
+_UNKNOWN = object()  # a memo's miss, where None is a remembered result
+
+
+def _memo(table, key):
+    """The memo dict that the intern `table` keeps under the tagged `key`."""
+    memo = table.get(key)
+    if memo is None:
+        memo = table[key] = {}
+    return memo
 
 
 def _invariants(net, locs, data, owners, table):
@@ -513,13 +533,24 @@ class _Passed:
     waiting successors need no walk to find them: the evictor's own
     successors cover them while they still wait, so they die and are
     skipped like the evicted zone itself.
+
+    An identical zone is covered without a test, and each inclusion
+    test is remembered per ordered pair of zones in the dict `covers`.
     """
 
-    def __init__(self, meta, subsumption=True):
+    def __init__(self, meta, subsumption=True, covers=None):
         self._meta = meta
         self._store = {}
         self._subsume = subsumption
+        self._covers = {} if covers is None else covers
         self.dead = set()
+
+    def _subsumes(self, a, b):
+        """Whether zone `a` contains zone `b`, remembered per pair."""
+        known = self._covers.get((a, b))
+        if known is None:
+            known = self._covers[(a, b)] = a.subsumes(b)
+        return known
 
     @property
     def key_count(self):
@@ -545,11 +576,11 @@ class _Passed:
             row.append(sid)
             return STORED
         for z in zones:
-            if z.subsumes(zone):
+            if z is zone or self._subsumes(z, zone):
                 return COVERED
         kept = []
         for s, z in zip(row, zones):
-            if zone.subsumes(z):
+            if self._subsumes(zone, z):
                 self.dead.add(s)
             else:
                 kept.append(s)
@@ -566,13 +597,18 @@ class _Skeleton(NamedTuple):
     sibling states that differ only in their zone share all of this.
     `explore` keeps a key's skeleton only while a state of the key waits
     in its queue, and builds it again for a zone of the key stored after
-    that (see `explore`).
+    that (see `explore`).  The memos are the intern table's, shared by
+    every skeleton with the same invariants or the same fire zone part
+    (see `_apply_skeleton`).
     """
 
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
     bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
     fires: tuple        # one `_build_fire` tuple per fire kept
+    delays: dict        # zone -> its delay successor, or None for none
+    memos: tuple        # per fire: zone -> its successor zone, or None
+    table: dict         # the intern table the skeleton was built with
 
 
 def _time_cap(inv_atoms):
@@ -601,7 +637,11 @@ def _build_skeleton(net, locs, data, table):
         fire = _build_fire(net, locs, data, inst, before, cap, table)
         if fire is not None:
             fires.append(fire)
-    return _Skeleton(any(i.urgent for i in insts), inv_atoms, bounds, tuple(fires))
+    # a fire's successor zone depends on its zone part alone: the clock
+    # guard, the remap (drop, nnew, perm) and the target invariants
+    memos = tuple(_memo(table, (_FIRE, f[1]) + f[4:8]) for f in fires)
+    return _Skeleton(any(i.urgent for i in insts), inv_atoms, bounds,
+                     tuple(fires), _memo(table, (_DELAY, inv_atoms)), memos, table)
 
 
 def _build_fire(net, locs, data, inst, before, cap, table):
@@ -673,26 +713,41 @@ def _apply_skeleton(skel, zone):
     clock guards or target invariants empty the zone is disabled.  Delay
     successors carry None for locations and data: the configuration is
     unchanged.  Zones are exact; `explore` extrapolates them.
+
+    Every zone operation here is pure, so the skeleton's memos remember
+    its result per operand zone, and a result computed here is the
+    intern table's object.  A delay that empties the zone raises each
+    time and is never remembered.
     """
     out = []
+    intern = skel.table.setdefault
     if not skel.urgent:
-        delayed = zone.up().constrained(skel.inv_atoms)
-        if delayed != zone:
-            if delayed.is_empty():
+        delayed = skel.delays.get(zone, _UNKNOWN)
+        if delayed is _UNKNOWN:
+            delayed = zone.up().constrained(skel.inv_atoms)
+            if delayed != zone and delayed.is_empty():
                 raise ModelInvariantError("delay produced an empty zone")
+            delayed = None if delayed == zone else intern(delayed, delayed)
+            skel.delays[zone] = delayed
+        if delayed is not None:
             out.append((DELAY, None, None, delayed, skel.inv_atoms, skel.bounds))
-    for fire in skel.fires:
-        succ = _fire_successor(fire, zone)
-        if succ is not None:
-            out.append(succ)
+    for fire, memo in zip(skel.fires, skel.memos):
+        z = memo.get(zone, _UNKNOWN)
+        if z is _UNKNOWN:
+            z = _fire_successor(fire, zone)
+            z = memo[zone] = None if z is None else intern(z, z)
+        if z is not None:
+            desc, _cg, locs2, data2, _drop, _nnew, _perm, inv2, bounds2 = fire
+            out.append((desc, locs2, data2, z, inv2, bounds2))
     return out
 
 
 def _fire_successor(fire, zone):
-    """(desc, locs2, data2, zone2, inv2, bounds2) of one `_build_fire`
-    tuple applied to `zone`, or None when its clock guard or its
-    target invariants empty the zone."""
-    desc, cg, locs2, data2, drop, nnew, perm, inv2, bounds2 = fire
+    """The successor zone of one `_build_fire` tuple applied to `zone`,
+    or None when its clock guard or its target invariants empty the
+    zone.  Only the fire's zone part (cg, drop, nnew, perm, inv2) is
+    read."""
+    _desc, cg, _locs2, _data2, drop, nnew, perm, inv2, _bounds2 = fire
     z = zone
     if cg:
         z = z.constrained(cg)
@@ -708,7 +763,7 @@ def _fire_successor(fire, zone):
         z = z.constrained(inv2)
         if z.is_empty():
             return None
-    return desc, locs2, data2, z, inv2, bounds2
+    return z
 
 
 def _permute(zone, perm):
@@ -761,6 +816,17 @@ def _extrapolate(zone, bounds):
                 work = list(m)
             work[base:base + n] = row
     return zone if work is None else Zone(n, tuple(work), _canonical=True)
+
+
+def _extrapolated(table, zone, bounds):
+    """`_extrapolate(zone, bounds)`, remembered per (bounds, zone) in the
+    intern `table`; a result computed here is the table's object."""
+    memo = _memo(table, (_EXTRAPOLATE, bounds))
+    abstract = memo.get(zone)
+    if abstract is None:
+        abstract = _extrapolate(zone, bounds)
+        abstract = memo[zone] = table.setdefault(abstract, abstract)
+    return abstract
 
 
 def overall_verdicts(violated, limit_reason):
@@ -824,6 +890,10 @@ def explore(
     it is built when the first of them is expanded and dropped after
     the expansion that leaves none waiting, dead states included.  A
     zone of the key stored after that builds it again.
+
+    Zones are hash-consed in the call's intern table, and each zone
+    operation is computed once per distinct (zone, operation) pair (see
+    the module notes).
     """
     started = _time.monotonic()
     checks = () if check is None else (check,) if callable(check) else tuple(check)
@@ -832,9 +902,10 @@ def explore(
     table = {}  # the intern table of this call (see the module notes)
     init = initial_state(net)
     init = init._replace(locs=table.setdefault(init.locs, init.locs),
-                         data=_intern_data(table, init.data))
+                         data=_intern_data(table, init.data),
+                         zone=table.setdefault(init.zone, init.zone))
     meta = []  # sid -> (state, parent sid, descriptor)
-    passed = _Passed(meta, subsumption=subsumption)
+    passed = _Passed(meta, subsumption, _memo(table, _SUBSUMES))
     dead = passed.dead
 
     def out_of_time():
@@ -897,7 +968,7 @@ def explore(
                 skel, state.zone):
             transitions += 1
             if bounds2 and extrapolate:
-                zone2 = _extrapolate(zone2, bounds2)
+                zone2 = _extrapolated(table, zone2, bounds2)
             if locs2 is None:  # delay successor keeps the configuration
                 locs2, data2 = key
             nxt = SymbolicState(locs2, data2, zone2)
@@ -990,9 +1061,9 @@ def _follow(net, state, desc, i):
     inst = _named_instance(net, locs, data, desc)
     if inst is not None:
         fire = _build_fire(net, locs, data, inst, before, _time_cap(inv_atoms), {})
-        succ = None if fire is None else _fire_successor(fire, zone)
-        if succ is not None:
-            _d, locs2, data2, zone2, inv2, _b = succ
+        zone2 = None if fire is None else _fire_successor(fire, zone)
+        if zone2 is not None:
+            _d, _cg, locs2, data2, _drop, _nnew, _perm, inv2, _b = fire
             return SymbolicState(locs2, data2, zone2), inv2
     try:
         what = step_label(net, desc)

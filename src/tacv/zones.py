@@ -10,6 +10,10 @@ starts waiting for confirmation and drops it once the transaction is
 resolved, which keeps matrices small.  `add_clock_zero` and
 `remove_clocks` preserve canonical form, as do `up` and `constrained`.
 
+A zone is never mutated and caches its hash, so equal zones can be
+shared: the explorer keeps one object per distinct zone and remembers
+each operation's result per operand (see `kernel`).
+
 Matrices are flat row-major sequences of packed bounds.  A bound on the
 difference x_i - x_j is packed into one integer so that comparison and
 addition stay single-int operations in the closure loop:
@@ -34,33 +38,6 @@ def pack(value, weak):
 def unpack(b):
     """Return (value, weak) for a finite packed bound."""
     return (b >> 1), bool(b & 1)
-
-
-def closure(m, n):
-    """Floyd-Warshall closure in place.  Returns False iff the zone is empty.
-
-    On a nonempty zone the result is the canonical (all-pairs tightest)
-    form with a weak-zero diagonal.
-    """
-    for k in range(n):
-        kn = k * n
-        for i in range(n):
-            ik = m[i * n + k]
-            if ik >= INF:
-                continue
-            row = i * n
-            for j in range(n):
-                kj = m[kn + j]
-                if kj >= INF:
-                    continue
-                s = ik + kj - ((ik & 1) | (kj & 1))
-                if s < m[row + j]:
-                    m[row + j] = s
-    for i in range(n):
-        if m[i * n + i] < ZERO:
-            return False
-        m[i * n + i] = ZERO
-    return True
 
 
 def close1(m, n, a, b):
@@ -168,31 +145,10 @@ class Zone:
         """The single point with every clock equal to zero."""
         return cls(dim, tuple([ZERO] * (dim * dim)), _canonical=True)
 
-    @classmethod
-    def from_constraints(cls, dim, atoms):
-        """Canonical zone of all valuations >= 0 meeting the given atoms.
-
-        Atoms are (i, j, op, k) tuples constraining clock_i - clock_j.
-        Clock nonnegativity (x_i >= reference) is implicit.
-        """
-        work = [INF] * (dim * dim)
-        for i in range(dim):
-            work[i * dim + i] = ZERO
-            work[0 * dim + i] = ZERO  # 0 - x_i <= 0
-        for (i, j, op, k) in atoms:
-            for (a, b, bound) in atom_entries(i, j, op, k):
-                idx = a * dim + b
-                if bound < work[idx]:
-                    work[idx] = bound
-        return cls._from_work(dim, work, closure(work, dim))
-
     # -- basic queries ------------------------------------------------
 
     def is_empty(self):
         return self.m[0] < ZERO
-
-    def entry(self, i, j):
-        return self.m[i * self.dim + j]
 
     def subsumes(self, other):
         """True iff this zone contains `other` (both canonical, same dim)."""
@@ -231,13 +187,6 @@ class Zone:
         for i in range(1, n):
             work[i * n + 0] = INF
         return Zone(n, tuple(work), _canonical=True)
-
-    def canonicalize(self):
-        """Re-run full closure; canonical zones are a fixpoint of this."""
-        if self.is_empty():
-            return self
-        work = list(self.m)
-        return Zone._from_work(self.dim, work, closure(work, self.dim))
 
     def constrained(self, atoms):
         """Intersection with atomic constraints (i, j, op, k); may be empty.
@@ -353,26 +302,6 @@ class Zone:
                     lo = bound
             vals[i] = lo
         return tuple(vals)
-
-    def min_value(self, clk):
-        """Smallest integer value clock `clk` takes in the zone."""
-        if self.is_empty():
-            raise ZoneError("min_value of an empty zone")
-        b = self.m[0 * self.dim + clk]  # bounds 0 - clk
-        if b >= INF:
-            return 0
-        v, weak = unpack(b)
-        return -v + (0 if weak else 1)
-
-    def max_value(self, clk):
-        """Largest integer value of clock `clk`, or None if unbounded."""
-        if self.is_empty():
-            raise ZoneError("max_value of an empty zone")
-        b = self.m[clk * self.dim + 0]
-        if b >= INF:
-            return None
-        v, weak = unpack(b)
-        return v - (0 if weak else 1)
 
     def constraint_strings(self, names=None):
         """Human-readable constraint list (for debugging and reports)."""

@@ -18,7 +18,8 @@ from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.kernel import explore, replay_trace
 from tacv.oracle import explore_discrete
 from tacv.world import WorldConstants
-from tacv.zones import Zone
+
+from zonekit import canonicalize, from_constraints
 
 CS_PAPER = WorldConstants(10, 100)
 CS_REDUCED = WorldConstants(2, 5)
@@ -206,8 +207,8 @@ def test_criterion_8_property_suites(capsys):
                 j = rng.randrange(dim)
             op = rng.choice(["<=", ">=", "==", "<", ">"])
             atoms.append((i, j, op, rng.randint(-20, 20)))
-        z = Zone.from_constraints(dim, atoms)
-        assert z.canonicalize() == z
+        z = from_constraints(dim, atoms)
+        assert canonicalize(z) == z
         vals = (0,) + tuple(rng.randint(0, 22) for _ in range(dim - 1))
         direct = all(
             {"<": d < k, "<=": d <= k, "==": d == k, ">=": d >= k, ">": d > k}[op]

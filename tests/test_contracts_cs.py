@@ -16,6 +16,8 @@ from tacv.contracts import build_cs_model, instantiate
 from tacv.kernel import explore, replay_trace
 from tacv.world import WorldConstants
 
+from zonekit import min_value
+
 REDUCED = WorldConstants(2, 5)
 PAPER = WorldConstants(10, 100)
 
@@ -152,7 +154,7 @@ class TestAliceWindow:
 
         def check(state):
             deadline_passed = state.data[state.data.T.timers]
-            if deadline_passed and state.zone.min_value(1) > REDUCED.prot_timelock - REDUCED.max_latency:
+            if deadline_passed and min_value(state.zone, 1) > REDUCED.prot_timelock - REDUCED.max_latency:
                 assert state.data[2] != w.UNSENT
             return None
 

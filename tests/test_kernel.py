@@ -28,6 +28,7 @@ from tacv.zones import INF, Zone, pack
 
 from test_modelio import SHIPPED_IDS, SHIPPED_ROWS
 from test_modelio import shipped_net as shipped_row_net
+from zonekit import canonicalize, from_constraints, max_value, min_value
 
 
 IDLE, RUNNING, DONE = 0, 1, 2
@@ -135,7 +136,7 @@ class TestDelay:
         s0 = K.initial_state(net)
         d = delayed(net, s0)
         assert d is not None
-        assert d.zone.max_value(1) == 5
+        assert max_value(d.zone, 1) == 5
         assert delayed(net, d) is None
 
     def test_flip_fires_exactly_at_threshold_then_time_freed(self):
@@ -146,9 +147,9 @@ class TestDelay:
         assert len(ticks) == 1
         flipped = ticks[0]
         assert flipped.data.flag
-        assert flipped.zone.min_value(1) == 5 and flipped.zone.max_value(1) == 5
+        assert min_value(flipped.zone, 1) == 5 and max_value(flipped.zone, 1) == 5
         after = delayed(net, flipped)
-        assert after.zone.max_value(1) is None
+        assert max_value(after.zone, 1) is None
 
     def test_running_job_caps_delay(self):
         net = make_net()
@@ -156,8 +157,8 @@ class TestDelay:
         s1 = by_label(net, s0, "start", i=0)[0]
         assert K.clock_layout(net, s1.data) == {"time": 1, ("tx", 0): 2}
         d = delayed(net, s1)
-        assert d.zone.max_value(2) == 3  # job clock bound
-        assert d.zone.max_value(1) == 3  # time tied to the job clock here
+        assert max_value(d.zone, 2) == 3  # job clock bound
+        assert max_value(d.zone, 1) == 3  # time tied to the job clock here
 
     def test_urgent_pair_blocks_delay(self):
         net = make_net(urgent_ping=True)
@@ -191,7 +192,7 @@ class TestClockLifecycle:
         d = delayed(net, s0)  # time in [0, 5]
         s1 = by_label(net, d, "start", i=1)[0]
         assert s1.zone.dim == 3
-        assert s1.zone.max_value(2) == 0  # fresh clock pinned to zero
+        assert max_value(s1.zone, 2) == 0  # fresh clock pinned to zero
         s2 = by_label(net, s1, "finish", i=1)[0]
         assert s2.zone.dim == 2
 
@@ -527,7 +528,7 @@ def random_zone(rng, dim, bound):
             i, j = rng.sample(range(dim), 2)
             atoms.append((i, j, rng.choice(["<=", "<", ">=", ">"]),
                           rng.randint(-bound - 2, bound + 2)))
-        z = Zone.from_constraints(dim, atoms)
+        z = from_constraints(dim, atoms)
         if not z.is_empty():
             return z
 
@@ -542,7 +543,7 @@ class TestExtrapolation:
         for j in range(n):
             if j != x:
                 work[x * n + j] = INF
-        forgot = Zone(n, tuple(work), _canonical=True).canonicalize()
+        forgot = canonicalize(Zone(n, tuple(work), _canonical=True))
         return forgot.constrained([(x, 0, "<=", bound)])
 
     def test_row_rewrite_is_extra_lu_then_invariant(self):
@@ -555,7 +556,7 @@ class TestExtrapolation:
             got = K._extrapolate(z, ((x, pack(bound, True)),))
             assert got == self.reference(z, x, bound)
             assert got.subsumes(z)
-            assert got.canonicalize() == got
+            assert canonicalize(got) == got
             # every row at once, in either order, is one abstraction
             bounds = tuple((i, pack(bound, True)) for i in range(2, dim))
             once = K._extrapolate(z, bounds)
@@ -563,7 +564,7 @@ class TestExtrapolation:
             assert K._extrapolate(once, bounds) is once
 
     def test_lower_bounded_or_pinned_clock_kept(self):
-        pinned = Zone.from_constraints(3, [(2, 0, "<=", 0)])
+        pinned = from_constraints(3, [(2, 0, "<=", 0)])
         assert K._extrapolate(pinned, ((2, pack(0, True)),)) is pinned
 
     def test_same_reachable_set_fewer_transitions(self):
@@ -924,6 +925,72 @@ class TestSkeletonLifetime:
         # the skeleton of the key being expanded may be the one more
         assert max(excess) <= 1
         assert alive[0] == 0
+
+
+class TestZoneMemo:
+    """`explore` remembers each zone operation per (operand zone,
+    operation) in its intern table, and every zone it stores or expands
+    is the table's one object (module notes): each remembered result
+    equals a fresh computation."""
+
+    @pytest.mark.parametrize("contract,constants,adversary", [
+        ("cs", (10, 100), "ALICE"),
+        ("newscs", (1, 5), None),
+    ], ids=["cs-10-100-ALICE", "newscs-1-5-honest"])
+    def test_every_entry_recomputes(self, contract, constants, adversary,
+                                    monkeypatch):
+        _model, net, _ctx = shipped_row_net(contract, constants, {}, adversary)
+        tables, skeletons = [], []
+        build_skeleton = K._build_skeleton
+
+        def captured(net_, locs, data, table):
+            skel = build_skeleton(net_, locs, data, table)
+            tables.append(table)
+            skeletons.append(skel)
+            return skel
+
+        monkeypatch.setattr(K, "_build_skeleton", captured)
+        stored = []
+        res = K.explore(net, check=stored.append)
+        table = tables[0]
+        assert all(t is table for t in tables)
+
+        def interned(zone):
+            return zone is None or table.get(zone) is zone
+
+        delays, fires = {}, {}  # id -> memo: skeletons share them
+        for skel in skeletons:
+            delays[id(skel.delays)] = skel.delays
+            for zone, succ in skel.delays.items():
+                fresh = zone.up().constrained(skel.inv_atoms)
+                assert succ == (None if fresh == zone else fresh)
+                assert interned(zone) and interned(succ)
+            for fire, memo in zip(skel.fires, skel.memos):
+                fires[id(memo)] = memo
+                for zone, succ in memo.items():
+                    assert succ == K._fire_successor(fire, zone)
+                    assert interned(zone) and interned(succ)
+        extrapolations = 0
+        for key, memo in table.items():
+            if type(key) is tuple and key and key[0] is K._EXTRAPOLATE:
+                for zone, abstract in memo.items():
+                    assert abstract == K._extrapolate(zone, key[1])
+                    assert interned(zone) and interned(abstract)
+                extrapolations += len(memo)
+        covers = table[K._SUBSUMES]
+        for (a, b), known in covers.items():
+            assert a is not b and known == a.subsumes(b)
+        # far fewer distinct operations than applications; at latency 1
+        # every transaction clock is pinned to zero, so newscs(1,5)
+        # extrapolates nothing
+        assert sum(map(len, delays.values())) and covers
+        assert bool(extrapolations) == (contract == "cs")
+        assert sum(map(len, fires.values())) * 5 < res.transitions
+        # equal stored zones are one object
+        canon = {}
+        for state in stored:
+            assert canon.setdefault(state.zone, state.zone) is state.zone
+        assert len(canon) * 5 < len(stored)
 
 
 class TestCheckCounts:

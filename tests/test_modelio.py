@@ -19,6 +19,8 @@ from tacv.kernel import explore, random_run, replay_trace
 from tacv.oracle import explore_discrete
 from tacv.world import WorldConstants
 
+from zonekit import max_value, min_value
+
 MODELS_DIR = os.path.join(os.path.dirname(M.__file__), "models")
 CS_PATH = os.path.join(MODELS_DIR, "cs.model")
 NEWSCS_PATH = os.path.join(MODELS_DIR, "newscs.model")
@@ -451,9 +453,9 @@ class TestShippedModels:
             assert len(flags) > 1
             for set_, theta in flags:
                 if set_:
-                    assert state.zone.min_value(1) >= theta
+                    assert min_value(state.zone, 1) >= theta
                 else:
-                    hi = state.zone.max_value(1)
+                    hi = max_value(state.zone, 1)
                     assert hi is not None and hi <= theta
             seen.append(state)
 

@@ -10,6 +10,7 @@ from tacv.kernel import CMP, SymbolicState
 from tacv.zones import Zone
 
 from test_zones import random_atoms
+from zonekit import from_constraints, min_value
 
 
 CTX = Q.QueryContext(
@@ -131,7 +132,7 @@ class TestEvaluation:
         s = state([(1, 0, ">=", 50)])  # time in [50, inf)
         witness = Q.evaluate(s, q)
         assert witness is not None
-        assert witness.min_value(1) == 110
+        assert min_value(witness, 1) == 110
 
     def test_no_violation_when_zone_stays_early(self):
         q = Q.parse_query(BOB_PROPERTY, CTX)
@@ -181,10 +182,10 @@ class TestTimeBound:
             dim = rng.randint(2, 4)
             kind = rng.choice(sorted(kinds))
             if kind == "point":
-                zone = Zone.from_constraints(
+                zone = from_constraints(
                     dim, [(i, 0, "==", rng.randint(0, 8)) for i in range(1, dim)])
             else:
-                zone = Zone.from_constraints(
+                zone = from_constraints(
                     dim, random_atoms(rng, dim, rng.randint(1, 2 * dim), maxc=8))
                 if kind == "unbounded":
                     zone = zone.up()

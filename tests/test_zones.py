@@ -15,6 +15,8 @@ import pytest
 from tacv import zones
 from tacv.zones import Zone, ZoneError
 
+from zonekit import canonicalize, entry, from_constraints, max_value, min_value
+
 
 def grid(dim, lo, hi):
     """All integer valuations with reference clock fixed at 0."""
@@ -59,32 +61,32 @@ def random_atoms(rng, dim, count, maxc=20):
 
 class TestCanonicalForm:
     def test_idempotent(self):
-        z = Zone.from_constraints(3, [(1, 0, "<=", 5), (2, 1, "<=", 0), (2, 0, ">=", 3)])
-        assert z.canonicalize() == z
-        assert z.canonicalize().canonicalize() == z.canonicalize()
+        z = from_constraints(3, [(1, 0, "<=", 5), (2, 1, "<=", 0), (2, 0, ">=", 3)])
+        assert canonicalize(z) == z
+        assert canonicalize(canonicalize(z)) == canonicalize(z)
 
     def test_idempotent_on_empty(self):
-        z = Zone.from_constraints(2, [(1, 0, "<=", 1), (1, 0, ">=", 2)])
+        z = from_constraints(2, [(1, 0, "<=", 1), (1, 0, ">=", 2)])
         assert z.is_empty()
-        assert z.canonicalize() == z
+        assert canonicalize(z) == z
 
     def test_tightening_example(self):
         # time <= 5, c - time <= 0, c >= 3: the lower bound on c survives
         # canonicalization and c inherits the upper bound 5.
-        z = Zone.from_constraints(3, [(1, 0, "<=", 5), (2, 1, "<=", 0), (2, 0, ">=", 3)])
-        assert z.max_value(2) == 5
-        assert z.min_value(2) == 3
+        z = from_constraints(3, [(1, 0, "<=", 5), (2, 1, "<=", 0), (2, 0, ">=", 3)])
+        assert max_value(z, 2) == 5
+        assert min_value(z, 2) == 3
         ref = oracle_points(3, [(1, 0, "<=", 5), (2, 1, "<=", 0), (2, 0, ">=", 3)], 6)
         assert zone_points(z, 6) == ref
 
     def test_contradiction_is_empty(self):
-        z = Zone.from_constraints(2, [(1, 0, "<=", 1), (1, 0, ">=", 2)])
+        z = from_constraints(2, [(1, 0, "<=", 1), (1, 0, ">=", 2)])
         assert z.is_empty()
 
     def test_diagonal_weak_zero(self):
         z = Zone.origin(4)
         for i in range(4):
-            assert z.entry(i, i) == zones.ZERO
+            assert entry(z, i, i) == zones.ZERO
 
 
 class TestDelayAndReset:
@@ -95,19 +97,19 @@ class TestDelayAndReset:
         assert not z.contains((0, 3, 4))
 
     def test_up_idempotent(self):
-        z = Zone.from_constraints(3, [(1, 0, "<=", 7), (2, 0, "<=", 2)])
+        z = from_constraints(3, [(1, 0, "<=", 7), (2, 0, "<=", 2)])
         assert z.up().up() == z.up()
 
     def test_up_membership(self):
         # from the point (time=3, c=1), delaying reaches (10, 8) but not (10, 9)
-        z = Zone.from_constraints(3, [(1, 0, "==", 3), (2, 0, "==", 1)]).up()
+        z = from_constraints(3, [(1, 0, "==", 3), (2, 0, "==", 1)]).up()
         assert z.contains((0, 10, 8))
         assert not z.contains((0, 10, 9))
 
 
 class TestConstrain:
     def test_vacuous(self):
-        z = Zone.from_constraints(2, [(1, 0, "<=", 9)])
+        z = from_constraints(2, [(1, 0, "<=", 9)])
         assert z.constrained([(1, 0, ">=", 0)]) == z
 
     def test_point_after_delay(self):
@@ -117,7 +119,7 @@ class TestConstrain:
         assert zone_points(z, 11) == {(0, 10, 10)}
 
     def test_empty_after_contradiction(self):
-        z = Zone.from_constraints(2, [(1, 0, "<=", 3)])
+        z = from_constraints(2, [(1, 0, "<=", 3)])
         assert z.constrained([(1, 0, ">=", 5)]).is_empty()
 
 
@@ -134,7 +136,7 @@ class TestWitness:
         for _ in range(200):
             dim = rng.randint(2, 5)
             atoms = random_atoms(rng, dim, rng.randint(1, 4), maxc=8)
-            z = Zone.from_constraints(dim, atoms)
+            z = from_constraints(dim, atoms)
             if z.is_empty():
                 continue
             w = z.witness()
@@ -145,7 +147,7 @@ class TestWitness:
                 assert w == pts[0]
 
     def test_witness_empty_rejected(self):
-        z = Zone.from_constraints(2, [(1, 0, "<", 0)])
+        z = from_constraints(2, [(1, 0, "<", 0)])
         with pytest.raises(ZoneError):
             z.witness()
 
@@ -154,8 +156,8 @@ class TestClockLifecycle:
     def test_add_clock_starts_at_zero(self):
         z = Zone.origin(2).up().constrained([(1, 0, ">=", 4)]).add_clock_zero()
         assert z.dim == 3
-        assert z.min_value(2) == 0
-        assert z.max_value(2) == 0
+        assert min_value(z, 2) == 0
+        assert max_value(z, 2) == 0
         # difference to time is pinned at the add instant
         z2 = z.up()
         assert z2.contains((0, 9, 5))
@@ -163,7 +165,7 @@ class TestClockLifecycle:
 
     def test_remove_clock_is_projection(self):
         atoms = [(1, 0, "<=", 6), (2, 0, ">=", 2), (2, 1, "<=", 0)]
-        z = Zone.from_constraints(3, atoms)
+        z = from_constraints(3, atoms)
         p = z.remove_clocks([2])
         expected = {(0, v[1]) for v in oracle_points(3, atoms, 8)}
         assert zone_points(p, 8) == expected
@@ -184,7 +186,7 @@ class TestGridOracleRandomized:
         for _ in range(self.CASES):
             dim = rng.randint(2, 6)
             atoms = random_atoms(rng, dim, rng.randint(1, 2 * dim), maxc=20)
-            z = Zone.from_constraints(dim, atoms)
+            z = from_constraints(dim, atoms)
             # spot-check random valuations rather than the full grid
             for _ in range(8):
                 vals = (0,) + tuple(rng.randint(0, 22) for _ in range(dim - 1))
@@ -197,7 +199,7 @@ class TestGridOracleRandomized:
         for _ in range(400):
             dim = rng.randint(2, 4)
             atoms = random_atoms(rng, dim, rng.randint(1, 5), maxc=6)
-            z = Zone.from_constraints(dim, atoms)
+            z = from_constraints(dim, atoms)
             has_point = bool(oracle_points(dim, atoms, 14))
             # Non-strict random systems can be empty on the grid yet
             # nonempty over the reals only via strict atoms; restrict
@@ -215,7 +217,7 @@ class TestGridOracleRandomized:
                 (i, j, rng.choice(["<=", ">=", "=="]), k)
                 for (i, j, _, k) in random_atoms(rng, dim, rng.randint(1, 4), maxc=5)
             ]
-            z = Zone.from_constraints(dim, atoms)
+            z = from_constraints(dim, atoms)
             base = oracle_points(dim, atoms, 16)
             assert zone_points(z, 16) == base
             if z.is_empty():
@@ -246,8 +248,8 @@ class TestGridOracleRandomized:
 
 class TestSubsumption:
     def test_inclusion(self):
-        big = Zone.from_constraints(2, [(1, 0, "<=", 10)])
-        small = Zone.from_constraints(2, [(1, 0, "<=", 5)])
+        big = from_constraints(2, [(1, 0, "<=", 10)])
+        small = from_constraints(2, [(1, 0, "<=", 5)])
         assert big.subsumes(small)
         assert not small.subsumes(big)
 
@@ -256,8 +258,8 @@ class TestSubsumption:
         for _ in range(200):
             a1 = random_atoms(rng, 3, 2, maxc=5)
             a2 = random_atoms(rng, 3, 2, maxc=5)
-            z1 = Zone.from_constraints(3, a1)
-            z2 = Zone.from_constraints(3, a2)
+            z1 = from_constraints(3, a1)
+            z2 = from_constraints(3, a2)
             p1 = zone_points(z1, 12)
             p2 = zone_points(z2, 12)
             if z1.subsumes(z2):
