@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .kernel import AutomatonTemplate, Edge, Location
-from .world import (CONFIRMED, UNSENT, Output, TxRecord, can_send, could_script,
-                    set_flags, try_to_send)
+from .world import Output, TxRecord, can_send, set_flags, try_to_send
 
 
 class MessageAction(NamedTuple):
@@ -58,48 +57,18 @@ def derive_adversary_txset(protocol_txs, adv_key):
     return tuple(txs)
 
 
-def _send_candidates(slot, sendable):
-    """The `candidates` of the try-send loop over `sendable`: the UNSENT
-    transactions whose inputs are all CONFIRMED and whose input scripts
-    party `slot` could ever satisfy (`world.could_script`), remembered
-    per status vector.  The scriptable ones are found on first use."""
-    memo = {}
-    scriptable = None  # (index, transaction, its inputs' transactions)
-
-    def candidates(w):
-        nonlocal scriptable
-        T = w.T
-        statuses = w[:T.tx_count]
-        found = memo.get(statuses)
-        if found is None:
-            if scriptable is None:
-                scriptable = tuple(
-                    (k, t, tuple(src for src, _oi in T.txs[t].inputs))
-                    for k, t in enumerate(sendable) if could_script(T, slot, t))
-            found = memo[statuses] = tuple(
-                k for k, t, srcs in scriptable
-                if statuses[t] == UNSENT
-                and all(statuses[src] == CONFIRMED for src in srcs))
-        return found
-
-    return candidates
-
-
 def build_adversary_automaton(cfg, adv_slot, sendable, msgs):
     """Single-state adversary: try-send loop plus urgent message loops.
 
-    `sendable` is the try-send select's domain: every transaction
-    identifier for the generic automaton, less the sweeps that
-    `contracts.instantiate` leaves out.  Message action k's flag is the
-    valuation's byte `msgs + k`.
-
-    The loop's `candidates` leave out a transaction that is not UNSENT,
-    has an input that is not CONFIRMED (its status alone then fails
-    `can_send`), or has an input script the adversary's slot can never
-    satisfy.  The last rests on two facts of the world: no update writes
-    a key bit (`contracts._idle_sweep_ids` relies on it too), and a
-    pooled signature exists only for a (key, transaction) pair of the
-    table's `sig_slots`.
+    `sendable` is the try-send select's domain, ascending: every
+    transaction for the generic loop, or the static domain that
+    `contracts.instantiate` gives it.  That domain leaves out the idle
+    sweeps, and each transaction whose input scripts the adversary's
+    slot can never satisfy (`world.could_script`), so that `can_send`
+    never holds for it.  The latter rests on two facts: no update
+    writes a key bit, and a pooled signature exists only for a
+    (key, transaction) pair of the table's `sig_slots`.  Message
+    action k's flag is the valuation's byte `msgs + k`.
     """
     def send_guard(w, binds, slot=adv_slot):
         return can_send(w, slot, binds["i"])
@@ -107,14 +76,12 @@ def build_adversary_automaton(cfg, adv_slot, sendable, msgs):
     def send_update(w, binds, slot=adv_slot):
         return try_to_send(w, slot, binds["i"])
 
-    sendable = tuple(sendable)
     edges = [
         Edge(
             0, 0, "try_send",
-            select=(("i", sendable),),
+            select=(("i", tuple(sendable)),),
             guard=send_guard,
             update=send_update,
-            candidates=_send_candidates(adv_slot, sendable),
         )
     ]
     for k, action in enumerate(cfg.message_actions):

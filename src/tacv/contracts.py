@@ -140,13 +140,26 @@ def instantiate(model, adversary=None, run_world_checks=True):
 
     `adversary` names the corrupted party (or None for all-honest); its
     knowledge is cloned from that party's initial record and its
-    automaton replaces the party's honest suite.  Its try-send loop
-    leaves out the sweeps that no guard, holding or query can observe
-    (`_idle_sweep_ids`), so every verdict is that of the full loop over
-    every transaction.  Returns the Network plus the name-resolution context
-    for queries; `net.meta` keeps the model.
-    Raises ModelError for an adversary that is no party or has no
-    `[adversary]` section, and for an honest party without an automaton.
+    automaton replaces the party's honest suite.  Returns the Network
+    plus the name-resolution context for queries; `net.meta` keeps the
+    model.  Raises ModelError for an adversary that is no party or has
+    no `[adversary]` section, and for an honest party without an
+    automaton.
+
+    The two select loops get static domains, in ascending transaction
+    order, and every verdict is that of the full loops over every
+    transaction:
+    - the adversary's try-send covers each transaction that is no idle
+      sweep (`_idle_sweep_ids`: no guard, holding or query can observe
+      one) and whose input scripts its slot could ever satisfy (the
+      table's `scriptable`, from `world.could_script`, which rests on
+      two facts: no update writes a key bit, and a pooled signature
+      exists only for a (key, transaction) pair of the table's
+      `sig_slots`);
+    - the chain agent confirms the protocol transactions and that
+      domain: only `try_to_send` writes SENT, and a `.model` statement
+      can name only protocol transactions, so no other transaction is
+      ever SENT.
 
     The chain agent chooses a malleability nonce only when it confirms
     an input of a signed transaction (one of `model.signatures`): no
@@ -181,20 +194,26 @@ def instantiate(model, adversary=None, run_world_checks=True):
     ]
     deadlines += [(tx.timelock, table.flag + tx.num) for tx in txs if tx.timelock > 0]
 
+    sendable = ()
+    if adv_idx is not None:
+        idle = _idle_sweep_ids(model, adv_idx)
+        sendable = tuple(t for t in table.scriptable if t not in idle)
+    protocol = len(model.protocol_txs)
     nonce_relevant = sorted({
         src_tx
         for _key, signed in model.signatures
         for (src_tx, _oi) in model.protocol_txs[signed].inputs
     })
     automata = [
-        W.build_blockchain_agent(model.constants, len(txs), nonce_relevant),
+        W.build_blockchain_agent(
+            model.constants,
+            tuple(range(protocol)) + tuple(t for t in sendable if t >= protocol),
+            nonce_relevant),
         W.build_helper(deadlines),
     ]
     adv_slot = len(model.party_names) - 1
     for p in range(adv_slot):
         if p == adv_idx:
-            idle = _idle_sweep_ids(model, p)
-            sendable = [i for i in range(len(txs)) if i not in idle]
             automata.append(
                 build_adversary_automaton(cfg, adv_slot, sendable, table.msgs)
             )

@@ -42,15 +42,11 @@ Semantics notes:
   first clear threshold, say): every zone applied to a key's skeleton
   lies inside the key's invariants, so such a fire can never be taken,
   and it gets no update, target invariants or transition check.
-  An edge may name the bindings worth a look (`Edge.candidates`): a
-  function of the data giving ascending indices into the edge's static
-  bindings, such that every binding it leaves out has a false guard.
-  `enabled_transitions` evaluates the guard on those bindings alone, in
-  the same order, so instance order, search order and every counter
-  are those of the full domain.  Only it reads the hook: the discrete
-  oracle and replay (`_named_instance`, `_urgent_enabled`) keep the
-  full domain, so the oracle stays an independent check of every hook
-  and a trace step is judged by its guard alone.
+  Select domains are static and shared by every engine: exploration,
+  the discrete oracle and replay evaluate an edge's guard on each
+  binding of its domain, in domain order.  A network saves guard work
+  by giving an edge only the bindings whose guard can ever hold (as
+  `contracts.instantiate` does for the chain and the adversary).
 - `explore` keeps a key's skeleton only while a state of the key waits
   in its queue, as the passed/waiting list of UPPAAL keeps only what
   its waiting states still need (Behrmann et al., "UPPAAL
@@ -178,15 +174,11 @@ class Edge(NamedTuple):
     source: int
     target: int
     label: str
-    select: tuple = ()        # ((var, (values...)), ...)
+    select: tuple = ()        # ((var, (values...)), ...): static domains
     guard: Optional[Callable] = None       # (data, binds) -> bool
     clock_guard: tuple = ()   # (('time', op, const), ...): only `time` is guarded
     urgent: bool = False      # blocks delay while its guard holds
     update: Optional[Callable] = None      # (data, binds) -> data
-    # (data) -> ascending indices into the edge's static bindings; every
-    # binding left out must have a false guard.  Only
-    # `enabled_transitions` reads it (see the module notes).
-    candidates: Optional[Callable] = None
 
 
 class AutomatonTemplate:
@@ -478,19 +470,15 @@ def enabled_transitions(net, locs, data):
     Non-urgent instances come first, then urgent ones, each ordered by
     (automaton, edge, binding).  Guards never read clocks, so
     enabledness up to clock guards is a pure function of locations and
-    data; clock guards are applied to zones by `_apply_skeleton`.  An
-    edge with `candidates` has its guard evaluated only on the bindings
-    those name, in the same order.
+    data; clock guards are applied to zones by `_apply_skeleton`.  Every
+    binding of an edge's static select domain has its guard evaluated.
     """
     plain = []
     urgent = []
     for ai, a in enumerate(net.automata):
         for ei, e in a.edges_from(locs[ai]):
             guard = e.guard
-            bindings = a.bindings[ei]
-            if e.candidates is not None:
-                bindings = map(bindings.__getitem__, e.candidates(data))
-            for binds, bkey in bindings:
+            for binds, bkey in a.bindings[ei]:
                 if guard is not None and not guard(data, binds):
                     continue
                 (urgent if e.urgent else plain).append(

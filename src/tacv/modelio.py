@@ -365,6 +365,9 @@ class _Loader:
             outputs.append(Output(m.group(1), _lookup(table, m.group(2), m.group(1), E_RANGE),
                                   int(m.group(3))))
         timelock = _Expr(fields.get("timelock", "0"), self.constants).parse_const()
+        if timelock < 0:
+            raise ModelIOError(E_RANGE, "transaction %s: timelock %s is %d, must be "
+                               "at least 0" % (name, fields["timelock"], timelock))
         if fields.get("confirmed"):
             self.confirmed.append(self.txs[name])
         return TxRecord(

@@ -168,8 +168,10 @@ class WorldTable(Layout):
     `broadcast_signature` statements: each has one pool byte per vector
     of its inputs' nonces.  The pool holds at most `capacity`
     signatures, and the `msg_count` adversary messages come last.
-    `initial` is the network's initial valuation, and `World` the
-    valuation class.
+    `initial` is the network's initial valuation, `World` the
+    valuation class, and `scriptable` the transactions whose input
+    scripts the last party slot, the adversary's, could ever satisfy
+    (`could_script`).
     """
 
     def __init__(self, txs, nss_table, parties, timer_count, mark_count,
@@ -227,6 +229,8 @@ class WorldTable(Layout):
             for i, bit in enumerate(k.know_secret):
                 data[self.secret_bit(p, i)] = bit
         self.initial = self.World(data)
+        self.scriptable = tuple(t for t in range(len(txs))
+                                if could_script(self, party_count - 1, t))
 
 
 def pending_clock_owners(world):
@@ -522,25 +526,7 @@ def check_status_machine(before, after):
 # -- shared automata -------------------------------------------------------
 
 
-def _sent_bindings(domain, width):
-    """The `candidates` of a confirm edge whose select is `i` over
-    `domain` (ascending), then `width` values of `n`: the bindings of
-    the SENT transactions, remembered per set of them."""
-    memo = {}
-
-    def candidates(w):
-        owners = pending_clock_owners(w)
-        found = memo.get(owners)
-        if found is None:
-            found = memo[owners] = tuple(
-                domain.index(t) * width + n
-                for t in owners if t in domain for n in range(width))
-        return found
-
-    return candidates
-
-
-def build_blockchain_agent(constants, tx_count, nonce_relevant):
+def build_blockchain_agent(constants, domain, nonce_relevant):
     """The agent that maintains the chain: confirmation with nonce choice.
 
     A waiting transaction resolves (confirms or cancels) strictly within
@@ -553,20 +539,23 @@ def build_blockchain_agent(constants, tx_count, nonce_relevant):
     chosen nondeterministically at confirmation time, among the NONCES
     values, which is how transaction malleability enters the model.
 
+    `domain` lists the transactions the agent may confirm, ascending.
+    A confirm guard holds exactly for a SENT transaction, and only
+    `try_to_send` writes SENT, so the domain needs only the
+    transactions some automaton can ever broadcast: a network whose
+    domain leaves out one that gets SENT leaves its clock pending
+    forever, bounding time.
+
     A transaction's nonce is only ever read through pooled signatures
     of transactions that spend it, so for transactions no signature
     covers the nonce is a dead field and choosing it would just double
-    bisimilar states.  `nonce_relevant` lists the transactions whose
-    confirmation keeps the full nonce choice; the rest confirm with
-    nonce zero.
-
-    A confirm guard holds exactly for a SENT transaction, so each edge's
-    `candidates` are the bindings of the clock owners
-    (`pending_clock_owners`), remembered per set of owners.
+    bisimilar states.  `nonce_relevant` lists the transactions of
+    `domain` whose confirmation keeps the full nonce choice; the rest
+    confirm with nonce zero.
     """
     bound = constants.max_latency - 1
     relevant = tuple(sorted(nonce_relevant))
-    plain = tuple(i for i in range(tx_count) if i not in set(relevant))
+    plain = tuple(i for i in domain if i not in relevant)
 
     def invariant(w, bound=bound):
         return [(("tx", t), "<=", bound) for t in pending_clock_owners(w)]
@@ -582,13 +571,13 @@ def build_blockchain_agent(constants, tx_count, nonce_relevant):
         edges.append(Edge(
             source=0, target=0, label="confirm",
             select=(("i", relevant), ("n", tuple(range(NONCES)))),
-            guard=guard, update=update, candidates=_sent_bindings(relevant, NONCES),
+            guard=guard, update=update,
         ))
     if plain:
         edges.append(Edge(
             source=0, target=0, label="confirm_plain",
             select=(("i", plain),),
-            guard=guard, update=update, candidates=_sent_bindings(plain, 1),
+            guard=guard, update=update,
         ))
     return AutomatonTemplate(
         "BlockChainAgentTA", [Location("chain", invariant)], edges

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Sweep pruning against the full adversary loop at newscs(1,5).
+"""The static select domains against the full loops at newscs(1,5).
 
 For Bob and then Alice as the adversary, explores the network of
-`contracts.instantiate`, whose loop leaves out the sweeps no guard,
-holding or query can observe, and the network with the generic loop
-over every transaction.  It compares the verdicts of the model's
-default queries and the reachable keys projected onto what a guard,
-holding or query can see (see `observable` in tests/test_adversary.py).
-The full loop with Alice takes about half a minute, so the name keeps
-pytest from collecting it.  Usage, from the root of a checkout:
+`contracts.instantiate` and the network whose adversary loop and chain
+agent cover every transaction (`full_loop` in tests/test_adversary.py).
+The first leaves out of the adversary's loop the sweeps no guard,
+holding or query can observe and the transactions it can never script,
+and the chain agent confirms only the transactions that can be sent.
+It compares the verdicts of the model's default queries and the
+reachable keys projected onto what a guard, holding or query can see
+(see `observable` in tests/test_adversary.py).  The full loops with
+Alice take about half a minute, so the name keeps pytest from
+collecting it.  Usage, from the root of a checkout:
 
     python3 tests/crosscheck_pruning.py
 
-Prints the verdicts, the projected key counts (pruned/full) and the
+Prints the verdicts, the projected key counts (static/full) and the
 seconds per adversary, and exits 1 when anything differs.
 """
 
@@ -38,8 +41,8 @@ def main():
               % (adversary, ",".join(pruned_verdicts), ",".join(full_verdicts),
                  len(pruned), len(full), time.monotonic() - t0))
         if pruned_verdicts != full_verdicts or pruned != full:
-            print("%s: pruning differs from the full loop: %d projected keys "
-                  "only pruned, %d only full"
+            print("%s: the domains differ from the full loops: %d projected keys "
+                  "only static, %d only full"
                   % (adversary, len(pruned - full), len(full - pruned)))
             problems += 1
     print("%d problems" % problems)

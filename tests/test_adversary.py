@@ -1,5 +1,6 @@
 """Adversary synthesis: transaction doubling, the generic automaton,
-and the exactness of the sweeps `instantiate` leaves out of its loop."""
+and the exactness of the static domains `instantiate` gives the
+adversary's loop and the chain agent."""
 
 import pytest
 
@@ -15,25 +16,37 @@ from test_modelio import CS_PATH, shipped_queries
 
 def full_loop(model, adversary):
     """The network and query context of `instantiate`, with the
-    adversary's generic loop over every transaction in place of the
-    pruned one: the reference that pruning must match."""
+    adversary's generic loop (when `adversary` is not None) and the
+    chain agent over every transaction in place of their static
+    domains: the reference that the domains must match.  The chain
+    keeps its nonce choice on the same transactions."""
     net, ctx = instantiate(model, adversary=adversary)
-    p = model.party_names.index(adversary)
-    table = model.worlds[p]
-    loop = build_adversary_automaton(
-        model.adversary_configs[p], len(model.party_names) - 1,
-        range(len(table.txs)), table.msgs)
-    automata = [loop if a.name == loop.name else a for a in net.automata]
+    every = range(len(net.initial_data.T.txs))
+    chain = net.automata[net.automaton_index("BlockChainAgentTA")]
+    relevant = next((dict(e.select)["i"] for e in chain.edges if e.label == "confirm"), ())
+    loops = [w.build_blockchain_agent(model.constants, every, relevant)]
+    if adversary is not None:
+        p = model.party_names.index(adversary)
+        loops.append(build_adversary_automaton(
+            model.adversary_configs[p], len(model.party_names) - 1, every,
+            model.worlds[p].msgs))
+    full = {a.name: a for a in loops}
+    automata = [full.get(a.name, a) for a in net.automata]
     return Network(net.name, automata, net.initial_data, net.clock_owners,
                    net.state_checks, net.transition_checks, net.meta), ctx
 
 
-def pruned_sweeps(model, adversary):
-    """The transactions the instantiated adversary's try-send leaves out."""
+def left_out(model, adversary):
+    """(idle sweeps, unscriptable transactions): the transactions the
+    instantiated adversary's try-send leaves out, split by whether
+    `could_script` allows them for the adversary's slot."""
     net, _ctx = instantiate(model, adversary=adversary)
     loop = net.automata[net.automaton_index("AdversaryTA")]
     (send,) = [e for e in loop.edges if e.label == "try_send"]
-    return set(range(len(net.initial_data.T.txs))) - set(dict(send.select)["i"])
+    T = net.initial_data.T
+    out = set(range(len(T.txs))) - set(dict(send.select)["i"])
+    scriptable = {t for t in out if w.could_script(T, T.party_count - 1, t)}
+    return scriptable, out - scriptable
 
 
 def observable(key, protocol_count):
@@ -186,8 +199,10 @@ def test_saturation_second_sweep_does_not_change_verdicts():
 
 class TestSweepPruningExact:
     """The adversary's loop leaves out only sweeps no guard, holding or
-    query can observe: verdicts and observable reachable keys equal
-    those of the full loop."""
+    query can observe and transactions it can never script, and the
+    chain agent only transactions nobody sends: verdicts and observable
+    reachable keys equal those of the full loops over every
+    transaction."""
 
     @pytest.mark.parametrize("variant", [{}, {"weakened_alice": True}],
                              ids=["shipped", "weakened_alice"])
@@ -205,7 +220,19 @@ class TestSweepPruningExact:
     ])
     def test_shipped_pruned_sets(self, contract, adversary, sweeps):
         model = M.contract_model(contract)
-        assert pruned_sweeps(model, adversary) == sweeps
+        assert left_out(model, adversary)[0] == sweeps
+
+    @pytest.mark.parametrize("contract,adversary,unscriptable", [
+        ("cs", "ALICE", {3, 5, 7}),
+        ("cs", "BOB", {0, 1, 2, 4, 5, 6}),
+        ("newscs", "ALICE", {2, 3, 6, 7, 8, 10, 12, 13, 18, 19, 20, 22, 23,
+                             24, 26, 27, 29, 30}),
+        ("newscs", "BOB", {0, 1, 4, 5, 9, 11, 14, 15, 16, 17, 20, 21, 23,
+                           25, 26, 27, 28, 31, 32}),
+    ])
+    def test_shipped_unscriptable_sets(self, contract, adversary, unscriptable):
+        model = M.contract_model(contract)
+        assert left_out(model, adversary)[1] == unscriptable
 
     def edited_cs(self, old, new):
         text = open(CS_PATH).read()
@@ -221,7 +248,7 @@ class TestSweepPruningExact:
             "location accepted named\nlocation swept named\n"
             'edge accepted -> swept urgent guard "status(OPEN) == SPENT"\n')
         assert model.status_observed == (model.tx_names["OPEN"],)
-        assert pruned_sweeps(model, "ALICE") == set()
+        assert left_out(model, "ALICE") == (set(), {3, 5, 7})
         pruned, full = compare_with_full_loop(
             model, "ALICE", ["A[] not BobTA.swept"])
         assert pruned == full
@@ -231,7 +258,7 @@ class TestSweepPruningExact:
         # Alice's sweeps pay R_KEY, which Bob alone holds: a swept output
         # counts towards his holdings
         model = self.edited_cs("key = C_KEY", "key = R_KEY")
-        assert pruned_sweeps(model, "ALICE") == set()
+        assert left_out(model, "ALICE") == (set(), {3, 5, 7})
         pruned, full = compare_with_full_loop(model, "ALICE", [
             "A[] (parties[BOB].know_secret[0] and hold_bitcoins(parties[BOB]) >= 1)"
             " imply BobTA.accepted"])

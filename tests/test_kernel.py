@@ -403,92 +403,6 @@ class TestValidation:
             K.explore(net)
 
 
-def rebuilt(net, change):
-    """`net` with every edge `e` replaced by `change(e)`."""
-    automata = [K.AutomatonTemplate(a.name, a.locations, map(change, a.edges),
-                                    a.initial)
-                for a in net.automata]
-    return K.Network(net.name, automata, net.initial_data, net.clock_owners,
-                     net.state_checks, net.transition_checks, net.meta)
-
-
-def stripped(net):
-    """`net` with no `candidates` hook: every guard sees its whole domain."""
-    return rebuilt(net, lambda e: e._replace(candidates=None))
-
-
-def candidate_problems(net, locs, data):
-    """Breaches of the `candidates` contract at (locs, data), as text:
-    indices that are not ascending indices of the edge's bindings, and
-    bindings left out whose guard holds."""
-    found = []
-    for ai, a in enumerate(net.automata):
-        for ei, e in a.edges_from(locs[ai]):
-            if e.candidates is None:
-                continue
-            name = "%s.%s" % (a.name, e.label)
-            cand = tuple(e.candidates(data))
-            bindings = a.bindings[ei]
-            if list(cand) != sorted(set(cand)) or not all(
-                    0 <= k < len(bindings) for k in cand):
-                found.append("%s: candidates %r are not ascending indices of "
-                             "%d bindings" % (name, cand, len(bindings)))
-            for k, (binds, bkey) in enumerate(bindings):
-                if k not in cand and (e.guard is None or e.guard(data, binds)):
-                    found.append("%s: enabled binding %r left out at %r"
-                                 % (name, bkey, (locs, data)))
-    return found
-
-
-class TestCandidates:
-    """An edge's `candidates` hook names the bindings whose guard
-    `enabled_transitions` evaluates; every binding it leaves out has a
-    false guard."""
-
-    EXACT = {"start": lambda d: tuple(i for i in (0, 1) if d.statuses[i] == IDLE),
-             "finish": clock_owners}
-
-    def hooked(self, calls):
-        """make_net() with exact hooks on both select edges, whose guards
-        append every result to `calls`."""
-        def change(e):
-            if e.label not in self.EXACT:
-                return e
-
-            def counted(d, b, guard=e.guard):
-                calls.append(guard(d, b))
-                return calls[-1]
-            return e._replace(guard=counted, candidates=self.EXACT[e.label])
-        return rebuilt(make_net(), change)
-
-    def test_guards_run_only_on_candidates(self):
-        hooked_calls, full_calls = [], []
-        net = self.hooked(hooked_calls)
-        full = stripped(self.hooked(full_calls))
-        runs = [K.explore(n, collect_reachable=True) for n in (net, full)]
-        assert runs[0].reachable == runs[1].reachable
-        assert runs[0].transitions == runs[1].transitions
-        assert all(hooked_calls)  # the hooks are exact: every guard holds
-        assert 0 < len(hooked_calls) < len(full_calls)
-
-    def test_same_instances_in_the_same_order(self):
-        net = self.hooked([])
-        state = K.initial_state(net)
-        for label in ("start", "start", "finish"):
-            state = by_label(net, state, label)[0]
-            assert (K.enabled_transitions(net, state.locs, state.data)
-                    == K.enabled_transitions(stripped(net), state.locs, state.data))
-
-    def test_contract_check(self):
-        s0 = K.initial_state(make_net())
-        for start, broken in [(self.EXACT["start"], False), (lambda d: (0, 1), False),
-                              (lambda d: (1,), True), (lambda d: (1, 0), True),
-                              (lambda d: (0, 2), True)]:
-            net = rebuilt(make_net(), lambda e: e._replace(
-                candidates=start if e.label == "start" else None))
-            assert bool(candidate_problems(net, s0.locs, s0.data)) == broken
-
-
 class TestInvariantMemo:
     """`_invariants` remembers its result per (clock owners, raw atoms)
     pattern in the intern table."""

@@ -84,6 +84,20 @@ class TestLoader:
             M.build_model(text, "bad")
         assert err.value.code == M.E_RANGE
 
+    def test_negative_timelock_rejected(self):
+        # a negative timelock's flag would never be set: the transaction
+        # could never be sent
+        fuse = "FUSE: inputs = COMMIT:0; outputs = key(R_KEY):1; timelock = PROT_TIMELOCK"
+        text = open(CS_PATH).read()
+        assert text.count(fuse) == 1
+        line = text[:text.index(fuse)].count("\n") + 1
+        with pytest.raises(M.ModelIOError) as err:
+            M.build_model(text.replace(fuse, fuse + " - 9"), "bad",
+                          {"MAX_LATENCY": 2, "PROT_TIMELOCK": 5})
+        assert err.value.code == M.E_RANGE
+        assert err.value.line == line
+        assert "timelock PROT_TIMELOCK - 9 is -4" in str(err.value)
+
     def test_urgent_clock_guard_rejected(self):
         text = open(CS_PATH).read().replace(
             'edge start -> failure clock "time == MAX_LATENCY" guard "not on_chain(COMMIT)" label commit_missing',

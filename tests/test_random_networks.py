@@ -5,17 +5,12 @@ Each seed builds one kernel-level network over a tuple of job statuses
 (idle, running, done).  A job's clock lives while the job runs.  The
 network has 2-3 automata of 1-3 locations, whose edges carry data
 guards and updates on the statuses, urgent flags and clock guards on
-`time`, and whose invariants bound `time` or a running job's clock.
-About half of the edges with a select get a `candidates` hook: an
-ascending random superset, seeded per data valuation, of the bindings
-whose guard holds.  A global invariant `time <= T` bounds every run.
-On each network:
+`time`, and whose invariants bound `time` or a running job's clock.  A
+global invariant `time <= T` bounds every run.  On each network:
 
 - the reachable (locations, data) sets of `explore` (default,
-  `extrapolate=False`, `subsumption=False`, every hook stripped) and of
-  the discrete oracle (`explore_discrete` with horizon T + 2) are
-  equal, and stripping the hooks keeps the transition count;
-- every hook keeps the `candidates` contract on every reachable key;
+  `extrapolate=False`, `subsumption=False`) and of the discrete oracle
+  (`explore_discrete` with horizon T + 2) are equal;
 - the counterexample to every reachable key, and a few random runs,
   replay through `replay_trace`;
 - the zone and the discrete verdicts of random `A[]` queries over
@@ -46,9 +41,7 @@ from tacv.kernel import (  # noqa: E402
 )
 from tacv.oracle import explore_discrete  # noqa: E402
 
-from test_kernel import (  # noqa: E402
-    candidate_problems, delay_closed_net, rebuilt, stripped,
-)
+from test_kernel import delay_closed_net  # noqa: E402
 
 NETWORKS = 300
 IDLE, RUNNING, DONE = 0, 1, 2
@@ -101,21 +94,8 @@ def random_edge(rng, nloc, jobs, horizon, label):
                 update=update)
 
 
-def superset_hook(guard, jobs, salt):
-    """A `candidates` hook over the bindings i = 0 .. jobs-1 of a select
-    edge: each whose guard holds, and a random choice of the rest,
-    seeded by `salt` and the data valuation."""
-    def candidates(d):
-        pick = random.Random("%d %r" % (salt, d))
-        return tuple(i for i in range(jobs)
-                     if guard is None or guard(d, {"i": i}) or pick.random() < 0.5)
-    return candidates
-
-
-def random_network(rng, hooks):
-    """(network, T, whether every invariant is non-strict); `hooks`
-    draws the `candidates` hooks, so `rng` draws the same network with
-    or without them."""
+def random_network(rng):
+    """(network, T, whether every invariant is non-strict)."""
     jobs = rng.randint(1, 3)
     horizon = rng.randint(2, 6)
     closed = rng.random() < 0.7
@@ -126,10 +106,6 @@ def random_network(rng, hooks):
                      for i in range(nloc)]
         edges = [random_edge(rng, nloc, jobs, horizon, "e%d" % i)
                  for i in range(rng.randint(1, 4))]
-        edges = [e._replace(candidates=superset_hook(e.guard, jobs,
-                                                     hooks.getrandbits(32)))
-                 if e.select and hooks.random() < 0.5 else e
-                 for e in edges]
         automata.append(AutomatonTemplate("A%d" % a, locations, edges))
     cap = ((TIME, "<=", horizon),)
     automata.append(AutomatonTemplate("Global", [Location("g", lambda d: cap)], []))
@@ -194,7 +170,6 @@ def network_problems(net, horizon, closed, rng):
                                      extrapolate=False),
         "subsumption=False": explore(net, collect_reachable=True,
                                      subsumption=False),
-        "stripped": explore(stripped(net), collect_reachable=True),
     }
     if closed:
         runs["oracle"] = explore_discrete(net, horizon=horizon + 2)[0]
@@ -202,11 +177,6 @@ def network_problems(net, horizon, closed, rng):
     found = ["reachable set of %s: %d keys, default zone run: %d"
              % (name, len(res.reachable), len(reach))
              for name, res in runs.items() if res.reachable != reach]
-    if runs["stripped"].transitions != runs["default"].transitions:
-        found.append("stripped hooks: %d transitions, default zone run: %d"
-                     % (runs["stripped"].transitions, runs["default"].transitions))
-    for locs, data in reach:
-        found += candidate_problems(net, locs, data)
 
     keys = sorted(reach, key=repr)
     res = explore(net, check=[
@@ -227,18 +197,12 @@ def network_problems(net, horizon, closed, rng):
     return found
 
 
-def seeded_network(seed):
-    """(rng, network, T, closed) of network `seed`; `rng` goes on to
-    draw the network's queries."""
-    rng = random.Random(seed)
-    return (rng,) + random_network(rng, random.Random(-1 - seed))
-
-
 def seed_problems(seed):
     """The problems of network `seed`, each prefixed with the seed; a
     crash is a problem too, reported with its traceback."""
+    rng = random.Random(seed)
     try:
-        rng, net, horizon, closed = seeded_network(seed)
+        net, horizon, closed = random_network(rng)
         found = network_problems(net, horizon, closed, rng)
     except Exception:  # noqa: BLE001 - one crash must not end a long run
         found = [traceback.format_exc()]
@@ -248,37 +212,6 @@ def seed_problems(seed):
 def test_random_networks():
     problems = [p for seed in range(NETWORKS) for p in seed_problems(seed)]
     assert not problems, "\n".join(problems[:20])
-
-
-def test_some_networks_have_hooks():
-    hooked = [seed for seed in range(NETWORKS)
-              if any(e.candidates for a in seeded_network(seed)[1].automata
-                     for e in a.edges)]
-    assert len(hooked) > NETWORKS // 4
-
-
-def enabled_select_bindings():
-    """(network, locations, data, edge, binding index) for each select
-    edge binding whose guard holds at a reachable key, network by
-    network."""
-    for seed in range(NETWORKS):
-        net = seeded_network(seed)[1]
-        for locs, data in sorted(explore(net, collect_reachable=True).reachable):
-            for ai, a in enumerate(net.automata):
-                for ei, e in a.edges_from(locs[ai]):
-                    for i, (binds, _key) in enumerate(a.bindings[ei]):
-                        if e.select and (e.guard is None or e.guard(data, binds)):
-                            yield net, locs, data, e, i
-
-
-def test_hook_dropping_an_enabled_binding_breaks_the_contract():
-    net, locs, data, edge, i = next(enabled_select_bindings())
-    assert candidate_problems(net, locs, data) == []
-    every = range(len(edge.select[0][1]))
-    drop = rebuilt(net, lambda e: e._replace(
-        candidates=lambda d: tuple(k for k in every if k != i)) if e is edge else e)
-    (problem,) = candidate_problems(drop, locs, data)
-    assert "enabled binding (('i', %d),) left out" % i in problem
 
 
 def test_delay_closed_network():

@@ -234,6 +234,8 @@ class TestInputScripts:
         scriptable = {p: [t for t in range(5) if w.could_script(T, p, t)]
                       for p in (ALICE, BOB, ADV)}
         assert scriptable == {ALICE: [INPUT, COMMIT, OPEN], BOB: [FUSE], ADV: []}
+        # the table keeps the last slot's, the adversary's
+        assert T.scriptable == ()
 
 
 class TestSendConfirm:
