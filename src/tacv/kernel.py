@@ -65,7 +65,8 @@ Semantics notes:
   data valuation and run once per (locations, data) key, when the
   key's first zone is stored.  The kernel's own zone check
   (`run_state_checks`: the zone lies inside its location invariants)
-  runs on every stored zone state.  `explore(run_checks=False)` skips
+  runs once per distinct (zone, invariant atoms) pair of a stored zone
+  state.  `explore(run_checks=False)` skips
   these last two, the state checks and the zone check, and only them.
 - Clock guards compare only `time`: `AutomatonTemplate` rejects a guard
   on any other clock, and builds each edge's guard as zone atoms on
@@ -114,13 +115,13 @@ Semantics notes:
   mutated, so each pure zone operation is remembered per operand zone
   (Filliâtre and Conchon, "Type-safe modular hash-consing", ML
   Workshop 2006): a fire's successor zone per zone part of the fire
-  (clock guard, clock remap, target invariants), a delay per key
-  invariants, an extrapolation per bounds, and an inclusion test per
-  ordered pair (`_Passed`).  On newscs(2,10) with adversary Bob,
-  69,100 fire applications are 871 distinct (zone, zone part) pairs
-  over 148 expanded zones.  The table also remembers each invariant
+  (clock guard, clock map, target invariants), a delay per key
+  invariants, an extrapolation per bounds, an inclusion test per
+  ordered pair (`_Passed`) and a zone check per invariant atoms.  On
+  newscs(2,10) with adversary Bob, 69,100 fire applications are 871
+  distinct (zone, zone part) pairs over 148 expanded zones.  The table also remembers each invariant
   pattern's zone atoms and bounds (`_invariants`) and each owner
-  pair's clock remap (`_remap`): a few hundred patterns serve tens of
+  pair's clock map (`_remap`): a few hundred patterns serve tens of
   thousands of keys.  Memo keys are tagged so that no interned object
   meets them.  Nothing of the table outlives the call.  Fire labels
   (`Automaton.edge`) take no part in exploration; a trace derives them
@@ -221,8 +222,8 @@ class Network:
     transition check once per fire each skeleton it builds keeps (a
     data-enabled fire that the key's own invariant bound on `time` does
     not rule out; a rebuilt key's fires are checked again); the
-    kernel's zone check runs on every stored zone state (see
-    `run_state_checks`).
+    kernel's zone check runs once per distinct (zone, invariant atoms)
+    pair of a stored zone state (see `run_state_checks`).
 
     A location invariant maps the data to clock atoms (key, op, const)
     that bound clocks only from above (`<`, `<=`); building a key's
@@ -348,21 +349,6 @@ def _intern_data(table, data):
     return canon if type(canon) is type(data) else data
 
 
-def _atoms_to_indices(atoms, layout, table):
-    """Clock atoms (key, op, k) as zone atoms (idx, 0, op, k), each the
-    canonical one of the intern `table`."""
-    intern = table.setdefault
-    out = []
-    for (key, op, k) in atoms:
-        idx = layout.get(key)
-        if idx is None:
-            raise ModelError("clock atom for inactive clock %r" % (key,))
-        atom = (idx, 0, op, k)
-        out.append(intern(atom, atom))
-    out = tuple(out)
-    return intern(out, out)
-
-
 def _invariant_atoms(net, locs, data):
     """The clock atoms (key, op, k) of the location invariants of (locs, data)."""
     atoms = []
@@ -377,6 +363,7 @@ def _invariant_atoms(net, locs, data):
 # a memo key never meets an interned object.
 _INVARIANTS, _REMAP = object(), object()
 _FIRE, _DELAY, _EXTRAPOLATE, _SUBSUMES = object(), object(), object(), object()
+_ZONE_CHECKED = object()
 _UNKNOWN = object()  # a memo's miss, where None is a remembered result
 
 
@@ -392,43 +379,42 @@ def _invariants(net, locs, data, owners, table):
     """(zone atoms (i, 0, op, k), extrapolation bounds) of (locs, data).
 
     `owners` are the clock owners of `data`, and both tuples are the
-    canonical ones of the intern `table`.  Raises ModelError on an
-    atom that bounds a clock from below.  The bounds are (index, packed
-    bound) pairs, one per transaction clock, with the clock's tightest
-    invariant bound.  A clock pinned to zero (`<= 0`) is left
-    out: it has the reference clock's row already, so extrapolating it
-    changes nothing.
+    canonical ones of the intern `table`.  Raises ModelError on the
+    first atom of an inactive clock or that bounds a clock from below.
+    The bounds are (index, packed bound) pairs, one per transaction
+    clock, with the clock's tightest invariant bound.  A clock pinned to
+    zero (`<= 0`) is left out: it has the reference clock's row already,
+    so extrapolating it changes nothing.
 
     The result depends only on the owners and the raw atoms, so the
-    `table` remembers it under that pattern and builds the layout and
-    the zone atoms only for a pattern it has not seen.  A pattern with
-    a lower-bound atom raises before it is stored, so it raises again
-    each time.
+    `table` remembers it under that pattern and reads the atoms in one
+    pass only for a pattern it has not seen.  A pattern that raises is
+    not stored, so it raises again each time.
     """
     atoms = tuple(_invariant_atoms(net, locs, data))
     key = (_INVARIANTS, owners, atoms)
     known = table.get(key)
     if known is not None:
         return known
-    indexed = _atoms_to_indices(atoms, _layout(owners), table)
-    loose = False
+    intern = table.setdefault
+    layout = _layout(owners)
+    indexed, tightest = [], {}
     for clock, op, k in atoms:
+        idx = layout.get(clock)
+        if idx is None:
+            raise ModelError("clock atom for inactive clock %r" % (clock,))
         if op != "<=" and op != "<":
             raise ModelError("invariant atom %r bounds a clock from below"
                              % ((clock, op, k),))
-        if k > 0 and clock != TIME:
-            loose = True
-    bounds = ()
-    if loose:
-        tightest = {}
-        for idx, _zero, op, k in indexed:
-            b = 2 * k + (op == "<=")  # packed
-            if idx > 1 and b < tightest.get(idx, INF):
-                tightest[idx] = b
-        bounds = tuple((idx, b) for idx, b in sorted(tightest.items()) if b > ZERO)
-        bounds = table.setdefault(bounds, bounds)
-    table[key] = indexed, bounds
-    return indexed, bounds
+        atom = (idx, 0, op, k)
+        indexed.append(intern(atom, atom))
+        b = 2 * k + (op == "<=")  # packed
+        if idx > 1 and b < tightest.get(idx, INF):
+            tightest[idx] = b
+    indexed = tuple(indexed)
+    bounds = tuple((idx, b) for idx, b in sorted(tightest.items()) if b > ZERO)
+    known = table[key] = intern(indexed, indexed), intern(bounds, bounds)
+    return known
 
 
 def invariant_indices(net, locs, data):
@@ -587,7 +573,7 @@ class _Skeleton(NamedTuple):
     in its queue, and builds it again for a zone of the key stored after
     that (see `explore`).  The memos are the intern table's, shared by
     every skeleton with the same invariants or the same fire zone part
-    (see `_apply_skeleton`).
+    (clock guard, clock map, target invariants; see `_apply_skeleton`).
     """
 
     urgent: bool
@@ -626,8 +612,8 @@ def _build_skeleton(net, locs, data, table):
         if fire is not None:
             fires.append(fire)
     # a fire's successor zone depends on its zone part alone: the clock
-    # guard, the remap (drop, nnew, perm) and the target invariants
-    memos = tuple(_memo(table, (_FIRE, f[1]) + f[4:8]) for f in fires)
+    # guard, the clock map and the target invariants
+    memos = tuple(_memo(table, (_FIRE, f[1], f[4], f[5])) for f in fires)
     return _Skeleton(any(i.urgent for i in insts), inv_atoms, bounds,
                      tuple(fires), _memo(table, (_DELAY, inv_atoms)), memos, table)
 
@@ -637,10 +623,9 @@ def _build_fire(net, locs, data, inst, before, cap, table):
 
     `before` is the key's clock owners and `cap` its packed bound on
     `time` (`_time_cap`).  Returns (desc, guard_atoms, locs2, data2,
-    drop, nnew, perm, inv2, bounds2), where desc, locs2, data2, inv2 and
-    bounds2 are canonical objects of the intern `table` and (drop, nnew,
-    perm) remaps the clocks (`_remap`).  The network's transition checks
-    run on the fire.
+    src, inv2, bounds2), where desc, locs2, data2, inv2 and bounds2 are
+    canonical objects of the intern `table` and `src` maps the clocks
+    (`_remap`).  The network's transition checks run on the fire.
 
     A fire whose clock guard bounds `time` from below past `cap` is
     ruled out before its update runs (None): every zone applied to the
@@ -662,35 +647,25 @@ def _build_fire(net, locs, data, inst, before, cap, table):
     locs2 = intern(locs2, locs2)
     desc = ("fire", inst.auto, inst.edge, inst.binds)
     after = net.clock_owners(data2)
-    drop, nnew, perm = _remap(before, after, table)
+    src = _remap(before, after, table)
     inv2, bounds2 = _invariants(net, locs2, data2, after, table)
     for chk in net.transition_checks:
         chk(data, data2)
-    return (intern(desc, desc), cg, locs2, data2,
-            drop, nnew, perm, inv2, bounds2)
+    return intern(desc, desc), cg, locs2, data2, src, inv2, bounds2
 
 
 def _remap(before, after, table):
-    """(drop, nnew, perm) of a fire from clock owners `before` to
-    `after`, remembered per owner pair in the intern `table`.
-
-    Clocks of items that left the pending set are dropped, and items
-    that entered it get fresh clocks at zero, appended and then moved
-    to their sorted slots by `perm` (None when none entered).
-    """
+    """The clock map `src` (see `Zone.remapped`) of a fire from clock
+    owners `before` to `after`, remembered per owner pair in the intern
+    `table`: each clock of `after`'s layout has its index in `before`'s,
+    or 0 when it is fresh.  None when the layouts are equal."""
     key = (_REMAP, before, after)
-    remap = table.get(key)
-    if remap is None:
-        after_set = set(after)
-        drop = tuple(2 + i for i, o in enumerate(before) if o not in after_set)
-        kept = [o for o in before if o in after_set]
-        new = [o for o in after if o not in before]
-        perm = None
-        if new:
-            interim = kept + new
-            perm = tuple([0, 1] + [2 + interim.index(o) for o in after])
-        remap = table[key] = (drop, len(new), perm)
-    return remap
+    src = table.get(key, _UNKNOWN)
+    if src is _UNKNOWN:
+        old = {o: 2 + i for i, o in enumerate(before)}
+        src = table[key] = None if before == after else (
+            (0, 1) + tuple(old.get(o, 0) for o in after))
+    return src
 
 
 def _apply_skeleton(skel, zone):
@@ -725,7 +700,7 @@ def _apply_skeleton(skel, zone):
             z = _fire_successor(fire, zone)
             z = memo[zone] = None if z is None else intern(z, z)
         if z is not None:
-            desc, _cg, locs2, data2, _drop, _nnew, _perm, inv2, bounds2 = fire
+            desc, _cg, locs2, data2, _src, inv2, bounds2 = fire
             out.append((desc, locs2, data2, z, inv2, bounds2))
     return out
 
@@ -733,32 +708,22 @@ def _apply_skeleton(skel, zone):
 def _fire_successor(fire, zone):
     """The successor zone of one `_build_fire` tuple applied to `zone`,
     or None when its clock guard or its target invariants empty the
-    zone.  Only the fire's zone part (cg, drop, nnew, perm, inv2) is
-    read."""
-    _desc, cg, _locs2, _data2, drop, nnew, perm, inv2, _bounds2 = fire
+    zone.  Only the fire's zone part (cg, src, inv2) is read: the clock
+    guard, one `Zone.remapped` by the clock map, then the target
+    invariants."""
+    _desc, cg, _locs2, _data2, src, inv2, _bounds2 = fire
     z = zone
     if cg:
         z = z.constrained(cg)
         if z.is_empty():
             return None
-    if drop:
-        z = z.remove_clocks(drop)
-    for _ in range(nnew):
-        z = z.add_clock_zero()
-    if perm is not None:
-        z = _permute(z, perm)
+    if src is not None:
+        z = z.remapped(src)
     if inv2:
         z = z.constrained(inv2)
         if z.is_empty():
             return None
     return z
-
-
-def _permute(zone, perm):
-    n = zone.dim
-    m = zone.m
-    work = [m[perm[i] * n + perm[j]] for i in range(n) for j in range(n)]
-    return Zone(n, tuple(work), _canonical=True)
 
 
 def successors(net, state):
@@ -895,6 +860,12 @@ def explore(
     meta = []  # sid -> (state, parent sid, descriptor)
     passed = _Passed(meta, subsumption, _memo(table, _SUBSUMES))
     dead = passed.dead
+    zone_checked = table[_ZONE_CHECKED] = set()
+
+    def zone_check(state, inv_atoms):  # once per (zone, invariant atoms)
+        if (state.zone, inv_atoms) not in zone_checked:
+            run_state_checks(state, inv_atoms)
+            zone_checked.add((state.zone, inv_atoms))
 
     def out_of_time():
         return max_seconds is not None and _time.monotonic() - started > max_seconds
@@ -924,7 +895,7 @@ def explore(
     if run_checks:
         for chk in net.state_checks:
             chk(init.data)
-        run_state_checks(init, invariant_indices(net, init.locs, init.data))
+        zone_check(init, invariant_indices(net, init.locs, init.data))
     meta.append((init, None, None))
     passed.insert((init.locs, init.data), init.zone, 0)
     if live and checked(0):
@@ -970,7 +941,7 @@ def explore(
                 if passed.key_count != known:  # the first zone of its key
                     for chk in net.state_checks:
                         chk(nxt.data)
-                run_state_checks(nxt, inv2)
+                zone_check(nxt, inv2)
             meta.append((nxt, sid, desc))
             if live and checked(nid):
                 return result()
@@ -1051,7 +1022,7 @@ def _follow(net, state, desc, i):
         fire = _build_fire(net, locs, data, inst, before, _time_cap(inv_atoms), {})
         zone2 = None if fire is None else _fire_successor(fire, zone)
         if zone2 is not None:
-            _d, _cg, locs2, data2, _drop, _nnew, _perm, inv2, _b = fire
+            _d, _cg, locs2, data2, _src, inv2, _b = fire
             return SymbolicState(locs2, data2, zone2), inv2
     try:
         what = step_label(net, desc)

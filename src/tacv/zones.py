@@ -7,8 +7,9 @@ are integers, so bounds are integer-valued throughout.
 
 Clock sets are dynamic: the explorer adds a clock when a transaction
 starts waiting for confirmation and drops it once the transaction is
-resolved, which keeps matrices small.  `add_clock_zero` and
-`remove_clocks` preserve canonical form, as do `up` and `constrained`.
+resolved, which keeps matrices small: one `remapped` call projects
+out the dropped clocks and adds the fresh ones at zero.  It preserves
+canonical form, as do `up` and `constrained`.
 
 A zone is never mutated and caches its hash, so equal zones can be
 shared: the explorer keeps one object per distinct zone and remembers
@@ -215,39 +216,29 @@ class Zone:
             return self
         return Zone._from_work(n, work, ok)
 
+    def remapped(self, src):
+        """The zone whose clock a is this zone's clock src[a] (src[0] = 0),
+        a fresh clock at zero where src[a] = 0; clocks not in `src` are
+        projected out.  A fresh clock copies the reference clock's row and
+        column, and projection keeps a DBM closed (Bengtsson and Yi,
+        "Timed Automata: Semantics, Algorithms and Tools", 2004)."""
+        n, m = self.dim, self.m
+        return Zone(len(src), tuple(m[i * n + j] for i in src for j in src),
+                    _canonical=True)
+
     def add_clock_zero(self):
         """Extend with a fresh clock (new last index) whose value is zero."""
-        n = self.dim
         if self.is_empty():
             raise ZoneError("add_clock_zero on an empty zone")
-        nn = n + 1
-        work = [INF] * (nn * nn)
-        for i in range(n):
-            for j in range(n):
-                work[i * nn + j] = self.m[i * n + j]
-        for j in range(n):
-            work[n * nn + j] = self.m[0 * n + j]
-            work[j * nn + n] = self.m[j * n + 0]
-        work[n * nn + n] = ZERO
-        return Zone(nn, tuple(work), _canonical=True)
+        return self.remapped(tuple(range(self.dim)) + (0,))
 
     def remove_clocks(self, idxs):
-        """Project out the given clocks (projection of a closed DBM is closed)."""
+        """Project out the given clocks (an empty zone stays empty)."""
         if not idxs:
             return self
-        n = self.dim
-        drop = set(idxs)
-        if 0 in drop:
+        if 0 in idxs:
             raise ZoneError("the reference clock cannot be removed")
-        keep = [i for i in range(n) if i not in drop]
-        nn = len(keep)
-        if self.is_empty():
-            return Zone._empty(nn)
-        work = [ZERO] * (nn * nn)
-        for a, i in enumerate(keep):
-            for b, j in enumerate(keep):
-                work[a * nn + b] = self.m[i * n + j]
-        return Zone(nn, tuple(work), _canonical=True)
+        return self.remapped(tuple(i for i in range(self.dim) if i not in idxs))
 
     # -- concretization ------------------------------------------------
 

@@ -254,6 +254,22 @@ class TestSweepPruningExact:
         assert pruned == full
         assert full[0] == ("VIOLATED",)
 
+    def test_bob_sends_fuse_with_pooled_signature(self):
+        # an Alice who never opens: once the timelock passes, adversary
+        # Bob can send FUSE, and only through Alice's pooled C_KEY
+        # signature (on the shipped model she opens first, and Bob can
+        # send nothing on any reachable key)
+        model = self.edited_cs(
+            'edge signed -> opened guard "status(OPEN) == UNSENT" update '
+            '"try_to_send(ALICE, OPEN)" label open\n'
+            'edge signed -> opened urgent guard "timer(open_deadline) and '
+            'status(OPEN) == UNSENT" update "try_to_send(ALICE, OPEN)" '
+            'label open_at_deadline\n', "")
+        pruned, full = compare_with_full_loop(model, "BOB", [
+            model.queries["alice_security"]])
+        assert pruned == full
+        assert full[0] == ("VIOLATED",)
+
     def test_sweep_paying_one_owner_kept(self):
         # Alice's sweeps pay R_KEY, which Bob alone holds: a swept output
         # counts towards his holdings

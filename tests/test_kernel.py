@@ -914,14 +914,16 @@ class TestCheckCounts:
     data-enabled fire not ruled out by its key's invariant bound on
     `time`), so a rebuilt key's fires are checked again; the network's
     data checks run on each reachable (locations, data) key, and the
-    kernel's zone checks on each stored zone state.
+    kernel's zone check once on each distinct (zone, invariant atoms)
+    pair of a stored zone state.
     """
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_checks_run_per_fire_key_and_zone_state(self, name, monkeypatch):
         net = shipped_net(name)
         assert net.state_checks and net.transition_checks
-        calls = {"transition": 0, "data": 0, "zone": 0, "fires": 0}
+        calls = {"transition": 0, "data": 0, "fires": 0}
+        pairs = []  # the (zone, invariant atoms) pair of each zone check
 
         def counted(kind, chk):
             def wrapped(*args):
@@ -942,9 +944,9 @@ class TestCheckCounts:
             return skel
 
         def zone_checks(state, inv_atoms):
-            calls["zone"] += 1
             # the atoms handed over are the state's own invariants
             assert inv_atoms == K.invariant_indices(net, state.locs, state.data)
+            pairs.append((state.zone, inv_atoms))
             return run_state_checks(state, inv_atoms)
 
         monkeypatch.setattr(K, "_build_skeleton", counted_skeleton)
@@ -955,7 +957,11 @@ class TestCheckCounts:
         assert calls["fires"] > 0
         assert calls["transition"] == len(net.transition_checks) * calls["fires"]
         assert calls["data"] == len(net.state_checks) * len(res.reachable)
-        assert calls["zone"] == len(stored) > len(res.reachable)
+        # each pair is checked once, and every stored state's pair is
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (s.zone, K.invariant_indices(net, s.locs, s.data)) for s in stored}
+        assert len(pairs) < len(stored)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_failing_data_check_stops_exploration(self, name):

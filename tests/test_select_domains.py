@@ -121,7 +121,7 @@ def test_shared_table_gives_fresh_invariants():
         assert skel.inv_atoms == K.invariant_indices(net, locs, data)
         owners = net.clock_owners(data)
         assert (skel.inv_atoms, skel.bounds) == K._invariants(net, locs, data, owners, {})
-        for _d, _cg, locs2, data2, _drop, _nnew, _perm, inv2, bounds2 in skel.fires:
+        for _d, _cg, locs2, data2, _src, inv2, bounds2 in skel.fires:
             assert (inv2, bounds2) == K._invariants(
                 net, locs2, data2, net.clock_owners(data2), {})
         patterns.add((owners, tuple(K._invariant_atoms(net, locs, data))))

@@ -2,7 +2,7 @@
 
 The oracle enumerates integer valuations directly from the constraint
 list; the zone under test must agree on membership, emptiness and on
-the image of up/reset/constrain.  All shipped models use integer
+the image of up/reset/remap/constrain.  All shipped models use integer
 constants and non-strict comparisons, so grid enumeration is an exact
 oracle for them.
 """
@@ -211,6 +211,7 @@ class TestGridOracleRandomized:
         # Image comparison on the integer grid is exact only for
         # non-strict systems (the only kind the shipped models use).
         rng = random.Random(4242)
+        maps = random.Random(4243)  # the clock maps' own stream
         for _ in range(300):
             dim = rng.randint(2, 4)
             atoms = [
@@ -240,6 +241,18 @@ class TestGridOracleRandomized:
                 v[:-1] + (0,) for v in wide if max(v[:-1]) <= 16
             }
             assert zone_points(r, 16) == reset_img
+            # a random clock map: a permuted subset of the clocks kept,
+            # fresh clocks (0) mixed in, at most four clocks in all
+            kept = maps.sample(range(1, dim), maps.randint(0, dim - 1))
+            mixed = kept + [0] * maps.randint(0, 3 - len(kept))
+            maps.shuffle(mixed)
+            src = (0,) + tuple(mixed)
+            m = z.remapped(src)
+            assert canonicalize(m) == m
+            assert zone_points(m, 16) == {
+                p for p in (tuple(v[i] for i in src) for v in wide)
+                if max(p) <= 16
+            }
             # constrain with one extra atom
             extra = random_atoms(rng, dim, 1, maxc=5)
             c = z.constrained(extra)

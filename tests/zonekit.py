@@ -1,7 +1,7 @@
 """Zone helpers that only the tests use.
 
 The explorer builds every zone from `Zone.origin` with `up`,
-`constrained`, `add_clock_zero` and `remove_clocks`; these helpers build
+`constrained` and `remapped`; these helpers build
 zones from constraint lists, re-close them with a full Floyd-Warshall
 pass (an independent check of `constrained`'s incremental `close1`) and
 read single bounds off them.
