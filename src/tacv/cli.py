@@ -149,8 +149,11 @@ def cmd_verify(args):
         if first_trace is None:
             first_trace = report.get("trace")
     if args.trace_out and first_trace:
-        with open(args.trace_out, "w") as fh:
-            json.dump(first_trace, fh, sort_keys=True, indent=2)
+        try:
+            with open(args.trace_out, "w") as fh:
+                json.dump(first_trace, fh, sort_keys=True, indent=2)
+        except OSError as exc:
+            return _fail("cannot write the trace document: %s" % exc)
         print("trace document written to %s" % args.trace_out, file=sys.stderr)
     return {"VIOLATED": EXIT_VIOLATED, "LIMIT": EXIT_LIMIT}.get(
         result.verdict, EXIT_SATISFIED)

@@ -5,7 +5,10 @@ steps.  All guards and invariants in the shipped models are non-strict
 integer comparisons (closed timed automata), so integral-point
 reachability coincides with dense reachability and this explorer is a
 sound and complete oracle for discrete-state reachability on reduced
-constants.  Any strict clock atom encountered aborts the run.
+constants.  A strict lower clock bound aborts the run (`ModelError`); a
+strict upper bound is evaluated over the integers, where reachability
+need not match dense time, so only closed networks are cross-checked
+(`tests/test_random_networks.py` runs strict ones on zones alone).
 
 Queries are checked on the half-integer grid where they need it.  A
 query's violation region can be an open interval between two integers
@@ -38,15 +41,21 @@ from .kernel import (CMP, ModelError, TIME, VerificationResult, gc_paused,
                      overall_verdicts)
 
 
+def _thresholds(net, query_asts):
+    """(kind, constant) for each clock-guard constant of `net` and each
+    clock constant of the queries: the constants a horizon must exceed."""
+    out = [("clock-guard", k) for a in net.automata for e in a.edges
+           for _key, _op, k in e.clock_guard]
+    out.extend(("query", k) for q in query_asts for k in _clock_constants(q.root))
+    return out
+
+
 def default_horizon(net, query_asts=()):
     """Max of clock-guard and query constants, plus latency slack."""
-    consts = [k for a in net.automata for e in a.edges
-              for _key, _op, k in e.clock_guard]
-    for q in query_asts:
-        consts.extend(_clock_constants(q.root))
     # invariants bound clocks from above only; the slack covers the
     # block-chain agent's latency bound
-    return (max(consts) if consts else 0) + _latency_bound(net) + 2
+    return (max((k for _kind, k in _thresholds(net, query_asts)), default=0)
+            + _latency_bound(net) + 2)
 
 
 def _latency_bound(net):
@@ -163,12 +172,10 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     queries = tuple(queries)
     if horizon is None:
         horizon = default_horizon(net, queries)
-    for q in queries:
-        for c in _clock_constants(q.root):
-            if c >= horizon:
-                raise ModelError(
-                    "horizon %d must exceed the query constant %d" % (horizon, c)
-                )
+    for kind, k in _thresholds(net, queries):
+        if k >= horizon:
+            raise ModelError(
+                "horizon %d must exceed the %s constant %d" % (horizon, kind, k))
 
     init = _Concrete(
         tuple(a.initial for a in net.automata),

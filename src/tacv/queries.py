@@ -11,21 +11,19 @@ holdings comparisons, secret-knowledge flags and location predicates,
 and the nodes are the AST below.  The grammar is in
 docs/model_grammar.ebnf.
 
-Evaluation over a symbolic state fixes the data atoms to constants,
-reduces the negated property to a boolean combination of clock atoms,
-converts that to disjunctive normal form, and reports a violation iff
-some conjunct intersects the state's zone.  Only the global clock may
-appear in queries; holdings are computed by the same block-chain
-operation the models use.
-
-A checker (`make_checker`) compiles each data atom to a reader of a
-state once, and remembers the normal form, with each conjunct's packed
-bounds on `time` and `-time`, per vector of data-atom values.  Since
-every clock atom is on `time` alone, a conjunct meets a canonical zone
-iff it meets the zone's `time` interval, which the DBM's entries (1, 0)
-and (0, 1) give (Bengtsson and Yi, "Timed Automata: Semantics,
-Algorithms and Tools", 2004): one packed sum decides it, and only a
-conjunct that meets the zone is intersected with it, for the witness.
+Only the global clock may appear in queries, so where a property fails
+inside one discrete state, its violation region, is a union of
+intervals of `time`, kept as a tuple of pairs (u, l) of packed upper
+bounds on `time` and on `-time` (packed as in `zones`, INF where there
+is none), in the order of the conjuncts of the negated property's
+disjunctive normal form.  It is compiled straight from the formula with
+the data atoms fixed to their truth values in the state; holdings are
+computed by the same block-chain operation the models use.
+`region_memo` remembers the regions per vector of data-atom values, for
+the zone checker (`make_checker`) and the discrete oracle alike.  An
+interval meets a canonical zone iff it meets the zone's `time`
+interval, which the DBM's entries (1, 0) and (0, 1) give (Bengtsson and
+Yi, "Timed Automata: Semantics, Algorithms and Tools", 2004).
 """
 
 from __future__ import annotations
@@ -394,6 +392,7 @@ def pretty(node):
 # -- evaluation ------------------------------------------------------------
 
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", ">=": "<", ">": "<="}
+_ALL = ((INF, INF),)    # the region of a formula that holds at every time
 
 
 def _reader(atom):
@@ -411,90 +410,55 @@ def _reader(atom):
     raise TypeError(atom)
 
 
-def _substitute(node, values):
-    """Fix data atoms to their booleans in `values`; clock atoms stay
-    symbolic."""
-    if isinstance(node, BoolLit):
-        return node.value
+def _region(node, values, neg):
+    """Where `node` holds (fails, if `neg`) with its data atoms fixed to
+    their booleans in `values`: a tuple of intervals of `time`, each its
+    packed upper bounds (u, l) on `time` and on `-time`, INF where there
+    is none.  A conjunction pairs every interval of one side with every
+    interval of the other, a disjunction concatenates its sides, and a
+    side that holds at every time absorbs the other; so the intervals
+    are the conjuncts of the disjunctive normal form, in order."""
     if isinstance(node, ClockAtom):
-        return node
-    if isinstance(node, (HoldAtom, KnowAtom, LocAtom)):
-        return values[node]
+        op = _NEG_OP[node.op] if neg else node.op
+        out = []
+        for part in ("<", ">") if op == "!=" else (op,):    # time != k splits
+            bounds = [INF, INF]     # row 0 bounds -time, row 1 bounds time
+            for row, _col, bound in atom_entries(1, 0, part, node.const):
+                bounds[row] = bound
+            out.append((bounds[1], bounds[0]))
+        return tuple(out)
     if isinstance(node, Not):
-        a = _substitute(node.arg, values)
-        return (not a) if isinstance(a, bool) else Not(a)
-    if isinstance(node, (And, Or)):
-        ctor = type(node)
-        a = _substitute(node.left, values)
-        b = _substitute(node.right, values)
-        if isinstance(a, bool) and isinstance(b, bool):
-            return (a and b) if ctor is And else (a or b)
-        if isinstance(a, bool):
-            if ctor is And:
-                return b if a else False
-            return True if a else b
-        if isinstance(b, bool):
-            if ctor is And:
-                return a if b else False
-            return True if b else a
-        return ctor(a, b)
+        return _region(node.arg, values, not neg)
     if isinstance(node, Imply):
-        return _substitute(Or(Not(node.left), node.right), values)
-    raise TypeError(node)
-
-
-def _nnf(node, neg):
-    """Negation normal form over clock atoms and booleans."""
-    if isinstance(node, bool):
-        return (not node) if neg else node
-    if isinstance(node, ClockAtom):
-        if not neg:
-            return node
-        op = _NEG_OP[node.op]
-        if op == "!=":
-            # time != k splits into two atoms
-            return Or(ClockAtom("<", node.const, node.text),
-                      ClockAtom(">", node.const, node.text))
-        return ClockAtom(op, node.const, node.text)
-    if isinstance(node, Not):
-        return _nnf(node.arg, not neg)
-    if isinstance(node, And):
-        l, r = _nnf(node.left, neg), _nnf(node.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(node, Or):
-        l, r = _nnf(node.left, neg), _nnf(node.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    raise TypeError(node)
-
-
-def _dnf(node):
-    """List of conjuncts; each conjunct is a tuple of ClockAtoms."""
-    if isinstance(node, bool):
-        return [()] if node else []
-    if isinstance(node, ClockAtom):
-        return [(node,)]
-    if isinstance(node, Or):
-        return _dnf(node.left) + _dnf(node.right)
-    if isinstance(node, And):
-        return [l + r for l in _dnf(node.left) for r in _dnf(node.right)]
-    raise TypeError(node)
-
-
-def _region(query, values):
-    """DNF of where the property fails, given its data atoms' values."""
-    return _dnf(_nnf(_substitute(Not(query.root), values), False))
+        return _region(Or(Not(node.left), node.right), values, neg)
+    if isinstance(node, (And, Or)):
+        left = _region(node.left, values, neg)
+        right = _region(node.right, values, neg)
+        if (type(node) is Or) != neg:     # a disjunction after De Morgan
+            return _ALL if _ALL in (left, right) else left + right
+        return tuple((min(u, u2), min(l, l2))
+                     for u, l in left for u2, l2 in right)
+    truth = node.value if isinstance(node, BoolLit) else values[node]
+    return _ALL if truth != neg else ()
 
 
 def violation_region(query, state):
-    """DNF description of where, inside this discrete state, the property fails."""
-    return _region(query, {a: _reader(a)(state) for a in data_atoms(query.root)})
+    """Where, inside this discrete state, the property fails: a tuple of
+    intervals of `time` as `_region` gives them."""
+    values = {a: _reader(a)(state) for a in data_atoms(query.root)}
+    return _region(query.root, values, True)
+
+
+def _within(x, bound):
+    """Whether x meets the packed upper bound `bound`."""
+    return bound >= INF or x < bound >> 1 or (x == bound >> 1 and bound & 1)
 
 
 def in_region(region, time):
-    """Whether the global clock value `time` lies in `region`, a DNF from
-    `violation_region`.  The test is pointwise, so the strict atoms that
-    negation introduces are exact."""
-    return any(all(CMP[a.op](time, a.const) for a in conj) for conj in region)
+    """Whether the global clock value `time` lies in `region`, a tuple of
+    intervals from `violation_region`.  Each bound is compared by its
+    value and strictness, so the test is exact at any rational time."""
+    return any(_within(time, u) and _within(-time, l) for u, l in region)
 
 
 def leaves(node):
@@ -515,9 +479,9 @@ def data_atoms(node):
         a for a in leaves(node) if not isinstance(a, ClockAtom)))
 
 
-def _memo(queries, compile_regions):
-    """`compile_regions` of the queries' violation regions on a state, as
-    a function of the state, remembered on the data-atom values.
+def region_memo(queries):
+    """The function of a state giving the tuple of the queries'
+    `violation_region`s, remembered on the data-atom values.
 
     The violation regions depend only on the truth values of the data
     atoms, which range over a handful of combinations per run.  Each
@@ -526,69 +490,53 @@ def _memo(queries, compile_regions):
     `locs` and `data` only, so it serves symbolic and concrete states
     alike.
     """
+    queries = tuple(queries)
     atoms = tuple(dict.fromkeys(a for q in queries for a in data_atoms(q.root)))
     readers = tuple(_reader(a) for a in atoms)
-    compiled = {}
+    regions = {}
 
     def of(state):
         key = tuple([read(state) for read in readers])
-        found = compiled.get(key)
+        found = regions.get(key)
         if found is None:
             values = dict(zip(atoms, key))
-            found = compiled[key] = compile_regions(
-                [_region(q, values) for q in queries])
+            found = regions[key] = tuple(
+                _region(q.root, values, True) for q in queries)
         return found
 
     return of
 
 
-def region_memo(queries):
-    """The function of a state giving the tuple of the queries'
-    `violation_region`s, remembered on the data-atom values (`_memo`)."""
-    return _memo(tuple(queries), tuple)
-
-
-def _bounded(region):
-    """Each conjunct of a region as (u, l, atoms): its packed upper bound
-    on `time` and on `-time` (INF where it has none) and its atoms as
-    `Zone.constrained` takes them."""
-    out = []
-    for conj in region:
-        catoms = [(1, 0, a.op, a.const) for a in conj]
-        u = l = INF
-        for _i, _j, op, k in catoms:
-            for row, _col, bound in atom_entries(1, 0, op, k):
-                if row == 1:
-                    u = min(u, bound)
-                else:
-                    l = min(l, bound)
-        out.append((u, l, catoms))
-    return tuple(out)
+def _time_atoms(u, l):
+    """The interval with packed bounds u on `time` and l on `-time` as
+    the atoms `Zone.constrained` takes."""
+    atoms = []
+    if u < INF:
+        atoms.append((1, 0, "<=" if u & 1 else "<", u >> 1))
+    if l < INF:
+        atoms.append((1, 0, ">=" if l & 1 else ">", -(l >> 1)))
+    return atoms
 
 
 def make_checker(query):
     """Per-state checker: None when the state satisfies the property,
-    else the witness sub-zone of the first conjunct of its violation
-    region that meets the zone.
-
-    The conjuncts are remembered on the data-atom values (`_memo`) with
-    their bounds on `time`.  Every atom of a query is on `time` alone, so
-    a conjunct meets a canonical zone iff it meets the zone's projection
-    on `time`, the interval of entries (1, 0) and (0, 1): the
-    intersection is empty iff min(u, m10) + min(l, m01) < 0.  Only a
-    conjunct that meets the zone is intersected with it.
+    else the witness sub-zone, the zone cut to the first interval (u, l)
+    of its violation region that meets it, which is when
+    min(u, m10) + min(l, m01) >= 0 for the zone's `time` entries m10 =
+    (1, 0) and m01 = (0, 1).  Only that interval is turned into atoms and
+    intersected with the zone.
     """
-    conjuncts_of = _memo((query,), lambda regions: _bounded(regions[0]))
+    regions_of = region_memo((query,))
 
     def checker(state):
         zone = state.zone
         m = zone.m
         m10, m01 = m[zone.dim], m[1]
-        for u, l, catoms in conjuncts_of(state):
+        for u, l in regions_of(state)[0]:
             hi = u if u < m10 else m10
             lo = l if l < m01 else m01
             if hi + lo - ((hi & 1) | (lo & 1)) >= ZERO:
-                return zone.constrained(catoms)
+                return zone.constrained(_time_atoms(u, l))
         return None
 
     return checker

@@ -159,6 +159,17 @@ class TestVerify:
         assert first["query"]["name"] == "alice_holds_deposit"
         assert json.load(open(out_file)) == first["trace"]
 
+    def test_unwritable_trace_out_exit_three(self, capsys, tmp_path):
+        out_file = str(tmp_path / "missing" / "trace.json")
+        code, out, err = run(
+            capsys, "verify", "cs", "--adversary", "alice", *REDUCED,
+            "--trace-out", out_file,
+        )
+        assert code == 3
+        assert "VIOLATED" in out
+        assert err.startswith("error: cannot write the trace document")
+        assert "Traceback" not in err
+
     def test_model_file_contract(self, capsys):
         code, out, _err = run(capsys, "verify", CS_MODEL, *REDUCED)
         assert code == 0

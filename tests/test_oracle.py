@@ -130,9 +130,10 @@ class TestHorizon:
         h = default_horizon(net, (q,))
         assert h > 7  # beyond the query constant PROT_TIMELOCK+MAX_LATENCY
 
-    def test_clock_guard_beyond_every_threshold_reached(self):
-        # BobTA may move to `late` at 3*PROT_TIMELOCK = 15, past the
-        # last deadline threshold (5): the horizon must cover it
+    @staticmethod
+    def late_scenario():
+        """cs(2,5) where BobTA may move to `late` at 3*PROT_TIMELOCK = 15,
+        past the last deadline threshold (5), and `A[] not BobTA.late`."""
         text = open(CS_MODEL).read()
         for line, extra in [
             ("location accepted named", "location late named"),
@@ -143,13 +144,24 @@ class TestHorizon:
             text = text.replace(line, extra + "\n" + line, 1)
         model = build_model(text, "late", {"MAX_LATENCY": 2, "PROT_TIMELOCK": 5})
         net, ctx = scenario(model, None)
-        q = Q.parse_query("A[] not BobTA.late", ctx)
+        return net, Q.parse_query("A[] not BobTA.late", ctx)
+
+    def test_clock_guard_beyond_every_threshold_reached(self):
+        # the default horizon must cover the guard constant 15
+        net, q = self.late_scenario()
         zres = explore(net, check=Q.make_checker(q))
         ores, _verdicts = explore_discrete(net, queries=[q])
         assert zres.verdict == ores.verdict == "VIOLATED"
         zone_keys = explore(net, collect_reachable=True).reachable
         assert zone_keys == explore_discrete(net)[0].reachable
         assert any(locs[net.automaton_index("BobTA")] == 4 for locs, _d in zone_keys)
+
+    def test_horizon_must_exceed_clock_guard_constants(self):
+        # below 15 the `late` edge never fires, which would read SATISFIED
+        net, q = self.late_scenario()
+        with pytest.raises(ModelError, match="clock-guard constant 15"):
+            explore_discrete(net, queries=[q], horizon=10)
+        assert explore_discrete(net, queries=[q], horizon=16)[0].verdict == "VIOLATED"
 
     def test_horizon_must_exceed_query_constants(self):
         net, ctx = scenario(CS, None)

@@ -1,16 +1,17 @@
 """Query parsing, pretty-printing round trips, and symbolic evaluation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from tacv import queries as Q
 from tacv import world as w
 from tacv.kernel import CMP, SymbolicState
-from tacv.zones import Zone
+from tacv.zones import INF, Zone, atom_entries
 
 from test_zones import random_atoms
-from zonekit import from_constraints, min_value
+from zonekit import closure, from_constraints, min_value
 
 
 CTX = Q.QueryContext(
@@ -161,13 +162,28 @@ class TestEvaluation:
 
 
 def first_meeting(zone, region):
-    """The checker's answer by definition: the zone constrained by the
-    first conjunct of `region` that meets it, or None."""
-    for conj in region:
-        sub = zone.constrained([(1, 0, a.op, a.const) for a in conj])
-        if not sub.is_empty():
-            return sub
+    """The checker's answer by definition: the zone cut to the first
+    interval (u, l) of `region` that meets it, or None.  The cut writes
+    the bounds into entries (1, 0) and (0, 1) and re-closes the matrix
+    with a full Floyd-Warshall pass."""
+    n = zone.dim
+    for u, l in region:
+        work = list(zone.m)
+        work[n] = min(work[n], u)
+        work[1] = min(work[1], l)
+        if closure(work, n):
+            return Zone._from_work(n, work, True)
     return None
+
+
+def interval(conj):
+    """A conjunction of clock atoms as its packed bounds (u, l) on `time`
+    and on `-time`: the tightest entry each atom gives."""
+    bounds = {(1, 0): INF, (0, 1): INF}
+    for a in conj:
+        for row, col, bound in atom_entries(1, 0, a.op, a.const):
+            bounds[row, col] = min(bounds[row, col], bound)
+    return bounds[1, 0], bounds[0, 1]
 
 
 class TestTimeBound:
@@ -192,42 +208,50 @@ class TestTimeBound:
             if zone.is_empty():
                 continue
             kinds[kind] += 1
-            region = []
+            conjuncts = []
             for _ in range(rng.randint(1, 3)):
                 consts = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
-                region.append(tuple(Q.ClockAtom(rng.choice(ops), k, str(k))
-                                    for k in consts))
+                conjuncts.append(tuple(Q.ClockAtom(rng.choice(ops), k, str(k))
+                                       for k in consts))
             formula = None
-            for conj in region:
+            for conj in conjuncts:
                 term = conj[0]
                 for atom in conj[1:]:
                     term = Q.And(term, atom)
                 formula = term if formula is None else Q.Or(formula, term)
             query = Q.QueryAst(Q.Not(formula), "")
             s = SymbolicState((), None, zone)
+            region = tuple(interval(conj) for conj in conjuncts)
             assert Q.violation_region(query, s) == region
-            expected = first_meeting(zone, region)
+            cuts = [zone.constrained([(1, 0, a.op, a.const) for a in conj])
+                    for conj in conjuncts]
+            expected = next((cut for cut in cuts if not cut.is_empty()), None)
+            assert first_meeting(zone, region) == expected
             assert Q.make_checker(query)(s) == expected
             if expected is None:
                 outcomes["none"] += 1
             else:
-                first = zone.constrained([(1, 0, a.op, a.const) for a in region[0]])
-                outcomes["first" if first == expected else "later"] += 1
+                outcomes["first" if cuts[0] == expected else "later"] += 1
         assert min(outcomes.values()) > 100, outcomes
 
 
-class TestDnfSemantics:
-    """Random formulas over clock atoms agree with pointwise truth tables."""
+class TestRegionSemantics:
+    """Random formulas over clock atoms, boolean literals and location
+    atoms agree with direct evaluation at every quarter point of time."""
 
-    def test_against_truth_tables(self):
+    def test_against_direct_evaluation(self):
         rng = random.Random(2026)
         consts = [3, 7, 11, 15]
-        for _ in range(300):
-            atoms = [
-                Q.ClockAtom(rng.choice(["<", "<=", "==", ">=", ">"]),
-                            rng.choice(consts), "k")
-                for _ in range(rng.randint(1, 4))
-            ]
+        ops = ["<", "<=", "==", ">=", ">"]
+        kinds = {"clock": 0, "bool": 0, "loc": 0}
+        for _ in range(600):
+            locs = tuple(rng.randint(0, 1) for _ in range(3))
+            atoms = [Q.ClockAtom(rng.choice(ops), rng.choice(consts), "k")
+                     for _ in range(rng.randint(1, 4))]
+            atoms += [Q.BoolLit(rng.random() < 0.5)
+                      for _ in range(rng.randint(0, 1))]
+            atoms += [Q.LocAtom(a, "A%d" % a, rng.randint(0, 1), "l")
+                      for a in rng.sample(range(3), rng.randint(0, 2))]
 
             def rand_formula(depth=0):
                 r = rng.random()
@@ -239,11 +263,17 @@ class TestDnfSemantics:
                 return ctor(rand_formula(depth + 1), rand_formula(depth + 1))
 
             f = rand_formula()
-            region = Q._dnf(Q._nnf(_strip_imply(f), False))
+            for leaf in Q.leaves(f):
+                kinds["clock" if isinstance(leaf, Q.ClockAtom) else "loc"] += 1
+            kinds["bool"] += any(isinstance(a, Q.BoolLit) for a in atoms)
 
             def direct(t, node):
                 if isinstance(node, Q.ClockAtom):
                     return CMP[node.op](t, node.const)
+                if isinstance(node, Q.BoolLit):
+                    return node.value
+                if isinstance(node, Q.LocAtom):
+                    return locs[node.auto] == node.loc
                 if isinstance(node, Q.Not):
                     return not direct(t, node.arg)
                 if isinstance(node, Q.And):
@@ -254,15 +284,25 @@ class TestDnfSemantics:
                     return (not direct(t, node.left)) or direct(t, node.right)
                 raise TypeError(node)
 
-            for t in range(0, 20):
-                assert Q.in_region(region, t) == direct(t, f)
+            s = SymbolicState(locs, None, None)
+            fails = Q.violation_region(Q.QueryAst(f, ""), s)
+            holds = Q.violation_region(Q.QueryAst(Q.Not(f), ""), s)
+            for q in range(0, 80):
+                t = Fraction(q, 4)
+                assert Q.in_region(holds, t) == direct(t, f)
+                assert Q.in_region(fails, t) == (not direct(t, f))
+        assert min(kinds.values()) > 100, kinds
 
-
-def _strip_imply(node):
-    if isinstance(node, Q.Imply):
-        return Q.Or(Q.Not(_strip_imply(node.left)), _strip_imply(node.right))
-    if isinstance(node, Q.Not):
-        return Q.Not(_strip_imply(node.arg))
-    if isinstance(node, (Q.And, Q.Or)):
-        return type(node)(_strip_imply(node.left), _strip_imply(node.right))
-    return node
+    @pytest.mark.parametrize("text,locs,region", [
+        ("A[] time == 7", (0, 0), ((14, INF), (INF, -14))),
+        ("A[] not (time < 3 or BobTA.failure)", (0, 0), ((6, INF),)),
+        ("A[] not (time < 3 or BobTA.failure)", (2, 0), ((INF, INF),)),
+        ("A[] (time > 4 and BobTA.failure) or not time == 7", (2, 0), ((9, -13),)),
+        ("A[] (time > 4 and BobTA.failure) or not time == 7", (0, 0), ((15, -13),)),
+    ])
+    def test_intervals_pinned(self, text, locs, region):
+        """Exact intervals, in order: a negated `==` splits in two, and a
+        side of a disjunction that holds at every time absorbs the other,
+        so the checker's witness comes from the same interval."""
+        s = state([], locs=locs)
+        assert Q.violation_region(Q.parse_query(text, CTX), s) == region
