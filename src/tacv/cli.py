@@ -250,8 +250,14 @@ def main(argv=None):
                     help="inline A[] property (repeatable)")
     pv.add_argument("--query-file", metavar="FILE", help=".q file, one property per line")
     pv.add_argument("--engine", choices=("zone", "discrete"), default="zone")
-    pv.add_argument("--max-states", type=_non_negative(int))
-    pv.add_argument("--max-seconds", type=_non_negative(float))
+    pv.add_argument("--max-states", type=_non_negative(int),
+                    help="stop with LIMIT once more than MAX_STATES states are"
+                    " stored: zone states, dead (evicted) ones included, on"
+                    " --engine zone, concrete states on --engine discrete; a"
+                    " report's `states` counts (locations, data) keys")
+    pv.add_argument("--max-seconds", type=_non_negative(float),
+                    help="stop with LIMIT once the exploration has run longer"
+                    " than MAX_SECONDS seconds of wall-clock time")
     pv.add_argument("--trace-out", metavar="FILE",
                     help="write the trace document of the first violated"
                     " query, in report order, here")

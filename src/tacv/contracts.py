@@ -169,9 +169,9 @@ def instantiate(model, adversary=None, run_world_checks=True):
     state check on the data valuation (value conservation, nonce
     consistency, eavesdropping and the confirmed unspent total), which
     `explore` runs once per (locations, data) key, and the status
-    machine as a transition check on every fire a skeleton keeps: each
-    data-enabled fire that the key's invariant bound on `time` does not
-    rule out.
+    machine as a transition check on every fire a skeleton builds: each
+    data-enabled fire, on the first zone of its key that meets the
+    fire's clock guard.
     """
     adv_idx = None
     if adversary is not None:

@@ -36,12 +36,17 @@ Semantics notes:
   fire at a time (`_fire_successor`).  Exploration and random runs use
   whole skeletons; trace replay builds and applies only the fire each
   step names, and evaluates only that fire's guard (a delay step: only
-  the urgent edges' guards).  A skeleton keeps each data-enabled fire
-  except those whose clock guard bounds `time` from below past the
-  key's own invariant bound on `time` (a `tick@θ` above the helper's
-  first clear threshold, say): every zone applied to a key's skeleton
-  lies inside the key's invariants, so such a fire can never be taken,
-  and it gets no update, target invariants or transition check.
+  the urgent edges' guards).  A skeleton holds a slot for each
+  data-enabled fire, and builds the fire (update, interning, clock map,
+  target invariants, transition check) on the first zone of its key
+  that meets the fire's clock guard (`_meets`, on the zone's bounds on
+  `time`).  A fire that no zone of its key meets is never built: one
+  whose guard bounds `time` from below past the key's own invariant
+  bound on `time` (a `tick@θ` above the helper's first clear
+  threshold, say), or at a time no zone of the key reaches.
+  On newscs(1,5) with adversary Alice this builds 122,892 of the
+  144,436 fires the time bound alone kept, and on newscs(2,10) with
+  adversary Bob 54,382 of 66,540.
   Select domains are static and shared by every engine: exploration,
   the discrete oracle and replay evaluate an edge's guard on each
   binding of its domain, in domain order.  A network saves guard work
@@ -55,10 +60,16 @@ Semantics notes:
   state has been expanded (unless that expansion stored another zone
   of the key), and a zone of the key stored later builds it again.
   On the shipped scenarios no key gets a zone after its last waiting
-  state is expanded, so each key's skeleton is built once.
+  state is expanded, so each key's skeleton is built once.  A stored
+  state is one record, (locations, data, zone, parent record,
+  descriptor).  A passed-list row holds only its key's zones, so a
+  record lives only while it waits in the queue or is an ancestor of a
+  waiting record.  Checkers and the zone check get a
+  `SymbolicState` built at the call.
 - Checks run at three levels.  A network's transition checks see the
   data before and after a fire, once per fire built: they run in every
-  `_build_fire`, so on each fire a skeleton keeps (again when a key's
+  `_build_fire`, so on each fire a skeleton builds (on the first zone
+  of its key that meets the fire's clock guard; again when a key's
   skeleton is rebuilt) and on each fire a replay or a trace follows;
   only a network built without them (`contracts.instantiate` with
   `run_world_checks=False`) skips them.  Its state checks see only the
@@ -101,25 +112,30 @@ Semantics notes:
   Checker callbacks run while it is paused.  The caller's setting is
   restored on every way out, exceptions included.
 - `explore` keeps one intern table (a plain dict) for the length of
-  one call.  Every skeleton it builds takes the canonical object for
-  each fire's locations, data and descriptor and for each key's
+  one call.  Every fire it builds takes the canonical object for its
+  locations, data and descriptor, and every skeleton for its key's
   invariant atoms and extrapolation bounds, so a successor's
   (locations, data) key is made of the very objects that the passed
   list and the waiting counts store: each is held once, and key
   comparison short-circuits on identity.  The block-chain world's data
   valuation is one flat `bytes` (see `world`) with no nested objects to
   share: interning it keeps one copy per distinct valuation, and its
-  hash is computed once and cached in the object.  Every zone it
-  stores or expands is the table's object too (hash-consing, as
-  UPPAAL's state store shares equal DBMs), and zones are never
+  hash is computed once and cached in the object.  Fires are built on
+  first use, so at the end of a shipped scenario the table holds
+  exactly the reachable valuations: 15,190 on newscs(2,10) with
+  adversary Bob, where building every fire the time bound kept
+  interned 23,182.  Every zone it stores or expands is the table's
+  object too (hash-consing, as UPPAAL's state store shares equal
+  DBMs), and zones are never
   mutated, so each pure zone operation is remembered per operand zone
   (Filliâtre and Conchon, "Type-safe modular hash-consing", ML
   Workshop 2006): a fire's successor zone per zone part of the fire
   (clock guard, clock map, target invariants), a delay per key
   invariants, an extrapolation per bounds, an inclusion test per
   ordered pair (`_Passed`) and a zone check per invariant atoms.  On
-  newscs(2,10) with adversary Bob, 69,100 fire applications are 871
-  distinct (zone, zone part) pairs over 148 expanded zones.  The table also remembers each invariant
+  newscs(2,10) with adversary Bob, 56,102 applications of built fires
+  are 741 distinct (zone, zone part) pairs over 148 expanded zones.
+  The table also remembers each invariant
   pattern's zone atoms and bounds (`_invariants`) and each owner
   pair's clock map (`_remap`): a few hundred patterns serve tens of
   thousands of keys.  Memo keys are tagged so that no interned object
@@ -144,7 +160,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .zones import INF, ZERO, Zone, unpack
+from .zones import INF, ZERO, Zone, atom_entries, unpack
 
 
 class ModelError(Exception):
@@ -219,11 +235,11 @@ class Network:
     `transition_checks` are `chk(before, after)` on the data around one
     fire.  Both raise ModelInvariantError on a broken model invariant.
     `explore` runs a state check once per (locations, data) key and a
-    transition check once per fire each skeleton it builds keeps (a
-    data-enabled fire that the key's own invariant bound on `time` does
-    not rule out; a rebuilt key's fires are checked again); the
-    kernel's zone check runs once per distinct (zone, invariant atoms)
-    pair of a stored zone state (see `run_state_checks`).
+    transition check once per fire a skeleton builds (a data-enabled
+    fire is built on the first zone of its key that meets its clock
+    guard; a rebuilt key's fires are checked again); the kernel's zone
+    check runs once per distinct (zone, invariant atoms) pair of a
+    stored zone state (see `run_state_checks`).
 
     A location invariant maps the data to clock atoms (key, op, const)
     that bound clocks only from above (`<`, `<=`); building a key's
@@ -263,12 +279,6 @@ class Network:
                     raise ModelError(
                         "%s: urgent edge %s has a clock guard" % (a.name, e.label)
                     )
-
-    def automaton_index(self, name):
-        for i, a in enumerate(self.automata):
-            if a.name == name:
-                return i
-        raise ModelError("unknown automaton %r" % (name,))
 
 
 class SymbolicState(NamedTuple):
@@ -493,14 +503,15 @@ COVERED, STORED, EVICTED = 0, 1, 2  # outcomes of `_Passed.insert`
 class _Passed:
     """Unified passed/waiting list: zone antichains per (locations, data) key.
 
-    Rows hold state ids, indices into the explorer's `meta`, and a
-    stored state's zone is read from there.  A new zone that covers
-    stored ones evicts them and marks them dead.  A dead state keeps its
-    `meta` entry, so parent chains still run through it, but it is not
-    expanded when popped from the waiting queue: its checks ran when it
-    was inserted, and the successors of the zone that evicted it cover
-    its own.  This is the passed/waiting list of Behrmann et al., "UPPAAL
-    Implementation Secrets" (FTRTFT 2002).
+    A row is the tuple of a key's stored zones.  A new zone that covers
+    stored ones evicts them from the row, and the state that stored an
+    evicted zone is dead: it is not expanded when popped from the
+    waiting queue (`explore` finds its zone gone from the row), since
+    its checks ran when it was inserted, and the successors of the zone
+    that evicted it cover its own.  An evicted zone is never stored
+    again, because a stored zone covers it from then on.  This is the
+    passed/waiting list of Behrmann et al., "UPPAAL Implementation
+    Secrets" (FTRTFT 2002).
 
     `insert` tells an evicting zone apart (EVICTED), and `explore`
     expands it ahead of the breadth-first queue.  The evicted zone's
@@ -512,12 +523,10 @@ class _Passed:
     test is remembered per ordered pair of zones in the dict `covers`.
     """
 
-    def __init__(self, meta, subsumption=True, covers=None):
-        self._meta = meta
+    def __init__(self, subsumption=True, covers=None):
         self._store = {}
         self._subsume = subsumption
         self._covers = {} if covers is None else covers
-        self.dead = set()
 
     def _subsumes(self, a, b):
         """Whether zone `a` contains zone `b`, remembered per pair."""
@@ -530,38 +539,30 @@ class _Passed:
     def key_count(self):
         return len(self._store)
 
-    def insert(self, key, zone, sid):
-        """Store state `sid` with `zone` unless a stored zone covers it.
+    def insert(self, key, zone):
+        """Store `zone` for `key` unless a stored zone covers it.
 
         Returns COVERED (false) when nothing is stored, STORED, or
         EVICTED when `zone` was stored and evicted at least one stored
         zone.  Without subsumption only exact duplicates are rejected
-        and nothing dies (used to validate that inclusion checking never
-        changes a verdict or a reachable set).
+        and nothing is evicted (used to validate that inclusion checking
+        never changes a verdict or a reachable set).
         """
         row = self._store.get(key)
         if row is None:
-            self._store[key] = [sid]
+            self._store[key] = (zone,)
             return STORED
-        zones = [self._meta[s][0].zone for s in row]
         if not self._subsume:
-            if zone in zones:
+            if zone in row:
                 return COVERED
-            row.append(sid)
+            self._store[key] = row + (zone,)
             return STORED
-        for z in zones:
+        for z in row:
             if z is zone or self._subsumes(z, zone):
                 return COVERED
-        kept = []
-        for s, z in zip(row, zones):
-            if self._subsumes(zone, z):
-                self.dead.add(s)
-            else:
-                kept.append(s)
-        evicted = len(kept) < len(row)
-        kept.append(sid)
-        self._store[key] = kept
-        return EVICTED if evicted else STORED
+        kept = tuple(z for z in row if not self._subsumes(zone, z))
+        self._store[key] = kept + (zone,)
+        return EVICTED if len(kept) < len(row) else STORED
 
 
 class _Skeleton(NamedTuple):
@@ -571,75 +572,69 @@ class _Skeleton(NamedTuple):
     sibling states that differ only in their zone share all of this.
     `explore` keeps a key's skeleton only while a state of the key waits
     in its queue, and builds it again for a zone of the key stored after
-    that (see `explore`).  The memos are the intern table's, shared by
-    every skeleton with the same invariants or the same fire zone part
-    (clock guard, clock map, target invariants; see `_apply_skeleton`).
+    that (see `explore`).  A fire is built (`build`) on the first zone
+    applied to the skeleton that meets its clock guard; until then its
+    slot in `fires` holds (instance, clock guard) and its memo is None.
+    The memos are the intern table's, shared by every skeleton with the
+    same invariants or the same fire zone part (clock guard, clock map,
+    target invariants; see `_apply_skeleton`).
     """
 
     urgent: bool
     inv_atoms: tuple    # the key's own location invariants
     bounds: tuple       # the key's extrapolation bounds (see `_invariants`)
-    fires: tuple        # one `_build_fire` tuple per fire kept
+    fires: list         # per enabled instance: its `_build_fire` tuple once built
     delays: dict        # zone -> its delay successor, or None for none
-    memos: tuple        # per fire: zone -> its successor zone, or None
+    memos: list         # per fire: zone -> its successor zone or None, once built
     table: dict         # the intern table the skeleton was built with
+    build: Callable     # instance -> its `_build_fire` tuple from this key
 
 
-def _time_cap(inv_atoms):
-    """The packed upper bound on `time` of invariant atoms `inv_atoms`
-    (INF when none bounds it)."""
-    return min((2 * k + (op == "<=") for idx, _z, op, k in inv_atoms if idx == 1),
-               default=INF)
+def _meets(zone, cg):
+    """Whether the closed, non-empty `zone` meets the clock guard atoms
+    `cg` (true for none), which bound only `time`: the zone's projection
+    on `time` is the interval of its entries (1, 0) and (0, 1)."""
+    m = zone.m
+    hi, lo = m[zone.dim], m[1]
+    for _i, _z, op, k in cg:
+        for row, _col, b in atom_entries(1, 0, op, k):
+            if row and b < hi:
+                hi = b
+            elif not row and b < lo:
+                lo = b
+    return hi + lo - ((hi | lo) & 1) >= ZERO
 
 
 def _build_skeleton(net, locs, data, table):
     """The skeleton of one key, applied to each of its zones.
 
     Delay is blocked by enabled urgent edges and otherwise bounded by
-    the location invariants.  It keeps each data-enabled fire that
-    `_build_fire` does not rule out.  Every tuple and data valuation the
-    skeleton holds is
-    the canonical one of the intern `table` (a dict that `explore` keeps
-    for one call; see the module notes).
+    the location invariants.  It holds a slot for each data-enabled
+    fire, built on first use (see `_Skeleton`).  Every tuple and data
+    valuation the skeleton holds is the canonical one of the intern
+    `table` (a dict that `explore` keeps for one call; see the module
+    notes).
     """
     insts = enabled_transitions(net, locs, data)
     before = net.clock_owners(data)
     inv_atoms, bounds = _invariants(net, locs, data, before, table)
-    cap = _time_cap(inv_atoms)
-    fires = []
-    for inst in insts:
-        fire = _build_fire(net, locs, data, inst, before, cap, table)
-        if fire is not None:
-            fires.append(fire)
-    # a fire's successor zone depends on its zone part alone: the clock
-    # guard, the clock map and the target invariants
-    memos = tuple(_memo(table, (_FIRE, f[1], f[4], f[5])) for f in fires)
-    return _Skeleton(any(i.urgent for i in insts), inv_atoms, bounds,
-                     tuple(fires), _memo(table, (_DELAY, inv_atoms)), memos, table)
+    fires = [(inst, net.automata[inst.auto].guard_atoms[inst.edge]) for inst in insts]
+    return _Skeleton(any(i.urgent for i in insts), inv_atoms, bounds, fires,
+                     _memo(table, (_DELAY, inv_atoms)), [None] * len(fires), table,
+                     functools.partial(_build_fire, net, locs, data, before, table))
 
 
-def _build_fire(net, locs, data, inst, before, cap, table):
+def _build_fire(net, locs, data, before, table, inst):
     """The zone-independent part of firing `inst` from (locs, data).
 
-    `before` is the key's clock owners and `cap` its packed bound on
-    `time` (`_time_cap`).  Returns (desc, guard_atoms, locs2, data2,
-    src, inv2, bounds2), where desc, locs2, data2, inv2 and bounds2 are
-    canonical objects of the intern `table` and `src` maps the clocks
-    (`_remap`).  The network's transition checks run on the fire.
-
-    A fire whose clock guard bounds `time` from below past `cap` is
-    ruled out before its update runs (None): every zone applied to the
-    key's skeleton lies inside the key's invariants, so no zone can meet
-    that guard.
+    `before` is the key's clock owners.  Returns (desc, guard_atoms,
+    locs2, data2, src, inv2, bounds2), where desc, locs2, data2, inv2
+    and bounds2 are canonical objects of the intern `table` and `src`
+    maps the clocks (`_remap`).  The network's transition checks run on
+    the fire.
     """
-    auto = net.automata[inst.auto]
-    cg = auto.guard_atoms[inst.edge]
-    # a guard atom `time >= k` (or `== k`) needs 2k < cap, and
-    # `time > k` needs 2k + 1 < cap
-    if cg and any(2 * k + (op == ">") >= cap for _i, _z, op, k in cg
-                  if op != "<=" and op != "<"):
-        return None
     intern = table.setdefault
+    auto = net.automata[inst.auto]
     edge = auto.edges[inst.edge]
     data2 = edge.update(data, dict(inst.binds)) if edge.update else data
     locs2 = locs[:inst.auto] + (edge.target,) + locs[inst.auto + 1:]
@@ -651,7 +646,7 @@ def _build_fire(net, locs, data, inst, before, cap, table):
     inv2, bounds2 = _invariants(net, locs2, data2, after, table)
     for chk in net.transition_checks:
         chk(data, data2)
-    return intern(desc, desc), cg, locs2, data2, src, inv2, bounds2
+    return intern(desc, desc), auto.guard_atoms[inst.edge], locs2, data2, src, inv2, bounds2
 
 
 def _remap(before, after, table):
@@ -677,13 +672,15 @@ def _apply_skeleton(skel, zone):
     successors carry None for locations and data: the configuration is
     unchanged.  Zones are exact; `explore` extrapolates them.
 
+    A fire is built on the first zone that meets its clock guard.
     Every zone operation here is pure, so the skeleton's memos remember
     its result per operand zone, and a result computed here is the
     intern table's object.  A delay that empties the zone raises each
     time and is never remembered.
     """
     out = []
-    intern = skel.table.setdefault
+    table = skel.table
+    intern = table.setdefault
     if not skel.urgent:
         delayed = skel.delays.get(zone, _UNKNOWN)
         if delayed is _UNKNOWN:
@@ -694,7 +691,17 @@ def _apply_skeleton(skel, zone):
             skel.delays[zone] = delayed
         if delayed is not None:
             out.append((DELAY, None, None, delayed, skel.inv_atoms, skel.bounds))
-    for fire, memo in zip(skel.fires, skel.memos):
+    fires, memos = skel.fires, skel.memos
+    for i, memo in enumerate(memos):
+        fire = fires[i]
+        if memo is None:  # not built yet: (instance, clock guard)
+            inst, cg = fire
+            if cg and not _meets(zone, cg):
+                continue
+            fire = fires[i] = skel.build(inst)
+            # a fire's successor zone depends on its zone part alone: the
+            # clock guard, the clock map and the target invariants
+            memo = memos[i] = _memo(table, (_FIRE, cg, fire[4], fire[5]))
         z = memo.get(zone, _UNKNOWN)
         if z is _UNKNOWN:
             z = _fire_successor(fire, zone)
@@ -731,9 +738,8 @@ def successors(net, state):
 
     The delay successor comes first, then the fires in enabled-transition
     order.  This is the skeleton routine `explore` uses, built for
-    this one state.  The state's zone must lie inside its location
-    invariants, as every reachable zone does: a fire that those
-    invariants rule out is not built.
+    this one state: only the fires whose clock guard its zone meets are
+    built.
     """
     locs, data, zone = state
     out = []
@@ -833,7 +839,10 @@ def explore(
     VerificationResult carries one verdict and one trace per checker
     (`verdicts`, `traces`); its `verdict` is VIOLATED if any checker
     was violated, else LIMIT or SATISFIED (see `overall_verdicts`), and
-    its `trace` is the trace of the first violation found.
+    its `trace` is the trace of the first violation found.  The run
+    ends with LIMIT once more than `max_states` zone states are stored,
+    dead ones included, or after `max_seconds` of wall-clock time; its
+    `states` counts (locations, data) keys.
 
     Stored zones are extrapolated (see the module notes); with
     `extrapolate=False` they are exact, which is used to validate that
@@ -854,35 +863,34 @@ def explore(
     traces = {}  # check index -> trace, in the order violations were found
     table = {}  # the intern table of this call (see the module notes)
     init = initial_state(net)
-    init = init._replace(locs=table.setdefault(init.locs, init.locs),
-                         data=_intern_data(table, init.data),
-                         zone=table.setdefault(init.zone, init.zone))
-    meta = []  # sid -> (state, parent sid, descriptor)
-    passed = _Passed(meta, subsumption, _memo(table, _SUBSUMES))
-    dead = passed.dead
+    # a stored state's record: (locs, data, zone, parent record, descriptor)
+    init = (table.setdefault(init.locs, init.locs), _intern_data(table, init.data),
+            table.setdefault(init.zone, init.zone), None, None)
+    passed = _Passed(subsumption, _memo(table, _SUBSUMES))
+    store = passed._store
     zone_checked = table[_ZONE_CHECKED] = set()
 
-    def zone_check(state, inv_atoms):  # once per (zone, invariant atoms)
-        if (state.zone, inv_atoms) not in zone_checked:
-            run_state_checks(state, inv_atoms)
-            zone_checked.add((state.zone, inv_atoms))
+    def zone_check(rec, inv_atoms):  # once per (zone, invariant atoms)
+        if (rec[2], inv_atoms) not in zone_checked:
+            run_state_checks(SymbolicState(*rec[:3]), inv_atoms)
+            zone_checked.add((rec[2], inv_atoms))
 
     def out_of_time():
         return max_seconds is not None and _time.monotonic() - started > max_seconds
 
-    def checked(sid):
-        """Run the live checks on state `sid`; True once none is left."""
-        state = meta[sid][0]
+    def checked(rec):
+        """Run the live checks on the state of `rec`; True once none is left."""
+        state = SymbolicState(*rec[:3])
         for i in tuple(live):
             witness = checks[i](state)
             if witness is not None:
-                traces[i] = _build_trace(meta, sid, witness, net)
+                traces[i] = _build_trace(rec, witness, net)
                 live.remove(i)
         return not live
 
     def result(reason=None):
         # states counts distinct (locations, data) configurations
-        reach = frozenset(passed._store) if collect_reachable else None
+        reach = frozenset(store) if collect_reachable else None
         every = range(len(checks))
         verdict, verdicts = overall_verdicts([i in traces for i in every], reason)
         return VerificationResult(
@@ -892,62 +900,61 @@ def explore(
         )
 
     transitions = 0
+    key = init[:2]
     if run_checks:
         for chk in net.state_checks:
-            chk(init.data)
-        zone_check(init, invariant_indices(net, init.locs, init.data))
-    meta.append((init, None, None))
-    passed.insert((init.locs, init.data), init.zone, 0)
-    if live and checked(0):
+            chk(key[1])
+        zone_check(init, invariant_indices(net, *key))
+    passed.insert(key, init[2])
+    stored_states = 1
+    if live and checked(init):
         return result()
 
-    frontier = deque([0])
+    frontier = deque([init])
     evictors = deque()  # expanded first (see the module notes)
     # key -> [its states in the queue, its skeleton or None]; a key
     # leaves once its last waiting state is expanded
-    waiting = {(init.locs, init.data): [1, None]}
+    waiting = {key: [1, None]}
     ticks = 0
     while evictors or frontier:
         ticks += 1
         if ticks % 512 == 0 and out_of_time():
             return result("wall-clock budget exhausted")
-        sid = (evictors or frontier).popleft()
-        state = meta[sid][0]
-        key = (state.locs, state.data)
+        rec = (evictors or frontier).popleft()
+        locs, data, zone, _parent, _desc = rec
+        key = (locs, data)
         entry = waiting[key]
         entry[0] -= 1
-        if sid in dead:
+        if zone not in store[key]:  # evicted: the state is dead
             if not entry[0]:
                 del waiting[key]
             continue
         skel = entry[1]
         if skel is None:
-            skel = entry[1] = _build_skeleton(net, state.locs, state.data, table)
-        for desc, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(
-                skel, state.zone):
+            skel = entry[1] = _build_skeleton(net, locs, data, table)
+        for desc, locs2, data2, zone2, inv2, bounds2 in _apply_skeleton(skel, zone):
             transitions += 1
             if bounds2 and extrapolate:
                 zone2 = _extrapolated(table, zone2, bounds2)
             if locs2 is None:  # delay successor keeps the configuration
-                locs2, data2 = key
-            nxt = SymbolicState(locs2, data2, zone2)
+                locs2, data2 = locs, data
             key2 = (locs2, data2)
-            nid = len(meta)
             known = passed.key_count
-            stored = passed.insert(key2, zone2, nid)
+            stored = passed.insert(key2, zone2)
             if not stored:
                 continue
+            nxt = (locs2, data2, zone2, rec, desc)
+            stored_states += 1
             if run_checks:
                 if passed.key_count != known:  # the first zone of its key
                     for chk in net.state_checks:
-                        chk(nxt.data)
+                        chk(data2)
                 zone_check(nxt, inv2)
-            meta.append((nxt, sid, desc))
-            if live and checked(nid):
+            if live and checked(nxt):
                 return result()
-            if max_states is not None and len(meta) > max_states:
+            if max_states is not None and stored_states > max_states:
                 return result("state budget exhausted")
-            (evictors if stored == EVICTED else frontier).append(nid)
+            (evictors if stored == EVICTED else frontier).append(nxt)
             waiting.setdefault(key2, [0, None])[0] += 1
         if not entry[0]:  # no state of the key waits: drop its skeleton
             del waiting[key]
@@ -1006,8 +1013,9 @@ def _follow(net, state, desc, i):
     of step `i`.  Only the fire it names is built, by the skeleton's own
     `_build_fire` and `_fire_successor`, and only the guards the step
     needs run: the named edge's for a fire, the urgent edges' for a
-    delay.  Raises ReplayError when the step is not enabled; a delay is
-    refused while an urgent edge is."""
+    delay.  A fire is built only when the zone meets its clock guard.
+    Raises ReplayError when the step is not enabled; a delay is refused
+    while an urgent edge is."""
     locs, data, zone = state
     before = net.clock_owners(data)
     inv_atoms = _invariants(net, locs, data, before, {})[0]
@@ -1018,9 +1026,9 @@ def _follow(net, state, desc, i):
         # delay successor: only a delay of zero is left there
         return state._replace(zone=zone.up().constrained(inv_atoms)), inv_atoms
     inst = _named_instance(net, locs, data, desc)
-    if inst is not None:
-        fire = _build_fire(net, locs, data, inst, before, _time_cap(inv_atoms), {})
-        zone2 = None if fire is None else _fire_successor(fire, zone)
+    if inst is not None and _meets(zone, net.automata[inst.auto].guard_atoms[inst.edge]):
+        fire = _build_fire(net, locs, data, before, {}, inst)
+        zone2 = _fire_successor(fire, zone)
         if zone2 is not None:
             _d, _cg, locs2, data2, _src, inv2, _b = fire
             return SymbolicState(locs2, data2, zone2), inv2
@@ -1062,8 +1070,11 @@ def _meet(zone, other):
     return zone.constrained(atoms)
 
 
-def _build_trace(meta, goal_sid, witness_zone, net):
-    """Concretize the path to `goal_sid` with exact clock witnesses.
+def _build_trace(goal, witness_zone, net):
+    """Concretize the path to the record `goal` with exact clock witnesses.
+
+    A record is (locs, data, zone, parent record, descriptor), None as
+    the initial state's parent and descriptor (see `explore`).
 
     The path's zones are recomputed exactly (`_exact_chain`) and the
     final one is met with the witness, the violating sub-zone; an empty
@@ -1082,11 +1093,10 @@ def _build_trace(meta, goal_sid, witness_zone, net):
     network has one.
     """
     chain = []
-    sid = goal_sid
-    while sid is not None:
-        state, parent, desc = meta[sid]
-        chain.append((state, desc))
-        sid = parent
+    rec = goal
+    while rec is not None:
+        locs, data, zone, rec, desc = rec
+        chain.append((SymbolicState(locs, data, zone), desc))
     chain.reverse()
 
     zones_ = [st.zone for st in _exact_chain(net, chain)]
@@ -1206,15 +1216,11 @@ def random_run(net, seed, steps):
     import random as _random
 
     rng = _random.Random(seed)
-    state = initial_state(net)
-    meta = [(state, None, None)]
-    sid = 0
+    rec = (*initial_state(net), None, None)
     for _ in range(steps):
-        succ = successors(net, meta[sid][0])
+        succ = successors(net, SymbolicState(*rec[:3]))
         if not succ:
             break
         desc, nxt = succ[rng.randrange(len(succ))]
-        meta.append((nxt, sid, desc))
-        sid = len(meta) - 1
-    final_zone = meta[sid][0].zone
-    return _build_trace(meta, sid, final_zone, net)
+        rec = (*nxt, rec, desc)
+    return _build_trace(rec, rec[2], net)

@@ -37,8 +37,8 @@ from collections import deque
 from typing import NamedTuple
 
 from . import queries as Q
-from .kernel import (CMP, ModelError, TIME, VerificationResult, gc_paused,
-                     overall_verdicts)
+from .kernel import (CMP, ModelError, TIME, VerificationResult, _intern_data,
+                     gc_paused, overall_verdicts)
 
 
 def _thresholds(net, query_asts):
@@ -177,7 +177,15 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
             raise ModelError(
                 "horizon %d must exceed the %s constant %d" % (horizon, kind, k))
 
-    init = _Concrete(
+    table = {}  # one object per distinct locations tuple and valuation
+
+    def interned(locs, data, time, clocks):
+        """The concrete state with the `table`'s locations and valuation
+        (the type rule of `kernel._intern_data`)."""
+        return _Concrete(table.setdefault(locs, locs), _intern_data(table, data),
+                         time, clocks)
+
+    init = interned(
         tuple(a.initial for a in net.automata),
         net.initial_data,
         0,
@@ -233,6 +241,7 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
         for nxt in succ:
             if nxt.time > horizon or nxt in seen:
                 continue
+            nxt = interned(*nxt)
             seen.add(nxt)
             keys.add((nxt.locs, nxt.data))
             if live and checked(nxt, nxt.time, tuple(live)):

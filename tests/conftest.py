@@ -1,4 +1,4 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 import gc
 
@@ -12,3 +12,9 @@ def collector(request):
     (gc.enable if request.param else gc.disable)()
     yield request.param
     (gc.enable if was else gc.disable)()
+
+
+def automaton_index(net, name):
+    """The index of the automaton called `name` in `net`."""
+    (index,) = [i for i, a in enumerate(net.automata) if a.name == name]
+    return index

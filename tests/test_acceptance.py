@@ -19,6 +19,7 @@ from tacv.kernel import explore, replay_trace
 from tacv.oracle import explore_discrete
 from tacv.world import WorldConstants
 
+from conftest import automaton_index
 from zonekit import canonicalize, from_constraints
 
 CS_PAPER = WorldConstants(10, 100)
@@ -251,7 +252,7 @@ def test_criterion_9_malleability(capsys):
     res_weak, net_w, q = run_query(weakened, None, "bob_accepts")
     assert res_weak.verdict == "VIOLATED"
     final = replay_trace(net_w, res_weak.trace)
-    assert final.locs[net_w.automaton_index("BobTA")] == 2  # failure
+    assert final.locs[automaton_index(net_w, "BobTA")] == 2  # failure
 
     res_shipped, _n, _q = run_query(model, None, "bob_accepts")
     assert res_shipped.verdict == "SATISFIED"

@@ -11,6 +11,7 @@ from tacv.adversary import build_adversary_automaton, derive_adversary_txset
 from tacv.contracts import build_cs_model, instantiate
 from tacv.kernel import Network, explore
 from tacv.world import WorldConstants
+from conftest import automaton_index
 from test_modelio import CS_PATH, shipped_queries
 
 
@@ -22,7 +23,7 @@ def full_loop(model, adversary):
     keeps its nonce choice on the same transactions."""
     net, ctx = instantiate(model, adversary=adversary)
     every = range(len(net.initial_data.T.txs))
-    chain = net.automata[net.automaton_index("BlockChainAgentTA")]
+    chain = net.automata[automaton_index(net, "BlockChainAgentTA")]
     relevant = next((dict(e.select)["i"] for e in chain.edges if e.label == "confirm"), ())
     loops = [w.build_blockchain_agent(model.constants, every, relevant)]
     if adversary is not None:
@@ -41,7 +42,7 @@ def left_out(model, adversary):
     instantiated adversary's try-send leaves out, split by whether
     `could_script` allows them for the adversary's slot."""
     net, _ctx = instantiate(model, adversary=adversary)
-    loop = net.automata[net.automaton_index("AdversaryTA")]
+    loop = net.automata[automaton_index(net, "AdversaryTA")]
     (send,) = [e for e in loop.edges if e.label == "try_send"]
     T = net.initial_data.T
     out = set(range(len(T.txs))) - set(dict(send.select)["i"])

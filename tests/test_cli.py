@@ -526,6 +526,34 @@ class TestUsageErrors:
         assert out.out == "" and out.err.startswith("usage: tacv")
         assert message in out.err
 
+    def test_budget_help_says_what_it_counts(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("stored: zone states, dead (evicted) ones included, on --engine"
+                " zone, concrete states on --engine discrete") in text
+        assert "`states` counts (locations, data) keys" in text
+        assert "than MAX_SECONDS seconds of wall-clock time" in text
+
+    def test_state_budget_counts_zone_states(self, capsys):
+        # every zone state stored, evicted ones too, against the report's
+        # (locations, data) keys
+        from tacv.contracts import build_cs_model, instantiate
+        from tacv.kernel import explore
+        from tacv.world import WorldConstants
+        net, _ctx = instantiate(build_cs_model(WorldConstants(2, 5)), adversary="ALICE")
+        stored = []
+        keys = explore(net, check=lambda s: stored.append(s.zone)).states
+        assert keys < len(stored)
+        for budget, code in ((len(stored), cli.EXIT_SATISFIED),
+                             (len(stored) - 1, cli.EXIT_LIMIT)):
+            got, out, _err = run(capsys, "verify", "cs", "--adversary", "alice",
+                                 *REDUCED, "--max-states", str(budget),
+                                 "--query", "A[] true", "--format", "json")
+            assert got == code
+            if code == cli.EXIT_SATISFIED:
+                assert json.loads(out)["states"] == keys
+
     def test_zero_budget_accepted(self, capsys):
         code, out, _err = run(capsys, "verify", "cs", *REDUCED, "--max-states",
                               "0", "--query", "A[] true")

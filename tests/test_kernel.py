@@ -310,7 +310,9 @@ class TestCollectorPause:
 
 
 class TestPassedList:
-    """The unified passed/waiting list on hand-made zones of one key."""
+    """The unified passed/waiting list on hand-made zones of one key: a
+    row is the tuple of the key's stored zones, and an evicted zone
+    leaves it (the state that stored it is dead)."""
 
     KEY = ((0,), Jobs((), True))
 
@@ -319,60 +321,43 @@ class TestPassedList:
         return Zone.origin(2).up().constrained(
             [(1, 0, "<=", upper), (1, 0, ">=", lower)])
 
-    def insert(self, passed, meta, zone):
-        sid = len(meta)
-        added = passed.insert(self.KEY, zone, sid)
-        if added:
-            meta.append((K.SymbolicState(self.KEY[0], self.KEY[1], zone),
-                         None, None))
-        return added
-
     def test_covering_zone_marks_stored_one_dead(self):
-        meta = []
-        passed = K._Passed(meta)
-        assert self.insert(passed, meta, self.zone(2))
-        assert self.insert(passed, meta, self.zone(5))
-        assert passed.dead == {0}
-        assert passed._store[self.KEY] == [1]
+        passed = K._Passed()
+        assert passed.insert(self.KEY, self.zone(2))
+        assert passed.insert(self.KEY, self.zone(5))
+        assert passed._store[self.KEY] == (self.zone(5),)
 
     def test_incomparable_zones_stay_alive_until_covered(self):
-        meta = []
-        passed = K._Passed(meta)
-        assert self.insert(passed, meta, self.zone(2))
-        assert self.insert(passed, meta, self.zone(5, lower=4))
-        assert passed.dead == set()
-        assert passed._store[self.KEY] == [0, 1]
-        assert self.insert(passed, meta, self.zone(5))
-        assert passed.dead == {0, 1}
-        assert passed._store[self.KEY] == [2]
+        passed = K._Passed()
+        assert passed.insert(self.KEY, self.zone(2))
+        assert passed.insert(self.KEY, self.zone(5, lower=4))
+        assert passed._store[self.KEY] == (self.zone(2), self.zone(5, lower=4))
+        assert passed.insert(self.KEY, self.zone(5))
+        assert passed._store[self.KEY] == (self.zone(5),)
 
     def test_equal_or_smaller_zone_rejected(self):
-        meta = []
-        passed = K._Passed(meta)
-        assert self.insert(passed, meta, self.zone(5))
-        assert not self.insert(passed, meta, self.zone(5))
-        assert not self.insert(passed, meta, self.zone(2))
-        assert not self.insert(passed, meta, Zone.origin(2))
-        assert passed.dead == set()
-        assert passed._store[self.KEY] == [0]
+        passed = K._Passed()
+        assert passed.insert(self.KEY, self.zone(5))
+        assert not passed.insert(self.KEY, self.zone(5))
+        assert not passed.insert(self.KEY, self.zone(2))
+        assert not passed.insert(self.KEY, Zone.origin(2))
+        assert passed._store[self.KEY] == (self.zone(5),)
 
     def test_insert_reports_eviction(self):
-        meta = []
-        passed = K._Passed(meta)
-        assert self.insert(passed, meta, self.zone(2)) == K.STORED
-        assert self.insert(passed, meta, self.zone(5, lower=4)) == K.STORED
-        assert self.insert(passed, meta, self.zone(1)) == K.COVERED
-        assert self.insert(passed, meta, self.zone(5)) == K.EVICTED
+        passed = K._Passed()
+        assert passed.insert(self.KEY, self.zone(2)) == K.STORED
+        assert passed.insert(self.KEY, self.zone(5, lower=4)) == K.STORED
+        assert passed.insert(self.KEY, self.zone(1)) == K.COVERED
+        assert passed.insert(self.KEY, self.zone(5)) == K.EVICTED
 
     def test_without_subsumption_nothing_dies(self):
-        meta = []
-        passed = K._Passed(meta, subsumption=False)
-        assert self.insert(passed, meta, self.zone(2))
-        assert self.insert(passed, meta, self.zone(5))
-        assert not self.insert(passed, meta, self.zone(5))
-        assert self.insert(passed, meta, Zone.origin(2))
-        assert passed.dead == set()
-        assert passed._store[self.KEY] == [0, 1, 2]
+        passed = K._Passed(subsumption=False)
+        assert passed.insert(self.KEY, self.zone(2))
+        assert passed.insert(self.KEY, self.zone(5))
+        assert not passed.insert(self.KEY, self.zone(5))
+        assert passed.insert(self.KEY, Zone.origin(2))
+        assert passed._store[self.KEY] == (
+            self.zone(2), self.zone(5), Zone.origin(2))
 
 
 class TestValidation:
@@ -605,30 +590,63 @@ def shipped_net(name):
     return net
 
 
+def captured_skeletons(monkeypatch):
+    """Patch `_build_skeleton` to keep each skeleton it builds, as
+    [(key, skeleton), ...]; its fires are built as it is applied."""
+    skeletons = []
+    build_skeleton = K._build_skeleton
+
+    def captured(net, locs, data, table):
+        skel = build_skeleton(net, locs, data, table)
+        skeletons.append(((locs, data), skel))
+        return skel
+
+    monkeypatch.setattr(K, "_build_skeleton", captured)
+    return skeletons
+
+
+def built_fires(skel):
+    """The `_build_fire` tuples of the fires `skel` has built."""
+    return [f for f, memo in zip(skel.fires, skel.memos) if memo is not None]
+
+
 class TestInterning:
     """`explore` stores each discrete state component once (module notes)."""
 
-    def test_fires_into_one_key_share_its_objects(self):
+    def test_fires_into_one_key_share_its_objects(self, monkeypatch):
         net = shipped_net("cs-2-5-ALICE")
-        table = {}
-        init = K.initial_state(net)
-        todo = [(init.locs, init.data)]
-        seen = set(todo)
+        skeletons = captured_skeletons(monkeypatch)
+        K.explore(net)
         into = {}  # key -> [(source key, locs, data), ...] of fires reaching it
-        while todo:
-            locs, data = todo.pop()
-            skel = K._build_skeleton(net, locs, data, table)
-            for _desc, _cg, locs2, data2, *_rest in skel.fires:
-                into.setdefault((locs2, data2), []).append(
-                    ((locs, data), locs2, data2))
-                if (locs2, data2) not in seen:
-                    seen.add((locs2, data2))
-                    todo.append((locs2, data2))
+        for source, skel in skeletons:
+            for _desc, _cg, locs2, data2, *_rest in built_fires(skel):
+                into.setdefault((locs2, data2), []).append((source, locs2, data2))
         shared = [fires for fires in into.values()
                   if len({source for source, _l, _d in fires}) > 1]
         assert shared
         for (_source, locs, data), *rest in shared:
             assert all(l is locs and d is data for _s, l, d in rest)
+
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
+    def test_table_holds_exactly_the_reachable_valuations(
+            self, contract, constants, variant, adversary, counts, monkeypatch):
+        # a fire is built, and its valuation interned, only on a zone
+        # that meets its clock guard
+        _model, net, _ctx = shipped_row_net(contract, constants, variant,
+                                            adversary)
+        tables = []
+        build_skeleton = K._build_skeleton
+
+        def captured(net_, locs, data, table):
+            tables.append(table)
+            return build_skeleton(net_, locs, data, table)
+
+        monkeypatch.setattr(K, "_build_skeleton", captured)
+        res = K.explore(net, collect_reachable=True)
+        valuations = [k for k in tables[0] if type(k) is type(net.initial_data)]
+        assert len(valuations) == len(set(valuations))
+        assert set(valuations) == {data for _locs, data in res.reachable}
 
     def test_stored_states_of_a_key_share_its_objects(self):
         stored = []
@@ -717,18 +735,17 @@ class TestSearchOrder:
         stored = []
         insert = K._Passed.insert
 
-        def recorded(passed, key, zone, sid):
-            outcome = insert(passed, key, zone, sid)
+        def recorded(passed, key, zone):
+            outcome = insert(passed, key, zone)
             if outcome:
                 assert outcome == K.STORED
-                stored.append((sid, (key, zone)))
+                stored.append((key, zone))
             return outcome
 
         monkeypatch.setattr(K._Passed, "insert", recorded)
         K.explore(net, subsumption=False)
-        # every stored state is expanded, in state id order
-        assert [sid for sid, _state in stored] == list(range(len(stored)))
-        assert expanded == [state for _sid, state in stored]
+        # every stored state is expanded, in the order it was stored
+        assert expanded == stored
 
 
 def revisit_net():
@@ -803,7 +820,7 @@ class TestSkeletonLifetime:
     def test_alive_skeletons_bounded_by_waiting_keys(self, monkeypatch):
         net, _ctx = instantiate(build_cs_model(WorldConstants(10, 100)),
                                 adversary="ALICE")
-        alive, queues, keys, excess = [0], [], {}, []
+        alive, queues, excess = [0], [], []
 
         class Alive(K._Skeleton):
             def __del__(self):
@@ -815,25 +832,20 @@ class TestSkeletonLifetime:
                 queues.append(self)
 
         build_skeleton, apply_skeleton = K._build_skeleton, K._apply_skeleton
-        insert = K._Passed.insert
 
         def counted(net_, locs, data, table):
             alive[0] += 1
             return Alive(*build_skeleton(net_, locs, data, table))
 
-        def keyed(passed, key, zone, sid):
-            keys[sid] = key
-            return insert(passed, key, zone, sid)
-
         def measured(skel, zone):
-            waiting = {keys[sid] for queue in queues for sid in queue}
+            # a waiting record is (locs, data, zone, parent, descriptor)
+            waiting = {rec[:2] for queue in queues for rec in queue}
             excess.append(alive[0] - len(waiting))
             return apply_skeleton(skel, zone)
 
         monkeypatch.setattr(K, "deque", Queue)
         monkeypatch.setattr(K, "_build_skeleton", counted)
         monkeypatch.setattr(K, "_apply_skeleton", measured)
-        monkeypatch.setattr(K._Passed, "insert", keyed)
         res = K.explore(net)
         assert (res.states, len(excess)) == (249, 287)
         # the skeleton of the key being expanded may be the one more
@@ -854,20 +866,12 @@ class TestZoneMemo:
     def test_every_entry_recomputes(self, contract, constants, adversary,
                                     monkeypatch):
         _model, net, _ctx = shipped_row_net(contract, constants, {}, adversary)
-        tables, skeletons = [], []
-        build_skeleton = K._build_skeleton
-
-        def captured(net_, locs, data, table):
-            skel = build_skeleton(net_, locs, data, table)
-            tables.append(table)
-            skeletons.append(skel)
-            return skel
-
-        monkeypatch.setattr(K, "_build_skeleton", captured)
+        captured = captured_skeletons(monkeypatch)
         stored = []
         res = K.explore(net, check=stored.append)
-        table = tables[0]
-        assert all(t is table for t in tables)
+        skeletons = [skel for _key, skel in captured]
+        table = skeletons[0].table
+        assert all(skel.table is table for skel in skeletons)
 
         def interned(zone):
             return zone is None or table.get(zone) is zone
@@ -880,6 +884,8 @@ class TestZoneMemo:
                 assert succ == (None if fresh == zone else fresh)
                 assert interned(zone) and interned(succ)
             for fire, memo in zip(skel.fires, skel.memos):
+                if memo is None:  # never built
+                    continue
                 fires[id(memo)] = memo
                 for zone, succ in memo.items():
                     assert succ == K._fire_successor(fire, zone)
@@ -910,19 +916,19 @@ class TestZoneMemo:
 class TestCheckCounts:
     """Every check runs wherever it must on the shipped scenarios.
 
-    Transition checks run on each fire that a skeleton keeps (a
-    data-enabled fire not ruled out by its key's invariant bound on
-    `time`), so a rebuilt key's fires are checked again; the network's
-    data checks run on each reachable (locations, data) key, and the
-    kernel's zone check once on each distinct (zone, invariant atoms)
-    pair of a stored zone state.
+    Transition checks run on each fire that a skeleton builds (on the
+    first zone of its key that meets its clock guard), so a rebuilt
+    key's fires are checked again; the network's data checks run on
+    each reachable (locations, data) key, and the kernel's zone check
+    once on each distinct (zone, invariant atoms) pair of a stored zone
+    state.
     """
 
     @pytest.mark.parametrize("name", sorted(SHIPPED))
     def test_checks_run_per_fire_key_and_zone_state(self, name, monkeypatch):
         net = shipped_net(name)
         assert net.state_checks and net.transition_checks
-        calls = {"transition": 0, "data": 0, "fires": 0}
+        calls = {"transition": 0, "data": 0}
         pairs = []  # the (zone, invariant atoms) pair of each zone check
 
         def counted(kind, chk):
@@ -935,13 +941,8 @@ class TestCheckCounts:
             counted("transition", c) for c in net.transition_checks)
         net.state_checks = tuple(counted("data", c) for c in net.state_checks)
 
-        build_skeleton = K._build_skeleton
+        skeletons = captured_skeletons(monkeypatch)
         run_state_checks = K.run_state_checks
-
-        def counted_skeleton(net_, locs, data, table):
-            skel = build_skeleton(net_, locs, data, table)
-            calls["fires"] += len(skel.fires)
-            return skel
 
         def zone_checks(state, inv_atoms):
             # the atoms handed over are the state's own invariants
@@ -949,13 +950,13 @@ class TestCheckCounts:
             pairs.append((state.zone, inv_atoms))
             return run_state_checks(state, inv_atoms)
 
-        monkeypatch.setattr(K, "_build_skeleton", counted_skeleton)
         monkeypatch.setattr(K, "run_state_checks", zone_checks)
         stored = []
         res = K.explore(net, check=stored.append, collect_reachable=True)
         assert res.verdict == "SATISFIED"
-        assert calls["fires"] > 0
-        assert calls["transition"] == len(net.transition_checks) * calls["fires"]
+        built = sum(len(built_fires(skel)) for _key, skel in skeletons)
+        assert 0 < built < sum(len(skel.fires) for _key, skel in skeletons)
+        assert calls["transition"] == len(net.transition_checks) * built
         assert calls["data"] == len(net.state_checks) * len(res.reachable)
         # each pair is checked once, and every stored state's pair is
         assert len(pairs) == len(set(pairs))
@@ -1006,9 +1007,26 @@ def time_cap_net(cap_op, calls):
                      transition_checks=(check,))
 
 
+def capped(guard, inv_atoms):
+    """Whether clock `guard` bounds `time` from below past the packed
+    upper bound on `time` of the location invariants `inv_atoms`."""
+    cap = min((2 * k + (op == "<=") for idx, _z, op, k in inv_atoms if idx == 1),
+              default=INF)
+    return any(2 * k + (op == ">") >= cap for _i, _z, op, k in guard
+               if op not in ("<=", "<"))
+
+
+# fires built on each SHIPPED_ROWS row.  The skeletons hold 748 enabled
+# fires on cs-10-100-ALICE and 1,884 on newscs-1-5-honest; the bound on
+# `time` rules out 251 and 976 of them, and no stored zone meets the
+# guards of 31 and 340 more.
+FIRES_BUILT = (47, 466, 23, 49, 474, 568, 556)
+
+
 class TestSkeletonTimeCap:
-    """A skeleton leaves out each fire whose clock guard bounds `time`
-    from below past the key's own invariant bound on `time`."""
+    """A skeleton builds a fire on the first zone of its key that meets
+    the fire's clock guard, so a fire whose guard bounds `time` from
+    below past the key's own invariant bound on `time` is never built."""
 
     @pytest.mark.parametrize("cap_op,kept", [
         ("<=", ["eq3", "ge3", "le1"]),
@@ -1019,11 +1037,17 @@ class TestSkeletonTimeCap:
         net = time_cap_net(cap_op, calls)
         s0 = K.initial_state(net)
         skel = K._build_skeleton(net, s0.locs, s0.data, {})
-        labels = [K.step_label(net, fire[0]).split(".")[1] for fire in skel.fires]
+        assert calls == {}  # nothing is built before a zone is applied
+        # the initial zone, time == 0, meets `le1` alone; its delay
+        # successor holds every time up to the bound
+        top = K._apply_skeleton(skel, s0.zone)[0][3]
+        K._apply_skeleton(skel, top)
+        labels = [K.step_label(net, fire[0]).split(".")[1]
+                  for fire in built_fires(skel)]
         assert labels == kept
-        # no update and no transition check for a dropped fire
+        # no update and no transition check for a fire left unbuilt
         assert calls == dict({label: 1 for label in kept}, check=len(kept))
-        # every kept fire is enabled somewhere below the bound
+        # every built fire is enabled somewhere below the bound
         top = K.successors(net, s0)[0][1]
         assert sorted(K.step_label(net, desc).split(".")[1]
                       for desc, _nxt in K.successors(net, top)
@@ -1037,46 +1061,41 @@ class TestSkeletonTimeCap:
         nxt, inv = K._follow(net, s0, le1, 0)
         assert (nxt.locs, inv) == (s0.locs, ((1, 0, "<=", 3),))
         assert calls == {"le1": 1, "check": 1}
-        # a fire the bound on `time` rules out is refused before its update
+        # a fire whose clock guard the zone misses is refused before its update
         calls.clear()
         with pytest.raises(K.ReplayError,
                            match=r"^step 2: transition 'Probe.eq5' not enabled here$"):
             K._follow(net, s0, ("fire", 1, 0, ()), 2)
         assert calls == {}
 
-    # (keys, transitions, skeleton fires); without the bound on `time`
-    # the skeletons hold 748 and 1,884 fires
-    @pytest.mark.parametrize("build,constants,adversary,counts", [
-        (build_cs_model, (10, 100), "ALICE", (249, 536, 497)),
-        (build_newscs_model, (1, 5), None, (308, 588, 908)),
-    ], ids=["cs-10-100-ALICE", "newscs-1-5-honest"])
+    # (keys, transitions) of the row, then the fires built
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             [row[:4] + (row[4] + (fires,),)
+                              for row, fires in zip(SHIPPED_ROWS, FIRES_BUILT)],
+                             ids=SHIPPED_IDS)
     def test_dropped_fires_disabled_on_every_stored_zone(
-            self, build, constants, adversary, counts, monkeypatch):
-        net, _ctx = instantiate(build(WorldConstants(*constants)),
-                                adversary=adversary)
-        fires = []
-        build_skeleton = K._build_skeleton
-
-        def counted_skeleton(net_, locs, data, table):
-            skel = build_skeleton(net_, locs, data, table)
-            fires.append(len(skel.fires))
-            return skel
-
-        monkeypatch.setattr(K, "_build_skeleton", counted_skeleton)
+            self, contract, constants, variant, adversary, counts, monkeypatch):
+        _model, net, _ctx = shipped_row_net(contract, constants, variant,
+                                            adversary)
+        skeletons = captured_skeletons(monkeypatch)
         zones = {}
         res = K.explore(net, check=lambda s: zones.setdefault(
             (s.locs, s.data), []).append(s.zone))
-        assert (res.states, res.transitions, sum(fires)) == counts
-        dropped = 0
-        for (locs, data), stored in zones.items():
-            built = {fire[0] for fire in build_skeleton(net, locs, data, {}).fires}
-            for inst in K.enabled_transitions(net, locs, data):
-                if ("fire", inst.auto, inst.edge, inst.binds) in built:
-                    continue
-                dropped += 1
-                guard = net.automata[inst.auto].guard_atoms[inst.edge]
-                assert all(z.constrained(guard).is_empty() for z in stored)
-        assert dropped > 0
+        built = uncapped = 0
+        for key, skel in skeletons:
+            # a slot per enabled instance; an unbuilt one holds (instance, guard)
+            assert len(skel.fires) == len(K.enabled_transitions(net, *key))
+            for fire, memo in zip(skel.fires, skel.memos):
+                guard = fire[1]
+                meets = [not z.constrained(guard).is_empty() for z in zones[key]]
+                if memo is not None:
+                    built += 1
+                    assert any(meets)
+                else:
+                    assert not any(meets)
+                    uncapped += not capped(guard, skel.inv_atoms)
+        assert (res.states, res.transitions, built) == counts
+        assert uncapped > 0
 
 
 def counterexamples(build, constants, adversary):

@@ -21,6 +21,8 @@ from tacv.modelio import build_model
 from tacv.oracle import default_horizon, explore_discrete
 from tacv.world import WorldConstants
 
+from conftest import automaton_index
+from test_modelio import SHIPPED_IDS, SHIPPED_ROWS, shipped_net
 from test_queries import first_meeting
 
 CS = build_cs_model(WorldConstants(2, 5))
@@ -51,6 +53,19 @@ class TestReachability:
         net = Network("empty", [], (), lambda d: ())
         res, _verdicts = explore_discrete(net)
         assert res.states == 1
+
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
+    def test_keys_share_locations_and_valuations(self, contract, constants,
+                                                 variant, adversary, counts):
+        # one object per distinct locations tuple and per distinct
+        # valuation among the reachable keys, as among the stored states
+        _model, net, _ctx = shipped_net(contract, constants, variant, adversary)
+        keys = explore_discrete(net)[0].reachable
+        assert len(keys) == counts[0]
+        for part in (0, 1):
+            assert len({id(key[part]) for key in keys}) == len({key[part] for key in keys})
+        assert len({locs for locs, _data in keys}) < len(keys)
 
 
 class TestVerdicts:
@@ -154,7 +169,7 @@ class TestHorizon:
         assert zres.verdict == ores.verdict == "VIOLATED"
         zone_keys = explore(net, collect_reachable=True).reachable
         assert zone_keys == explore_discrete(net)[0].reachable
-        assert any(locs[net.automaton_index("BobTA")] == 4 for locs, _d in zone_keys)
+        assert any(locs[automaton_index(net, "BobTA")] == 4 for locs, _d in zone_keys)
 
     def test_horizon_must_exceed_clock_guard_constants(self):
         # below 15 the `late` edge never fires, which would read SATISFIED

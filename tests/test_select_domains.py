@@ -20,6 +20,7 @@ from tacv import queries as Q
 from tacv import world as w
 from tacv.contracts import _idle_sweep_ids, instantiate
 
+from conftest import automaton_index
 from test_adversary import full_loop
 from test_modelio import SHIPPED_IDS, SHIPPED_ROWS, shipped_net, shipped_queries
 
@@ -43,7 +44,7 @@ def scenario(contract, constants, variant, adversary):
 
 def domain(net, automaton, label):
     """The transactions of the `i` select of `automaton`'s edge `label`."""
-    a = net.automata[net.automaton_index(automaton)]
+    a = net.automata[automaton_index(net, automaton)]
     return {t for e in a.edges if e.label == label for t in dict(e.select)["i"]}
 
 
@@ -121,7 +122,8 @@ def test_shared_table_gives_fresh_invariants():
         assert skel.inv_atoms == K.invariant_indices(net, locs, data)
         owners = net.clock_owners(data)
         assert (skel.inv_atoms, skel.bounds) == K._invariants(net, locs, data, owners, {})
-        for _d, _cg, locs2, data2, _src, inv2, bounds2 in skel.fires:
+        for inst, _cg in skel.fires:  # every fire built, used or not
+            _d, _cg, locs2, data2, _src, inv2, bounds2 = skel.build(inst)
             assert (inv2, bounds2) == K._invariants(
                 net, locs2, data2, net.clock_owners(data2), {})
         patterns.add((owners, tuple(K._invariant_atoms(net, locs, data))))
