@@ -131,7 +131,7 @@ def cmd_verify(args):
         except ModelError as exc:
             return _fail(str(exc))
     else:
-        result = explore(net, check=[Q.make_checker(ast) for ast in asts],
+        result = explore(net, check=Q.make_checkers(asts),
                          max_states=args.max_states,
                          max_seconds=args.max_seconds)
     verdicts, traces = result.verdicts, result.traces

@@ -25,6 +25,17 @@ constant of its `time == θ` edge): past the last of them every guard is
 time-independent and invariants only bound clocks from above, so no new
 discrete configuration needs a later clock.
 
+The search is a sweep-line over `time` (Christensen, Kristensen and
+Mailund, "A sweep-line method for state space exploration", TACAS
+2001).  A fire keeps `time` and a unit delay adds 1, so no step leads
+back to an earlier instant.  The explorer finishes one instant before
+it starts the next: it expands the instant's states breadth-first,
+holds the delay successors for the next instant apart, and once the
+instant is done it drops that instant's states, which no later step can
+reach again.  So it holds the concrete states of at most two instants,
+beside the reachable (locations, data) keys and one object per distinct
+locations tuple and valuation.
+
 `explore_discrete` checks any number of queries in one pass and gives
 each its own verdict, with the same rule as the zone engine: a query
 not violated when a limit is hit is LIMIT, not SATISFIED.
@@ -154,7 +165,8 @@ def _apply(net, state, owners, ai, edge, binds):
 @gc_paused
 def explore_discrete(net, queries=(), horizon=None, max_states=None,
                      max_seconds=None):
-    """BFS over unit-delay and discrete steps up to the horizon.
+    """Sweep over unit-delay and discrete steps up to the horizon, one
+    instant of `time` at a time (see the module notes).
 
     Each of the parsed `queries` is evaluated pointwise at every
     reachable concrete state, and one with two or more clock atoms also
@@ -166,7 +178,9 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     `transitions`, carries the reachable (locations, data) set, and has
     no traces.  The verdicts, one per query, follow the zone engine's
     rule (`kernel.overall_verdicts`).
-    `max_states` and `max_seconds` are budgets as in `kernel.explore`.
+    `max_states` and `max_seconds` are budgets as in `kernel.explore`;
+    `max_states` counts every concrete state stored, those of finished
+    instants included.
     """
     started = _time.monotonic()
     queries = tuple(queries)
@@ -210,9 +224,12 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
                 live.remove(i)
         return not live
 
-    seen = {init}
+    # the sweep (see the module notes): `now` and `seen` hold the current
+    # instant's states, `ahead` and `ahead_seen` the next instant's
+    now, seen = deque([init]), {init}
+    ahead, ahead_seen = deque(), set()
     keys = {(init.locs, init.data)}
-    frontier = deque([init])
+    stored = 1
     transitions = 0
 
     def result(reason=None):
@@ -225,12 +242,14 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
     if live and checked(init, init.time, tuple(live)):
         return result()
     ticks = 0
-    while frontier:
+    while now or ahead:
+        if not now:  # the instant is finished: none of its states recurs
+            now, seen, ahead, ahead_seen = ahead, ahead_seen, deque(), set()
         ticks += 1
         if (ticks % 512 == 0 and max_seconds is not None
                 and _time.monotonic() - started > max_seconds):
             return result("wall-clock budget exhausted")
-        state = frontier.popleft()
+        state = now.popleft()
         succ = _discrete_successors(net, state)
         transitions += len(succ)
         # a unit delay (always the first successor) passes time + 1/2
@@ -239,14 +258,17 @@ def explore_discrete(net, queries=(), horizon=None, max_states=None,
             if halfway and checked(state, state.time + 0.5, halfway):
                 return result()
         for nxt in succ:
-            if nxt.time > horizon or nxt in seen:
+            later = nxt.time > state.time
+            known = ahead_seen if later else seen
+            if nxt.time > horizon or nxt in known:
                 continue
             nxt = interned(*nxt)
-            seen.add(nxt)
+            known.add(nxt)
+            stored += 1
             keys.add((nxt.locs, nxt.data))
             if live and checked(nxt, nxt.time, tuple(live)):
                 return result()
-            if max_states is not None and len(seen) > max_states:
+            if max_states is not None and stored > max_states:
                 return result("state budget exhausted")
-            frontier.append(nxt)
+            (ahead if later else now).append(nxt)
     return result()

@@ -20,7 +20,7 @@ disjunctive normal form.  It is compiled straight from the formula with
 the data atoms fixed to their truth values in the state; holdings are
 computed by the same block-chain operation the models use.
 `region_memo` remembers the regions per vector of data-atom values, for
-the zone checker (`make_checker`) and the discrete oracle alike.  An
+the zone checkers (`make_checkers`) and the discrete oracle alike.  An
 interval meets a canonical zone iff it meets the zone's `time`
 interval, which the DBM's entries (1, 0) and (0, 1) give (Bengtsson and
 Yi, "Timed Automata: Semantics, Algorithms and Tools", 2004).
@@ -518,28 +518,45 @@ def _time_atoms(u, l):
     return atoms
 
 
-def make_checker(query):
-    """Per-state checker: None when the state satisfies the property,
-    else the witness sub-zone, the zone cut to the first interval (u, l)
-    of its violation region that meets it, which is when
-    min(u, m10) + min(l, m01) >= 0 for the zone's `time` entries m10 =
-    (1, 0) and m01 = (0, 1).  Only that interval is turned into atoms and
-    intersected with the zone.
+def make_checkers(queries):
+    """One per-state checker for each query: None when the state
+    satisfies the property, else the witness sub-zone, the zone cut to
+    the first interval (u, l) of its violation region that meets it,
+    which is when min(u, m10) + min(l, m01) >= 0 for the zone's `time`
+    entries m10 = (1, 0) and m01 = (0, 1).  Only that interval is turned
+    into atoms and intersected with the zone.
+
+    The checkers share one `region_memo` over all the queries and keep
+    the regions of the last state object any of them was given, so
+    checkers called in turn on one state read each data atom once.
     """
-    regions_of = region_memo((query,))
+    queries = tuple(queries)
+    regions_of = region_memo(queries)
+    last = regions = None
 
-    def checker(state):
-        zone = state.zone
-        m = zone.m
-        m10, m01 = m[zone.dim], m[1]
-        for u, l in regions_of(state)[0]:
-            hi = u if u < m10 else m10
-            lo = l if l < m01 else m01
-            if hi + lo - ((hi & 1) | (lo & 1)) >= ZERO:
-                return zone.constrained(_time_atoms(u, l))
-        return None
+    def checker(i):
+        def check(state):
+            nonlocal last, regions
+            if state is not last:
+                last, regions = state, regions_of(state)
+            zone = state.zone
+            m = zone.m
+            m10, m01 = m[zone.dim], m[1]
+            for u, l in regions[i]:
+                hi = u if u < m10 else m10
+                lo = l if l < m01 else m01
+                if hi + lo - ((hi & 1) | (lo & 1)) >= ZERO:
+                    return zone.constrained(_time_atoms(u, l))
+            return None
 
-    return checker
+        return check
+
+    return [checker(i) for i in range(len(queries))]
+
+
+def make_checker(query):
+    """The checker of one query (see `make_checkers`)."""
+    return make_checkers((query,))[0]
 
 
 def evaluate(state, query):

@@ -60,7 +60,7 @@ def scenario_problems(adversary, variant):
     names = sorted(model.queries)
     asts = [Q.parse_query(model.queries[name], ctx) for name in names]
     t0 = time.monotonic()
-    res = explore(net, check=[Q.make_checker(ast) for ast in asts])
+    res = explore(net, check=Q.make_checkers(asts))
     seconds = time.monotonic() - t0
     violated = {name for name, v in zip(names, res.verdicts) if v == "VIOLATED"}
     print("%-5s %-14s %6d keys, %7d transitions, %5.1f s, VIOLATED: %s"

@@ -163,3 +163,33 @@ class TestAbortMargin:
         del doc["variant"]
         with pytest.raises(M.TraceReplayError, match="invariant time <= 4 broken"):
             M.replay_document(doc)
+
+
+class TestTimelockLaw:
+    """`bob_no_loss` against adversary Alice holds exactly when
+    PROT_TIMELOCK >= 4*MAX_LATENCY; the pair at MAX_LATENCY = 2."""
+
+    def test_one_below_violated_and_replays(self):
+        model = build_newscs_model(WorldConstants(2, 7))
+        res, net, q = verdict(model, "ALICE", "bob_no_loss")
+        assert res.verdict == "VIOLATED"
+        doc = json.loads(json.dumps(M.trace_to_document(
+            res.trace, net, model, "ALICE", model.queries["bob_no_loss"])))
+        steps = doc["steps"]
+        assert len(steps) == 13
+        # Bob quits at the abort tick T - 3L = 1, while his sub-commitment
+        # is still SENT, and the chain confirms it at the same instant
+        quit_at = [step["label"] for step in steps].index("BobJointTA.quit")
+        quit, confirm = steps[quit_at:quit_at + 2]
+        assert confirm["label"] == "BlockChainAgentTA.confirm"
+        assert quit["clocks"]["time"] == confirm["clocks"]["time"] == 1
+        assert quit["statuses"]["CSB_COMMIT"] == "SENT"
+        assert confirm["statuses"]["CSB_COMMIT"] == "CONFIRMED"
+        final = M.replay_document(doc)
+        assert Q.evaluate(final, q) is not None
+
+    def test_boundary_satisfied(self):
+        model = build_newscs_model(WorldConstants(2, 8))
+        res, _n, _q = verdict(model, "ALICE", "bob_no_loss")
+        assert res.verdict == "SATISFIED"
+        assert res.states == 46774

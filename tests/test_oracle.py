@@ -9,20 +9,24 @@ acceptance suite; here the mechanics are checked per piece.
 
 import gc
 import os
+from collections import deque
 
 import pytest
 
+from tacv import oracle
 from tacv import queries as Q
 from tacv.contracts import build_cs_model, build_newscs_model, instantiate
 from tacv.kernel import (
     AutomatonTemplate, Edge, Location, ModelError, Network, explore,
 )
 from tacv.modelio import build_model
-from tacv.oracle import default_horizon, explore_discrete
+from tacv.oracle import (
+    _clock_constants, _Concrete, default_horizon, explore_discrete,
+)
 from tacv.world import WorldConstants
 
 from conftest import automaton_index
-from test_modelio import SHIPPED_IDS, SHIPPED_ROWS, shipped_net
+from test_modelio import SHIPPED_IDS, SHIPPED_ROWS, shipped_net, shipped_queries
 from test_queries import first_meeting
 
 CS = build_cs_model(WorldConstants(2, 5))
@@ -66,6 +70,101 @@ class TestReachability:
         for part in (0, 1):
             assert len({id(key[part]) for key in keys}) == len({key[part] for key in keys})
         assert len({locs for locs, _data in keys}) < len(keys)
+
+
+def global_bfs(net, queries=()):
+    """The reference search: one breadth-first queue over every instant
+    and one set of every concrete state seen, as the oracle searched
+    before its sweep.  Returns (reachable keys, transitions, verdicts,
+    concrete states stored); a violated query counts as VIOLATED, any
+    other as SATISFIED."""
+    queries = tuple(queries)
+    horizon = default_horizon(net, queries)
+    regions_of = Q.region_memo(queries)
+    between = {i for i, q in enumerate(queries)
+               if len(_clock_constants(q.root)) >= 2}
+    live = list(range(len(queries)))
+
+    def checked(state, time, among):
+        regions = regions_of(state)
+        for i in among:
+            if Q.in_region(regions[i], time):
+                live.remove(i)
+        return not live
+
+    init = _Concrete(tuple(a.initial for a in net.automata), net.initial_data,
+                     0, (0,) * len(net.clock_owners(net.initial_data)))
+    seen = {init}
+    keys = {(init.locs, init.data)}
+    frontier = deque([init])
+    transitions = 0
+    done = bool(live) and checked(init, init.time, tuple(live))
+    while frontier and not done:
+        state = frontier.popleft()
+        succ = oracle._discrete_successors(net, state)
+        transitions += len(succ)
+        if between and succ and succ[0].time > state.time:
+            halfway = [i for i in live if i in between]
+            if halfway and checked(state, state.time + 0.5, halfway):
+                break
+        for nxt in succ:
+            if nxt.time > horizon or nxt in seen:
+                continue
+            seen.add(nxt)
+            keys.add((nxt.locs, nxt.data))
+            if live and checked(nxt, nxt.time, tuple(live)):
+                done = True
+                break
+            frontier.append(nxt)
+    verdicts = tuple("SATISFIED" if i in live else "VIOLATED"
+                     for i in range(len(queries)))
+    return frozenset(keys), transitions, verdicts, len(seen)
+
+
+class TestSweep:
+    """The oracle explores one instant of `time` at a time and keeps only
+    the concrete states of the current and the next instant."""
+
+    # a breadth-first queue over every instant expands states out of
+    # `time` order on both scenarios
+    @pytest.mark.parametrize("scenario", [
+        ("cs", (10, 100), {}, "ALICE"), ("newscs", (1, 5), {}, "BOB"),
+    ], ids=["cs-10-100-ALICE", "newscs-1-5-BOB"])
+    def test_instants_in_order(self, monkeypatch, scenario):
+        _model, net, _ctx = shipped_net(*scenario)
+        times = []
+
+        def successors(net, state):
+            times.append(state.time)
+            return expand(net, state)
+
+        expand = oracle._discrete_successors
+        monkeypatch.setattr(oracle, "_discrete_successors", successors)
+        explore_discrete(net)
+        assert times == sorted(times)
+        assert len(set(times)) > 5
+
+    @pytest.mark.parametrize("contract,constants,variant,adversary,counts",
+                             SHIPPED_ROWS, ids=SHIPPED_IDS)
+    def test_same_as_global_bfs(self, contract, constants, variant, adversary,
+                                counts):
+        model, net, ctx = shipped_net(contract, constants, variant, adversary)
+        asts = shipped_queries(model, ctx)
+        keys, transitions, verdicts, _stored = global_bfs(net, asts)
+        res, got = explore_discrete(net, queries=asts)
+        assert res.reachable == keys
+        assert len(keys) == counts[0]
+        assert res.transitions == transitions
+        assert got == verdicts
+
+    @pytest.mark.parametrize("row", [3, 6], ids=[SHIPPED_IDS[3], SHIPPED_IDS[6]])
+    def test_state_budget_counts_every_instant(self, row):
+        _model, net, _ctx = shipped_net(*SHIPPED_ROWS[row][:4])
+        stored = global_bfs(net)[3]
+        whole = explore_discrete(net, max_states=stored)[0]
+        assert (whole.verdict, whole.limit_reason) == ("SATISFIED", None)
+        cut = explore_discrete(net, max_states=stored - 1)[0]
+        assert (cut.verdict, cut.limit_reason) == ("LIMIT", "state budget exhausted")
 
 
 class TestVerdicts:

@@ -1,15 +1,17 @@
 """Query parsing, pretty-printing round trips, and symbolic evaluation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from tacv import queries as Q
 from tacv import world as w
-from tacv.kernel import CMP, SymbolicState
+from tacv.kernel import CMP, SymbolicState, explore
 from tacv.zones import INF, Zone, atom_entries
 
+from test_modelio import SHIPPED_IDS, SHIPPED_ROWS, shipped_net, shipped_queries
 from test_zones import random_atoms
 from zonekit import closure, from_constraints, min_value
 
@@ -233,6 +235,40 @@ class TestTimeBound:
             else:
                 outcomes["first" if cuts[0] == expected else "later"] += 1
         assert min(outcomes.values()) > 100, outcomes
+
+
+class TestSharedCheckers:
+    """`make_checkers` gives the witnesses of one checker per query and
+    reads each data atom once per state, whatever the order of calls."""
+
+    @pytest.mark.parametrize("row", [1, 5], ids=[SHIPPED_IDS[1], SHIPPED_IDS[5]])
+    def test_same_witnesses_one_read_per_atom(self, monkeypatch, row):
+        model, net, ctx = shipped_net(*SHIPPED_ROWS[row][:4])
+        asts = shipped_queries(model, ctx)
+        states = []
+        explore(net, check=states.append)
+        separate = [Q.make_checker(ast) for ast in asts]
+        reads = Counter()
+        reader = Q._reader
+
+        def counted(atom):
+            read = reader(atom)
+
+            def count(state):
+                reads[atom] += 1
+                return read(state)
+
+            return count
+
+        monkeypatch.setattr(Q, "_reader", counted)
+        shared = Q.make_checkers(asts)
+        for k, state in enumerate(states):
+            order = range(len(asts)) if k % 2 else reversed(range(len(asts)))
+            for i in order:
+                assert shared[i](state) == separate[i](state)
+        atoms = {a for ast in asts for a in Q.data_atoms(ast.root)}
+        assert len(atoms) > 2 and len(states) >= SHIPPED_ROWS[row][4][0]
+        assert reads == dict.fromkeys(atoms, len(states))
 
 
 class TestRegionSemantics:
