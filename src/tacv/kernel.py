@@ -64,7 +64,10 @@ Semantics notes:
   state is one record, (locations, data, zone, parent record,
   descriptor).  A passed-list row holds only its key's zones, so a
   record lives only while it waits in the queue or is an ancestor of a
-  waiting record.  Checkers and the zone check get a
+  waiting record.  Rows nest under their locations tuple and a
+  one-zone row is the bare zone (a compact store after Larsen et al.,
+  RTSS 1997), so no key tuple or 1-tuple is kept per stored key; only
+  waiting keys have a key tuple.  Checkers and the zone check get a
   `SymbolicState` built at the call.
 - Checks run at three levels.  A network's transition checks see the
   data before and after a fire, once per fire built: they run in every
@@ -269,6 +272,16 @@ class Network:
         self.meta = meta or {}
         self._validate()
 
+    @functools.cached_property
+    def instances(self):
+        """Per automaton and edge: its (binds, TransitionInstance) pairs,
+        built on first use."""
+        return tuple(
+            tuple(tuple((b, TransitionInstance(ai, ei, bkey, e.urgent))
+                        for b, bkey in bs)
+                  for ei, (e, bs) in enumerate(zip(a.edges, a.bindings)))
+            for ai, a in enumerate(self.automata))
+
     def _validate(self):
         names = [a.name for a in self.automata]
         if len(set(names)) != len(names):
@@ -468,17 +481,17 @@ def enabled_transitions(net, locs, data):
     enabledness up to clock guards is a pure function of locations and
     data; clock guards are applied to zones by `_apply_skeleton`.  Every
     binding of an edge's static select domain has its guard evaluated.
+    The instances are the network's own (`Network.instances`).
     """
     plain = []
     urgent = []
-    for ai, a in enumerate(net.automata):
-        for ei, e in a.edges_from(locs[ai]):
+    for a, insts, loc in zip(net.automata, net.instances, locs):
+        for ei, e in a.edges_from(loc):
             guard = e.guard
-            for binds, bkey in a.bindings[ei]:
-                if guard is not None and not guard(data, binds):
-                    continue
-                (urgent if e.urgent else plain).append(
-                    TransitionInstance(ai, ei, bkey, e.urgent))
+            out = urgent if e.urgent else plain
+            for binds, inst in insts[ei]:
+                if guard is None or guard(data, binds):
+                    out.append(inst)
     return plain + urgent
 
 
@@ -503,7 +516,11 @@ COVERED, STORED, EVICTED = 0, 1, 2  # outcomes of `_Passed.insert`
 class _Passed:
     """Unified passed/waiting list: zone antichains per (locations, data) key.
 
-    A row is the tuple of a key's stored zones.  A new zone that covers
+    `_store` maps a locations tuple to a dict that maps each data
+    valuation to the key's row, so no (locations, data) tuple is kept
+    per key.  A row is the bare zone while its key has one stored zone,
+    the common case, and the tuple of its zones otherwise; an eviction
+    that leaves one zone stores it bare again.  A new zone that covers
     stored ones evicts them from the row, and the state that stored an
     evicted zone is dead: it is not expanded when popped from the
     waiting queue (`explore` finds its zone gone from the row), since
@@ -525,6 +542,7 @@ class _Passed:
 
     def __init__(self, subsumption=True, covers=None):
         self._store = {}
+        self.key_count = 0
         self._subsume = subsumption
         self._covers = {} if covers is None else covers
 
@@ -535,12 +553,8 @@ class _Passed:
             known = self._covers[(a, b)] = a.subsumes(b)
         return known
 
-    @property
-    def key_count(self):
-        return len(self._store)
-
-    def insert(self, key, zone):
-        """Store `zone` for `key` unless a stored zone covers it.
+    def insert(self, locs, data, zone):
+        """Store `zone` for key (locs, data) unless a stored zone covers it.
 
         Returns COVERED (false) when nothing is stored, STORED, or
         EVICTED when `zone` was stored and evicted at least one stored
@@ -548,20 +562,26 @@ class _Passed:
         and nothing is evicted (used to validate that inclusion checking
         never changes a verdict or a reachable set).
         """
-        row = self._store.get(key)
+        rows = self._store.get(locs)
+        if rows is None:
+            rows = self._store[locs] = {}
+        row = rows.get(data)
         if row is None:
-            self._store[key] = (zone,)
+            rows[data] = zone
+            self.key_count += 1
             return STORED
+        if type(row) is not tuple:
+            row = (row,)
         if not self._subsume:
             if zone in row:
                 return COVERED
-            self._store[key] = row + (zone,)
+            rows[data] = row + (zone,)
             return STORED
         for z in row:
             if z is zone or self._subsumes(z, zone):
                 return COVERED
         kept = tuple(z for z in row if not self._subsumes(zone, z))
-        self._store[key] = kept + (zone,)
+        rows[data] = kept + (zone,) if kept else zone
         return EVICTED if len(kept) < len(row) else STORED
 
 
@@ -890,7 +910,8 @@ def explore(
 
     def result(reason=None):
         # states counts distinct (locations, data) configurations
-        reach = frozenset(store) if collect_reachable else None
+        reach = frozenset((locs, data) for locs, rows in store.items()
+                          for data in rows) if collect_reachable else None
         every = range(len(checks))
         verdict, verdicts = overall_verdicts([i in traces for i in every], reason)
         return VerificationResult(
@@ -905,7 +926,7 @@ def explore(
         for chk in net.state_checks:
             chk(key[1])
         zone_check(init, invariant_indices(net, *key))
-    passed.insert(key, init[2])
+    passed.insert(*init[:3])
     stored_states = 1
     if live and checked(init):
         return result()
@@ -925,7 +946,9 @@ def explore(
         key = (locs, data)
         entry = waiting[key]
         entry[0] -= 1
-        if zone not in store[key]:  # evicted: the state is dead
+        row = store[locs][data]
+        if row is not zone and (zone not in row if type(row) is tuple
+                                else row != zone):  # evicted: the state is dead
             if not entry[0]:
                 del waiting[key]
             continue
@@ -938,9 +961,8 @@ def explore(
                 zone2 = _extrapolated(table, zone2, bounds2)
             if locs2 is None:  # delay successor keeps the configuration
                 locs2, data2 = locs, data
-            key2 = (locs2, data2)
             known = passed.key_count
-            stored = passed.insert(key2, zone2)
+            stored = passed.insert(locs2, data2, zone2)
             if not stored:
                 continue
             nxt = (locs2, data2, zone2, rec, desc)
@@ -955,7 +977,7 @@ def explore(
             if max_states is not None and stored_states > max_states:
                 return result("state budget exhausted")
             (evictors if stored == EVICTED else frontier).append(nxt)
-            waiting.setdefault(key2, [0, None])[0] += 1
+            waiting.setdefault((locs2, data2), [0, None])[0] += 1
         if not entry[0]:  # no state of the key waits: drop its skeleton
             del waiting[key]
     return result()
@@ -991,9 +1013,9 @@ def _named_instance(net, locs, data, desc):
         for e_i, e in a.edges_from(locs[a_i]):
             if e_i != ei:
                 continue
-            for binds, b in a.bindings[e_i]:
-                if b == bkey and (e.guard is None or e.guard(data, binds)):
-                    return TransitionInstance(a_i, e_i, b, e.urgent)
+            for binds, inst in net.instances[a_i][e_i]:
+                if inst.binds == bkey and (e.guard is None or e.guard(data, binds)):
+                    return inst
     return None
 
 

@@ -8,6 +8,7 @@ confirmations, each gaining at most MAX_LATENCY - 1.
 """
 
 import json
+import os
 
 import pytest
 
@@ -163,6 +164,43 @@ class TestAbortMargin:
         del doc["variant"]
         with pytest.raises(M.TraceReplayError, match="invariant time <= 4 broken"):
             M.replay_document(doc)
+
+
+class TestAbortDeadlineLaw:
+    """`alice_compensated` and `alice_no_loss` against adversary Bob hold
+    exactly when the abort deadline lies at least 3*(MAX_LATENCY - 1) + 1
+    before PROT_TIMELOCK; the pair at MAX_LATENCY = 2, PROT_TIMELOCK = 9."""
+
+    CONSTANTS = {"MAX_LATENCY": 2, "PROT_TIMELOCK": 9}
+    QUERIES = ("alice_compensated", "alice_no_loss")
+
+    def explored(self, model):
+        # one pass checks both queries
+        net, ctx = instantiate(model, adversary="BOB")
+        asts = [Q.parse_query(model.queries[n], ctx) for n in self.QUERIES]
+        return explore(net, check=[Q.make_checker(q) for q in asts]), net, asts
+
+    def test_offset_three_violated_and_replays(self):
+        # no abort_margin gives offset 3 at MAX_LATENCY = 2: edit the line
+        line = "abort = PROT_TIMELOCK - ABORT_MARGIN*MAX_LATENCY"
+        with open(os.path.join(M.MODELS_DIR, "newscs.model")) as f:
+            text = f.read()
+        assert line in text
+        model = M.build_model(text.replace(line, "abort = PROT_TIMELOCK - 3"),
+                              "newscs_abort_offset_3", self.CONSTANTS)
+        res, net, asts = self.explored(model)
+        assert res.verdicts == ("VIOLATED", "VIOLATED")
+        assert [len(t.steps) for t in res.traces] == [36, 24]
+        for trace, q in zip(res.traces, asts):
+            final = replay_trace(net, trace)
+            assert Q.evaluate(final, q) is not None
+
+    def test_offset_four_satisfied(self):
+        # abort margin 2 is an offset of 4
+        model = build_newscs_model(WorldConstants(2, 9), abort_margin=2)
+        res, _n, _q = self.explored(model)
+        assert res.verdicts == ("SATISFIED", "SATISFIED")
+        assert res.states == 21030
 
 
 class TestTimelockLaw:

@@ -184,6 +184,29 @@ class TestOrder:
             ("Pinger.ping", (), True),
         ]
 
+    @pytest.mark.parametrize("row", [1, 5], ids=[SHIPPED_IDS[1], SHIPPED_IDS[5]])
+    def test_network_instances_on_every_reachable_key(self, row):
+        """The network's prebuilt instances give the list that building
+        one instance per enabled binding gives, and no call builds one."""
+        def rebuilt(net, locs, data):
+            plain, urgent = [], []
+            for ai, a in enumerate(net.automata):
+                for ei, e in a.edges_from(locs[ai]):
+                    for binds, bkey in a.bindings[ei]:
+                        if e.guard is None or e.guard(data, binds):
+                            (urgent if e.urgent else plain).append(
+                                K.TransitionInstance(ai, ei, bkey, e.urgent))
+            return plain + urgent
+
+        _model, net, _ctx = shipped_row_net(*SHIPPED_ROWS[row][:4])
+        reachable = K.explore(net, collect_reachable=True).reachable
+        prebuilt = {id(inst) for per_auto in net.instances
+                    for pairs in per_auto for _b, inst in pairs}
+        for key in reachable:
+            insts = K.enabled_transitions(net, *key)
+            assert insts == rebuilt(net, *key)
+            assert all(id(inst) in prebuilt for inst in insts)
+
 
 class TestClockLifecycle:
     def test_clock_born_at_zero_and_dropped(self):
@@ -309,10 +332,22 @@ class TestCollectorPause:
         assert gc.isenabled() == collector
 
 
+def raw_row(passed, key):
+    """The row of `key` in `passed` as stored: the bare zone or a tuple."""
+    locs, data = key
+    return passed._store[locs][data]
+
+
+def passed_row(passed, key):
+    """The stored zones of `key` in `passed` as a tuple."""
+    row = raw_row(passed, key)
+    return row if type(row) is tuple else (row,)
+
+
 class TestPassedList:
     """The unified passed/waiting list on hand-made zones of one key: a
-    row is the tuple of the key's stored zones, and an evicted zone
-    leaves it (the state that stored it is dead)."""
+    row holds the key's stored zones, the bare zone while there is one,
+    and an evicted zone leaves it (the state that stored it is dead)."""
 
     KEY = ((0,), Jobs((), True))
 
@@ -321,43 +356,119 @@ class TestPassedList:
         return Zone.origin(2).up().constrained(
             [(1, 0, "<=", upper), (1, 0, ">=", lower)])
 
+    def insert(self, passed, zone, key=KEY):
+        return passed.insert(*key, zone)
+
     def test_covering_zone_marks_stored_one_dead(self):
         passed = K._Passed()
-        assert passed.insert(self.KEY, self.zone(2))
-        assert passed.insert(self.KEY, self.zone(5))
-        assert passed._store[self.KEY] == (self.zone(5),)
+        assert self.insert(passed, self.zone(2))
+        assert self.insert(passed, self.zone(5))
+        assert passed_row(passed, self.KEY) == (self.zone(5),)
 
     def test_incomparable_zones_stay_alive_until_covered(self):
         passed = K._Passed()
-        assert passed.insert(self.KEY, self.zone(2))
-        assert passed.insert(self.KEY, self.zone(5, lower=4))
-        assert passed._store[self.KEY] == (self.zone(2), self.zone(5, lower=4))
-        assert passed.insert(self.KEY, self.zone(5))
-        assert passed._store[self.KEY] == (self.zone(5),)
+        assert self.insert(passed, self.zone(2))
+        assert self.insert(passed, self.zone(5, lower=4))
+        assert passed_row(passed, self.KEY) == (self.zone(2), self.zone(5, lower=4))
+        assert self.insert(passed, self.zone(5))
+        assert passed_row(passed, self.KEY) == (self.zone(5),)
 
     def test_equal_or_smaller_zone_rejected(self):
         passed = K._Passed()
-        assert passed.insert(self.KEY, self.zone(5))
-        assert not passed.insert(self.KEY, self.zone(5))
-        assert not passed.insert(self.KEY, self.zone(2))
-        assert not passed.insert(self.KEY, Zone.origin(2))
-        assert passed._store[self.KEY] == (self.zone(5),)
+        assert self.insert(passed, self.zone(5))
+        assert not self.insert(passed, self.zone(5))
+        assert not self.insert(passed, self.zone(2))
+        assert not self.insert(passed, Zone.origin(2))
+        assert passed_row(passed, self.KEY) == (self.zone(5),)
 
     def test_insert_reports_eviction(self):
         passed = K._Passed()
-        assert passed.insert(self.KEY, self.zone(2)) == K.STORED
-        assert passed.insert(self.KEY, self.zone(5, lower=4)) == K.STORED
-        assert passed.insert(self.KEY, self.zone(1)) == K.COVERED
-        assert passed.insert(self.KEY, self.zone(5)) == K.EVICTED
+        assert self.insert(passed, self.zone(2)) == K.STORED
+        assert self.insert(passed, self.zone(5, lower=4)) == K.STORED
+        assert self.insert(passed, self.zone(1)) == K.COVERED
+        assert self.insert(passed, self.zone(5)) == K.EVICTED
 
     def test_without_subsumption_nothing_dies(self):
         passed = K._Passed(subsumption=False)
-        assert passed.insert(self.KEY, self.zone(2))
-        assert passed.insert(self.KEY, self.zone(5))
-        assert not passed.insert(self.KEY, self.zone(5))
-        assert passed.insert(self.KEY, Zone.origin(2))
-        assert passed._store[self.KEY] == (
+        assert self.insert(passed, self.zone(2))
+        assert self.insert(passed, self.zone(5))
+        assert not self.insert(passed, self.zone(5))
+        assert self.insert(passed, Zone.origin(2))
+        assert passed_row(passed, self.KEY) == (
             self.zone(2), self.zone(5), Zone.origin(2))
+
+    def test_one_zone_row_is_the_bare_zone(self):
+        passed = K._Passed()
+        zone = self.zone(2)
+        assert self.insert(passed, zone) == K.STORED
+        assert raw_row(passed, self.KEY) is zone
+        assert self.insert(passed, self.zone(5, lower=4)) == K.STORED
+        assert type(raw_row(passed, self.KEY)) is tuple
+
+    def test_eviction_back_to_one_zone_stores_it_bare(self):
+        passed = K._Passed()
+        self.insert(passed, self.zone(2))
+        self.insert(passed, self.zone(6, lower=5))
+        self.insert(passed, self.zone(8, lower=7))
+        wide = self.zone(5)
+        # evicts zone(2) only: two zones are left, as a tuple
+        assert self.insert(passed, wide) == K.EVICTED
+        assert passed_row(passed, self.KEY) == (
+            self.zone(6, lower=5), self.zone(8, lower=7), wide)
+        wider = self.zone(8)
+        assert self.insert(passed, wider) == K.EVICTED
+        assert raw_row(passed, self.KEY) is wider
+
+    def test_without_subsumption_rows(self):
+        passed = K._Passed(subsumption=False)
+        small, large = self.zone(2), self.zone(5)
+        assert self.insert(passed, large) == K.STORED
+        assert raw_row(passed, self.KEY) is large
+        assert self.insert(passed, small) == K.STORED
+        assert raw_row(passed, self.KEY) == (large, small)
+        assert self.insert(passed, self.zone(2)) == K.COVERED
+        assert passed_row(passed, self.KEY) == (large, small)
+
+    def test_key_count_across_two_locations_tuples(self):
+        passed = K._Passed()
+        other_locs = ((1,), self.KEY[1])
+        other_data = (self.KEY[0], Jobs((), False))
+        assert self.insert(passed, self.zone(2)) == K.STORED
+        assert self.insert(passed, self.zone(2), other_locs) == K.STORED
+        assert self.insert(passed, self.zone(5), other_data) == K.STORED
+        assert passed.key_count == 3
+        # a second zone of a stored key, covered or not, adds no key
+        assert self.insert(passed, self.zone(1), other_locs) == K.COVERED
+        assert self.insert(passed, self.zone(5), other_locs) == K.EVICTED
+        assert passed.key_count == 3
+        assert {locs: len(rows) for locs, rows in passed._store.items()} == {
+            (0,): 2, (1,): 1}
+
+    def test_rows_of_one_exploration(self, monkeypatch):
+        made = []
+
+        class Recorded(K._Passed):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(K, "_Passed", Recorded)
+        net, _ctx = instantiate(build_newscs_model(WorldConstants(1, 5)),
+                                adversary="BOB")
+        res = K.explore(net, collect_reachable=True)
+        (passed,) = made
+        keys, shapes = set(), {Zone: 0, tuple: 0}
+        for locs, rows in passed._store.items():
+            for data, row in rows.items():
+                keys.add((locs, data))
+                shapes[type(row)] += 1
+                if type(row) is tuple:
+                    assert len(row) >= 2
+                    assert all(type(z) is Zone for z in row)
+        assert keys == res.reachable
+        assert passed.key_count == res.states == len(keys)
+        # here every key ends with one zone, stored bare
+        assert shapes == {Zone: len(keys), tuple: 0}
 
 
 class TestValidation:
@@ -735,11 +846,11 @@ class TestSearchOrder:
         stored = []
         insert = K._Passed.insert
 
-        def recorded(passed, key, zone):
-            outcome = insert(passed, key, zone)
+        def recorded(passed, locs, data, zone):
+            outcome = insert(passed, locs, data, zone)
             if outcome:
                 assert outcome == K.STORED
-                stored.append((key, zone))
+                stored.append(((locs, data), zone))
             return outcome
 
         monkeypatch.setattr(K._Passed, "insert", recorded)
